@@ -10,9 +10,9 @@ namespace conga::debug {
 RunDigests run_digest_trial(const DigestScenario& s) {
   sim::Scheduler sched;
   stats::TraceDigest trace;
-  sched.set_trace_hook([&trace](sim::TimeNs t, sim::EventId id) {
+  sched.set_trace_hook([&trace](sim::TimeNs t, std::uint64_t seq) {
     trace.add(static_cast<std::uint64_t>(t));
-    trace.add(id);
+    trace.add(seq);
   });
 
   net::Fabric fabric(sched, s.topo, s.fabric_seed);

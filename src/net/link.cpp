@@ -83,13 +83,25 @@ void Link::send(PacketPtr pkt) {
     pkt->corrupted = true;
   }
   if (!queue_.enqueue(std::move(pkt), sched_.now())) return;  // tail drop
-  if (!busy_) start_transmission();
+  // The wire is free once dispatch has passed busy_until_ (the queue was
+  // then empty before this packet), so it starts at once. Otherwise the
+  // first packet to queue behind the wire schedules the drain.
+  if (sched_.passed(busy_until_)) {
+    start_transmission();
+  } else if (queue_.packets() == 1) {
+    schedule_drain();
+  }
+}
+
+void Link::schedule_drain() {
+  // The wire-free instant becomes a real event at exactly the position its
+  // ticket reserved, so ties with other events break as if it always was.
+  sched_.schedule(busy_until_, [this] { start_transmission(); });
 }
 
 void Link::start_transmission() {
   PacketPtr pkt = queue_.dequeue(sched_.now());
   if (!pkt) return;
-  busy_ = true;
 
   const sim::TimeNs now = sched_.now();
   dre_.add(pkt->size_bytes, now);
@@ -108,11 +120,10 @@ void Link::start_transmission() {
   ++in_flight_pkts_;
 
   const sim::TimeNs ser = serialization_delay(pkt->size_bytes);
-  // Wire free after serialization: start on the next queued packet.
-  sched_.schedule_after(ser, [this] {
-    busy_ = false;
-    if (!queue_.empty()) start_transmission();
-  });
+  // Wire free after serialization: a ticket, which becomes a drain event
+  // only while packets wait behind this one.
+  busy_until_ = sched_.reserve_at(now + ser);
+  if (!queue_.empty()) schedule_drain();
   // Far end sees the packet after serialization + propagation.
   sched_.schedule_after(ser + cfg_.propagation_delay,
                         [this, p = std::move(pkt)]() mutable {

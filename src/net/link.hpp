@@ -144,8 +144,8 @@ class Link {
                packets_delivered_;
   }
 
-  /// Average delivered throughput in bits/s over [t0, t1], from the byte
-  /// counter deltas the caller snapshots. Convenience for tests.
+  /// Time to clock `bytes` onto the wire at the current (possibly degraded)
+  /// rate.
   sim::TimeNs serialization_delay(std::uint32_t bytes) const {
     return static_cast<sim::TimeNs>(static_cast<double>(bytes) * 8.0 /
                                     (cfg_.rate_bps * rate_scale_) * 1e9);
@@ -153,6 +153,8 @@ class Link {
 
  private:
   void start_transmission();
+  /// Schedules the event that starts the next queued packet at busy_until_.
+  void schedule_drain();
 
   sim::Scheduler& sched_;
   std::string name_;
@@ -163,7 +165,9 @@ class Link {
   core::Dre dre_;
   telemetry::TraceSink* tele_ = nullptr;
   std::uint32_t tele_comp_ = 0;
-  bool busy_ = false;
+  /// Position at which the wire frees up after the packet last started. A
+  /// drain event sits on it exactly while packets are queued behind it.
+  sim::Ticket busy_until_;
   bool up_ = true;
   bool ce_suppressed_ = false;
   double rate_scale_ = 1.0;

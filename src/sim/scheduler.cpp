@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <cassert>
 #include <utility>
 
 #include "debug/invariants.hpp"
@@ -68,19 +69,7 @@ bool Scheduler::settle_top() {
   return false;
 }
 
-void Scheduler::take_top(TimeNs& time, std::uint64_t& seq, Callback& cb) {
-  const HeapNode top = heap_.front();
-  time = top.time;
-  seq = top.seq;
-  cb = std::move(slots_[top.slot].cb);
-  release_slot(top.slot);
-  --live_;
-  pop_top();
-}
-
-EventId Scheduler::schedule_at(TimeNs t, Callback cb) {
-  if (t < now_) t = now_;
-  const std::uint64_t seq = next_seq_++;
+EventId Scheduler::push(TimeNs t, std::uint64_t seq, Callback&& cb) {
   const std::uint32_t slot = acquire_slot();
   const std::uint32_t gen = slots_[slot].gen;
   slots_[slot].cb = std::move(cb);
@@ -88,6 +77,16 @@ EventId Scheduler::schedule_at(TimeNs t, Callback cb) {
   sift_up(heap_.size() - 1);
   ++live_;
   return make_id(slot, gen);
+}
+
+EventId Scheduler::schedule_at(TimeNs t, Callback cb) {
+  if (t < now_) t = now_;
+  return push(t, next_seq_++, std::move(cb));
+}
+
+EventId Scheduler::schedule(const Ticket& tk, Callback cb) {
+  assert(!passed(tk) && "ticket already passed");
+  return push(tk.time, tk.seq, std::move(cb));
 }
 
 void Scheduler::cancel(EventId id) {
@@ -103,37 +102,36 @@ void Scheduler::cancel(EventId id) {
   --live_;
 }
 
+void Scheduler::dispatch_top(Callback& cb) {
+  const HeapNode top = heap_.front();
+  cb = std::move(slots_[top.slot].cb);
+  release_slot(top.slot);
+  --live_;
+  pop_top();
+  CONGA_INVARIANT(check_time_monotonic("scheduler", now_, top.time));
+  now_ = top.time;
+  cursor_ = Ticket{top.time, top.seq};
+  ++dispatched_;
+  if (trace_) trace_(top.time, top.seq);
+  cb();
+  cb = Callback{};  // release the payload before the next settle
+}
+
 void Scheduler::run() {
   stopped_ = false;
-  TimeNs time = 0;
-  std::uint64_t seq = 0;
   Callback cb;
-  while (!stopped_ && settle_top()) {
-    take_top(time, seq, cb);
-    CONGA_INVARIANT(check_time_monotonic("scheduler", now_, time));
-    now_ = time;
-    ++dispatched_;
-    if (trace_) trace_(time, seq);
-    cb();
-    cb = Callback{};  // release the payload before the next settle
-  }
+  while (!stopped_ && settle_top()) dispatch_top(cb);
 }
 
 void Scheduler::run_until(TimeNs t) {
   stopped_ = false;
-  TimeNs time = 0;
-  std::uint64_t seq = 0;
   Callback cb;
-  while (!stopped_ && settle_top()) {
-    if (heap_.front().time > t) break;
-    take_top(time, seq, cb);
-    CONGA_INVARIANT(check_time_monotonic("scheduler", now_, time));
-    now_ = time;
-    ++dispatched_;
-    if (trace_) trace_(time, seq);
-    cb();
-    cb = Callback{};
+  while (!stopped_ && settle_top() && heap_.front().time <= t) {
+    dispatch_top(cb);
   }
+  // Unless stopped early, every position at or before t handed out so far
+  // has now been dispatched or (for tickets) passed over.
+  if (!stopped_ && t >= cursor_.time) cursor_ = Ticket{t, next_seq_ - 1};
   if (now_ < t) now_ = t;
 }
 

@@ -24,6 +24,17 @@ namespace conga::sim {
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEventId = 0;
 
+/// A reserved position `(time, seq)` in the dispatch order: the slot an event
+/// scheduled at that moment would occupy, taken without creating one. A
+/// component can record "something happens here" for free and only pay for a
+/// heap node if it later needs a callback at exactly that position. The
+/// default ticket `(0, 0)` precedes every real position, so it has always
+/// passed.
+struct Ticket {
+  TimeNs time = 0;
+  std::uint64_t seq = 0;
+};
+
 /// A discrete-event scheduler.
 ///
 /// Usage:
@@ -43,6 +54,11 @@ constexpr EventId kInvalidEventId = 0;
 /// corrupt the pending-event accounting. A cancelled event's node stays in
 /// the heap until it surfaces, where the generation mismatch discards it;
 /// its callback (and any packet it owns) is destroyed eagerly at cancel().
+///
+/// Tickets (reserve_at / passed / schedule) let a component hold a place in
+/// the dispatch order without a heap node — a link's "wire free" instant, a
+/// TCP sender's RTO deadline — and turn it into an event only if something
+/// must actually run there.
 class Scheduler {
  public:
   using Callback = UniqueFunction;
@@ -62,6 +78,28 @@ class Scheduler {
   EventId schedule_after(TimeNs dt, Callback cb) {
     return schedule_at(now_ + dt, std::move(cb));
   }
+
+  /// Takes a ticket at absolute time `t` (clamped to now() like
+  /// schedule_at). It consumes a sequence number exactly as schedule_at
+  /// would, so ties among later events break the same way whether or not the
+  /// ticket ever becomes an event.
+  Ticket reserve_at(TimeNs t) {
+    if (t < now_) t = now_;
+    return Ticket{t, next_seq_++};
+  }
+
+  /// True once dispatch has reached or gone past `tk`'s position: an event
+  /// scheduled on it would already have fired. Also exact between runs —
+  /// after run_until(t) every position at or before time t that was handed
+  /// out has passed; after stop(), only those up to the last dispatch.
+  bool passed(const Ticket& tk) const {
+    return tk.time < cursor_.time ||
+           (tk.time == cursor_.time && tk.seq <= cursor_.seq);
+  }
+
+  /// Schedules `cb` at exactly `tk`'s position. `tk` must not have passed.
+  /// Consumes no sequence number (the ticket already did).
+  EventId schedule(const Ticket& tk, Callback cb);
 
   /// Cancels a pending event. Cancelling an already-fired, already-cancelled,
   /// or invalid id is a harmless no-op (this makes timer management in TCP
@@ -92,7 +130,7 @@ class Scheduler {
   /// fingerprints the run's exact interleaving — the determinism auditor's
   /// event-trace digest. Unset (the default) costs one predictable branch
   /// per dispatch.
-  using TraceHook = std::function<void(TimeNs, EventId)>;
+  using TraceHook = std::function<void(TimeNs, std::uint64_t seq)>;
   void set_trace_hook(TraceHook h) { trace_ = std::move(h); }
 
   /// Ambient telemetry sink for this simulation, or nullptr (the default).
@@ -138,6 +176,10 @@ class Scheduler {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
+  /// Inserts a live event at (t, seq).
+  EventId push(TimeNs t, std::uint64_t seq, Callback&& cb);
+  /// Dispatches the live root event (caller checked settle_top()).
+  void dispatch_top(Callback& cb);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   /// Removes the heap root (which must exist).
@@ -145,11 +187,11 @@ class Scheduler {
   /// Discards stale (cancelled) nodes at the root. Returns false when the
   /// heap is empty, true when a live node is at the root.
   bool settle_top();
-  /// Extracts the live root event into (time, seq, cb) and releases its
-  /// slot. Caller must have checked settle_top().
-  void take_top(TimeNs& time, std::uint64_t& seq, Callback& cb);
 
   TimeNs now_ = 0;
+  /// Position of the last dispatch (or, after an unstopped run_until, the
+  /// last position handed out at its horizon): passed() compares against it.
+  Ticket cursor_;
   TraceHook trace_;
   telemetry::TraceSink* telemetry_ = nullptr;
   std::uint64_t next_seq_ = 1;

@@ -38,7 +38,7 @@ TcpSender::TcpSender(sim::Scheduler& sched, net::Host& local,
 }
 
 TcpSender::~TcpSender() {
-  sched_.cancel(rto_timer_);
+  sched_.cancel(rto_event_);
   if (started_) local_.unregister_flow(flow_);
 }
 
@@ -173,7 +173,7 @@ void TcpSender::send_available() {
       snd_nxt_ += len;
     }
   }
-  if (flight() > 0 && rto_timer_ == sim::kInvalidEventId) arm_rto();
+  if (flight() > 0 && !rto_armed_) arm_rto();
 }
 
 void TcpSender::apply_sack(const net::TcpHeader& hdr) {
@@ -215,7 +215,6 @@ void TcpSender::enter_sack_recovery() {
 }
 
 void TcpSender::arm_rto() {
-  sched_.cancel(rto_timer_);
   const sim::TimeNs timeout = rto_ << std::min(backoff_, 12);
   // Tail Loss Probe: before the first (non-backed-off) RTO of a flight,
   // schedule a probe at ~2 SRTT instead. A tail drop then triggers SACK
@@ -230,14 +229,42 @@ void TcpSender::arm_rto() {
       timer_is_tlp_ = true;
     }
   }
-  rto_timer_ = sched_.schedule_after(when, [this] {
-    rto_timer_ = sim::kInvalidEventId;
-    if (timer_is_tlp_) {
-      on_tlp();
-    } else {
-      on_rto();
-    }
-  });
+  // The deadline is a ticket, so it holds the same place in the dispatch
+  // order as a freshly scheduled timer would. A live event at or before the
+  // deadline's time is kept: it fires early and re-homes itself onto the
+  // deadline. One later than the deadline is cancelled.
+  rto_deadline_ = sched_.reserve_at(sched_.now() + when);
+  rto_armed_ = true;
+  if (rto_event_ != sim::kInvalidEventId) {
+    if (rto_event_time_ <= rto_deadline_.time) return;
+    sched_.cancel(rto_event_);
+  }
+  schedule_rto_event();
+}
+
+void TcpSender::disarm_rto() {
+  rto_armed_ = false;
+  sched_.cancel(rto_event_);
+  rto_event_ = sim::kInvalidEventId;
+}
+
+void TcpSender::schedule_rto_event() {
+  rto_event_time_ = rto_deadline_.time;
+  rto_event_ = sched_.schedule(rto_deadline_, [this] { on_rto_event(); });
+}
+
+void TcpSender::on_rto_event() {
+  rto_event_ = sim::kInvalidEventId;
+  if (!sched_.passed(rto_deadline_)) {
+    schedule_rto_event();  // re-armed since: not the deadline yet
+    return;
+  }
+  rto_armed_ = false;
+  if (timer_is_tlp_) {
+    on_tlp();
+  } else {
+    on_rto();
+  }
 }
 
 void TcpSender::on_tlp() {
@@ -373,9 +400,11 @@ void TcpSender::handle_ack(const net::TcpHeader& hdr, bool ecn_echo) {
     cwnd_ = std::min(cwnd_, static_cast<double>(cfg_.max_cwnd_bytes));
 
     // Reset or disarm the retransmission timer.
-    sched_.cancel(rto_timer_);
-    rto_timer_ = sim::kInvalidEventId;
-    if (flight() > 0) arm_rto();
+    if (flight() > 0) {
+      arm_rto();
+    } else {
+      disarm_rto();
+    }
   } else if (flight() > 0 && !cfg_.sack) {
     // Duplicate ACK (classic NewReno path).
     ++dup_acks_;
@@ -436,8 +465,7 @@ void TcpSender::maybe_finish() {
     return;
   }
   done_ = true;
-  sched_.cancel(rto_timer_);
-  rto_timer_ = sim::kInvalidEventId;
+  disarm_rto();
   tele(telemetry::EventType::kFlowFinish, snd_max_);
   if (on_done_) on_done_();
 }

@@ -122,7 +122,12 @@ class TcpSender {
   /// Estimated bytes in flight, accounting for SACKed and presumed-lost data.
   double pipe_bytes() const;
   void on_rto();
+  /// (Re)starts the retransmission/probe timer from now.
   void arm_rto();
+  void disarm_rto();
+  void schedule_rto_event();
+  /// Timer event: fires the RTO/TLP at the deadline, re-homes if early.
+  void on_rto_event();
   void update_rtt(sim::TimeNs sample);
   void maybe_finish();
   std::uint64_t flight() const { return snd_nxt_ - snd_una_; }
@@ -162,8 +167,14 @@ class TcpSender {
   sim::TimeNs rttvar_ = 0;
   sim::TimeNs rto_;
   int backoff_ = 0;
-  sim::EventId rto_timer_ = sim::kInvalidEventId;
-  bool timer_is_tlp_ = false;  ///< pending timer is a probe, not an RTO
+  // Lazy timer: re-arming only moves the deadline ticket. At most one event
+  // is live; one that fires before the deadline re-homes itself onto it, so
+  // a busy flow costs one event per deadline crossed, not one per ACK.
+  bool rto_armed_ = false;
+  sim::Ticket rto_deadline_;  ///< where the armed timer goes off
+  sim::EventId rto_event_ = sim::kInvalidEventId;  ///< live event, if any
+  sim::TimeNs rto_event_time_ = 0;                 ///< its time
+  bool timer_is_tlp_ = false;  ///< armed timer is a probe, not an RTO
   bool tlp_done_ = false;      ///< one probe per flight
   void on_tlp();
 

@@ -1,6 +1,7 @@
 // Tests for the drop-tail queue and link transmission model.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/link.hpp"
@@ -8,6 +9,7 @@
 #include "net/packet.hpp"
 #include "net/queue.hpp"
 #include "sim/scheduler.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace conga::net {
 namespace {
@@ -348,6 +350,127 @@ TEST(SharedBufferPool, StaticCapStillApplies) {
   DropTailQueue q(500, 0, &pool);  // hard per-port cap dominates
   EXPECT_TRUE(q.enqueue(packet_of(400), 0));
   EXPECT_FALSE(q.enqueue(packet_of(400), 0));
+}
+
+/// Records the arrival time of every delivered packet.
+class TimedSink : public Node {
+ public:
+  explicit TimedSink(const sim::Scheduler& sched) : sched_(sched) {}
+  void receive(PacketPtr, int) override { times.push_back(sched_.now()); }
+  std::string name() const override { return "timed-sink"; }
+  std::vector<sim::TimeNs> times;
+
+ private:
+  const sim::Scheduler& sched_;
+};
+
+TEST(Link, IdlePacketCostsOneEvent) {
+  // The wire-free instant of a packet with nothing queued behind it is only
+  // a ticket: each isolated packet dispatches its far-end arrival and
+  // nothing else.
+  sim::Scheduler sched;
+  TimedSink sink(sched);
+  Link link(sched, "l", test_link_cfg());
+  link.connect_to(&sink, 0);
+  const int n = 16;
+  for (int i = 0; i < n; ++i) {
+    link.send(packet_of(1250));
+    sched.run();
+  }
+  EXPECT_EQ(sched.events_dispatched(), static_cast<std::uint64_t>(n));
+  ASSERT_EQ(sink.times.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(sink.times[static_cast<std::size_t>(i)],
+              sim::microseconds(12) * (i + 1));
+  }
+}
+
+TEST(Link, BurstSerializesBackToBackThroughDrainEvents) {
+  sim::Scheduler sched;
+  TimedSink sink(sched);
+  Link link(sched, "l", test_link_cfg());
+  link.connect_to(&sink, 0);
+  for (int i = 0; i < 4; ++i) link.send(packet_of(1250));
+  EXPECT_EQ(link.queue().packets(), 3u) << "first packet is on the wire";
+  EXPECT_EQ(sched.pending(), 2u) << "its arrival plus one drain event";
+  sched.run();
+  EXPECT_EQ(sink.times, (std::vector<sim::TimeNs>{
+                            sim::microseconds(12), sim::microseconds(22),
+                            sim::microseconds(32), sim::microseconds(42)}));
+  // 4 arrivals + 3 drains (one per packet that waited for the wire).
+  EXPECT_EQ(sched.events_dispatched(), 7u);
+  EXPECT_EQ(link.queue().stats().dequeued_pkts, 4u);
+  EXPECT_EQ(link.queue().stats().max_bytes_seen, 3u * 1250u);
+}
+
+/// Sends a second packet from an event at exactly the instant the first
+/// packet's wire-free ticket falls due, ordered before or after the ticket.
+/// Returns what the sending event saw right after its send(), what a later
+/// same-instant observer saw, the link's delivery times and its telemetry.
+struct AtBusyUntil {
+  std::size_t queued_at_send = 0;
+  std::uint64_t sent_at_observer = 0;
+  std::vector<sim::TimeNs> arrivals;
+  QueueStats stats;
+  std::uint64_t tele_digest = 0;
+  std::vector<std::pair<telemetry::EventType, sim::TimeNs>> tele;
+};
+
+AtBusyUntil send_at_busy_until(bool before_ticket) {
+  sim::Scheduler sched;
+  telemetry::TraceSink sink;
+  TimedSink far(sched);
+  Link link(sched, "l", test_link_cfg());
+  link.connect_to(&far, 0);
+  link.attach_telemetry(&sink);
+  AtBusyUntil out;
+  const sim::TimeNs due = sim::microseconds(10);  // 1250 B at 1 Gbps
+  auto second = [&] {
+    link.send(packet_of(1250));
+    out.queued_at_send = link.queue().packets();
+  };
+  if (before_ticket) sched.schedule_at(due, second);
+  link.send(packet_of(1250));  // takes the wire-free ticket at `due`
+  if (!before_ticket) sched.schedule_at(due, second);
+  sched.schedule_at(due, [&] { out.sent_at_observer = link.packets_sent(); });
+  sched.run();
+  out.arrivals = far.times;
+  out.stats = link.queue().stats();
+  out.tele_digest = sink.digest();
+  for (const auto& e : sink.all_events()) out.tele.emplace_back(e.type, e.t);
+  return out;
+}
+
+TEST(Link, SendExactlyAtBusyUntilMatchesWireFreeOrdering) {
+  const AtBusyUntil before = send_at_busy_until(true);
+  const AtBusyUntil after = send_at_busy_until(false);
+  // Before the ticket the wire is still busy: the packet waits in the queue
+  // and the drain starts it at the ticket's position, ahead of the observer.
+  EXPECT_EQ(before.queued_at_send, 1u);
+  EXPECT_EQ(after.queued_at_send, 0u) << "past the ticket: starts at once";
+  EXPECT_EQ(before.sent_at_observer, 2u);
+  EXPECT_EQ(after.sent_at_observer, 2u);
+  for (const AtBusyUntil* r : {&before, &after}) {
+    EXPECT_EQ(r->arrivals, (std::vector<sim::TimeNs>{sim::microseconds(12),
+                                                     sim::microseconds(22)}));
+    EXPECT_EQ(r->stats.enqueued_pkts, 2u);
+    EXPECT_EQ(r->stats.dequeued_pkts, 2u);
+    EXPECT_EQ(r->stats.max_bytes_seen, 1250u);
+    EXPECT_EQ(r->stats.dropped_pkts, 0u);
+  }
+#ifdef CONGA_TELEMETRY
+  using telemetry::EventType;
+  const std::vector<std::pair<EventType, sim::TimeNs>> expected = {
+      {EventType::kQueueEnqueue, 0},
+      {EventType::kQueueDequeue, 0},
+      {EventType::kDreUpdate, 0},
+      {EventType::kQueueEnqueue, sim::microseconds(10)},
+      {EventType::kQueueDequeue, sim::microseconds(10)},
+      {EventType::kDreUpdate, sim::microseconds(10)}};
+  EXPECT_EQ(before.tele, expected);
+  EXPECT_EQ(after.tele, expected);
+  EXPECT_EQ(before.tele_digest, after.tele_digest);
+#endif
 }
 
 TEST(Link, SerializationDelayHelper) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -251,6 +252,104 @@ TEST(Scheduler, CancelledHeadSkippedByRunUntil) {
   sched.run_until(10);
   EXPECT_FALSE(fired_a);
   EXPECT_TRUE(fired_b);
+}
+
+TEST(SchedulerTicket, InterleavesWithEventsInTimeSeqOrder) {
+  Scheduler sched;
+  std::vector<std::pair<TimeNs, std::uint64_t>> fired;
+  sched.set_trace_hook(
+      [&fired](TimeNs t, std::uint64_t seq) { fired.emplace_back(t, seq); });
+  sched.schedule_at(10, [] {});              // seq 1
+  const Ticket at10 = sched.reserve_at(10);  // seq 2
+  sched.schedule_at(10, [] {});              // seq 3
+  const Ticket at5 = sched.reserve_at(5);    // seq 4
+  (void)sched.reserve_at(7);                 // seq 5, never scheduled
+  sched.schedule_at(7, [] {});               // seq 6
+  EXPECT_EQ(sched.pending(), 3u) << "a ticket alone is not an event";
+  sched.schedule(at10, [] {});
+  sched.schedule(at5, [] {});
+  sched.run();
+  const std::vector<std::pair<TimeNs, std::uint64_t>> expected = {
+      {5, 4}, {7, 6}, {10, 1}, {10, 2}, {10, 3}};
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sched.events_dispatched(), 5u);
+}
+
+TEST(SchedulerTicket, DefaultTicketHasPassedAndPastTimesClamp) {
+  Scheduler sched;
+  EXPECT_TRUE(sched.passed(Ticket{}));
+  sched.run_until(100);
+  const Ticket past = sched.reserve_at(10);
+  EXPECT_EQ(past.time, 100);
+  EXPECT_FALSE(sched.passed(past));
+}
+
+TEST(SchedulerTicket, PassedIsExactDuringDispatch) {
+  Scheduler sched;
+  std::vector<bool> seen;
+  auto probe = [&sched, &seen](const Ticket* tk) {
+    return [&sched, &seen, tk] { seen.push_back(sched.passed(*tk)); };
+  };
+  Ticket tk;
+  sched.schedule_at(9, probe(&tk));   // earlier time
+  sched.schedule_at(10, probe(&tk));  // same time, earlier seq
+  tk = sched.reserve_at(10);
+  sched.schedule_at(10, probe(&tk));  // same time, later seq
+  sched.schedule_at(11, probe(&tk));  // later time
+  sched.run();
+  EXPECT_EQ(seen, (std::vector<bool>{false, false, true, true}));
+}
+
+TEST(SchedulerTicket, PassedAfterRunUntil) {
+  Scheduler sched;
+  const Ticket at20 = sched.reserve_at(20);
+  const Ticket at21 = sched.reserve_at(21);
+  sched.schedule_at(5, [] {});
+  sched.run_until(20);  // last dispatch at 5; the clock then moves to 20
+  EXPECT_TRUE(sched.passed(at20));
+  EXPECT_FALSE(sched.passed(at21));
+  // A position handed out after the run, at the horizon itself, is still
+  // ahead: it fires on the next run.
+  const Ticket fresh = sched.reserve_at(20);
+  EXPECT_FALSE(sched.passed(fresh));
+  bool fired = false;
+  sched.schedule(fresh, [&] { fired = true; });
+  sched.run_until(20);
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(sched.passed(fresh));
+  EXPECT_FALSE(sched.passed(at21));
+  sched.run_until(21);
+  EXPECT_TRUE(sched.passed(at21));
+}
+
+TEST(SchedulerTicket, PassedAfterStop) {
+  Scheduler sched;
+  const Ticket before = sched.reserve_at(5);
+  sched.schedule_at(5, [&] { sched.stop(); });
+  const Ticket after = sched.reserve_at(5);
+  const Ticket later = sched.reserve_at(8);
+  sched.run();
+  EXPECT_TRUE(sched.passed(before));
+  EXPECT_FALSE(sched.passed(after)) << "stop() halts dispatch right there";
+  EXPECT_FALSE(sched.passed(later));
+  std::vector<int> order;
+  sched.schedule(later, [&] { order.push_back(2); });
+  sched.schedule(after, [&] { order.push_back(1); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_TRUE(sched.passed(later));
+}
+
+TEST(SchedulerTicket, ScheduledTicketCanBeCancelled) {
+  Scheduler sched;
+  const Ticket tk = sched.reserve_at(3);
+  bool fired = false;
+  const EventId id = sched.schedule(tk, [&] { fired = true; });
+  EXPECT_EQ(sched.pending(), 1u);
+  sched.cancel(id);
+  sched.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(sched.pending(), 0u);
 }
 
 TEST(Rng, DeterministicWithSameSeed) {

@@ -2,12 +2,17 @@
 // loss recovery, RTO behaviour, reordering, fairness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "lb/factories.hpp"
 #include "net/fabric.hpp"
+#include "net/host.hpp"
+#include "net/link.hpp"
 #include "tcp/flow.hpp"
+#include "tcp/tcp_connection.hpp"
 
 namespace conga::tcp {
 namespace {
@@ -587,6 +592,128 @@ TEST(Tcp, AcksCarrySackBlocksOnlyWhenEnabled) {
   rig.sched.run();
   EXPECT_TRUE(f->complete());
   EXPECT_GT(f->sink().out_of_order_segments(), 0u);
+}
+
+/// A lone sender on a NIC whose far end swallows everything, with ACKs
+/// injected by hand: drives the retransmission timer deterministically.
+struct TimerRig {
+  /// Grants only the bytes fed to it; exhausted once closed and empty.
+  class TapSource final : public ChunkSource {
+   public:
+    std::uint32_t grab(std::uint32_t max_bytes) override {
+      const auto n =
+          static_cast<std::uint32_t>(std::min<std::uint64_t>(max_bytes, avail));
+      avail -= n;
+      return n;
+    }
+    bool exhausted() const override { return closed && avail == 0; }
+    std::uint64_t avail = 0;
+    bool closed = false;
+  };
+  class Blackhole final : public net::Node {
+   public:
+    void receive(net::PacketPtr, int) override {}
+    std::string name() const override { return "blackhole"; }
+  };
+
+  sim::Scheduler sched;
+  Blackhole far;
+  net::Link nic{sched, "nic", net::LinkConfig{}};
+  net::Host host{0, 0};
+  TapSource source;
+  TcpSender sender;
+
+  explicit TimerRig(const TcpConfig& cfg)
+      : sender(sched, host, net::FlowKey{0, 1, 100, 200}, source, cfg) {
+    nic.connect_to(&far, 0);
+    host.attach_uplink(&nic);
+  }
+
+  /// Delivers a cumulative ACK at `t`; a non-zero `echo_ts` is an RTT sample.
+  void ack_at(sim::TimeNs t, std::uint64_t ack, std::uint64_t echo_ts = 0) {
+    sched.schedule_at(t, [this, ack, echo_ts] {
+      net::PacketPtr p = net::make_packet();
+      p->tcp.is_ack = true;
+      p->tcp.ack = ack;
+      p->tcp.echo_ts = echo_ts;
+      sender.on_packet(std::move(p));
+    });
+  }
+};
+
+TcpConfig timer_cfg(bool tlp) {
+  TcpConfig cfg;
+  cfg.min_rto = sim::milliseconds(10);
+  cfg.tlp = tlp;
+  return cfg;
+}
+
+TEST(TcpTimer, ReArmedManyTimesFiresOnceAtTheLastDeadline) {
+  TimerRig rig(timer_cfg(false));
+  rig.source.avail = 10'000'000;
+  rig.source.closed = true;
+  rig.sender.start();  // arms at 10 ms
+  const std::uint32_t mss = rig.sender.config().mss();
+  // 50 advancing ACKs, each pushing the deadline to ack time + 10 ms (no
+  // RTT samples, so the RTO stays at its 10 ms floor).
+  for (int k = 1; k <= 50; ++k) {
+    rig.ack_at(sim::microseconds(100) * k, static_cast<std::uint64_t>(k) * mss);
+  }
+  const sim::TimeNs deadline = sim::milliseconds(5) + sim::milliseconds(10);
+  rig.sched.run_until(deadline - 1);
+  EXPECT_EQ(rig.sender.timeouts(), 0u);
+  rig.sched.run_until(deadline);
+  EXPECT_EQ(rig.sender.timeouts(), 1u);
+  // The next expiry is the backed-off one, 2 x 10 ms later.
+  rig.sched.run_until(deadline + sim::milliseconds(20) - 1);
+  EXPECT_EQ(rig.sender.timeouts(), 1u);
+  rig.sched.run_until(deadline + sim::milliseconds(20));
+  EXPECT_EQ(rig.sender.timeouts(), 2u);
+}
+
+TEST(TcpTimer, DisarmedBeforeItsDeadlineNeverFires) {
+  for (const bool tlp : {false, true}) {
+    TimerRig rig(timer_cfg(tlp));
+    const std::uint32_t mss = rig.sender.config().mss();
+    rig.source.avail = 3u * mss;  // the source then runs dry, still open
+    rig.sender.start();
+    rig.ack_at(sim::microseconds(100), mss, 1);
+    rig.ack_at(sim::milliseconds(1), 3u * mss, 1);  // nothing in flight
+    rig.sched.run();
+    EXPECT_EQ(rig.sender.timeouts(), 0u);
+    EXPECT_EQ(rig.sender.retransmits(), 0u);
+    EXPECT_FALSE(rig.sender.done());
+    EXPECT_EQ(rig.sched.pending(), 0u);
+    EXPECT_LT(rig.sched.now(), sim::milliseconds(2))
+        << "the disarmed timer must leave no event behind";
+    // New data arms the timer afresh (probe or RTO, both within 10 ms).
+    rig.source.avail = mss;
+    const sim::TimeNs t = rig.sched.now();
+    rig.sender.pump();
+    rig.sched.run_until(t + sim::milliseconds(10));
+    EXPECT_GT(rig.sender.retransmits(), 0u);
+  }
+}
+
+TEST(TcpTimer, ReArmToAnEarlierDeadlineFiresThere) {
+  TimerRig rig(timer_cfg(true));
+  rig.source.avail = 10'000'000;
+  rig.source.closed = true;
+  rig.sender.start();  // no RTT sample yet: a plain 10 ms RTO
+  const std::uint32_t mss = rig.sender.config().mss();
+  const sim::TimeNs ack_time = sim::microseconds(100);
+  rig.ack_at(ack_time, mss, 1);
+  rig.sched.run_until(ack_time);
+  // The RTT sample makes the sender eligible for a tail-loss probe at
+  // ~2 SRTT + 1 ms: far before the 10 ms RTO it replaced.
+  const sim::TimeNs probe_at = ack_time + 2 * rig.sender.srtt() +
+                               rig.sender.config().rto_granularity();
+  ASSERT_LT(probe_at, sim::milliseconds(10));
+  rig.sched.run_until(probe_at - 1);
+  EXPECT_EQ(rig.sender.retransmits(), 0u);
+  rig.sched.run_until(probe_at);
+  EXPECT_EQ(rig.sender.retransmits(), 1u) << "the probe fires at its deadline";
+  EXPECT_EQ(rig.sender.timeouts(), 0u);
 }
 
 TEST(Tcp, FctScalesWithSize) {

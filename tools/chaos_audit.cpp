@@ -144,9 +144,9 @@ CellResult run_cell(const AuditConfig& cfg, const std::string& policy,
 
   sim::Scheduler sched;
   stats::TraceDigest trace;
-  sched.set_trace_hook([&trace](sim::TimeNs t, sim::EventId id) {
+  sched.set_trace_hook([&trace](sim::TimeNs t, std::uint64_t seq) {
     trace.add(static_cast<std::uint64_t>(t));
-    trace.add(id);
+    trace.add(seq);
   });
 
   net::Fabric fabric(sched, topo, cfg.seed);
