@@ -1,13 +1,12 @@
 #include "campaign/experiment_spec.hpp"
 
 #include <cstdlib>
-#include <memory>
+#include <functional>
 #include <utility>
 
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "lb_ext/policies.hpp"
-#include "sim/random.hpp"
 #include "stats/digest.hpp"
 #include "tcp/flow.hpp"
 #include "workload/flow_size_dist.hpp"
@@ -289,28 +288,6 @@ const workload::FlowSizeDist* find_builtin_dist(const std::string& name) {
   return nullptr;
 }
 
-/// The chaos_audit gray profile: 2-3 gray-failure links drawn from the fault
-/// seed, covering the whole measurement window.
-fault::FaultPlan make_gray_plan(const net::TopologyConfig& topo,
-                                std::uint64_t seed, sim::TimeNs horizon) {
-  sim::Rng rng(seed);
-  fault::FaultPlan plan;
-  const int n = static_cast<int>(rng.uniform_int(2, 3));
-  for (int i = 0; i < n; ++i) {
-    fault::GrayFailureSpec s;
-    s.leaf = static_cast<int>(rng.uniform_int(0, topo.num_leaves - 1));
-    s.spine = static_cast<int>(rng.uniform_int(0, topo.num_spines - 1));
-    s.parallel =
-        static_cast<int>(rng.uniform_int(0, topo.links_per_spine - 1));
-    s.drop_prob = rng.uniform(0.005, 0.03);
-    s.corrupt_prob = rng.uniform(0.0, 0.01);
-    s.start = 0;
-    s.stop = horizon;
-    plan.add(s);
-  }
-  return plan;
-}
-
 }  // namespace
 
 bool to_experiment_config(const ExperimentSpec& spec,
@@ -357,7 +334,7 @@ bool to_experiment_config(const ExperimentSpec& spec,
     rc.horizon = horizon;
     plan = fault::make_random_plan(spec.topo, spec.fault.seed, rc);
   } else if (spec.fault.profile == "gray") {
-    plan = make_gray_plan(spec.topo, spec.fault.seed, horizon);
+    plan = fault::make_gray_plan(spec.topo, spec.fault.seed, horizon);
   } else if (spec.fault.profile != "none") {
     err = "unknown fault profile '" + spec.fault.profile +
           "' (none|random|gray)";
@@ -379,17 +356,13 @@ bool to_experiment_config(const ExperimentSpec& spec,
 
   const bool spine_drill = info->spine_drill;
   if (spine_drill || !plan.empty()) {
-    // The holder keeps the injector alive for as long as the returned config
-    // (run_fct_experiment's callers hold the config through the run).
-    auto holder = std::make_shared<std::unique_ptr<fault::FaultInjector>>();
-    const std::uint64_t fault_seed = spec.fault.seed;
-    cfg.fabric_hook = [spine_drill, plan, fault_seed,
-                       holder](net::Fabric& f) {
+    std::function<void(net::Fabric&)> arm;
+    if (!plan.empty()) {
+      arm = fault::arming_hook(std::move(plan), spec.fault.seed);
+    }
+    cfg.fabric_hook = [spine_drill, arm](net::Fabric& f) {
       if (spine_drill) f.set_spine_drill(true);
-      if (!plan.empty()) {
-        *holder = std::make_unique<fault::FaultInjector>(f, fault_seed);
-        (*holder)->arm(plan);
-      }
+      if (arm) arm(f);
     };
   }
   out = std::move(cfg);

@@ -33,8 +33,9 @@ namespace conga::campaign {
 /// Fault axis of a cell: a named profile executed off a keyed seed.
 ///  * "none"   — no injector (bit-identical to a run without one).
 ///  * "random" — fault::make_random_plan over the cell's topology.
-///  * "gray"   — 2-3 gray-failure links (loss + corruption the control plane
-///               never hears about), the chaos_audit gray profile.
+///  * "gray"   — fault::make_gray_plan: 2-3 gray-failure links (loss +
+///               corruption the control plane never hears about), the
+///               chaos_audit gray profile.
 struct FaultSpec {
   std::string profile = "none";
   std::uint64_t seed = 1;

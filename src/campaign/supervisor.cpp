@@ -423,7 +423,6 @@ int cell_main(const std::string& request_text, std::string& response_out,
 
 bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
                              const SupervisorOptions& sopts,
-                             const CellDoneFn& on_done,
                              const volatile std::sig_atomic_t* shutdown,
                              CampaignRun& out, SuperviseOutcome& outcome,
                              std::string& err) {
@@ -454,7 +453,7 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
   run.origins.assign(n, CellOrigin::kComputed);
   run.stats.cells = n;
 
-  // Phase 1 — store lookups on the main thread; hits stream immediately.
+  // Phase 1 — store lookups on the main thread.
   std::vector<PendingCell> pending;
   for (std::size_t i = 0; i < n; ++i) {
     PendingCell pc;
@@ -468,9 +467,6 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
       case ResultStore::LoadStatus::kHit:
         run.origins[i] = CellOrigin::kCached;
         ++run.stats.hits;
-        if (on_done) {
-          on_done(i, run.cells[i], CellOrigin::kCached, &run.results[i]);
-        }
         break;
       case ResultStore::LoadStatus::kCorrupt:
         ++run.stats.corrupt;
@@ -549,7 +545,6 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
                        cell_coordinate(cell).c_str(), result.flows,
                        pc.attempt);
         }
-        if (on_done) on_done(idx, cell, run.origins[idx], &run.results[idx]);
         return;
       }
       if (ropts.verbose) {
@@ -597,7 +592,6 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
                      f.outcome.c_str());
       }
       run.failed.push_back(std::move(f));
-      if (on_done) on_done(idx, cell, CellOrigin::kFailed, nullptr);
       return;
     }
 

@@ -27,9 +27,9 @@
 //                 no new children launch, in-flight children get
 //                 min(remaining deadline, drain grace) to finish, stragglers
 //                 are killed back to pending, and the run returns kDrained
-//                 so the spool layer can write a resume marker. Completed
-//                 cells are already in the store — a restarted run re-reads
-//                 them as hits and reproduces the report byte-for-byte.
+//                 (the CLI then exits 2 without a report). Completed cells
+//                 are already in the store — a rerun re-reads them as hits
+//                 and reproduces the report byte-for-byte.
 //
 // Every decision is observable: kSupervisor telemetry events
 // (spawn/exit/timeout/retry/quarantine) fire on the main thread as the loop
@@ -40,7 +40,6 @@
 
 #include <csignal>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -104,24 +103,16 @@ enum class SuperviseOutcome : std::uint8_t {
   kDrained,       ///< shutdown observed; unfinished cells left pending
 };
 
-/// Streaming notification, invoked on the main thread as each cell resolves
-/// (store hits during lookup, then children as they land). `result` is null
-/// for kFailed cells.
-using CellDoneFn =
-    std::function<void(std::size_t index, const Cell& cell, CellOrigin origin,
-                       const workload::ExperimentResult* result)>;
-
 /// Supervised counterpart of run_campaign(): store lookups on the main
 /// thread, then every miss in an isolated child process under the
 /// deadline/retry/quarantine policy. `shutdown` (may be null) is polled
 /// between supervision steps; when it goes nonzero the run drains and
-/// `outcome` reports kDrained (out's results are then incomplete — write a
-/// resume marker, not a report). on_done may be null. Returns false and
-/// sets `err` on invalid requests or when the supervisor cannot spawn at
-/// all (bad exe path).
+/// `outcome` reports kDrained (out's results are then incomplete — write no
+/// report; a rerun on the same store resumes from the stored cells).
+/// Returns false and sets `err` on invalid requests or when the supervisor
+/// cannot spawn at all (bad exe path).
 bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
                              const SupervisorOptions& sopts,
-                             const CellDoneFn& on_done,
                              const volatile std::sig_atomic_t* shutdown,
                              CampaignRun& out, SuperviseOutcome& outcome,
                              std::string& err);

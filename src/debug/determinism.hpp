@@ -1,76 +1,48 @@
-// Determinism trial runner (correctness tooling).
+// Determinism trial helper (correctness tooling).
 //
-// Runs one experiment cell with a digest-instrumented scheduler and returns
-// two fingerprints of the run:
+// Runs one experiment cell through workload::run_fct_experiment with passive
+// digest instrumentation and returns two fingerprints of the run:
 //  * an order-insensitive digest of the per-flow FCT records (did the run
 //    produce the same *results*?), and
 //  * an order-sensitive digest of the dispatch stream (did it produce them
 //    via the same *schedule*?).
-// Running the same scenario twice with the same seeds must yield identical
-// digests of both kinds; a trace mismatch with matching FCTs pinpoints a
-// hidden ordering dependence (wall clock, pointer order, unordered-container
-// iteration) before it grows into a results divergence.
+// Running the same config twice must yield identical digests of both kinds;
+// a trace mismatch with matching FCTs pinpoints a hidden ordering dependence
+// (wall clock, pointer order, unordered-container iteration) before it grows
+// into a results divergence.
 //
 // Shared by tools/determinism_audit (the CI gate) and the determinism
-// regression test.
+// regression tests.
 #pragma once
 
 #include <cstdint>
 
-#include "fault/fault_plan.hpp"
-#include "net/fabric.hpp"
-#include "sim/time.hpp"
-#include "tcp/flow.hpp"
-#include "workload/flow_size_dist.hpp"
+#include "workload/experiment.hpp"
 
 namespace conga::debug {
-
-/// How much telemetry an audited run attaches. The trial's FCT/trace digests
-/// must be identical across all three (the sink is passive); the telemetry
-/// digest itself is only comparable between runs using the same mode.
-enum class TelemetryMode {
-  kOff,     ///< no sink attached (what perf timing uses)
-  kMasked,  ///< sink attached, every category masked off
-  kFull,    ///< sink attached, all categories enabled
-};
-
-/// One experiment cell to fingerprint. Mirrors workload::ExperimentConfig,
-/// minus the summary knobs that do not affect the packet-level schedule.
-struct DigestScenario {
-  net::TopologyConfig topo;
-  net::Fabric::LbFactory lb;                          ///< required
-  workload::FlowSizeDist dist = workload::enterprise();
-  tcp::FlowFactory transport;                         ///< empty = plain TCP
-  double load = 0.6;
-  sim::TimeNs warmup = sim::milliseconds(5);
-  sim::TimeNs measure = sim::milliseconds(20);
-  sim::TimeNs max_drain = sim::seconds(1.0);
-  std::uint64_t fabric_seed = 1;
-  std::uint64_t traffic_seed = 7;
-  TelemetryMode telemetry = TelemetryMode::kFull;
-  /// Fault campaign armed before the run (empty = no injector activity; the
-  /// trial is then bit-identical to one without the injector). Injected
-  /// faults are part of the fingerprinted schedule, so a fault-campaign
-  /// trial must reproduce its digests exactly like a fault-free one.
-  fault::FaultPlan faults;
-  std::uint64_t fault_seed = 11;
-};
 
 struct RunDigests {
   std::uint64_t fct = 0;     ///< order-insensitive FCT-record digest
   std::uint64_t trace = 0;   ///< order-sensitive event-trace digest
   std::uint64_t events = 0;  ///< events dispatched (quick divergence hint)
   std::uint64_t flows = 0;   ///< measured flows recorded
-  /// Telemetry stream digest (0 in kOff mode): fingerprints every recorded
-  /// event, so an instrumentation-order divergence is caught even when the
-  /// packet schedule digests still agree.
+  /// Telemetry stream digest (0 without telemetry): fingerprints every
+  /// recorded event, so an instrumentation-order divergence is caught even
+  /// when the packet schedule digests still agree.
   std::uint64_t telemetry = 0;
   bool drained = false;      ///< all measured flows completed
 
   friend bool operator==(const RunDigests&, const RunDigests&) = default;
 };
 
-/// Builds a fresh simulation from `s`, runs it to completion, and digests it.
-RunDigests run_digest_trial(const DigestScenario& s);
+/// Runs `cfg` via workload::run_fct_experiment and digests it. The
+/// instrumentation rides in a fabric hook that installs the scheduler trace
+/// hook, attaches a fully enabled telemetry sink (when `telemetry` is set),
+/// and then calls cfg.fabric_hook, so policy modes and fault plans armed
+/// there run unchanged. The sink is passive: `fct`, `trace` and `events`
+/// do not depend on `telemetry`, and `fct` equals the plain run's
+/// ExperimentResult::fct_digest.
+RunDigests run_digest_trial(const workload::ExperimentConfig& cfg,
+                            bool telemetry = true);
 
 }  // namespace conga::debug

@@ -223,4 +223,13 @@ void FaultInjector::arm_stale(const StaleFeedbackSpec& s) {
   }
 }
 
+std::function<void(net::Fabric&)> arming_hook(FaultPlan plan,
+                                              std::uint64_t seed) {
+  auto holder = std::make_shared<std::unique_ptr<FaultInjector>>();
+  return [plan = std::move(plan), seed, holder](net::Fabric& fabric) {
+    *holder = std::make_unique<FaultInjector>(fabric, seed);
+    (*holder)->arm(plan);
+  };
+}
+
 }  // namespace conga::fault

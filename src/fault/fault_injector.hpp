@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -74,5 +75,12 @@ class FaultInjector {
   bool comp_interned_ = false;
   telemetry::ComponentId comp_ = 0;
 };
+
+/// A fabric hook (workload::ExperimentConfig::fabric_hook) that arms `plan`
+/// on a fresh injector seeded with `seed` each time it runs. The hook and
+/// its copies own the injector, so keep one alive through the run, as
+/// run_fct_experiment's callers keep their config.
+std::function<void(net::Fabric&)> arming_hook(FaultPlan plan,
+                                              std::uint64_t seed);
 
 }  // namespace conga::fault

@@ -92,4 +92,23 @@ FaultPlan make_random_plan(const net::TopologyConfig& topo, std::uint64_t seed,
   return plan;
 }
 
+FaultPlan make_gray_plan(const net::TopologyConfig& topo, std::uint64_t seed,
+                         sim::TimeNs horizon) {
+  sim::Rng rng(seed);
+  FaultPlan plan;
+  const int n = static_cast<int>(rng.uniform_int(2, 3));
+  for (int i = 0; i < n; ++i) {
+    GrayFailureSpec s;
+    s.leaf = static_cast<int>(rng.uniform_int(0, topo.num_leaves - 1));
+    s.spine = static_cast<int>(rng.uniform_int(0, topo.num_spines - 1));
+    s.parallel = static_cast<int>(rng.uniform_int(0, topo.links_per_spine - 1));
+    s.drop_prob = rng.uniform(0.005, 0.03);
+    s.corrupt_prob = rng.uniform(0.0, 0.01);
+    s.start = 0;
+    s.stop = horizon;
+    plan.add(s);
+  }
+  return plan;
+}
+
 }  // namespace conga::fault

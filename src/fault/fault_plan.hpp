@@ -127,4 +127,13 @@ struct RandomPlanConfig {
 FaultPlan make_random_plan(const net::TopologyConfig& topo, std::uint64_t seed,
                            const RandomPlanConfig& cfg = {});
 
+/// The gray-only campaign (the chaos_audit and campaign "gray" profile):
+/// loss + corruption on 2-3 links drawn from `seed`, active over the whole
+/// window [0, horizon), the control plane never told. Congestion-aware
+/// schemes can at best route around the *retransmission* load; the survival
+/// comparison (conga vs ecmp completed flows) is the Fig-16-style robustness
+/// headline.
+FaultPlan make_gray_plan(const net::TopologyConfig& topo, std::uint64_t seed,
+                         sim::TimeNs horizon);
+
 }  // namespace conga::fault

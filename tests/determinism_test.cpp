@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign/experiment_spec.hpp"
+#include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "lb/factories.hpp"
 #include "runtime/parallel_runner.hpp"
@@ -70,9 +72,9 @@ TEST(Digest, FctDigestFieldsAreNotInterchangeable) {
   EXPECT_NE(stats::fct_digest(a), stats::fct_digest(b));
 }
 
-debug::DigestScenario small_scenario(std::uint64_t fabric_seed,
-                                     std::uint64_t traffic_seed) {
-  debug::DigestScenario s;
+workload::ExperimentConfig small_scenario(std::uint64_t fabric_seed,
+                                         std::uint64_t traffic_seed) {
+  workload::ExperimentConfig s;
   s.topo.num_leaves = 3;
   s.topo.num_spines = 2;
   s.topo.hosts_per_leaf = 4;
@@ -110,14 +112,16 @@ TEST(DeterminismRegression, GrayFailureCampaignIsDeterministicAcrossJobs) {
   // loss draws). The digests must still be a pure function of the scenario:
   // identical when the same cell runs sequentially or on a thread pool.
   auto scenario = [](std::size_t cell) {
-    debug::DigestScenario s = small_scenario(1, 7 + cell);
+    workload::ExperimentConfig s = small_scenario(1, 7 + cell);
     fault::GrayFailureSpec g;
     g.leaf = static_cast<int>(cell % 3);
     g.drop_prob = 0.02;
     g.corrupt_prob = 0.01;
     g.start = sim::milliseconds(1);
     g.stop = sim::milliseconds(4);
-    s.faults.add(g);
+    fault::FaultPlan plan;
+    plan.add(g);
+    s.fabric_hook = fault::arming_hook(plan, 11);
     return s;
   };
   const std::size_t kCells = 4;
@@ -138,6 +142,54 @@ TEST(DeterminismRegression, DifferentTrafficSeedDiffers) {
   // digest with overwhelming probability).
   EXPECT_NE(a.trace, b.trace);
   EXPECT_NE(a.fct, b.fct);
+}
+
+// The digest instrumentation is passive: the helper's FCT digest is the one
+// a plain run_fct_experiment call reports, with the telemetry sink attached
+// or not, and the sink does not move the schedule either.
+TEST(DigestTrial, InstrumentationIsPassive) {
+  const workload::ExperimentConfig cfg = small_scenario(1, 7);
+  const workload::ExperimentResult plain = workload::run_fct_experiment(cfg);
+  const debug::RunDigests on = debug::run_digest_trial(cfg, true);
+  const debug::RunDigests off = debug::run_digest_trial(cfg, false);
+  ASSERT_GT(plain.flows, 0u);
+  EXPECT_EQ(on.fct, plain.fct_digest);
+  EXPECT_EQ(off.fct, plain.fct_digest);
+  EXPECT_EQ(on.flows, plain.flows);
+  EXPECT_EQ(on.drained, plain.drained);
+  EXPECT_EQ(on.trace, off.trace);
+  EXPECT_EQ(on.events, off.events);
+  EXPECT_EQ(off.telemetry, 0u);
+}
+
+// "drill" sets its spine mode in the config's own fabric hook. The helper
+// must chain that hook behind its instrumentation, not replace it: the runs
+// reproduce, match the plain run, and differ from the same cell with the
+// policy hook dropped.
+TEST(DigestTrial, ChainsThePolicyFabricHook) {
+  campaign::ExperimentSpec spec;
+  spec.policy = "drill";
+  spec.topo = net::testbed_baseline();
+  spec.topo.hosts_per_leaf = 4;
+  spec.dist = "fixed:50000";
+  spec.load = 0.5;
+  spec.warmup_ns = sim::milliseconds(1);
+  spec.measure_ns = sim::milliseconds(5);
+  workload::ExperimentConfig cfg;
+  std::string err;
+  ASSERT_TRUE(campaign::to_experiment_config(spec, cfg, err)) << err;
+  ASSERT_TRUE(cfg.fabric_hook);
+
+  const debug::RunDigests a = debug::run_digest_trial(cfg);
+  const debug::RunDigests b = debug::run_digest_trial(cfg);
+  ASSERT_GT(a.flows, 0u);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.fct, workload::run_fct_experiment(cfg).fct_digest);
+
+  workload::ExperimentConfig unhooked = cfg;
+  unhooked.fabric_hook = nullptr;
+  EXPECT_NE(debug::run_digest_trial(unhooked).trace, a.trace)
+      << "the spine mode must change the schedule";
 }
 
 }  // namespace

@@ -395,8 +395,8 @@ TEST(FaultPlan, RandomPlanRespectsBoundsAndClearsByHorizon) {
   }
 }
 
-debug::DigestScenario digest_scenario() {
-  debug::DigestScenario s;
+workload::ExperimentConfig digest_scenario() {
+  workload::ExperimentConfig s;
   s.topo = topo2x2(4);
   s.lb = core::conga();
   s.dist = workload::fixed_size(100'000);
@@ -408,11 +408,11 @@ debug::DigestScenario digest_scenario() {
 
 TEST(FaultInjector, EmptyPlanNeverTouchesTheFaultSeed) {
   // Pay-for-what-you-use: with no faults, the fault seed must be dead — two
-  // runs differing only in fault_seed are bit-identical.
-  debug::DigestScenario a = digest_scenario();
-  a.fault_seed = 11;
-  debug::DigestScenario b = digest_scenario();
-  b.fault_seed = 999;
+  // runs differing only in the injector seed are bit-identical.
+  workload::ExperimentConfig a = digest_scenario();
+  a.fabric_hook = fault::arming_hook({}, 11);
+  workload::ExperimentConfig b = digest_scenario();
+  b.fabric_hook = fault::arming_hook({}, 999);
   const debug::RunDigests ra = debug::run_digest_trial(a);
   const debug::RunDigests rb = debug::run_digest_trial(b);
   ASSERT_GT(ra.flows, 0u);
@@ -420,13 +420,15 @@ TEST(FaultInjector, EmptyPlanNeverTouchesTheFaultSeed) {
 }
 
 TEST(FaultInjector, GrayCampaignReproducesAndPerturbsTheSchedule) {
-  debug::DigestScenario s = digest_scenario();
+  workload::ExperimentConfig s = digest_scenario();
   fault::GrayFailureSpec g;
   g.drop_prob = 0.02;
   g.corrupt_prob = 0.01;
   g.start = sim::milliseconds(1);
   g.stop = sim::milliseconds(4);
-  s.faults.add(g);
+  fault::FaultPlan plan;
+  plan.add(g);
+  s.fabric_hook = fault::arming_hook(plan, 11);
 
   const debug::RunDigests a = debug::run_digest_trial(s);
   const debug::RunDigests b = debug::run_digest_trial(s);

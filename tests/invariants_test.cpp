@@ -175,7 +175,7 @@ TEST(HookIntegration, HealthyQueueRaisesNothing) {
 // violations. This is the CONGA_CHECK_INVARIANTS=ON integration gate.
 TEST(HookIntegration, SmallSimulationRunsCleanly) {
   ScopedViolationCapture cap;
-  debug::DigestScenario s;
+  workload::ExperimentConfig s;
   s.topo.num_leaves = 2;
   s.topo.num_spines = 2;
   s.topo.hosts_per_leaf = 4;

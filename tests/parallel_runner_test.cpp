@@ -66,8 +66,8 @@ TEST(ParallelRunner, DefaultJobsHonorsEnv) {
   EXPECT_GE(runtime::default_jobs(), 1);
 }
 
-debug::DigestScenario grid_cell(double load, std::uint64_t seed) {
-  debug::DigestScenario s;
+workload::ExperimentConfig grid_cell(double load, std::uint64_t seed) {
+  workload::ExperimentConfig s;
   s.topo.num_leaves = 3;
   s.topo.num_spines = 2;
   s.topo.hosts_per_leaf = 4;

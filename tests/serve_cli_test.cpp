@@ -1,7 +1,8 @@
 // End-to-end CLI tests for conga_serve, driving the real binary
 // (CONGA_SERVE_BIN): supervised containment of crashing and hanging cells,
-// SIGTERM drain + resume, SIGKILL + resume, store gc/stat maintenance,
-// graceful store degradation, and the documented 0/1/2 exit codes.
+// SIGTERM drain and SIGKILL followed by a resuming rerun, store gc/stat
+// maintenance, graceful store degradation, and the documented 0/1/2 exit
+// codes.
 //
 // Every scenario that needs a child failure injects it deterministically
 // through CONGA_CELL_FAULT; nothing here depends on timing beyond "a
@@ -96,16 +97,6 @@ bool wait_until(const std::function<bool()>& pred, int timeout_ms) {
     ::usleep(50 * 1000);
   }
   return pred();
-}
-
-std::size_t count_lines(const std::string& path) {
-  std::string text;
-  if (!read_file(path, text)) return 0;
-  std::size_t n = 0;
-  for (const char c : text) {
-    if (c == '\n') ++n;
-  }
-  return n;
 }
 
 /// A fast campaign request: one shrunken-testbed case, `policies` cells.
@@ -271,112 +262,103 @@ TEST(ServeCli, ContainmentCrashAndHang) {
   EXPECT_EQ(st.find("store")->as_string(), "ok");
 }
 
+std::size_t store_entries(const std::string& store) {
+  ResultStore rs(store);
+  ResultStore::StoreStat st;
+  std::string err;
+  return rs.stat(st, err) ? st.entries : 0;
+}
+
+// Interrupting a supervised run never costs finished work: SIGTERM drains
+// (exit 2, "interrupted", no report), SIGKILL leaves only whole store
+// entries, and in both cases a rerun on the same store reuses the finished
+// cells and writes the report an uninterrupted run writes.
+struct InterruptedRun {
+  TempDir tmp;
+  std::string req;
+  std::string ref_bytes;
+
+  explicit InterruptedRun(const std::string& tag)
+      : tmp(tag), req(tmp.sub("req.json")) {
+    write_tiny_request(req, {"ecmp", "conga", "letflow"});
+    const std::string ref_report = tmp.sub("ref.json");
+    EXPECT_EQ(run_cmd(std::string(kBin) + " run --campaign " + req +
+                      " --supervise --store " + tmp.sub("refstore") +
+                      " --out " + ref_report + " 2>/dev/null"),
+              0);
+    EXPECT_TRUE(read_file(ref_report, ref_bytes));
+  }
+
+  std::string store() const { return tmp.sub("run.store"); }
+  std::string report() const { return tmp.sub("run.report.json"); }
+
+  // Cell 2 hangs (deadline far away); returns once cells 0 and 1 are stored.
+  pid_t start_hung_run() const {
+    const pid_t pid = spawn_cmd(
+        "env CONGA_CELL_FAULT=hang:2 " + std::string(kBin) +
+        " run --campaign " + req + " --supervise --store " + store() +
+        " --out " + report() +
+        " --deadline-ms 60000 --drain-grace-ms 300 2>" + tmp.sub("run.err"));
+    EXPECT_GT(pid, 0);
+    EXPECT_TRUE(wait_until([&] { return store_entries(store()) >= 2; },
+                           60000));
+    return pid;
+  }
+
+  // Rerun without the fault: byte-identical report, the two stored cells
+  // come back as hits and only the interrupted one is recomputed.
+  void expect_rerun_matches_reference() const {
+    const std::string stats = tmp.sub("rerun.stats.json");
+    ASSERT_EQ(run_cmd(std::string(kBin) + " run --campaign " + req +
+                      " --supervise --store " + store() + " --out " +
+                      report() + " --stats-out " + stats + " 2>/dev/null"),
+              0);
+    std::string got_bytes;
+    ASSERT_TRUE(read_file(report(), got_bytes));
+    EXPECT_EQ(got_bytes, ref_bytes);
+    const Json st = parse_or_die(stats);
+    EXPECT_EQ(st.find("hits")->as_uint(), 2u);
+    EXPECT_EQ(st.find("misses")->as_uint(), 1u);
+  }
+};
+
+// SIGTERM: the in-flight hanging child gets its drain grace, then the run
+// exits 2 without writing a report.
 TEST(ServeCli, SigtermDrainsAndResumesByteIdentical) {
-  TempDir tmp("drain");
-  const std::string spool = tmp.sub("spool");
-  const std::string store = tmp.sub("store");
-  fs::create_directories(spool);
-  write_tiny_request(spool + "/job.json", {"ecmp", "conga", "letflow"});
-
-  // Reference: same request, never interrupted.
-  const std::string refspool = tmp.sub("refspool");
-  fs::create_directories(refspool);
-  write_tiny_request(refspool + "/job.json", {"ecmp", "conga", "letflow"});
-  ASSERT_EQ(run_cmd(std::string(kBin) + " serve --spool " + refspool +
-                    " --store " + tmp.sub("refstore") +
-                    " --once 2>/dev/null"),
-            0);
-
-  // Daemon: cell 2 hangs (deadline far away), cells 0 and 1 complete.
-  const pid_t pid = spawn_cmd(
-      "env CONGA_CELL_FAULT=hang:2 " + std::string(kBin) +
-      " serve --spool " + spool + " --store " + store +
-      " --deadline-ms 60000 --drain-grace-ms 300 2>" + tmp.sub("d1.err"));
-  ASSERT_GT(pid, 0);
-  ASSERT_TRUE(wait_until(
-      [&] { return count_lines(spool + "/job.out.jsonl") >= 2; }, 60000));
-
-  // SIGTERM: drain the in-flight hanging child, fsync a resume marker,
-  // exit 0.
+  const InterruptedRun run("sigterm");
+  ASSERT_FALSE(run.ref_bytes.empty());
+  const pid_t pid = run.start_hung_run();
   ASSERT_EQ(::kill(pid, SIGTERM), 0);
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-  EXPECT_TRUE(fs::exists(spool + "/job.resume.json"));
-  EXPECT_FALSE(fs::exists(spool + "/job.report.json"));
-  const Json marker = parse_or_die(spool + "/job.resume.json");
-  EXPECT_EQ(marker.find("schema")->as_string(), "conga-spool-resume-v1");
-  EXPECT_EQ(marker.find("cells")->as_uint(), 3u);
-  EXPECT_EQ(marker.find("resolved")->as_uint(), 2u);
-
-  // Restart (no fault): completed cells come back as hits, only the
-  // in-flight cell is recomputed, and the report is byte-identical.
-  ASSERT_EQ(run_cmd(std::string(kBin) + " serve --spool " + spool +
-                    " --store " + store + " --once 2>" + tmp.sub("d2.err")),
-            0);
-  EXPECT_FALSE(fs::exists(spool + "/job.resume.json"));
-  std::string ref_bytes;
-  std::string got_bytes;
-  ASSERT_TRUE(read_file(refspool + "/job.report.json", ref_bytes));
-  ASSERT_TRUE(read_file(spool + "/job.report.json", got_bytes));
-  EXPECT_EQ(got_bytes, ref_bytes);
-  std::string serve_log;
-  ASSERT_TRUE(read_file(tmp.sub("d2.err"), serve_log));
-  EXPECT_NE(serve_log.find("2 hits"), std::string::npos) << serve_log;
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  std::string err_text;
+  ASSERT_TRUE(read_file(run.tmp.sub("run.err"), err_text));
+  EXPECT_NE(err_text.find("interrupted"), std::string::npos) << err_text;
+  EXPECT_FALSE(fs::exists(run.report()));
+  run.expect_rerun_matches_reference();
 }
 
+// SIGKILL: no drain at all — the store's tmp+rename discipline is the only
+// thing protecting the entries, so both load whole and no tmp file is left
+// behind.
 TEST(ServeCli, SigkillLeavesNoTornStateAndResumes) {
-  TempDir tmp("sigkill");
-  const std::string spool = tmp.sub("spool");
-  const std::string store = tmp.sub("store");
-  fs::create_directories(spool);
-  write_tiny_request(spool + "/job.json", {"ecmp", "conga", "letflow"});
-
-  const std::string refspool = tmp.sub("refspool");
-  fs::create_directories(refspool);
-  write_tiny_request(refspool + "/job.json", {"ecmp", "conga", "letflow"});
-  ASSERT_EQ(run_cmd(std::string(kBin) + " serve --spool " + refspool +
-                    " --store " + tmp.sub("refstore") +
-                    " --once 2>/dev/null"),
-            0);
-
-  const pid_t pid = spawn_cmd(
-      "env CONGA_CELL_FAULT=hang:2 " + std::string(kBin) +
-      " serve --spool " + spool + " --store " + store +
-      " --deadline-ms 60000 2>/dev/null");
-  ASSERT_GT(pid, 0);
-  ASSERT_TRUE(wait_until(
-      [&] { return count_lines(spool + "/job.out.jsonl") >= 2; }, 60000));
-
-  // SIGKILL: no drain, no marker — the store's tmp+rename discipline is the
-  // only thing protecting the entries.
+  const InterruptedRun run("sigkill");
+  ASSERT_FALSE(run.ref_bytes.empty());
+  const pid_t pid = run.start_hung_run();
   ASSERT_EQ(::kill(pid, SIGKILL), 0);
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(status));
-  EXPECT_FALSE(fs::exists(spool + "/job.report.json"));
-
-  // No torn entries: both completed cells load as verified hits.
-  ResultStore rs(store);
+  EXPECT_FALSE(fs::exists(run.report()));
+  ResultStore rs(run.store());
   ResultStore::StoreStat st;
   std::string err;
   ASSERT_TRUE(rs.stat(st, err)) << err;
   EXPECT_EQ(st.entries, 2u);
   EXPECT_EQ(st.tmp_files, 0u);
-
-  // Restart: byte-identical report, exactly the two stored cells reused.
-  ASSERT_EQ(run_cmd(std::string(kBin) + " serve --spool " + spool +
-                    " --store " + store + " --once 2>" + tmp.sub("k.err")),
-            0);
-  std::string ref_bytes;
-  std::string got_bytes;
-  ASSERT_TRUE(read_file(refspool + "/job.report.json", ref_bytes));
-  ASSERT_TRUE(read_file(spool + "/job.report.json", got_bytes));
-  EXPECT_EQ(got_bytes, ref_bytes);
-  std::string serve_log;
-  ASSERT_TRUE(read_file(tmp.sub("k.err"), serve_log));
-  EXPECT_NE(serve_log.find("2 hits"), std::string::npos) << serve_log;
+  run.expect_rerun_matches_reference();
 }
 
 TEST(ServeCli, StoreGcAndStat) {

@@ -299,11 +299,12 @@ TEST(FabricTelemetry, WorkloadRunCoversEveryLayer) {
 
 #endif  // CONGA_TELEMETRY
 
-debug::DigestScenario small_scenario() {
-  debug::DigestScenario s;
+workload::ExperimentConfig small_scenario() {
+  workload::ExperimentConfig s;
   s.topo = net::testbed_baseline();
   s.topo.hosts_per_leaf = 4;
   s.lb = core::conga();
+  s.dist = workload::enterprise();
   s.load = 0.5;
   s.warmup = sim::milliseconds(1);
   s.measure = sim::milliseconds(5);
@@ -313,21 +314,17 @@ debug::DigestScenario small_scenario() {
 TEST(TelemetryDeterminism, SinkIsPassive) {
   // Attaching a fully enabled sink must not perturb the packet schedule:
   // FCT digest, event-trace digest, and event count all stay identical.
-  debug::DigestScenario off = small_scenario();
-  off.telemetry = debug::TelemetryMode::kOff;
-  debug::DigestScenario full = small_scenario();
-  full.telemetry = debug::TelemetryMode::kFull;
-  const debug::RunDigests a = debug::run_digest_trial(off);
-  const debug::RunDigests b = debug::run_digest_trial(full);
+  const debug::RunDigests a = debug::run_digest_trial(small_scenario(), false);
+  const debug::RunDigests b = debug::run_digest_trial(small_scenario(), true);
   EXPECT_EQ(a.fct, b.fct);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.flows, b.flows);
-  EXPECT_EQ(a.telemetry, 0u);  // kOff leaves the field zero
+  EXPECT_EQ(a.telemetry, 0u);  // no sink leaves the field zero
 }
 
 TEST(TelemetryDeterminism, SameSeedsSameTraceDigest) {
-  const debug::DigestScenario s = small_scenario();
+  const workload::ExperimentConfig s = small_scenario();
   const debug::RunDigests a = debug::run_digest_trial(s);
   const debug::RunDigests b = debug::run_digest_trial(s);
   EXPECT_EQ(a, b);  // includes the telemetry digest field
@@ -339,10 +336,10 @@ TEST(TelemetryDeterminism, SameSeedsSameTraceDigest) {
 TEST(TelemetryDeterminism, TraceDigestIdenticalAcrossJobsCounts) {
   // The parallel experiment runner must not perturb recorded traces: the
   // per-cell telemetry digest is byte-identical for jobs=1 and jobs=4.
-  std::vector<debug::DigestScenario> cells;
+  std::vector<workload::ExperimentConfig> cells;
   for (const double load : {0.3, 0.6}) {
     for (std::uint64_t seed : {1ULL, 2ULL}) {
-      debug::DigestScenario s = small_scenario();
+      workload::ExperimentConfig s = small_scenario();
       s.load = load;
       s.fabric_seed = seed;
       s.traffic_seed = seed * 31 + 7;

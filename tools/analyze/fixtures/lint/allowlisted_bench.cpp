@@ -1,5 +1,5 @@
-// Negative fixture: wall-clock use that lint.conf allowlists (the real
-// tree's equivalent is the perf-baseline timing harness). No diagnostics
+// Negative fixture: wall-clock use that lint.conf allowlists (a timing
+// harness, the kind of file a path allowlist exists for). No diagnostics
 // may fire here.
 #include <chrono>
 

@@ -1,9 +1,10 @@
-// Minimal streaming JSON writer for the perf baselines (BENCH_core.json).
+// Minimal streaming JSON writer for bench result files
+// (ext_lb_comparison --out).
 //
 // Deliberately tiny: objects, arrays, string/number/bool scalars, correct
 // comma placement and string escaping, two-space indentation. No external
-// dependency — the container bakes in only gtest/benchmark, and the
-// baseline files must stay diff-friendly for PR-over-PR comparison.
+// dependency beyond gtest/benchmark, and the result files stay
+// diff-friendly for run-over-run comparison.
 #pragma once
 
 #include <cinttypes>

@@ -106,26 +106,7 @@ fault::FaultPlan make_plan(const AuditConfig& cfg,
                            const net::TopologyConfig& topo,
                            std::uint64_t plan_seed, sim::TimeNs horizon) {
   if (cfg.profile == "gray") {
-    // Gray-only campaign: loss + corruption on a few links, the control
-    // plane never told. Congestion-aware schemes can at best route around
-    // the *retransmission* load; the survival comparison (conga vs ecmp
-    // completed flows) is the Fig-16-style robustness headline.
-    sim::Rng rng(plan_seed);
-    fault::FaultPlan plan;
-    const int n = static_cast<int>(rng.uniform_int(2, 3));
-    for (int i = 0; i < n; ++i) {
-      fault::GrayFailureSpec s;
-      s.leaf = static_cast<int>(rng.uniform_int(0, topo.num_leaves - 1));
-      s.spine = static_cast<int>(rng.uniform_int(0, topo.num_spines - 1));
-      s.parallel =
-          static_cast<int>(rng.uniform_int(0, topo.links_per_spine - 1));
-      s.drop_prob = rng.uniform(0.005, 0.03);
-      s.corrupt_prob = rng.uniform(0.0, 0.01);
-      s.start = 0;
-      s.stop = horizon;
-      plan.add(s);
-    }
-    return plan;
+    return fault::make_gray_plan(topo, plan_seed, horizon);
   }
   fault::RandomPlanConfig rc;
   rc.horizon = horizon;

@@ -5,7 +5,7 @@
 // reuses every cell the store already has for this exact code, simulates
 // only the misses, and writes a conga-campaign-v1 report that is
 // byte-identical whether it came from a cold run, a warm run, a supervised
-// run, or a killed-and-resumed run. Cache statistics go to --stats-out /
+// run, or an interrupted-and-rerun one. Cache statistics go to --stats-out /
 // stderr, never into the report.
 //
 // Subcommands:
@@ -29,18 +29,13 @@
 //           --deadline-ms N                    per-cell wall-clock budget
 //           --max-attempts N                   attempts before quarantine
 //           --backoff-base-ms N / --backoff-cap-ms N   retry schedule
+//           --drain-grace-ms N                 SIGTERM/SIGINT under
+//                                              --supervise: budget for
+//                                              in-flight children; the run
+//                                              then exits 2 without a report
+//                                              and a rerun on the same store
+//                                              resumes from its hits
 //           --verbose                          per-cell progress on stderr
-//   serve   long-lived spool daemon (implies supervision)
-//           --spool DIR                        watch DIR for <name>.json
-//                                              requests; stream results to
-//                                              <name>.out.jsonl; write
-//                                              <name>.report.json atomically
-//           --store DIR, --jobs N, supervision flags as for run
-//           --poll-ms N                        idle re-scan interval (500)
-//           --once                             process current requests, exit
-//           --drain-grace-ms N                 SIGTERM/SIGINT: budget for
-//                                              in-flight children before a
-//                                              resume marker is written
 //   store   maintain a result store
 //           gc    --store DIR [--tmp-age-seconds N] [--keep-fingerprints CSV]
 //                 remove orphaned tmp files older than N seconds (3600) and,
@@ -54,10 +49,11 @@
 //           --report FILE --baseline FILE [--out FILE] [--tolerance X]
 //
 // The CONGA_CELL_FAULT env knob ("crash:0,hang:2@1,tear:3") injects
-// deterministic child failures under --supervise / serve — test-only.
+// deterministic child failures under --supervise — test-only.
 //
 // Exit status: 0 success; 1 regression verdict, store poisoning, or
-// quarantined cells; 2 usage or I/O error.
+// quarantined cells; 2 usage or I/O error, or a supervised run interrupted
+// by SIGTERM/SIGINT.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -67,7 +63,6 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/fingerprint.hpp"
-#include "campaign/spool.hpp"
 #include "campaign/supervisor.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -90,11 +85,8 @@ int usage() {
       "                          [--supervise] [--deadline-ms N] "
       "[--max-attempts N]\n"
       "                          [--backoff-base-ms N] [--backoff-cap-ms N] "
-      "[--verbose]\n"
-      "       conga_serve serve  --spool DIR [--store DIR] [--jobs N] "
-      "[--poll-ms N]\n"
-      "                          [--once] [--drain-grace-ms N] "
-      "[supervision flags]\n"
+      "[--drain-grace-ms N]\n"
+      "                          [--verbose]\n"
       "       conga_serve store  gc   --store DIR [--tmp-age-seconds N]\n"
       "                               [--keep-fingerprints CSV]\n"
       "       conga_serve store  stat --store DIR\n"
@@ -163,20 +155,17 @@ struct Args {
   std::string baseline_path;
   std::string verdict_path;
   std::string report_path;
-  std::string spool_dir;
   std::vector<std::string> keep_fingerprints;
   double tolerance = 0.01;
   double verify_sample = 0.0;  ///< fraction, from --verify-sample percent
   int jobs = 1;
   int max_attempts = 3;
-  int poll_ms = 500;
   std::int64_t deadline_ms = 120000;
   std::int64_t backoff_base_ms = 250;
   std::int64_t backoff_cap_ms = 5000;
   std::int64_t drain_grace_ms = 5000;
   std::int64_t tmp_age_seconds = 3600;
   bool supervise = false;
-  bool once = false;
   bool verbose = false;
 };
 
@@ -218,8 +207,6 @@ bool parse_args(int argc, char** argv, int start, Args& a, std::string& err) {
       if (!value(a.verdict_path)) return false;
     } else if (std::strcmp(arg, "--report") == 0) {
       if (!value(a.report_path)) return false;
-    } else if (std::strcmp(arg, "--spool") == 0) {
-      if (!value(a.spool_dir)) return false;
     } else if (std::strcmp(arg, "--keep-fingerprints") == 0) {
       if (!value(v)) return false;
       std::size_t pos = 0;
@@ -264,12 +251,6 @@ bool parse_args(int argc, char** argv, int start, Args& a, std::string& err) {
         return false;
       }
       a.max_attempts = static_cast<int>(n);
-    } else if (std::strcmp(arg, "--poll-ms") == 0) {
-      if (!value(v) || !parse_int_flag(v, 1, n)) {
-        if (err.empty()) err = "--poll-ms must be >= 1";
-        return false;
-      }
-      a.poll_ms = static_cast<int>(n);
     } else if (std::strcmp(arg, "--deadline-ms") == 0) {
       if (!value(v) || !parse_int_flag(v, 1, a.deadline_ms)) {
         if (err.empty()) err = "--deadline-ms must be >= 1";
@@ -297,8 +278,6 @@ bool parse_args(int argc, char** argv, int start, Args& a, std::string& err) {
       }
     } else if (std::strcmp(arg, "--supervise") == 0) {
       a.supervise = true;
-    } else if (std::strcmp(arg, "--once") == 0) {
-      a.once = true;
     } else if (std::strcmp(arg, "--verbose") == 0) {
       a.verbose = true;
     } else {
@@ -415,8 +394,7 @@ int cmd_run(const Args& a) {
     std::signal(SIGINT, on_shutdown_signal);
     campaign::SuperviseOutcome outcome = campaign::SuperviseOutcome::kComplete;
     if (!campaign::run_campaign_supervised(spec, opts, supervisor_options(a),
-                                           nullptr, &g_shutdown, run, outcome,
-                                           err)) {
+                                           &g_shutdown, run, outcome, err)) {
       std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
       return 2;
     }
@@ -514,26 +492,6 @@ int cmd_verdict(const Args& a) {
   return make_and_emit_verdict(
       report, a.baseline_path,
       a.verdict_path.empty() ? a.out_path : a.verdict_path, a.tolerance);
-}
-
-int cmd_serve(const Args& a) {
-  if (a.spool_dir.empty()) {
-    std::fprintf(stderr, "conga_serve: serve needs --spool DIR\n");
-    return 2;
-  }
-  std::signal(SIGTERM, on_shutdown_signal);
-  std::signal(SIGINT, on_shutdown_signal);
-  campaign::SpoolOptions sp;
-  sp.dir = a.spool_dir;
-  sp.store_root = a.store_dir;
-  sp.poll_ms = a.poll_ms;
-  sp.once = a.once;
-  sp.verbose = a.verbose;
-  sp.supervisor = supervisor_options(a);
-  std::string err;
-  const int rc = campaign::serve_spool(sp, &g_shutdown, err);
-  if (rc != 0) std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
-  return rc;
 }
 
 /// Hidden child entry point: one cell, request on stdin, response on stdout.
@@ -647,7 +605,6 @@ int main(int argc, char** argv) {
     return usage();
   }
   if (cmd == "run") return cmd_run(a);
-  if (cmd == "serve") return cmd_serve(a);
   if (cmd == "expand") return cmd_expand(a);
   if (cmd == "verdict") return cmd_verdict(a);
   std::fprintf(stderr, "conga_serve: unknown subcommand '%s'\n",

@@ -17,9 +17,15 @@
 //   --warmup-ms N     warmup before measurement               [default 5]
 //   --hosts N         hosts per leaf                          [default 8]
 //   --load F          offered load                            [default 0.6]
-//   --lb NAME         ecmp|conga|conga-flow|spray|local       [default conga]
-//   --workload NAME   enterprise|data-mining|web-search       [default enterprise]
+//   --lb NAME         any registered policy (lb_ext registry:
+//                     ecmp, conga, letflow, drill, ...)       [default conga]
+//   --workload NAME   enterprise|datamining|websearch|fixed:<bytes>
+//                     (the ExperimentSpec names)              [default enterprise]
 //   --jobs N          parallel-grid mode (see below)          [default 0 = off]
+//
+// The flags build a campaign::ExperimentSpec, and each run goes through
+// workload::run_fct_experiment (via debug::run_digest_trial), so the audited
+// cell is exactly what the campaign runner would simulate for that spec.
 //
 // Parallel-grid mode (--jobs N, N >= 2): instead of repeating one scenario,
 // runs a grid of independent cells (the configured scenario at several loads
@@ -34,8 +40,8 @@
 #include <string>
 #include <vector>
 
+#include "campaign/experiment_spec.hpp"
 #include "debug/determinism.hpp"
-#include "lb/factories.hpp"
 #include "runtime/parallel_runner.hpp"
 
 using namespace conga;
@@ -50,24 +56,16 @@ namespace {
   std::exit(2);
 }
 
-net::Fabric::LbFactory make_lb(const std::string& name) {
-  if (name == "ecmp") return lb::ecmp();
-  if (name == "conga") return core::conga();
-  if (name == "conga-flow") return core::conga_flow();
-  if (name == "spray") return lb::spray();
-  if (name == "local") return lb::local_aware();
-  usage(("unknown --lb: " + name).c_str());
-}
-
-workload::FlowSizeDist make_dist(const std::string& name) {
-  if (name == "enterprise") return workload::enterprise();
-  if (name == "data-mining") return workload::data_mining();
-  if (name == "web-search") return workload::web_search();
-  usage(("unknown --workload: " + name).c_str());
+/// Resolves a spec into a runnable config; a bad spec is a usage error.
+workload::ExperimentConfig config_of(const campaign::ExperimentSpec& spec) {
+  workload::ExperimentConfig cfg;
+  std::string err;
+  if (!campaign::to_experiment_config(spec, cfg, err)) usage(err.c_str());
+  return cfg;
 }
 
 /// Parallel-grid gate: per-cell digests must not depend on the jobs count.
-int run_parallel_grid_audit(const debug::DigestScenario& base, int jobs) {
+int run_parallel_grid_audit(const campaign::ExperimentSpec& base, int jobs) {
   struct Cell {
     double load;
     std::uint64_t seed;
@@ -80,11 +78,11 @@ int run_parallel_grid_audit(const debug::DigestScenario& base, int jobs) {
   }
 
   auto run_cell = [&](std::size_t i) {
-    debug::DigestScenario s = base;
+    campaign::ExperimentSpec s = base;
     s.load = cells[i].load;
     s.fabric_seed = cells[i].seed;
     s.traffic_seed = cells[i].seed * 31 + 7;
-    return debug::run_digest_trial(s);
+    return debug::run_digest_trial(config_of(s));
   };
 
   std::printf("parallel-grid audit: %zu cells, jobs=1 vs jobs=%d\n",
@@ -169,23 +167,26 @@ int main(int argc, char** argv) {
   }
   if (runs < 2) usage("--runs must be >= 2");
 
-  debug::DigestScenario s;
+  campaign::ExperimentSpec s;
   s.topo = net::testbed_baseline();
   s.topo.hosts_per_leaf = hosts;
-  s.lb = make_lb(lb);
-  s.dist = make_dist(workload_name);
+  s.policy = lb;
+  s.dist = workload_name;
   s.load = load;
-  s.warmup = sim::milliseconds(warmup_ms);
-  s.measure = sim::milliseconds(duration_ms);
+  s.warmup_ns = sim::milliseconds(warmup_ms);
+  s.measure_ns = sim::milliseconds(duration_ms);
   s.fabric_seed = seed;
   s.traffic_seed = seed * 31 + 7;
 
+  // Resolving up front turns a bad --lb/--workload into a usage error
+  // before any cell runs.
+  const workload::ExperimentConfig cfg = config_of(s);
   if (jobs != 0) {
     if (jobs < 2) usage("--jobs must be >= 2 (or omitted)");
     // The grid sweeps loads itself; smaller per-cell windows keep the whole
     // grid comparable in cost to the classic two-run audit.
-    s.warmup = sim::milliseconds(2);
-    s.measure = sim::milliseconds(duration_ms < 10 ? duration_ms : 10);
+    s.warmup_ns = sim::milliseconds(2);
+    s.measure_ns = sim::milliseconds(duration_ms < 10 ? duration_ms : 10);
     return run_parallel_grid_audit(s, jobs);
   }
 
@@ -196,7 +197,7 @@ int main(int argc, char** argv) {
 
   std::vector<debug::RunDigests> results;
   for (int r = 0; r < runs; ++r) {
-    results.push_back(debug::run_digest_trial(s));
+    results.push_back(debug::run_digest_trial(cfg));
     const auto& d = results.back();
     std::printf("  run %d: fct=%016llx trace=%016llx tele=%016llx "
                 "events=%llu flows=%llu%s\n",
