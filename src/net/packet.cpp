@@ -1,6 +1,5 @@
 #include "net/packet.hpp"
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,12 +26,15 @@ namespace {
 // verify chunk ownership on every release and abort on the first crossing.
 class PacketPool {
  public:
+  /// Pops a reset packet whose id is this thread's acquisition count: a
+  /// per-thread counter, so the packet path writes no shared state.
   Packet* acquire() {
     thread_.check();
-    ++stats_.acquired;
     if (free_.empty()) grow();
     Packet* p = free_.back();
     free_.pop_back();
+    *p = Packet{};  // trivially-copyable reset
+    p->id = ++stats_.acquired;
     return p;
   }
 
@@ -99,13 +101,7 @@ void PacketDeleter::operator()(Packet* p) const noexcept {
   thread_pool().release(p);
 }
 
-PacketPtr make_packet() {
-  static std::atomic<std::uint64_t> next_id{1};
-  Packet* p = thread_pool().acquire();
-  *p = Packet{};  // trivially-copyable reset; replaces the old value-init
-  p->id = next_id.fetch_add(1, std::memory_order_relaxed);
-  return PacketPtr(p);
-}
+PacketPtr make_packet() { return PacketPtr(thread_pool().acquire()); }
 
 PacketPoolStats packet_pool_stats() { return thread_pool().stats(); }
 

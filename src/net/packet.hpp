@@ -64,7 +64,7 @@ constexpr std::uint32_t kOverlayHeaderBytes = 50;  // outer Eth+IP+UDP+VXLAN
 constexpr std::uint32_t kAckBytes = kIpTcpHeaderBytes + 24;  // pure ACK frame
 
 struct Packet {
-  std::uint64_t id = 0;          ///< globally unique, for tracing
+  std::uint64_t id = 0;          ///< unique within the allocating thread
   FlowKey flow;                  ///< data-direction 5-tuple
   std::uint32_t size_bytes = 0;  ///< total bytes on the wire (incl. headers)
   sim::TimeNs enqueued_at = 0;   ///< set by queues, for latency accounting
@@ -90,7 +90,9 @@ struct PacketDeleter {
 
 using PacketPtr = std::unique_ptr<Packet, PacketDeleter>;
 
-/// Creates a packet with a fresh globally unique id. Steady-state traffic is
+/// Creates a packet with an id unique within the allocating thread (the
+/// thread's make_packet() count, so ids from two threads may collide; no
+/// simulation compares ids across threads). Steady-state traffic is
 /// allocation-free: packets come from a thread-local free-list pool that
 /// grows in chunks and is refilled by PacketDeleter, so after warmup
 /// make_packet() is a pop + field reset. Each simulation runs on one thread

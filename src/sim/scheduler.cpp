@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <cassert>
+#include <cstddef>
 #include <utility>
 
 #include "debug/invariants.hpp"
@@ -25,56 +26,105 @@ void Scheduler::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-void Scheduler::sift_up(std::size_t i) {
-  const HeapNode node = heap_[i];
+namespace {
+
+/// Index of the smallest of the four keys at h[c..c+3], without branches:
+/// a two-round tournament of conditional selects.
+template <typename Node>
+std::size_t min_of_four(const Node* h, std::size_t c) {
+  const auto k0 = h[c].key(), k1 = h[c + 1].key();
+  const auto k2 = h[c + 2].key(), k3 = h[c + 3].key();
+  const bool right1 = k1 < k0, right2 = k3 < k2;
+  const auto ka = right1 ? k1 : k0, kb = right2 ? k3 : k2;
+  const std::size_t a = c + right1, b = c + 2 + right2;
+  return kb < ka ? b : a;
+}
+
+}  // namespace
+
+void Scheduler::Heap::sift_up(std::size_t i) {
+  HeapNode* const h = nodes_.data();
+  const HeapNode node = h[i];
+  const Key k = node.key();
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!earlier(node, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    if (!(k < h[parent].key())) break;
+    h[i] = h[parent];
     i = parent;
   }
-  heap_[i] = node;
+  h[i] = node;
 }
 
-void Scheduler::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const HeapNode node = heap_[i];
+void Scheduler::Heap::sift_down(std::size_t i) {
+  const std::size_t n = nodes_.size();
+  HeapNode* const h = nodes_.data();
+  const HeapNode node = h[i];
+  const Key k = node.key();
   for (;;) {
     const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = first + 4 < n ? first + 4 : n;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
+    std::size_t best;
+    if (first + 4 <= n) {
+      best = min_of_four(h, first);
+    } else if (first < n) {  // the one parent with fewer than four children
+      best = first;
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (h[c].key() < h[best].key()) best = c;
+      }
+    } else {
+      break;
     }
-    if (!earlier(heap_[best], node)) break;
-    heap_[i] = heap_[best];
+    if (!(h[best].key() < k)) break;
+    h[i] = h[best];
     i = best;
   }
-  heap_[i] = node;
+  h[i] = node;
 }
 
-void Scheduler::pop_top() {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+void Scheduler::Heap::push(const HeapNode& node) {
+  nodes_.push_back(node);
+  sift_up(nodes_.size() - 1);
 }
 
-bool Scheduler::settle_top() {
-  while (!heap_.empty()) {
-    const HeapNode& top = heap_.front();
-    if (slots_[top.slot].gen == top.gen) return true;
-    pop_top();  // stale: the event was cancelled and its slot released
+void Scheduler::Heap::pop() {
+  nodes_.front() = nodes_.back();
+  nodes_.pop_back();
+  if (!nodes_.empty()) sift_down(0);
+}
+
+template <typename Pred>
+void Scheduler::Heap::remove_if(Pred stale) {
+  std::size_t kept = 0;
+  for (const HeapNode& n : nodes_) {
+    if (!stale(n)) nodes_[kept++] = n;
   }
-  return false;
+  nodes_.resize(kept);
+  if (kept < 2) return;
+  for (std::size_t i = (kept - 2) / 4 + 1; i-- > 0;) sift_down(i);
+}
+
+Scheduler::Heap* Scheduler::next_heap() {
+  for (;;) {
+    Heap* heap;
+    if (far_.empty()) {
+      if (near_.empty()) return nullptr;
+      heap = &near_;
+    } else if (near_.empty()) {
+      heap = &far_;
+    } else {
+      heap = near_.top().key() < far_.top().key() ? &near_ : &far_;
+    }
+    if (!stale(heap->top())) return heap;
+    // Only the root about to dispatch is settled: a stale far root behind a
+    // live near one waits for compaction instead of costing a pop now.
+    heap->pop();
+  }
 }
 
 EventId Scheduler::push(TimeNs t, std::uint64_t seq, Callback&& cb) {
   const std::uint32_t slot = acquire_slot();
   const std::uint32_t gen = slots_[slot].gen;
   slots_[slot].cb = std::move(cb);
-  heap_.push_back(HeapNode{t, seq, slot, gen});
-  sift_up(heap_.size() - 1);
+  (t - now_ > kHorizon ? far_ : near_).push(HeapNode{t, seq, slot, gen});
   ++live_;
   return make_id(slot, gen);
 }
@@ -100,38 +150,57 @@ void Scheduler::cancel(EventId id) {
   s.cb = Callback{};  // destroy the payload (e.g. a captured packet) now
   release_slot(slot);
   --live_;
+  if (heap_nodes() > 2 * live_ + 64) {
+    // Stale nodes outnumber live ones: drop them now rather than sift past
+    // them until they surface. Keys are unique, so order is unchanged.
+    const auto is_stale = [this](const HeapNode& n) { return stale(n); };
+    near_.remove_if(is_stale);
+    far_.remove_if(is_stale);
+  }
+  CONGA_INVARIANT(check_condition(heap_nodes() <= 2 * live_ + 64, "scheduler",
+                                  now_, "scheduler.stale-bound",
+                                  "heap nodes exceed 2*pending()+64"));
 }
 
-void Scheduler::dispatch_top(Callback& cb) {
-  const HeapNode top = heap_.front();
+void Scheduler::dispatch_top(Heap& heap, Callback& cb) {
+  const HeapNode top = heap.top();
   cb = std::move(slots_[top.slot].cb);
   release_slot(top.slot);
   --live_;
-  pop_top();
+  heap.pop();
   CONGA_INVARIANT(check_time_monotonic("scheduler", now_, top.time));
   now_ = top.time;
   cursor_ = Ticket{top.time, top.seq};
   ++dispatched_;
   if (trace_) trace_(top.time, top.seq);
   cb();
-  cb = Callback{};  // release the payload before the next settle
+  cb = Callback{};  // release the payload before the next dispatch
 }
 
 void Scheduler::run() {
   stopped_ = false;
   Callback cb;
-  while (!stopped_ && settle_top()) dispatch_top(cb);
+  while (!stopped_) {
+    Heap* const heap = next_heap();
+    if (heap == nullptr) break;
+    dispatch_top(*heap, cb);
+  }
 }
 
 void Scheduler::run_until(TimeNs t) {
   stopped_ = false;
   Callback cb;
-  while (!stopped_ && settle_top() && heap_.front().time <= t) {
-    dispatch_top(cb);
+  while (!stopped_) {
+    Heap* const heap = next_heap();
+    if (heap == nullptr || heap->top().time > t) break;
+    dispatch_top(*heap, cb);
   }
-  // Unless stopped early, every position at or before t handed out so far
-  // has now been dispatched or (for tickets) passed over.
-  if (!stopped_ && t >= cursor_.time) cursor_ = Ticket{t, next_seq_ - 1};
+  // A stopped run leaves the clock at its last dispatch: events at or
+  // before t may still be pending, and the clock must not pass them.
+  if (stopped_) return;
+  // Every position at or before t handed out so far has now been dispatched
+  // or (for tickets) passed over.
+  if (t >= cursor_.time) cursor_ = Ticket{t, next_seq_ - 1};
   if (now_ < t) now_ = t;
 }
 

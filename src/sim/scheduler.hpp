@@ -46,14 +46,24 @@ struct Ticket {
 /// singleton, so multiple independent simulations can coexist (which the
 /// tests and the parallel experiment runner exploit heavily).
 ///
-/// Implementation: a 4-ary implicit heap of 24-byte POD nodes ordered by
-/// (time, schedule sequence), indexing into a slot arena that owns the
-/// callbacks. Each slot carries a generation counter baked into the EventId,
-/// so cancel() is an O(1) generation bump — no per-dispatch hash-set lookup,
-/// and a stale id (already fired, already cancelled, never valid) can never
-/// corrupt the pending-event accounting. A cancelled event's node stays in
-/// the heap until it surfaces, where the generation mismatch discards it;
-/// its callback (and any packet it owns) is destroyed eagerly at cancel().
+/// Implementation: two 4-ary implicit heaps of 24-byte POD nodes ordered by
+/// the 128-bit key `(time << 64 | seq)`, indexing into a slot arena that owns
+/// the callbacks. An event due within a short fixed horizon of now() (a link
+/// hop, a drain, a zero-delay hand-off) goes into the near heap; one further
+/// out (TCP RTO/TLP timers, generator arrivals, samplers) is parked in the
+/// far heap. Dispatch takes the earlier of the two roots, so the order is the
+/// single total `(time, seq)` order whichever heap an event sat in, while the
+/// sifts every packet hop pays walk only the shallow near heap.
+///
+/// Each slot carries a generation counter baked into the EventId, so
+/// cancel() is an O(1) generation bump — no per-dispatch hash-set lookup, and
+/// a stale id (already fired, already cancelled, never valid) can never
+/// corrupt the pending-event accounting. A cancelled event's callback (and
+/// any packet it owns) is destroyed eagerly at cancel(); its node goes stale
+/// and is discarded when it reaches the root dispatch takes from, or
+/// earlier: once the two heaps hold more than 2·pending()+64 nodes, cancel()
+/// drops every stale node and re-heapifies. Keys are unique, so neither step
+/// can change the order.
 ///
 /// Tickets (reserve_at / passed / schedule) let a component hold a place in
 /// the dispatch order without a heap node — a link's "wire free" instant, a
@@ -103,14 +113,15 @@ class Scheduler {
 
   /// Cancels a pending event. Cancelling an already-fired, already-cancelled,
   /// or invalid id is a harmless no-op (this makes timer management in TCP
-  /// much simpler). O(1): the slot's generation is bumped so the heap node
-  /// goes stale, and the callback is destroyed immediately.
+  /// much simpler). Amortized O(1): the slot's generation is bumped so the
+  /// heap node goes stale, and the callback is destroyed immediately.
   void cancel(EventId id);
 
   /// Runs until the event queue is empty or stop() is called.
   void run();
 
-  /// Runs events with timestamp <= `t`, then sets now() to `t`.
+  /// Runs events with timestamp <= `t`, then sets now() to `t`. If stop()
+  /// cuts the run short, now() stays at the last dispatched event instead.
   void run_until(TimeNs t);
 
   /// Stops a run() in progress after the current event returns.
@@ -142,13 +153,41 @@ class Scheduler {
   void set_telemetry(telemetry::TraceSink* sink) { telemetry_ = sink; }
 
  private:
-  /// One pending (or stale) entry in the implicit 4-ary heap. Trivially
-  /// copyable and 24 bytes, so sift operations move PODs, not callbacks.
+  /// Dispatch-order key: time in the high word, schedule sequence in the
+  /// low. Times are never negative (they clamp to now() >= 0), so unsigned
+  /// order is (time, seq) order.
+  using Key = unsigned __int128;
+
+  /// One pending (or stale) entry in a heap. Trivially copyable and 24
+  /// bytes, so sift operations move PODs, not callbacks.
   struct HeapNode {
     TimeNs time;
     std::uint64_t seq;   ///< schedule-order tie-break; fed to the trace hook
     std::uint32_t slot;  ///< index into slots_
     std::uint32_t gen;   ///< slot generation this node refers to
+
+    Key key() const {
+      return (static_cast<Key>(static_cast<std::uint64_t>(time)) << 64) | seq;
+    }
+  };
+
+  /// An implicit 4-ary min-heap of nodes on their key.
+  class Heap {
+   public:
+    bool empty() const { return nodes_.empty(); }
+    std::size_t size() const { return nodes_.size(); }
+    const HeapNode& top() const { return nodes_.front(); }
+    void push(const HeapNode& node);
+    /// Removes the root (which must exist).
+    void pop();
+    /// Drops every node for which `stale(node)` holds and re-heapifies.
+    template <typename Pred>
+    void remove_if(Pred stale);
+
+   private:
+    void sift_up(std::size_t i);
+    void sift_down(std::size_t i);
+    std::vector<HeapNode> nodes_;
   };
 
   /// Callback arena entry. `gen` is odd while the slot identifies events
@@ -165,28 +204,29 @@ class Scheduler {
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffU;
 
+  /// Events due more than this far past now() are parked in the far heap.
+  /// It sits above any link hop's serialization plus propagation delay
+  /// (about 2.2 us for a 1500-byte frame on a 10G, 1 us link) and below
+  /// TCP's shortest timer (TLP >= 2*SRTT + 250 us), so packet events stay
+  /// near and parked timers stay far. Dispatch order does not depend on it.
+  static constexpr TimeNs kHorizon = microseconds(8);
+
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(slot) << 32) | gen;
   }
 
-  static bool earlier(const HeapNode& a, const HeapNode& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
+  bool stale(const HeapNode& n) const { return slots_[n.slot].gen != n.gen; }
+  std::size_t heap_nodes() const { return near_.size() + far_.size(); }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   /// Inserts a live event at (t, seq).
   EventId push(TimeNs t, std::uint64_t seq, Callback&& cb);
-  /// Dispatches the live root event (caller checked settle_top()).
-  void dispatch_top(Callback& cb);
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  /// Removes the heap root (which must exist).
-  void pop_top();
-  /// Discards stale (cancelled) nodes at the root. Returns false when the
-  /// heap is empty, true when a live node is at the root.
-  bool settle_top();
+  /// Returns the heap whose root is the next live event (discarding stale
+  /// roots on the way), or nullptr when nothing is pending.
+  Heap* next_heap();
+  /// Dispatches the live root event of `heap` (as returned by next_heap()).
+  void dispatch_top(Heap& heap, Callback& cb);
 
   TimeNs now_ = 0;
   /// Position of the last dispatch (or, after an unstopped run_until, the
@@ -198,7 +238,8 @@ class Scheduler {
   std::uint64_t dispatched_ = 0;
   std::size_t live_ = 0;
   bool stopped_ = false;
-  std::vector<HeapNode> heap_;
+  Heap near_;
+  Heap far_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
 };

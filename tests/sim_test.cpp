@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -119,6 +120,21 @@ TEST(Scheduler, StopHaltsRun) {
   EXPECT_EQ(count, 1);
   sched.run();  // resumes
   EXPECT_EQ(count, 2);
+}
+
+TEST(Scheduler, StopInsideRunUntilLeavesClockAtLastDispatch) {
+  // The clock must not pass an event that is still pending: a stopped
+  // run_until does not jump to its horizon.
+  Scheduler sched;
+  bool fired = false;
+  sched.schedule_at(5, [&] { sched.stop(); });
+  sched.schedule_at(7, [&] { fired = true; });
+  sched.run_until(10);
+  EXPECT_EQ(sched.now(), 5);
+  EXPECT_FALSE(fired);
+  sched.run_until(10);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sched.now(), 10);
 }
 
 TEST(Scheduler, EventsCanScheduleMoreEvents) {
@@ -350,6 +366,203 @@ TEST(SchedulerTicket, ScheduledTicketCanBeCancelled) {
   sched.run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(sched.pending(), 0u);
+}
+
+// Differential harness for the scheduler: a seeded random mix of every
+// operation, checked against a std::set model of the pending (time, seq)
+// keys. Each dispatch must be the model's smallest key; pending(), now() and
+// passed() must agree with the model after every step.
+class SchedulerChurn {
+ public:
+  explicit SchedulerChurn(std::uint64_t seed) : rng_(seed) {
+    sched_.set_trace_hook(
+        [this](TimeNs t, std::uint64_t seq) { on_dispatch({t, seq}); });
+  }
+
+  void step() {
+    const double r = rng_.uniform();
+    if (r < 0.30) {
+      schedule_at(pick_time());
+    } else if (r < 0.40) {
+      tickets_.push_back(sched_.reserve_at(pick_time()));
+      ++next_seq_;
+    } else if (r < 0.50) {
+      schedule_ticket();
+    } else if (r < 0.72) {
+      cancel_issued();
+    } else if (r < 0.76) {
+      cancel_bogus();
+    } else if (r < 0.77) {
+      park_and_cancel_burst();
+    } else if (r < 0.97) {
+      run_until(now_ + rng_.uniform_int(-1'000, 400'000));
+    } else {
+      run();
+    }
+    check_state();
+  }
+
+  void run() {
+    stopped_ = false;
+    sched_.run();
+    if (!stopped_) {
+      EXPECT_TRUE(model_.empty());
+    }
+  }
+
+  /// Runs until nothing is pending, however many stop()s cut it short.
+  void drain() {
+    while (sched_.pending() > 0) run();
+    EXPECT_TRUE(model_.empty());
+  }
+
+  void check_state() {
+    ASSERT_EQ(mismatches_, 0u);
+    EXPECT_EQ(sched_.pending(), model_.size());
+    EXPECT_EQ(sched_.now(), now_);
+    EXPECT_EQ(sched_.events_dispatched(), dispatched_);
+  }
+
+  std::uint64_t dispatched() const { return dispatched_; }
+
+ private:
+  using Key = std::pair<TimeNs, std::uint64_t>;
+
+  // Zero, short (a link hop: near) and long (a parked timer: far) delays,
+  // on a coarse grid so same-time ties across the two kinds are common. A
+  // grid point below now() exercises the clamp.
+  TimeNs pick_time() {
+    const double r = rng_.uniform();
+    TimeNs d = 0;
+    if (r < 0.4) {
+      d = rng_.uniform_int(1, 7'000);
+    } else if (r < 0.8) {
+      d = rng_.uniform_int(100'000, 3'000'000);
+    }
+    return (now_ + d) / 500 * 500;
+  }
+
+  Key clamp(TimeNs t) const { return {t < now_ ? now_ : t, next_seq_}; }
+
+  void schedule_at(TimeNs t) {
+    const Key key = clamp(t);
+    ++next_seq_;
+    track(sched_.schedule_at(t, callback()), key);
+  }
+
+  void schedule_ticket() {
+    if (tickets_.empty()) return;
+    const std::size_t i = rng_.index(tickets_.size());
+    const Ticket tk = tickets_[i];
+    tickets_[i] = tickets_.back();
+    tickets_.pop_back();
+    const Key key{tk.time, tk.seq};
+    const bool passed = key <= cursor_;
+    EXPECT_EQ(sched_.passed(tk), passed);
+    if (!passed) track(sched_.schedule(tk, callback()), key);
+  }
+
+  // Any id ever issued, weighted toward recent (likely still live) ones:
+  // live ids cancel, fired and cancelled ids are no-ops.
+  void cancel_issued() {
+    if (issued_.empty()) return;
+    const std::size_t n = issued_.size();
+    const std::size_t i = rng_.chance(0.5)
+                              ? n - 1 - rng_.index(n < 32 ? n : 32)
+                              : rng_.index(n);
+    sched_.cancel(issued_[i].first);
+    model_.erase(issued_[i].second);
+  }
+
+  void cancel_bogus() {
+    const EventId forged[] = {
+        kInvalidEventId, 2, (EventId{0x7fffffff} << 32) | 1,
+        issued_.empty() ? 4 : issued_.back().first + 1};
+    sched_.cancel(forged[rng_.index(4)]);
+  }
+
+  // The TCP pattern at scale: many parked timers, almost all cancelled,
+  // so stale nodes pile up past the compaction bound.
+  void park_and_cancel_burst() {
+    const std::size_t first = issued_.size();
+    for (int i = 0; i < 300; ++i) {
+      schedule_at(now_ + rng_.uniform_int(100'000, 3'000'000));
+    }
+    for (std::size_t i = first; i < issued_.size(); ++i) {
+      if (rng_.chance(0.95)) {
+        sched_.cancel(issued_[i].first);
+        model_.erase(issued_[i].second);
+      }
+    }
+  }
+
+  void run_until(TimeNs t) {
+    stopped_ = false;
+    sched_.run_until(t);
+    if (stopped_) return;  // the clock stays at the last dispatch
+    EXPECT_TRUE(model_.empty() || model_.begin()->first > t);
+    if (t >= cursor_.first) cursor_ = {t, next_seq_ - 1};
+    if (now_ < t) now_ = t;
+  }
+
+  Scheduler::Callback callback() {
+    return [this] { on_fire(); };
+  }
+
+  void track(EventId id, Key key) {
+    issued_.emplace_back(id, key);
+    model_.insert(key);
+  }
+
+  void on_dispatch(Key key) {
+    if (model_.empty() || *model_.begin() != key) {
+      ++mismatches_;
+      ADD_FAILURE() << "dispatched (" << key.first << ", " << key.second
+                    << ") but the model expected "
+                    << (model_.empty() ? "nothing" : "another key");
+      return;
+    }
+    model_.erase(model_.begin());
+    now_ = key.first;
+    cursor_ = key;
+    ++dispatched_;
+  }
+
+  // Events act during dispatch too: some schedule a follow-up (classified
+  // against the advanced clock), a few stop the run.
+  void on_fire() {
+    if (rng_.chance(0.3)) schedule_at(pick_time());
+    if (rng_.chance(0.02)) {
+      sched_.stop();
+      stopped_ = true;
+    }
+  }
+
+  Scheduler sched_;
+  Rng rng_;
+  std::set<Key> model_;
+  std::vector<std::pair<EventId, Key>> issued_;
+  std::vector<Ticket> tickets_;
+  TimeNs now_ = 0;
+  std::uint64_t next_seq_ = 1;
+  Key cursor_{0, 0};
+  std::uint64_t dispatched_ = 0;
+  std::uint64_t mismatches_ = 0;
+  bool stopped_ = false;
+};
+
+TEST(Scheduler, MatchesReferenceOrderUnderRandomChurn) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    SchedulerChurn churn(seed);
+    for (int i = 0; i < 5'000; ++i) {
+      churn.step();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    churn.drain();
+    churn.check_state();
+    EXPECT_GT(churn.dispatched(), 2'000u);
+  }
 }
 
 TEST(Rng, DeterministicWithSameSeed) {
