@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "lb/factories.hpp"
-#include "net/pod_fabric.hpp"
+#include "net/fabric.hpp"
 #include "tcp/flow.hpp"
 
 using namespace conga;
@@ -16,17 +16,17 @@ using namespace conga;
 int main() {
   sim::Scheduler sched;
 
-  net::PodTopologyConfig cfg;
+  net::TopologyConfig cfg;
   cfg.num_pods = 2;
-  cfg.leaves_per_pod = 2;
-  cfg.spines_per_pod = 2;
+  cfg.num_leaves = 4;
+  cfg.num_spines = 4;
   cfg.hosts_per_leaf = 4;
   cfg.num_cores = 2;
   // Pod 0's spine 1 reaches the core tier at a tenth of the rate.
-  cfg.core_overrides.push_back({0, 1, 0, 0.1});
-  cfg.core_overrides.push_back({0, 1, 1, 0.1});
+  cfg.core_overrides.push_back({1, 0, 0.1});
+  cfg.core_overrides.push_back({1, 1, 0.1});
 
-  net::PodFabric fabric(sched, cfg, 7);
+  net::Fabric fabric(sched, cfg, 7);
   fabric.install_lb(core::conga());
 
   tcp::TcpConfig t;
@@ -62,7 +62,7 @@ int main() {
   std::printf("\ncore links out of pod 0:\n");
   for (int s = 0; s < 2; ++s) {
     for (int c = 0; c < 2; ++c) {
-      const net::Link* l = fabric.spine_to_core(0, s, c);
+      const net::Link* l = fabric.spine_to_core(s, c);
       std::printf("  spine %d -> core %d (%4.0f Gbps cap): %6.2f Gbps\n", s,
                   c, l->rate_bps() / 1e9,
                   static_cast<double>(l->bytes_sent()) * 8 / 0.05 / 1e9);

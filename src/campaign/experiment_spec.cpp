@@ -55,6 +55,21 @@ Json json_of_topo(const net::TopologyConfig& t) {
     ovr.push_back(json_of_override(o));
   }
   j.set("overrides", std::move(ovr));
+  // Pod fields only on pod fabrics, so every 2-tier spec keeps its
+  // canonical bytes (and cell key).
+  if (t.num_pods > 1) {
+    j.set("num_pods", Json::integer(t.num_pods));
+    j.set("num_cores", Json::integer(t.num_cores));
+    Json core_ovr = Json::array();
+    for (const net::CoreLinkOverride& o : t.core_overrides) {
+      Json c = Json::object();
+      c.set("spine", Json::integer(o.spine));
+      c.set("core", Json::integer(o.core));
+      c.set("rate_factor", Json::number(o.rate_factor));
+      core_ovr.push_back(std::move(c));
+    }
+    j.set("core_overrides", std::move(core_ovr));
+  }
   return j;
 }
 
@@ -184,6 +199,22 @@ bool topo_from_json(const Json& doc, net::TopologyConfig& out,
           else return r.fail("unknown override field '" + ok_ + "'");
         }
         t.overrides.push_back(o);
+      }
+    } else if (key == "num_pods") read_int(r, v, key.c_str(), t.num_pods);
+    else if (key == "num_cores") read_int(r, v, key.c_str(), t.num_cores);
+    else if (key == "core_overrides") {
+      if (!v.is_array()) return r.fail("core_overrides must be an array");
+      for (const Json& item : v.items()) {
+        if (!item.is_object()) return r.fail("core override must be an object");
+        net::CoreLinkOverride o;
+        for (const auto& [ok_, ov] : item.members()) {
+          if (ok_ == "spine") read_int(r, ov, ok_.c_str(), o.spine);
+          else if (ok_ == "core") read_int(r, ov, ok_.c_str(), o.core);
+          else if (ok_ == "rate_factor")
+            read_double(r, ov, ok_.c_str(), o.rate_factor);
+          else return r.fail("unknown core override field '" + ok_ + "'");
+        }
+        t.core_overrides.push_back(o);
       }
     } else {
       return r.fail("unknown topo field '" + key + "'");

@@ -6,6 +6,16 @@
 
 namespace conga::fault {
 
+namespace {
+/// A spine in `leaf`'s pod: the only spines it has links to. On a 2-tier
+/// fabric this is one draw over every spine.
+int pod_spine(const net::TopologyConfig& topo, int leaf, sim::Rng& rng) {
+  const int per_pod = topo.spines_per_pod();
+  return topo.pod_of_leaf(leaf) * per_pod +
+         static_cast<int>(rng.uniform_int(0, per_pod - 1));
+}
+}  // namespace
+
 FaultPlan make_random_plan(const net::TopologyConfig& topo, std::uint64_t seed,
                            const RandomPlanConfig& cfg) {
   sim::Rng rng(seed);
@@ -23,7 +33,7 @@ FaultPlan make_random_plan(const net::TopologyConfig& topo, std::uint64_t seed,
   };
   auto triple = [&](int& leaf, int& spine, int& parallel) {
     leaf = static_cast<int>(rng.uniform_int(0, topo.num_leaves - 1));
-    spine = static_cast<int>(rng.uniform_int(0, topo.num_spines - 1));
+    spine = pod_spine(topo, leaf, rng);
     parallel = static_cast<int>(rng.uniform_int(0, topo.links_per_spine - 1));
   };
 
@@ -100,7 +110,7 @@ FaultPlan make_gray_plan(const net::TopologyConfig& topo, std::uint64_t seed,
   for (int i = 0; i < n; ++i) {
     GrayFailureSpec s;
     s.leaf = static_cast<int>(rng.uniform_int(0, topo.num_leaves - 1));
-    s.spine = static_cast<int>(rng.uniform_int(0, topo.num_spines - 1));
+    s.spine = pod_spine(topo, s.leaf, rng);
     s.parallel = static_cast<int>(rng.uniform_int(0, topo.links_per_spine - 1));
     s.drop_prob = rng.uniform(0.005, 0.03);
     s.corrupt_prob = rng.uniform(0.0, 0.01);

@@ -51,8 +51,7 @@ net::Fabric::LbFactory make_policy(const std::string& name) {
     // flowlets, the useful "weighted" baseline on any symmetric topology.
     return [](net::LeafSwitch& leaf, const net::TopologyConfig& topo,
               std::uint64_t) -> std::unique_ptr<lb::LoadBalancer> {
-      const std::size_t uplinks = static_cast<std::size_t>(topo.num_spines) *
-                                  static_cast<std::size_t>(topo.links_per_spine);
+      const auto uplinks = static_cast<std::size_t>(topo.uplinks_per_leaf());
       return std::make_unique<lb::WeightedLb>(
           leaf, std::vector<double>(uplinks, 1.0), core::FlowletTableConfig{});
     };

@@ -19,6 +19,15 @@ const LinkOverride* find_override(const TopologyConfig& cfg, int leaf,
   }
   return nullptr;
 }
+
+/// Finds the override for a (spine, core) pair, if any.
+const CoreLinkOverride* find_core_override(const TopologyConfig& cfg,
+                                           int spine, int core) {
+  for (const CoreLinkOverride& o : cfg.core_overrides) {
+    if (o.spine == spine && o.core == core) return &o;
+  }
+  return nullptr;
+}
 }  // namespace
 
 Fabric::Fabric(sim::Scheduler& sched, const TopologyConfig& cfg,
@@ -35,6 +44,8 @@ void Fabric::build() {
   const int S = cfg_.num_spines;
   const int H = cfg_.hosts_per_leaf;
   const int P = cfg_.links_per_spine;
+  const int Sp = cfg_.spines_per_pod();
+  const int C = cfg_.num_cores;
 
   directory_.resize(static_cast<std::size_t>(L) * H);
   for (int h = 0; h < L * H; ++h) {
@@ -53,13 +64,25 @@ void Fabric::build() {
           cfg_.shared_buffer_bytes, cfg_.shared_buffer_alpha));
     }
   }
+  std::vector<int> leaf_to_pod;  // empty on 2 tiers
+  if (C > 0) {
+    for (int l = 0; l < L; ++l) leaf_to_pod.push_back(cfg_.pod_of_leaf(l));
+  }
   for (int s = 0; s < S; ++s) {
     spines_.push_back(std::make_unique<SpineSwitch>(
         s, L, rng_.stream_seed((2ULL << 56) | static_cast<std::uint64_t>(s))));
+    if (C > 0) {
+      spines_.back()->set_pod_membership(leaf_to_pod, cfg_.pod_of_spine(s));
+    }
     if (cfg_.shared_buffer_bytes > 0) {
       spine_pools_.push_back(std::make_unique<SharedBufferPool>(
           cfg_.shared_buffer_bytes, cfg_.shared_buffer_alpha));
     }
+  }
+  for (int c = 0; c < C; ++c) {
+    cores_.push_back(std::make_unique<SpineSwitch>(
+        c, L, rng_.stream_seed((4ULL << 56) | static_cast<std::uint64_t>(c)),
+        /*core=*/true));
   }
   auto leaf_pool = [&](int l) -> SharedBufferPool* {
     return leaf_pools_.empty() ? nullptr
@@ -107,7 +130,22 @@ void Fabric::build() {
     links_.push_back(std::move(down));
   }
 
-  // Fabric links: for each (leaf, spine, parallel) pair, one link each way.
+  // Leaf<->spine and spine<->core links share one config, scaled by their
+  // override's rate factor.
+  auto fabric_link = [&](double rate_factor) {
+    LinkConfig fab;
+    fab.rate_bps = cfg_.fabric_link_bps * rate_factor;
+    fab.propagation_delay = cfg_.fabric_link_delay;
+    fab.queue_capacity_bytes = cfg_.fabric_queue_bytes;
+    fab.ecn_threshold_bytes = cfg_.ecn_threshold_bytes;
+    fab.marks_ce = true;
+    fab.ce_sum = cfg_.ce_sum;
+    fab.dre = cfg_.dre;
+    return fab;
+  };
+
+  // Fabric links: for each (leaf, spine, parallel) pair in a pod, one link
+  // each way.
   down_live_.assign(static_cast<std::size_t>(S) * static_cast<std::size_t>(L) *
                         static_cast<std::size_t>(P),
                     0);
@@ -123,21 +161,13 @@ void Fabric::build() {
                        std::vector<Link*>(static_cast<std::size_t>(P),
                                           nullptr)));
   for (int l = 0; l < L; ++l) {
-    for (int s = 0; s < S; ++s) {
+    const int first_spine = cfg_.pod_of_leaf(l) * Sp;
+    for (int s = first_spine; s < first_spine + Sp; ++s) {
       for (int p = 0; p < P; ++p) {
         const LinkOverride* o = find_override(cfg_, l, s, p);
         if (o != nullptr && o->rate_factor == 0.0) continue;  // failed
 
-        LinkConfig fab;
-        fab.rate_bps = cfg_.fabric_link_bps *
-                       (o != nullptr ? o->rate_factor : 1.0);
-        fab.propagation_delay = cfg_.fabric_link_delay;
-        fab.queue_capacity_bytes = cfg_.fabric_queue_bytes;
-        fab.ecn_threshold_bytes = cfg_.ecn_threshold_bytes;
-        fab.marks_ce = true;
-        fab.ce_sum = cfg_.ce_sum;
-        fab.dre = cfg_.dre;
-
+        LinkConfig fab = fabric_link(o != nullptr ? o->rate_factor : 1.0);
         char up_name[48];
         std::snprintf(up_name, sizeof up_name, "up:l%ds%dp%d", l, s, p);
         char down_name[48];
@@ -167,7 +197,66 @@ void Fabric::build() {
     }
   }
 
+  // Core links: every spine to every core, one link each way. The cores'
+  // per-leaf tables are filled by route_cores().
+  spine_to_core_.assign(
+      static_cast<std::size_t>(S) * static_cast<std::size_t>(C), nullptr);
+  core_to_spine_.assign(spine_to_core_.size(), nullptr);
+  for (int s = 0; s < S; ++s) {
+    for (int c = 0; c < C; ++c) {
+      const CoreLinkOverride* o = find_core_override(cfg_, s, c);
+      if (o != nullptr && o->rate_factor == 0.0) continue;  // failed
+
+      const LinkConfig core_cfg =
+          fabric_link(o != nullptr ? o->rate_factor : 1.0);
+      char up_name[48];
+      std::snprintf(up_name, sizeof up_name, "core-up:s%dc%d", s, c);
+      char down_name[48];
+      std::snprintf(down_name, sizeof down_name, "core-down:s%dc%d", s, c);
+      LinkConfig up_cfg = core_cfg;
+      up_cfg.shared_pool = spine_pool(s);  // spine egress toward the core
+      auto up = std::make_unique<Link>(sched_, up_name, up_cfg);
+      up->connect_to(cores_[static_cast<std::size_t>(c)].get(), s);
+      spines_[static_cast<std::size_t>(s)]->add_core_uplink(up.get());
+      spine_to_core_[static_cast<std::size_t>(s * C + c)] = up.get();
+      fabric_links_.push_back(up.get());
+
+      auto down = std::make_unique<Link>(sched_, down_name, core_cfg);
+      down->connect_to(spines_[static_cast<std::size_t>(s)].get(), 2000 + c);
+      core_to_spine_[static_cast<std::size_t>(c * S + s)] = down.get();
+      fabric_links_.push_back(down.get());
+
+      links_.push_back(std::move(up));
+      links_.push_back(std::move(down));
+    }
+  }
+
   recompute_reachability();
+}
+
+void Fabric::route_cores() {
+  const int L = cfg_.num_leaves;
+  const int S = cfg_.num_spines;
+  const int Sp = cfg_.spines_per_pod();
+  const int P = cfg_.links_per_spine;
+  for (int d = 0; d < L; ++d) {
+    const int first_spine = cfg_.pod_of_leaf(d) * Sp;
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+      SpineSwitch& core = *cores_[c];
+      core.clear_downlinks(d);
+      for (int s = first_spine; s < first_spine + Sp; ++s) {
+        Link* down = core_to_spine_[c * static_cast<std::size_t>(S) +
+                                    static_cast<std::size_t>(s)];
+        if (down == nullptr) continue;
+        for (int p = 0; p < P; ++p) {
+          if (down_live_[live_index(s, d, p)] != 0) {
+            core.add_downlink(d, down);
+            break;
+          }
+        }
+      }
+    }
+  }
 }
 
 void Fabric::recompute_reachability() {
@@ -175,9 +264,24 @@ void Fabric::recompute_reachability() {
   // destination leaf d iff s currently has at least one live downlink to d.
   // down_live_ caches control-plane liveness per (spine, leaf, parallel),
   // maintained by the fail/restore detection handlers, so this is a flat
-  // flag read rather than a scan over the failed-link list.
+  // flag read rather than a scan over the failed-link list. On a pod
+  // fabric, a leaf in another pod is reachable through spine s iff some
+  // core that s links to has a route to it (the tables route_cores()
+  // rebuilds first).
   const int L = cfg_.num_leaves;
   const int P = cfg_.links_per_spine;
+  const std::size_t C = cores_.size();
+  if (C > 0) route_cores();
+  auto via_core = [&](int s, int d) {
+    if (cfg_.pod_of_leaf(d) == cfg_.pod_of_spine(s)) return false;
+    for (std::size_t c = 0; c < C; ++c) {
+      if (spine_to_core_[static_cast<std::size_t>(s) * C + c] != nullptr &&
+          cores_[c]->downlink_count(d) > 0) {
+        return true;
+      }
+    }
+    return false;
+  };
   for (int l = 0; l < L; ++l) {
     LeafSwitch& lf = *leaves_[static_cast<std::size_t>(l)];
     std::vector<std::vector<bool>> reaches(
@@ -186,12 +290,12 @@ void Fabric::recompute_reachability() {
     for (std::size_t u = 0; u < lf.uplinks().size(); ++u) {
       const int s = lf.uplinks()[u].spine;
       for (int d = 0; d < L; ++d) {
-        for (int p = 0; p < P; ++p) {
-          if (down_live_[live_index(s, d, p)] != 0) {
-            reaches[u][static_cast<std::size_t>(d)] = true;
-            break;
-          }
+        bool ok = false;
+        for (int p = 0; p < P && !ok; ++p) {
+          ok = down_live_[live_index(s, d, p)] != 0;
         }
+        reaches[u][static_cast<std::size_t>(d)] =
+            ok || (C > 0 && via_core(s, d));
       }
     }
     lf.set_uplink_reachability(std::move(reaches));
@@ -295,8 +399,9 @@ void Fabric::set_spine_drill(bool enabled) {
   for (auto& spine : spines_) {
     if (enabled) {
       // Class 6 in the keyed-stream namespace (1 leaves, 2 spines, 3 LBs,
-      // 4 flap, 5 gray). stream_seed() is a pure derivation, so flipping the
-      // mode never advances rng_ and cannot perturb other streams.
+      // 4 cores; the fault injector keys 4 flap and 5 gray off its own
+      // seed). stream_seed() is a pure derivation, so flipping the mode
+      // never advances rng_ and cannot perturb other streams.
       spine->enable_drill(rng_.stream_seed(
           (6ULL << 56) | static_cast<std::uint64_t>(spine->id())));
     } else {
@@ -322,6 +427,14 @@ void Fabric::attach_telemetry(telemetry::TraceSink* sink) {
     if (o.rate_factor <= 0.0 || o.rate_factor >= 1.0) continue;
     Link* up = up_link(o.leaf, o.spine, o.parallel);
     if (up == nullptr) continue;
+    telemetry::emit(sink, telemetry::EventType::kLinkDegraded,
+                    sink->intern_component(up->name()), sched_.now(),
+                    static_cast<std::uint64_t>(o.rate_factor * 1000.0));
+  }
+  for (const CoreLinkOverride& o : cfg_.core_overrides) {
+    if (o.rate_factor <= 0.0 || o.rate_factor >= 1.0) continue;
+    const Link* up = spine_to_core(o.spine, o.core);
+    if (up == nullptr) continue;  // an earlier override failed the pair
     telemetry::emit(sink, telemetry::EventType::kLinkDegraded,
                     sink->intern_component(up->name()), sched_.now(),
                     static_cast<std::uint64_t>(o.rate_factor * 1000.0));
@@ -385,6 +498,7 @@ void Fabric::register_probes() {
     std::uint64_t n = 0;
     for (const auto& l : leaves_) n += l->dropped_no_route();
     for (const auto& s : spines_) n += s->dropped_no_route();
+    for (const auto& c : cores_) n += c->dropped_no_route();
     return n;
   });
   sim::Scheduler* sched = &sched_;

@@ -85,22 +85,4 @@ std::size_t SpineSwitch::drill_pick(std::size_t leaf,
   return static_cast<std::size_t>(winner);
 }
 
-void CoreSwitch::receive(PacketPtr pkt, int /*in_port*/) {
-  assert(pkt->overlay.valid && "core received a non-encapsulated packet");
-  const auto leaf = static_cast<std::size_t>(pkt->overlay.dst_leaf);
-  assert(leaf < leaf_to_pod_.size());
-  const auto pod = static_cast<std::size_t>(leaf_to_pod_[leaf]);
-  const auto& links = ports_to_pod_[pod];
-  if (links.empty()) {
-    ++dropped_no_route_;
-    return;
-  }
-  std::size_t i = 0;
-  if (links.size() > 1) {
-    i = static_cast<std::size_t>(mix64(pkt->wire_key().hash() ^ hash_seed_) %
-                                 links.size());
-  }
-  links[i]->send(std::move(pkt));
-}
-
 }  // namespace conga::net

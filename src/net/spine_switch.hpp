@@ -8,8 +8,10 @@
 //
 // In a 3-tier pod fabric (§7 "Larger topologies") the spine additionally
 // holds core uplinks: destinations outside its pod are forwarded to the core
-// tier by ECMP. CONGA still operates leaf-to-leaf end to end — the CE field
-// keeps accumulating across the extra hops.
+// tier by ECMP. A core switch is a SpineSwitch too: its per-leaf table holds
+// its links into the destination leaf's pod spines, so it ECMPs over those.
+// CONGA still operates leaf-to-leaf end to end — the CE field keeps
+// accumulating across the extra hops.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +27,11 @@ namespace conga::net {
 
 class SpineSwitch : public Node {
  public:
-  SpineSwitch(int id, int num_leaves, std::uint64_t hash_seed)
-      : id_(id), ports_to_leaf_(static_cast<std::size_t>(num_leaves)),
+  /// `core` only renames the switch ("core<id>"); forwarding is the same.
+  SpineSwitch(int id, int num_leaves, std::uint64_t hash_seed,
+              bool core = false)
+      : id_(id), core_(core),
+        ports_to_leaf_(static_cast<std::size_t>(num_leaves)),
         hash_seed_(hash_seed) {}
 
   /// Registers a spine -> leaf link (possibly one of several in parallel).
@@ -36,6 +41,11 @@ class SpineSwitch : public Node {
 
   /// Removes a failed downlink from the forwarding table.
   void remove_downlink(LeafId leaf, Link* link);
+  /// Empties the forwarding table for `leaf` (a core's routes are rebuilt
+  /// whenever a destination pod's leaf-spine links change).
+  void clear_downlinks(LeafId leaf) {
+    ports_to_leaf_[static_cast<std::size_t>(leaf)].clear();
+  }
 
   /// Downlinks currently in the forwarding table for `leaf` (re-entrancy
   /// tests assert fail/restore sequences never double-remove or
@@ -69,7 +79,9 @@ class SpineSwitch : public Node {
   bool drill_enabled() const { return drill_rng_ != nullptr; }
 
   void receive(PacketPtr pkt, int in_port) override;
-  std::string name() const override { return "spine" + std::to_string(id_); }
+  std::string name() const override {
+    return (core_ ? "core" : "spine") + std::to_string(id_);
+  }
 
   int id() const { return id_; }
   std::uint64_t dropped_no_route() const { return dropped_no_route_; }
@@ -81,6 +93,7 @@ class SpineSwitch : public Node {
   std::size_t drill_pick(std::size_t leaf, const std::vector<Link*>& links);
 
   int id_;
+  bool core_;
   std::vector<std::vector<Link*>> ports_to_leaf_;
   std::uint64_t hash_seed_;
   std::uint64_t dropped_no_route_ = 0;
@@ -89,36 +102,6 @@ class SpineSwitch : public Node {
   std::vector<Link*> core_uplinks_;
   std::unique_ptr<sim::Rng> drill_rng_;  ///< null == ECMP forwarding
   std::vector<int> drill_best_;          ///< per-leaf last winner (DRILL)
-};
-
-/// Core-tier switch of a 3-tier pod fabric: routes on the destination leaf's
-/// pod, ECMP over its links into that pod's spines. Stateless, like the
-/// spine; its links' DREs keep marking CE.
-class CoreSwitch : public Node {
- public:
-  /// `leaf_to_pod` maps global leaf ids to pods.
-  CoreSwitch(int id, std::vector<int> leaf_to_pod, int num_pods,
-             std::uint64_t hash_seed)
-      : id_(id),
-        leaf_to_pod_(std::move(leaf_to_pod)),
-        ports_to_pod_(static_cast<std::size_t>(num_pods)),
-        hash_seed_(hash_seed) {}
-
-  void add_pod_link(int pod, Link* link) {
-    ports_to_pod_[static_cast<std::size_t>(pod)].push_back(link);
-  }
-
-  void receive(PacketPtr pkt, int in_port) override;
-  std::string name() const override { return "core" + std::to_string(id_); }
-
-  std::uint64_t dropped_no_route() const { return dropped_no_route_; }
-
- private:
-  int id_;
-  std::vector<int> leaf_to_pod_;
-  std::vector<std::vector<Link*>> ports_to_pod_;
-  std::uint64_t hash_seed_;
-  std::uint64_t dropped_no_route_ = 0;
 };
 
 }  // namespace conga::net

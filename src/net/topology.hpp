@@ -1,4 +1,4 @@
-// Topology description for 2-tier Leaf-Spine (Clos) fabrics.
+// Topology description for Leaf-Spine (Clos) fabrics, 2-tier or pods.
 //
 // Covers every configuration the paper evaluates: the 64-server testbed
 // (2 leaves x 32 hosts, 2 spines, 2x40G uplinks each — Fig 7a), its link-
@@ -28,9 +28,15 @@ struct LinkOverride {
   double rate_factor = 0.0;  ///< 0 = failed; 0.5 = half capacity; etc.
 };
 
+struct CoreLinkOverride {
+  int spine = 0;  ///< global spine index
+  int core = 0;
+  double rate_factor = 0.0;  ///< 0 = failed; scales fabric_link_bps
+};
+
 struct TopologyConfig {
-  int num_leaves = 2;
-  int num_spines = 2;
+  int num_leaves = 2;  ///< fabric-wide; split evenly across pods
+  int num_spines = 2;  ///< fabric-wide; split evenly across pods
   int hosts_per_leaf = 32;
   int links_per_spine = 1;  ///< parallel links between each leaf-spine pair
 
@@ -69,16 +75,28 @@ struct TopologyConfig {
 
   std::vector<LinkOverride> overrides;
 
+  /// Pods: leaf l and spine s belong to pod l / leaves_per_pod() and
+  /// s / spines_per_pod(); a leaf wires only to its own pod's spines. Core
+  /// links run at fabric_link_bps (times their override's rate factor).
+  int num_pods = 1;
+  int num_cores = 0;  ///< >= 1 iff num_pods > 1
+  std::vector<CoreLinkOverride> core_overrides;
+
   int num_hosts() const { return num_leaves * hosts_per_leaf; }
-  int uplinks_per_leaf() const { return num_spines * links_per_spine; }
+  int leaves_per_pod() const { return num_leaves / num_pods; }
+  int spines_per_pod() const { return num_spines / num_pods; }
+  int pod_of_leaf(int leaf) const { return leaf / leaves_per_pod(); }
+  int pod_of_spine(int spine) const { return spine / spines_per_pod(); }
+  int uplinks_per_leaf() const { return spines_per_pod() * links_per_spine; }
 
   /// Total leaf->fabric capacity of one leaf with no overrides, in bits/s.
   double leaf_uplink_capacity_bps() const {
     return fabric_link_bps * uplinks_per_leaf();
   }
 
-  /// Validates invariants (counts positive, overrides in range, LBTag fits in
-  /// 4 bits); returns a description of the first problem, or empty if OK.
+  /// Validates invariants (counts positive, pods divide the totals,
+  /// overrides in range and within a pod, LBTag fits in 4 bits); returns a
+  /// description of the first problem, or empty if OK.
   std::string validate() const;
 };
 

@@ -147,6 +147,45 @@ TEST(CampaignJson, UnknownFieldsAreErrors) {
   EXPECT_NE(err.find("unknown campaign field"), std::string::npos) << err;
 }
 
+net::TopologyConfig two_pods() {
+  net::TopologyConfig t;
+  t.num_pods = 2;
+  t.num_leaves = 4;
+  t.num_spines = 4;
+  t.hosts_per_leaf = 4;
+  t.num_cores = 2;
+  t.core_overrides.push_back(net::CoreLinkOverride{1, 0, 0.1});
+  return t;
+}
+
+TEST(CampaignJson, PodSpecRoundTrips) {
+  ExperimentSpec s;
+  s.topo = two_pods();
+  const std::string bytes = canonical_json(s);
+  EXPECT_NE(bytes.find("\"num_pods\":2"), std::string::npos) << bytes;
+  ExperimentSpec parsed;
+  std::string err;
+  ASSERT_TRUE(parse_spec(bytes, parsed, err)) << err;
+  EXPECT_EQ(parsed.topo.num_pods, 2);
+  EXPECT_EQ(parsed.topo.num_cores, 2);
+  ASSERT_EQ(parsed.topo.core_overrides.size(), 1U);
+  EXPECT_EQ(parsed.topo.core_overrides[0].spine, 1);
+  EXPECT_EQ(parsed.topo.core_overrides[0].rate_factor, 0.1);
+  EXPECT_EQ(canonical_json(parsed), bytes);
+
+  // 2-tier specs emit no pod fields, so their canonical bytes stay put.
+  ExperimentSpec flat;
+  flat.topo = net::testbed_baseline();
+  EXPECT_EQ(canonical_json(flat).find("num_pods"), std::string::npos);
+  EXPECT_EQ(canonical_json(flat).find("core_overrides"), std::string::npos);
+
+  EXPECT_FALSE(parse_spec(
+      "{\"topo\":{\"core_overrides\":[{\"spine\":0,\"cor\":1}]}}",
+      parsed, err));
+  EXPECT_NE(err.find("unknown core override field"), std::string::npos)
+      << err;
+}
+
 TEST(CampaignJson, CampaignRequestRoundTrip) {
   CampaignSpec c = make_smoke_campaign();
   c.seeds.push_back({3, 11});
@@ -199,6 +238,12 @@ TEST(CampaignKey, StableAndSensitive) {
   mutated = s;
   mutated.topo.hosts_per_leaf += 1;
   EXPECT_NE(cell_key(mutated, "fp"), key);
+  // Pod fabrics that differ only in the core tier are different cells.
+  ExperimentSpec pods = s;
+  pods.topo = two_pods();
+  mutated = pods;
+  mutated.topo.num_cores = 1;
+  EXPECT_NE(cell_key(mutated, "fp"), cell_key(pods, "fp"));
   // The same config under different code is a different cell.
   EXPECT_NE(cell_key(s, "fp2"), key);
 }

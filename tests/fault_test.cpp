@@ -395,6 +395,44 @@ TEST(FaultPlan, RandomPlanRespectsBoundsAndClearsByHorizon) {
   }
 }
 
+TEST(FaultPlan, PodPlansNameOnlyExistingLinks) {
+  // On a pod fabric a leaf links only to its own pod's spines: every link a
+  // seeded plan targets must exist.
+  net::TopologyConfig topo = topo2x2(2);
+  topo.num_pods = 2;
+  topo.num_leaves = 4;
+  topo.num_spines = 4;
+  topo.links_per_spine = 2;
+  topo.num_cores = 2;
+  sim::Scheduler sched;
+  net::Fabric fabric(sched, topo, 1);
+  fault::RandomPlanConfig cfg;
+  cfg.min_faults = 4;
+  cfg.max_faults = 8;
+  int links_named = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    for (const fault::FaultPlan& plan :
+         {fault::make_random_plan(topo, seed, cfg),
+          fault::make_gray_plan(topo, seed, cfg.horizon)}) {
+      for (const fault::FaultSpec& spec : plan.faults) {
+        std::visit(
+            [&](const auto& s) {
+              using T = std::decay_t<decltype(s)>;
+              if constexpr (!std::is_same_v<T, fault::SwitchRebootSpec>) {
+                ++links_named;
+                EXPECT_NE(fabric.up_link(s.leaf, s.spine, s.parallel), nullptr)
+                    << "seed " << seed << ": l" << s.leaf << "s" << s.spine;
+                EXPECT_NE(fabric.down_link(s.spine, s.leaf, s.parallel),
+                          nullptr);
+              }
+            },
+            spec);
+      }
+    }
+  }
+  EXPECT_GT(links_named, 40);
+}
+
 workload::ExperimentConfig digest_scenario() {
   workload::ExperimentConfig s;
   s.topo = topo2x2(4);

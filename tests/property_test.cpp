@@ -10,7 +10,6 @@
 #include "core/flowlet_table.hpp"
 #include "lb/factories.hpp"
 #include "net/fabric.hpp"
-#include "net/pod_fabric.hpp"
 #include "tcp/flow.hpp"
 #include "workload/flow_size_dist.hpp"
 
@@ -218,14 +217,14 @@ class PodSweep
 
 TEST_P(PodSweep, TcpDeliversAcrossEveryShape) {
   const auto [pods, leaves, spines, cores] = GetParam();
-  net::PodTopologyConfig cfg;
+  net::TopologyConfig cfg;
   cfg.num_pods = pods;
-  cfg.leaves_per_pod = leaves;
-  cfg.spines_per_pod = spines;
+  cfg.num_leaves = pods * leaves;
+  cfg.num_spines = pods * spines;
   cfg.num_cores = cores;
   cfg.hosts_per_leaf = 2;
   sim::Scheduler sched;
-  net::PodFabric fabric(sched, cfg, 5);
+  net::Fabric fabric(sched, cfg, 5);
   fabric.install_lb(core::conga());
   tcp::TcpConfig t;
   t.min_rto = sim::milliseconds(10);
