@@ -15,12 +15,13 @@
 // re-simulates only that policy's cells. Without --store it computes
 // everything, exactly as before.
 //
-// The --out report is byte-identical across reruns, --jobs values, and
-// cold/warm caches: cells are independent simulations committed in
-// canonical grid order, and the file carries no timestamps, host state, or
-// cache statistics.
+// --out writes the campaign's conga-campaign-v1 report, which
+// `conga_serve verdict` compares cell by cell against a baseline report. It
+// is byte-identical across reruns, --jobs values, and cold/warm caches:
+// cells are independent simulations committed in canonical grid order, and
+// the file carries no timestamps, host state, or cache statistics.
 //
-// Flags: --full (paper scale), --jobs N, --out FILE (JSON report),
+// Flags: --full (paper scale), --jobs N, --out FILE (campaign report),
 //        --load N (restrict to one load point — the CI smoke lane),
 //        --store DIR (incremental reruns via the campaign cache).
 #include <cinttypes>
@@ -31,8 +32,6 @@
 
 #include "bench_util.hpp"
 #include "campaign/campaign.hpp"
-#include "lb_ext/policies.hpp"
-#include "tools/bench_json.hpp"
 #include "workload/experiment.hpp"
 
 using namespace conga;
@@ -43,12 +42,6 @@ constexpr const char* kPolicies[] = {"ecmp",   "spray", "local",
                                      "letflow", "drill", "presto",
                                      "hula",   "conga-flow", "conga"};
 constexpr std::size_t kNumPolicies = sizeof(kPolicies) / sizeof(kPolicies[0]);
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
 
 }  // namespace
 
@@ -167,53 +160,7 @@ int main(int argc, char** argv) {
                    out_path.c_str());
       return 2;
     }
-    tools::JsonWriter w(f);
-    w.begin_object();
-    w.kv("schema", "conga-ext-lb-comparison-v1");
-    w.kv("mode", full ? "full" : "scaled");
-    w.key("loads_pct");
-    w.begin_array();
-    for (int load : loads) w.value(load);
-    w.end_array();
-    w.key("policies");
-    w.begin_array();
-    for (std::size_t p = 0; p < kNumPolicies; ++p) w.value(kPolicies[p]);
-    w.end_array();
-    w.key("cases");
-    w.begin_array();
-    for (std::size_t c = 0; c < spec.cases.size(); ++c) {
-      w.begin_object();
-      w.kv("name", spec.cases[c].name.c_str());
-      w.key("cells");
-      w.begin_array();
-      for (std::size_t p = 0; p < kNumPolicies; ++p) {
-        for (std::size_t l = 0; l < n_loads; ++l) {
-          const workload::ExperimentResult& r = cell(c, p, l);
-          w.begin_object();
-          w.kv("policy", kPolicies[p]);
-          w.kv("load_pct", loads[l]);
-          w.kv("avg_norm_fct", r.avg_norm_fct);
-          w.kv("median_norm_fct", r.median_norm_fct);
-          w.kv("p99_norm_fct", r.p99_norm_fct);
-          w.kv("avg_fct_small", r.avg_fct_small);
-          w.kv("avg_fct_large", r.avg_fct_large);
-          w.kv("flows", static_cast<std::uint64_t>(r.flows));
-          w.kv("completed_fraction", r.completed_fraction);
-          w.kv("fct_digest", hex64(r.fct_digest));
-          w.kv("reorder_segments", r.reorder_segments);
-          w.kv("reorder_max_distance", r.reorder_max_distance);
-          w.kv("reordered_flows", r.reordered_flows);
-          w.kv("probes_sent", r.probes_sent);
-          w.kv("probes_received", r.probes_received);
-          w.end_object();
-        }
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish();
+    std::fputs(campaign::report_json(run).c_str(), f);
     std::fclose(f);
     std::fprintf(stderr, "ext_lb_comparison: wrote %s\n", out_path.c_str());
   }

@@ -1,131 +1,82 @@
-// Shared driver for the FCT figures (9, 10, 11a/b, 15): runs the
-// scheme x load grid and prints the paper's three panels —
+// Shared driver for the FCT figures (9, 10, 11a/b; fig15 reuses only the
+// runner): runs the scheme x load grid as campaigns (src/campaign/) and
+// prints the paper's three panels —
 //   (a) overall average FCT normalised to the idle-network optimal,
 //   (b) small flows (<100 KB) normalised to ECMP,
 //   (c) large flows (>10 MB) normalised to ECMP.
 #pragma once
 
 #include <cstdio>
-#include <mutex>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "lb/factories.hpp"
-#include "runtime/parallel_runner.hpp"
-#include "tcp/mptcp_connection.hpp"
-#include "workload/experiment.hpp"
+#include "campaign/campaign.hpp"
 
 namespace conga::bench {
 
-struct GridScheme {
-  std::string name;
-  net::Fabric::LbFactory lb;
-  tcp::FlowFactory transport;
-};
-
-struct GridConfig {
-  net::TopologyConfig topo;
-  workload::FlowSizeDist dist = workload::fixed_size(1e5);
-  std::vector<int> loads_pct;
-  sim::TimeNs warmup = sim::milliseconds(10);
-  sim::TimeNs measure = sim::milliseconds(40);
-  sim::TimeNs max_drain = sim::seconds(1.0);
-  tcp::TcpConfig tcp;
-  int mptcp_subflows = 8;
-  bool include_mptcp = true;
-};
-
-inline std::vector<GridScheme> standard_schemes(const GridConfig& g) {
-  std::vector<GridScheme> out;
-  out.push_back({"ECMP", lb::ecmp(), tcp::make_tcp_flow_factory(g.tcp)});
-  out.push_back({"CONGA-Flow", core::conga_flow(),
-                 tcp::make_tcp_flow_factory(g.tcp)});
-  out.push_back({"CONGA", core::conga(), tcp::make_tcp_flow_factory(g.tcp)});
-  if (g.include_mptcp) {
-    tcp::MptcpConfig m;
-    m.tcp = g.tcp;
-    m.num_subflows = g.mptcp_subflows;
-    out.push_back({"MPTCP", lb::ecmp(), tcp::make_mptcp_flow_factory(m)});
+/// Runs `spec` in process without a store, with per-cell progress on
+/// stderr. Cells are committed in canonical order (case -> policy -> load),
+/// so results are identical for any jobs value. Exits 2 on a request that
+/// does not resolve.
+inline campaign::CampaignRun run_campaign_or_exit(
+    const campaign::CampaignSpec& spec, int jobs) {
+  campaign::RunOptions opts;
+  opts.jobs = jobs;
+  opts.verbose = true;
+  campaign::CampaignRun run;
+  std::string err;
+  if (!campaign::run_campaign(spec, opts, run, err)) {
+    std::fprintf(stderr, "%s: %s\n", spec.name.c_str(), err.c_str());
+    std::exit(2);
   }
-  return out;
+  return run;
 }
 
-inline void run_and_print_grid(const GridConfig& g, int jobs = 1) {
-  const auto schemes = standard_schemes(g);
+using ResultRow = std::vector<workload::ExperimentResult>;
 
-  struct Cell {
-    workload::ExperimentResult r;
-  };
-  // Every (scheme, load) cell is an independent simulation: flatten the grid
-  // and let the parallel runner execute cells concurrently. Cell results are
-  // committed by index, so the printed tables are identical for any jobs
-  // value; only the stderr progress lines interleave in completion order.
-  const std::size_t n_loads = g.loads_pct.size();
-  std::mutex progress_mu;
-  const std::vector<workload::ExperimentResult> cells =
-      runtime::parallel_map<workload::ExperimentResult>(
-          schemes.size() * n_loads, jobs, [&](std::size_t i) {
-            const std::size_t s = i / n_loads;
-            const int load = g.loads_pct[i % n_loads];
-            workload::ExperimentConfig cfg;
-            cfg.topo = g.topo;
-            cfg.dist = g.dist;
-            cfg.load = load / 100.0;
-            cfg.transport = schemes[s].transport;
-            cfg.lb = schemes[s].lb;
-            cfg.warmup = g.warmup;
-            cfg.measure = g.measure;
-            cfg.max_drain = g.max_drain;
-            workload::ExperimentResult r = workload::run_fct_experiment(cfg);
-            {
-              const std::lock_guard<std::mutex> lock(progress_mu);
-              std::fprintf(stderr,
-                           "  [%s @ %d%%: %zu flows, %.0f%% completed]\n",
-                           schemes[s].name.c_str(), load, r.flows,
-                           r.completed_fraction * 100);
-            }
-            return r;
-          });
-
-  // Average normalized FCT is tail-sensitive (a one-packet flow that loses
-  // its packet costs ~1000x optimal); the median panel below gives the
-  // tail-robust view.
-  std::vector<std::vector<Cell>> grid(schemes.size());
-  for (std::size_t s = 0; s < schemes.size(); ++s) {
-    for (std::size_t i = 0; i < n_loads; ++i) {
-      grid[s].push_back({cells[s * n_loads + i]});
-    }
-  }
-
+/// Prints the FCT panels. rows[s][i] is row `labels[s]` at loads_pct[i];
+/// row 0 (ECMP) is the baseline of the relative panels.
+inline void print_fct_panels(const std::vector<int>& loads_pct,
+                             const std::vector<std::string>& labels,
+                             const std::vector<ResultRow>& rows) {
   auto header = [&] {
     std::printf("%-12s", "load(%)");
-    for (int load : g.loads_pct) std::printf("%10d", load);
+    for (int load : loads_pct) std::printf("%10d", load);
     std::printf("\n");
   };
-
-  std::printf("\n(a) overall average FCT, normalised to optimal\n");
-  header();
-  for (std::size_t s = 0; s < schemes.size(); ++s) {
-    std::printf("%-12s", schemes[s].name.c_str());
-    for (std::size_t i = 0; i < grid[s].size(); ++i) {
-      std::printf("%10.2f", grid[s][i].r.avg_norm_fct);
+  auto absolute_panel = [&](const char* title, auto getter) {
+    std::printf("\n%s\n", title);
+    header();
+    for (std::size_t s = 0; s < rows.size(); ++s) {
+      std::printf("%-12s", labels[s].c_str());
+      for (const workload::ExperimentResult& r : rows[s]) {
+        std::printf("%10.2f", getter(r));
+      }
+      std::printf("\n");
     }
-    std::printf("\n");
-  }
-
+  };
   auto relative_panel = [&](const char* title, auto getter) {
     std::printf("\n%s\n", title);
     header();
-    for (std::size_t s = 0; s < schemes.size(); ++s) {
-      std::printf("%-12s", schemes[s].name.c_str());
-      for (std::size_t i = 0; i < grid[s].size(); ++i) {
-        const double ecmp = getter(grid[0][i].r);
-        const double mine = getter(grid[s][i].r);
+    for (std::size_t s = 0; s < rows.size(); ++s) {
+      std::printf("%-12s", labels[s].c_str());
+      for (std::size_t i = 0; i < rows[s].size(); ++i) {
+        const double ecmp = getter(rows[0][i]);
+        const double mine = getter(rows[s][i]);
         std::printf("%10.2f", ecmp > 0 ? mine / ecmp : 0.0);
       }
       std::printf("\n");
     }
   };
+
+  // Average normalized FCT is tail-sensitive (a one-packet flow that loses
+  // its packet costs ~1000x optimal); the median panel below gives the
+  // tail-robust view.
+  absolute_panel("(a) overall average FCT, normalised to optimal",
+                 [](const workload::ExperimentResult& r) {
+                   return r.avg_norm_fct;
+                 });
   relative_panel("(b) small flows (<100KB) avg FCT, normalised to ECMP",
                  [](const workload::ExperimentResult& r) {
                    return r.avg_fct_small;
@@ -134,26 +85,33 @@ inline void run_and_print_grid(const GridConfig& g, int jobs = 1) {
                  [](const workload::ExperimentResult& r) {
                    return r.avg_fct_large;
                  });
+  absolute_panel("(a') median normalised FCT (tail-robust view)",
+                 [](const workload::ExperimentResult& r) {
+                   return r.median_norm_fct;
+                 });
+  absolute_panel("completed fraction of measured flows (censoring check)",
+                 [](const workload::ExperimentResult& r) {
+                   return r.completed_fraction;
+                 });
+}
 
-  std::printf("\n(a') median normalised FCT (tail-robust view)\n");
-  header();
-  for (std::size_t s = 0; s < schemes.size(); ++s) {
-    std::printf("%-12s", schemes[s].name.c_str());
-    for (std::size_t i = 0; i < grid[s].size(); ++i) {
-      std::printf("%10.2f", grid[s][i].r.median_norm_fct);
-    }
-    std::printf("\n");
-  }
+/// The paper's four rows over `spec`'s one case, dist, loads and windows:
+/// ECMP, CONGA-Flow and CONGA over TCP, then MPTCP (8 subflows) over ECMP.
+inline void run_and_print_grid(campaign::CampaignSpec spec, int jobs) {
+  spec.policies = {"ecmp", "conga-flow", "conga"};
+  const campaign::CampaignRun tcp = run_campaign_or_exit(spec, jobs);
+  spec.policies = {"ecmp"};
+  spec.mptcp_subflows = 8;
+  const campaign::CampaignRun mptcp = run_campaign_or_exit(spec, jobs);
 
-  std::printf("\ncompleted fraction of measured flows (censoring check)\n");
-  header();
-  for (std::size_t s = 0; s < schemes.size(); ++s) {
-    std::printf("%-12s", schemes[s].name.c_str());
-    for (std::size_t i = 0; i < grid[s].size(); ++i) {
-      std::printf("%10.2f", grid[s][i].r.completed_fraction);
-    }
-    std::printf("\n");
+  const auto n_loads = static_cast<std::ptrdiff_t>(spec.loads_pct.size());
+  std::vector<ResultRow> rows;
+  for (auto it = tcp.results.begin(); it != tcp.results.end(); it += n_loads) {
+    rows.emplace_back(it, it + n_loads);
   }
+  rows.push_back(mptcp.results);
+  print_fct_panels(spec.loads_pct, {"ECMP", "CONGA-Flow", "CONGA", "MPTCP"},
+                   rows);
 }
 
 }  // namespace conga::bench

@@ -17,20 +17,22 @@ int main(int argc, char** argv) {
   bench::print_header("Fig 9 — enterprise workload FCT (baseline topology)",
                       full, jobs);
 
-  bench::GridConfig g;
-  g.topo = net::testbed_baseline();
-  if (!full) g.topo.hosts_per_leaf = 16;  // scaled: 32 hosts total
-  g.dist = workload::enterprise();
-  g.loads_pct = full ? std::vector<int>{10, 20, 30, 40, 50, 60, 70, 80, 90}
-                     : std::vector<int>{10, 30, 50, 70, 90};
-  g.warmup = sim::milliseconds(10);
-  g.measure = full ? sim::milliseconds(200) : sim::milliseconds(50);
-  g.max_drain = full ? sim::seconds(3.0) : sim::seconds(1.5);
+  net::TopologyConfig topo = net::testbed_baseline();
+  if (!full) topo.hosts_per_leaf = 16;  // scaled: 32 hosts total
+  campaign::CampaignSpec spec;
+  spec.name = "fig09";
+  spec.cases = {{"baseline", topo}};
+  spec.dist = "enterprise";
+  spec.loads_pct = full ? std::vector<int>{10, 20, 30, 40, 50, 60, 70, 80, 90}
+                        : std::vector<int>{10, 30, 50, 70, 90};
+  spec.warmup_ns = sim::milliseconds(10);
+  spec.measure_ns = full ? sim::milliseconds(200) : sim::milliseconds(50);
+  spec.max_drain_ns = full ? sim::seconds(3.0) : sim::seconds(1.5);
   // The testbed ran Linux TCP (200 ms minRTO) for minutes; our scaled
   // windows need DC-granularity timers to avoid censoring entire runs on a
   // single timeout. EXPERIMENTS.md discusses the substitution.
-  g.tcp.min_rto = sim::milliseconds(10);
+  spec.min_rto_ns = sim::milliseconds(10);
 
-  run_and_print_grid(g, jobs);
+  bench::run_and_print_grid(spec, jobs);
   return 0;
 }

@@ -15,20 +15,22 @@ int main(int argc, char** argv) {
   bench::print_header("Fig 10 — data-mining workload FCT (baseline topology)",
                       full, jobs);
 
-  bench::GridConfig g;
-  g.topo = net::testbed_baseline();
-  if (!full) g.topo.hosts_per_leaf = 16;
-  g.dist = workload::data_mining();
-  g.loads_pct = full ? std::vector<int>{10, 20, 30, 40, 50, 60, 70, 80, 90}
-                     : std::vector<int>{10, 30, 50, 70, 90};
-  g.warmup = sim::milliseconds(10);
+  net::TopologyConfig topo = net::testbed_baseline();
+  if (!full) topo.hosts_per_leaf = 16;
+  campaign::CampaignSpec spec;
+  spec.name = "fig10";
+  spec.cases = {{"baseline", topo}};
+  spec.dist = "datamining";
+  spec.loads_pct = full ? std::vector<int>{10, 20, 30, 40, 50, 60, 70, 80, 90}
+                        : std::vector<int>{10, 30, 50, 70, 90};
+  spec.warmup_ns = sim::milliseconds(10);
   // The heavy tail needs a longer window for meaningful flow counts, and a
   // long drain so the multi-MB flows finish (1 GB outliers are censored; the
   // completion table reports how many).
-  g.measure = full ? sim::milliseconds(400) : sim::milliseconds(100);
-  g.max_drain = full ? sim::seconds(5.0) : sim::seconds(2.0);
-  g.tcp.min_rto = sim::milliseconds(10);
+  spec.measure_ns = full ? sim::milliseconds(400) : sim::milliseconds(100);
+  spec.max_drain_ns = full ? sim::seconds(5.0) : sim::seconds(2.0);
+  spec.min_rto_ns = sim::milliseconds(10);
 
-  run_and_print_grid(g, jobs);
+  bench::run_and_print_grid(spec, jobs);
   return 0;
 }

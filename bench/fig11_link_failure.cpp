@@ -12,6 +12,7 @@
 
 #include "bench_util.hpp"
 #include "fct_grid.hpp"
+#include "lb/factories.hpp"
 #include "telemetry/probes.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -81,18 +82,21 @@ int main(int argc, char** argv) {
   for (const bool mining : {false, true}) {
     std::printf("\n===== %s workload =====\n",
                 mining ? "data-mining" : "enterprise");
-    bench::GridConfig g;
-    g.topo = net::testbed_link_failure();
-    if (!full) g.topo.hosts_per_leaf = 16;
-    g.dist = mining ? workload::data_mining() : workload::enterprise();
-    g.loads_pct = full ? std::vector<int>{10, 20, 30, 40, 50, 60, 70}
-                       : std::vector<int>{10, 30, 50, 60, 70};
-    g.warmup = sim::milliseconds(10);
-    g.measure = full ? sim::milliseconds(200)
-                     : (mining ? sim::milliseconds(80) : sim::milliseconds(50));
-    g.max_drain = full ? sim::seconds(5.0) : sim::seconds(2.0);
-    g.tcp.min_rto = sim::milliseconds(10);
-    run_and_print_grid(g, jobs);
+    net::TopologyConfig topo = net::testbed_link_failure();
+    if (!full) topo.hosts_per_leaf = 16;
+    campaign::CampaignSpec spec;
+    spec.name = mining ? "fig11-datamining" : "fig11-enterprise";
+    spec.cases = {{"link-failure", topo}};
+    spec.dist = mining ? "datamining" : "enterprise";
+    spec.loads_pct = full ? std::vector<int>{10, 20, 30, 40, 50, 60, 70}
+                          : std::vector<int>{10, 30, 50, 60, 70};
+    spec.warmup_ns = sim::milliseconds(10);
+    spec.measure_ns = full ? sim::milliseconds(200)
+                           : (mining ? sim::milliseconds(80)
+                                     : sim::milliseconds(50));
+    spec.max_drain_ns = full ? sim::seconds(5.0) : sim::seconds(2.0);
+    spec.min_rto_ns = sim::milliseconds(10);
+    bench::run_and_print_grid(spec, jobs);
   }
 
   hotspot_queue_cdf(full);

@@ -8,21 +8,22 @@
 // 10G edge (5-10% at 30% load), because slow edges let each fabric link
 // absorb several collided flows.
 #include <cstdio>
-#include <mutex>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "lb/factories.hpp"
-#include "runtime/parallel_runner.hpp"
-#include "workload/experiment.hpp"
+#include "fct_grid.hpp"
 
 using namespace conga;
 
 namespace {
 
-void run_variant(const char* title, double host_bps, int hosts_per_leaf,
-                 int leaves, int spines, bool full, int jobs) {
-  std::printf("\n===== %s =====\n", title);
+struct Variant {
+  const char* title;
+  campaign::CampaignCase fabric;
+};
+
+Variant variant(const char* title, const char* name, double host_bps,
+                int hosts_per_leaf, int leaves, int spines) {
   net::TopologyConfig topo;
   topo.num_leaves = leaves;
   topo.num_spines = spines;
@@ -30,61 +31,7 @@ void run_variant(const char* title, double host_bps, int hosts_per_leaf,
   topo.links_per_spine = 1;
   topo.host_link_bps = host_bps;
   topo.fabric_link_bps = 40e9;
-
-  const std::vector<int> loads = full ? std::vector<int>{30, 40, 50, 60, 70, 80}
-                                      : std::vector<int>{30, 50, 70};
-  std::printf("%-12s", "load(%)");
-  for (int l : loads) std::printf("%10d", l);
-  std::printf("\n");
-
-  // Scheme-major flattened grid, run concurrently; results committed in
-  // deterministic cell order regardless of which worker finishes first.
-  std::mutex progress_mu;
-  const std::size_t n_loads = loads.size();
-  const std::vector<workload::ExperimentResult> cells =
-      runtime::parallel_map<workload::ExperimentResult>(
-          2 * n_loads, jobs, [&](std::size_t i) {
-            const bool use_conga = i >= n_loads;
-            const int load = loads[i % n_loads];
-            workload::ExperimentConfig cfg;
-            cfg.topo = topo;
-            cfg.dist = workload::web_search();
-            cfg.load = load / 100.0;
-            cfg.lb = use_conga ? core::conga() : lb::ecmp();
-            tcp::TcpConfig t;
-            t.min_rto = sim::milliseconds(10);
-            cfg.transport = tcp::make_tcp_flow_factory(t);
-            cfg.warmup = sim::milliseconds(10);
-            cfg.measure = full ? sim::milliseconds(150) : sim::milliseconds(60);
-            cfg.max_drain = sim::seconds(2.0);
-            workload::ExperimentResult r = workload::run_fct_experiment(cfg);
-            {
-              const std::lock_guard<std::mutex> lock(progress_mu);
-              std::fprintf(stderr, "  [%s @ %d%%: %zu flows]\n",
-                           use_conga ? "CONGA" : "ECMP", load, r.flows);
-            }
-            return r;
-          });
-
-  std::vector<double> ecmp_avg, conga_avg, ecmp_med, conga_med;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const bool use_conga = i >= n_loads;
-    (use_conga ? conga_avg : ecmp_avg).push_back(cells[i].avg_norm_fct);
-    (use_conga ? conga_med : ecmp_med).push_back(cells[i].median_norm_fct);
-  }
-  std::printf("%-12s", "ECMP");
-  for (std::size_t i = 0; i < loads.size(); ++i) std::printf("%10.2f", 1.0);
-  std::printf("\n%-12s", "CONGA(avg)");
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    std::printf("%10.2f", conga_avg[i] / ecmp_avg[i]);
-  }
-  std::printf("\n%-12s", "CONGA(med)");
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    std::printf("%10.2f", conga_med[i] / ecmp_med[i]);
-  }
-  std::printf("\n(FCT normalised to ECMP; < 1 means CONGA wins. avg is "
-              "RTO-tail-sensitive\nat scaled sample sizes; med is the robust "
-              "view.)\n");
+  return {title, {name, topo}};
 }
 
 }  // namespace
@@ -96,18 +43,57 @@ int main(int argc, char** argv) {
       "Fig 15 — large-scale web-search workload, 3:1 oversubscription", full,
       jobs);
 
-  if (full) {
-    // Paper scale: 8 leaves x 48 x 10G / 12 spines... capped at what the
-    // 4-bit LBTag allows with single links: 8 leaves, 12 spines.
-    run_variant("(a) 10G access links, 384 servers", 10e9, 48, 8, 4, full,
-                jobs);
-    run_variant("(b) 40G access links, 96 servers", 40e9, 12, 8, 4, full,
-                jobs);
-  } else {
-    run_variant("(a) 10G access links, 96 servers (scaled)", 10e9, 24, 4, 2,
-                full, jobs);
-    run_variant("(b) 40G access links, 24 servers (scaled)", 40e9, 6, 4, 2,
-                full, jobs);
+  // Paper scale: 8 leaves x 48 x 10G / 12 spines... capped at what the
+  // 4-bit LBTag allows with single links: 8 leaves, 12 spines.
+  const std::vector<Variant> variants =
+      full ? std::vector<Variant>{
+                 variant("(a) 10G access links, 384 servers", "10g-access",
+                         10e9, 48, 8, 4),
+                 variant("(b) 40G access links, 96 servers", "40g-access",
+                         40e9, 12, 8, 4)}
+           : std::vector<Variant>{
+                 variant("(a) 10G access links, 96 servers (scaled)",
+                         "10g-access", 10e9, 24, 4, 2),
+                 variant("(b) 40G access links, 24 servers (scaled)",
+                         "40g-access", 40e9, 6, 4, 2)};
+
+  campaign::CampaignSpec spec;
+  spec.name = "fig15";
+  spec.dist = "websearch";
+  spec.policies = {"ecmp", "conga"};
+  spec.loads_pct = full ? std::vector<int>{30, 40, 50, 60, 70, 80}
+                        : std::vector<int>{30, 50, 70};
+  for (const Variant& v : variants) spec.cases.push_back(v.fabric);
+  spec.min_rto_ns = sim::milliseconds(10);
+  spec.warmup_ns = sim::milliseconds(10);
+  spec.measure_ns = full ? sim::milliseconds(150) : sim::milliseconds(60);
+  spec.max_drain_ns = sim::seconds(2.0);
+  const campaign::CampaignRun run = bench::run_campaign_or_exit(spec, jobs);
+
+  // Cells run case -> policy -> load: per variant, the ECMP row then CONGA.
+  const std::vector<int>& loads = spec.loads_pct;
+  const std::size_t n_loads = loads.size();
+  for (std::size_t c = 0; c < variants.size(); ++c) {
+    const workload::ExperimentResult* ecmp = &run.results[2 * c * n_loads];
+    const workload::ExperimentResult* conga = ecmp + n_loads;
+    std::printf("\n===== %s =====\n", variants[c].title);
+    std::printf("%-12s", "load(%)");
+    for (int l : loads) std::printf("%10d", l);
+    std::printf("\n");
+    std::printf("%-12s", "ECMP");
+    for (std::size_t i = 0; i < n_loads; ++i) std::printf("%10.2f", 1.0);
+    std::printf("\n%-12s", "CONGA(avg)");
+    for (std::size_t i = 0; i < n_loads; ++i) {
+      std::printf("%10.2f", conga[i].avg_norm_fct / ecmp[i].avg_norm_fct);
+    }
+    std::printf("\n%-12s", "CONGA(med)");
+    for (std::size_t i = 0; i < n_loads; ++i) {
+      std::printf("%10.2f",
+                  conga[i].median_norm_fct / ecmp[i].median_norm_fct);
+    }
+    std::printf("\n(FCT normalised to ECMP; < 1 means CONGA wins. avg is "
+                "RTO-tail-sensitive\nat scaled sample sizes; med is the "
+                "robust view.)\n");
   }
   return 0;
 }

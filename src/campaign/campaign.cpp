@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "campaign/fingerprint.hpp"
+#include "campaign/run_phases.hpp"
 #include "runtime/parallel_runner.hpp"
 #include "sim/random.hpp"
 
@@ -114,6 +115,9 @@ Json json_of_campaign(const CampaignSpec& spec) {
   j.set("loads_pct", std::move(loads));
   j.set("min_rto_ns", Json::integer(spec.min_rto_ns));
   j.set("dctcp", Json::boolean(spec.dctcp));
+  if (spec.mptcp_subflows > 0) {
+    j.set("mptcp_subflows", Json::integer(spec.mptcp_subflows));
+  }
   j.set("warmup_ns", Json::integer(spec.warmup_ns));
   j.set("measure_ns", Json::integer(spec.measure_ns));
   j.set("max_drain_ns", Json::integer(spec.max_drain_ns));
@@ -178,7 +182,10 @@ bool campaign_from_json(const Json& doc, CampaignSpec& out, std::string& err) {
       }
     } else if (key == "min_rto_ns") read_i64(r, v, key, c.min_rto_ns);
     else if (key == "dctcp") read_bool(r, v, key, c.dctcp);
-    else if (key == "warmup_ns") read_i64(r, v, key, c.warmup_ns);
+    else if (key == "mptcp_subflows") {
+      std::int64_t n = 0;
+      if (read_i64(r, v, key, n)) c.mptcp_subflows = static_cast<int>(n);
+    } else if (key == "warmup_ns") read_i64(r, v, key, c.warmup_ns);
     else if (key == "measure_ns") read_i64(r, v, key, c.measure_ns);
     else if (key == "max_drain_ns") read_i64(r, v, key, c.max_drain_ns);
     else if (key == "seeds") {
@@ -279,6 +286,7 @@ std::vector<Cell> expand_campaign(const CampaignSpec& spec,
             cell.spec.topo = cs.topo;
             cell.spec.min_rto_ns = spec.min_rto_ns;
             cell.spec.dctcp = spec.dctcp;
+            cell.spec.mptcp_subflows = spec.mptcp_subflows;
             cell.spec.warmup_ns = spec.warmup_ns;
             cell.spec.measure_ns = spec.measure_ns;
             cell.spec.max_drain_ns = spec.max_drain_ns;
@@ -296,15 +304,15 @@ std::vector<Cell> expand_campaign(const CampaignSpec& spec,
   return cells;
 }
 
-bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
-                  CampaignRun& out, std::string& err) {
+namespace detail {
+
+bool start_run(const CampaignSpec& spec, CampaignRun& run, std::string& err) {
   if (spec.policies.empty() || spec.loads_pct.empty() || spec.seeds.empty() ||
       spec.faults.empty()) {
     err = "campaign axes must be non-empty "
           "(policies, loads_pct, seeds, faults)";
     return false;
   }
-  CampaignRun run;
   run.spec = spec;
   if (run.spec.cases.empty()) {
     run.spec.cases.push_back({"baseline", net::testbed_baseline()});
@@ -315,16 +323,19 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
   run.results.resize(n);
   run.origins.assign(n, CellOrigin::kComputed);
   run.stats.cells = n;
+  return true;
+}
 
-  // Phase 1 — lookups, sequential on the main thread (pure file reads).
+std::vector<std::size_t> look_up_cells(CampaignRun& run, ResultStore* store,
+                                       bool verbose) {
   std::vector<std::size_t> misses;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (opts.store == nullptr) {
+  for (std::size_t i = 0; i < run.cells.size(); ++i) {
+    if (store == nullptr) {
       misses.push_back(i);
       continue;
     }
     std::string load_err;
-    switch (opts.store->load(run.cells[i].key, run.results[i], load_err)) {
+    switch (store->load(run.cells[i].key, run.results[i], load_err)) {
       case ResultStore::LoadStatus::kHit:
         run.origins[i] = CellOrigin::kCached;
         ++run.stats.hits;
@@ -332,8 +343,9 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
       case ResultStore::LoadStatus::kCorrupt:
         run.origins[i] = CellOrigin::kRecomputed;
         ++run.stats.corrupt;
-        if (opts.verbose) {
-          std::fprintf(stderr, "campaign: corrupt entry %s (%s); recomputing\n",
+        if (verbose) {
+          std::fprintf(stderr,
+                       "campaign: corrupt entry %s (%s); recomputing\n",
                        run.cells[i].key.c_str(), load_err.c_str());
         }
         misses.push_back(i);
@@ -344,6 +356,63 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
     }
   }
   run.stats.misses = misses.size();
+  return misses;
+}
+
+// a: cell index in canonical order, b: FNV-1a of the cell key.
+void emit_cache_events(const CampaignRun& run,
+                       const std::vector<std::uint8_t>& stored,
+                       telemetry::TraceSink* sink) {
+  if (sink == nullptr) return;
+  const telemetry::ComponentId comp =
+      sink->intern_component("campaign/" + run.spec.name);
+  for (std::size_t i = 0; i < run.cells.size(); ++i) {
+    const std::uint64_t key_hash = fnv1a64(run.cells[i].key);
+    switch (run.origins[i]) {
+      case CellOrigin::kCached:
+        telemetry::emit(sink, telemetry::EventType::kCampaignCellHit, comp, 0,
+                        i, key_hash);
+        break;
+      case CellOrigin::kComputed:
+        telemetry::emit(sink, telemetry::EventType::kCampaignCellMiss, comp,
+                        0, i, key_hash);
+        break;
+      case CellOrigin::kRecomputed:
+        telemetry::emit(sink, telemetry::EventType::kCampaignCellMiss, comp,
+                        0, i, key_hash | kRecomputedFlag);
+        break;
+      case CellOrigin::kFailed:
+        break;  // supervised runs report these as kSupervisorQuarantine
+    }
+    if (stored[i] != 0) {
+      telemetry::emit(sink, telemetry::EventType::kCampaignStoreWrite, comp,
+                      0, i, key_hash);
+    }
+  }
+}
+
+}  // namespace detail
+
+namespace {
+
+/// run_spec for one expanded cell, with the failure named by coordinate.
+workload::ExperimentResult simulate_cell(const Cell& cell) {
+  workload::ExperimentResult r;
+  std::string err;
+  if (!run_spec(cell.spec, r, err)) {
+    throw std::runtime_error("cell " + cell_coordinate(cell) + ": " + err);
+  }
+  return r;
+}
+
+}  // namespace
+
+bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
+                  CampaignRun& out, std::string& err) {
+  CampaignRun run;
+  if (!detail::start_run(spec, run, err)) return false;
+  const std::vector<std::size_t> misses =
+      detail::look_up_cells(run, opts.store, opts.verbose);
   const std::uint64_t writes_before =
       opts.store != nullptr ? opts.store->writes() : 0;
 
@@ -358,13 +427,7 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
     runtime::parallel_for(misses.size(), opts.jobs, [&](std::size_t mi) {
       const std::size_t i = misses[mi];
       const Cell& cell = run.cells[i];
-      workload::ExperimentConfig cfg;
-      std::string cell_err;
-      if (!to_experiment_config(cell.spec, cfg, cell_err)) {
-        throw std::runtime_error("cell " + cell_coordinate(cell) + ": " +
-                                 cell_err);
-      }
-      run.results[i] = workload::run_fct_experiment(cfg);
+      run.results[i] = simulate_cell(cell);
       if (opts.store != nullptr) {
         std::string put_err;
         if (!opts.store->put(cell.key, run.fingerprint,
@@ -395,35 +458,12 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
                     : store_degraded.load() ? StoreHealth::kDegraded
                                             : StoreHealth::kOk;
 
-  // Phase 3 — telemetry, main thread only (the sink is thread-confined).
-  // a: cell index in canonical order, b: FNV-1a of the cell key.
-  if (opts.sink != nullptr) {
-    const telemetry::ComponentId comp =
-        opts.sink->intern_component("campaign/" + run.spec.name);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t key_hash = fnv1a64(run.cells[i].key);
-      switch (run.origins[i]) {
-        case CellOrigin::kCached:
-          telemetry::emit(opts.sink, telemetry::EventType::kCampaignCellHit,
-                          comp, 0, i, key_hash);
-          break;
-        case CellOrigin::kComputed:
-          telemetry::emit(opts.sink, telemetry::EventType::kCampaignCellMiss,
-                          comp, 0, i, key_hash);
-          break;
-        case CellOrigin::kRecomputed:
-          telemetry::emit(opts.sink, telemetry::EventType::kCampaignCellMiss,
-                          comp, 0, i, key_hash | kRecomputedFlag);
-          break;
-        case CellOrigin::kFailed:
-          break;  // unreachable in-process; supervised runs emit their own
-      }
-      if (run.origins[i] != CellOrigin::kCached && opts.store != nullptr) {
-        telemetry::emit(opts.sink, telemetry::EventType::kCampaignStoreWrite,
-                        comp, 0, i, key_hash);
-      }
-    }
+  // Phase 3 — every computed cell was handed to the store.
+  std::vector<std::uint8_t> stored(run.cells.size(), 0);
+  if (opts.store != nullptr) {
+    for (const std::size_t i : misses) stored[i] = 1;
   }
+  detail::emit_cache_events(run, stored, opts.sink);
 
   out = std::move(run);
   return true;
@@ -672,15 +712,8 @@ bool verify_sample(const CampaignRun& run, double fraction, int jobs,
     mismatched = runtime::parallel_map<std::uint8_t>(
         hits.size(), jobs, [&](std::size_t si) -> std::uint8_t {
           const std::size_t i = hits[si];
-          const Cell& cell = run.cells[i];
-          workload::ExperimentConfig cfg;
-          std::string cell_err;
-          if (!to_experiment_config(cell.spec, cfg, cell_err)) {
-            throw std::runtime_error("cell " + cell_coordinate(cell) +
-                                     ": " + cell_err);
-          }
           const workload::ExperimentResult fresh =
-              workload::run_fct_experiment(cfg);
+              simulate_cell(run.cells[i]);
           return json_of_result(fresh).dump() !=
                          json_of_result(run.results[i]).dump()
                      ? 1

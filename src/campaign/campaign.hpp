@@ -53,6 +53,7 @@ struct CampaignSpec {
 
   sim::TimeNs min_rto_ns = sim::milliseconds(200);
   bool dctcp = false;
+  int mptcp_subflows = 0;  ///< 0 = plain TCP (see ExperimentSpec)
   sim::TimeNs warmup_ns = sim::milliseconds(10);
   sim::TimeNs measure_ns = sim::milliseconds(40);
   sim::TimeNs max_drain_ns = sim::seconds(1.0);
@@ -64,8 +65,8 @@ bool campaign_from_json(const Json& doc, CampaignSpec& out, std::string& err);
 bool parse_campaign(const std::string& text, CampaignSpec& out,
                     std::string& err);
 
-/// The 2-cell campaign used by CI smoke lanes and the perf baseline's
-/// campaign_cache phase: {ecmp, conga} x 40% load on a scaled testbed.
+/// The 2-cell campaign used by CI smoke lanes and the tests:
+/// {ecmp, conga} x 40% load on a scaled testbed.
 CampaignSpec make_smoke_campaign();
 
 /// One expanded cell: the spec plus its grid coordinates and cache key.

@@ -9,6 +9,7 @@
 #include "lb_ext/policies.hpp"
 #include "stats/digest.hpp"
 #include "tcp/flow.hpp"
+#include "tcp/mptcp_connection.hpp"
 #include "workload/flow_size_dist.hpp"
 
 namespace conga::campaign {
@@ -233,6 +234,9 @@ Json json_of_spec(const ExperimentSpec& spec) {
   j.set("load", Json::number(spec.load));
   j.set("min_rto_ns", Json::integer(spec.min_rto_ns));
   j.set("dctcp", Json::boolean(spec.dctcp));
+  if (spec.mptcp_subflows > 0) {
+    j.set("mptcp_subflows", Json::integer(spec.mptcp_subflows));
+  }
   j.set("warmup_ns", Json::integer(spec.warmup_ns));
   j.set("measure_ns", Json::integer(spec.measure_ns));
   j.set("max_drain_ns", Json::integer(spec.max_drain_ns));
@@ -268,6 +272,8 @@ bool spec_from_json(const Json& doc, ExperimentSpec& out, std::string& err) {
     else if (key == "load") read_double(r, v, key.c_str(), s.load);
     else if (key == "min_rto_ns") read_i64(r, v, key.c_str(), s.min_rto_ns);
     else if (key == "dctcp") read_bool(r, v, key.c_str(), s.dctcp);
+    else if (key == "mptcp_subflows")
+      read_int(r, v, key.c_str(), s.mptcp_subflows);
     else if (key == "warmup_ns") read_i64(r, v, key.c_str(), s.warmup_ns);
     else if (key == "measure_ns") read_i64(r, v, key.c_str(), s.measure_ns);
     else if (key == "max_drain_ns")
@@ -357,6 +363,10 @@ bool to_experiment_config(const ExperimentSpec& spec,
     err = "windows must be non-negative (measure > 0)";
     return false;
   }
+  if (spec.mptcp_subflows < 0) {
+    err = "mptcp_subflows must be >= 0 (0 = plain TCP)";
+    return false;
+  }
 
   const sim::TimeNs horizon = spec.warmup_ns + spec.measure_ns;
   fault::FaultPlan plan;
@@ -377,7 +387,10 @@ bool to_experiment_config(const ExperimentSpec& spec,
   tcp::TcpConfig tcp_cfg;
   tcp_cfg.min_rto = spec.min_rto_ns;
   tcp_cfg.dctcp = spec.dctcp;
-  cfg.transport = tcp::make_tcp_flow_factory(tcp_cfg);
+  cfg.transport =
+      spec.mptcp_subflows > 0
+          ? tcp::make_mptcp_flow_factory({tcp_cfg, spec.mptcp_subflows})
+          : tcp::make_tcp_flow_factory(tcp_cfg);
   cfg.lb = lb_ext::make_policy(spec.policy);
   cfg.warmup = spec.warmup_ns;
   cfg.measure = spec.measure_ns;
@@ -397,6 +410,14 @@ bool to_experiment_config(const ExperimentSpec& spec,
     };
   }
   out = std::move(cfg);
+  return true;
+}
+
+bool run_spec(const ExperimentSpec& spec, workload::ExperimentResult& out,
+              std::string& err) {
+  workload::ExperimentConfig cfg;
+  if (!to_experiment_config(spec, cfg, err)) return false;
+  out = workload::run_fct_experiment(cfg);
   return true;
 }
 

@@ -53,6 +53,9 @@ struct ExperimentSpec {
   // knob becomes a new field with the old value as default).
   sim::TimeNs min_rto_ns = sim::milliseconds(200);
   bool dctcp = false;
+  /// MPTCP subflows per flow (§5's MPTCP rows); 0 = plain TCP. Serialized
+  /// only when > 0, so plain-TCP specs keep their canonical bytes.
+  int mptcp_subflows = 0;
 
   sim::TimeNs warmup_ns = sim::milliseconds(10);
   sim::TimeNs measure_ns = sim::milliseconds(40);
@@ -95,6 +98,12 @@ std::string cell_key(const ExperimentSpec& spec,
 /// for unknown names or invalid parameters; `out` is untouched on failure.
 bool to_experiment_config(const ExperimentSpec& spec,
                           workload::ExperimentConfig& out, std::string& err);
+
+/// to_experiment_config + run_fct_experiment: the one path from a spec to a
+/// result (campaign cells, verify-sample recomputes, supervised children).
+/// Returns false and sets `err` when the spec does not resolve.
+bool run_spec(const ExperimentSpec& spec, workload::ExperimentResult& out,
+              std::string& err);
 
 /// Serializes a result into the store's canonical payload object (fixed
 /// member order; doubles in shortest-round-trip form).

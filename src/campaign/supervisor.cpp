@@ -26,6 +26,7 @@
 #include "campaign/experiment_spec.hpp"
 #include "campaign/fingerprint.hpp"
 #include "campaign/json.hpp"
+#include "campaign/run_phases.hpp"
 #include "campaign/store.hpp"
 
 namespace conga::campaign {
@@ -38,8 +39,6 @@ constexpr const char* kQuarantineSchema = "conga-quarantine-v1";
 
 /// Child exit code meaning "retrying cannot help" (bad request / spec).
 constexpr int kExitPermanent = 3;
-
-constexpr std::uint64_t kRecomputedFlag = 1ULL << 63;
 
 using Clock = std::chrono::steady_clock;
 
@@ -61,7 +60,6 @@ struct PendingCell {
   std::size_t idx = 0;
   int attempt = 1;  ///< attempt number the next launch will be
   Clock::time_point ready_at;  ///< epoch default: ready immediately
-  bool was_corrupt = false;    ///< store had a corrupt entry for this key
   std::vector<AttemptRecord> attempts;
 };
 
@@ -396,12 +394,11 @@ int cell_main(const std::string& request_text, std::string& response_out,
     diag = "cell: bad spec: " + err;
     return kExitPermanent;
   }
-  workload::ExperimentConfig cfg;
-  if (!to_experiment_config(spec, cfg, err)) {
+  workload::ExperimentResult result;
+  if (!run_spec(spec, result, err)) {
     diag = "cell: " + err;
     return kExitPermanent;
   }
-  const workload::ExperimentResult result = workload::run_fct_experiment(cfg);
 
   bool stored = false;
   std::string store_err;
@@ -427,12 +424,8 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
                              CampaignRun& out, SuperviseOutcome& outcome,
                              std::string& err) {
   outcome = SuperviseOutcome::kComplete;
-  if (spec.policies.empty() || spec.loads_pct.empty() || spec.seeds.empty() ||
-      spec.faults.empty()) {
-    err = "campaign axes must be non-empty "
-          "(policies, loads_pct, seeds, faults)";
-    return false;
-  }
+  CampaignRun run;
+  if (!detail::start_run(spec, run, err)) return false;
   if (sopts.exe.empty() || ::access(sopts.exe.c_str(), X_OK) != 0) {
     err = "supervisor: cell executable '" + sopts.exe +
           "' is not executable";
@@ -441,49 +434,15 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
   std::vector<CellFaultDirective> faults;
   if (!parse_cell_fault(sopts.fault_spec, faults, err)) return false;
 
-  CampaignRun run;
-  run.spec = spec;
-  if (run.spec.cases.empty()) {
-    run.spec.cases.push_back({"baseline", net::testbed_baseline()});
-  }
-  run.fingerprint = code_fingerprint();
-  run.cells = expand_campaign(run.spec, run.fingerprint);
-  const std::size_t n = run.cells.size();
-  run.results.resize(n);
-  run.origins.assign(n, CellOrigin::kComputed);
-  run.stats.cells = n;
-
   // Phase 1 — store lookups on the main thread.
+  const std::size_t n = run.cells.size();
   std::vector<PendingCell> pending;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (const std::size_t i :
+       detail::look_up_cells(run, ropts.store, ropts.verbose)) {
     PendingCell pc;
     pc.idx = i;
-    if (ropts.store == nullptr) {
-      pending.push_back(std::move(pc));
-      continue;
-    }
-    std::string load_err;
-    switch (ropts.store->load(run.cells[i].key, run.results[i], load_err)) {
-      case ResultStore::LoadStatus::kHit:
-        run.origins[i] = CellOrigin::kCached;
-        ++run.stats.hits;
-        break;
-      case ResultStore::LoadStatus::kCorrupt:
-        ++run.stats.corrupt;
-        if (ropts.verbose) {
-          std::fprintf(stderr,
-                       "supervisor: corrupt entry %s (%s); recomputing\n",
-                       run.cells[i].key.c_str(), load_err.c_str());
-        }
-        pc.was_corrupt = true;
-        pending.push_back(std::move(pc));
-        break;
-      case ResultStore::LoadStatus::kMiss:
-        pending.push_back(std::move(pc));
-        break;
-    }
+    pending.push_back(std::move(pc));
   }
-  run.stats.misses = pending.size();
 
   // Phase 2 — the supervision loop. Main thread only: it forks children,
   // drains their pipes, enforces deadlines, and emits telemetry.
@@ -527,9 +486,7 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
       bool stored = false;
       std::string perr;
       if (parse_response(slot.buf, cell.key, result, stored, perr)) {
-        run.results[idx] = result;
-        run.origins[idx] =
-            pc.was_corrupt ? CellOrigin::kRecomputed : CellOrigin::kComputed;
+        run.results[idx] = result;  // origin stays as phase 1 set it
         stored_flags[idx] = stored ? 1 : 0;
         if (!sopts.store_root.empty() && !stored) {
           degraded = true;
@@ -730,37 +687,9 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
   for (const std::uint8_t s : stored_flags) writes += s;
   run.stats.store_writes = writes;
 
-  // Phase 3 — campaign cache telemetry, same shape as run_campaign().
-  if (ropts.sink != nullptr && !drained) {
-    const telemetry::ComponentId ccomp =
-        ropts.sink->intern_component("campaign/" + run.spec.name);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t key_hash = fnv1a64(run.cells[i].key);
-      switch (run.origins[i]) {
-        case CellOrigin::kCached:
-          telemetry::emit(ropts.sink, telemetry::EventType::kCampaignCellHit,
-                          ccomp, 0, i, key_hash);
-          break;
-        case CellOrigin::kComputed:
-          telemetry::emit(ropts.sink,
-                          telemetry::EventType::kCampaignCellMiss, ccomp, 0,
-                          i, key_hash);
-          break;
-        case CellOrigin::kRecomputed:
-          telemetry::emit(ropts.sink,
-                          telemetry::EventType::kCampaignCellMiss, ccomp, 0,
-                          i, key_hash | kRecomputedFlag);
-          break;
-        case CellOrigin::kFailed:
-          break;  // kSupervisorQuarantine already told the story
-      }
-      if (stored_flags[i] != 0) {
-        telemetry::emit(ropts.sink,
-                        telemetry::EventType::kCampaignStoreWrite, ccomp, 0,
-                        i, key_hash);
-      }
-    }
-  }
+  // Phase 3 — campaign cache telemetry, the same events run_campaign()
+  // emits; a store write counts only when the child reports it landed.
+  if (!drained) detail::emit_cache_events(run, stored_flags, ropts.sink);
 
   outcome = drained ? SuperviseOutcome::kDrained : SuperviseOutcome::kComplete;
   out = std::move(run);

@@ -1,7 +1,8 @@
 // Reusable FCT-experiment harness: one (topology, workload, load, scheme,
 // transport) cell of the paper's evaluation grid, with warmup, a measurement
-// window, and a bounded drain. Used by the fig09/10/11/15 benches, the
-// ablation bench, and the examples.
+// window, and a bounded drain. The fig09/10/11/15 benches reach it through
+// campaigns (campaign::run_spec); the ablation bench and the examples call
+// it directly.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,8 @@
 // Campaign service tests: canonical JSON round-trips (including a fuzz
-// sweep), cache-key sensitivity, expansion order, the cold-vs-warm
-// byte-identity promise, verdicts, verify-sample poisoning detection, and
-// the kCampaign telemetry events.
+// sweep), pinned plain-TCP spec bytes, the mptcp_subflows axis,
+// cache-key sensitivity, expansion order, the cold-vs-warm byte-identity
+// promise, verdicts, verify-sample poisoning detection, and the kCampaign
+// telemetry events.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,9 +16,13 @@
 #include "campaign/fingerprint.hpp"
 #include "campaign/json.hpp"
 #include "campaign/store.hpp"
+#include "lb/factories.hpp"
 #include "net/topology.hpp"
 #include "sim/random.hpp"
+#include "tcp/mptcp_connection.hpp"
 #include "telemetry/telemetry.hpp"
+#include "workload/experiment.hpp"
+#include "workload/flow_size_dist.hpp"
 
 namespace conga::campaign {
 namespace {
@@ -65,6 +70,110 @@ TEST(CampaignJson, SpecCanonicalRoundTrip) {
   EXPECT_EQ(canonical_json(parsed), bytes);
 }
 
+// The default spec's canonical bytes, as every plain-TCP cell key has
+// hashed them since before mptcp_subflows existed. Emitting that field at 0
+// (or any new field at its default) would silently re-key every store entry.
+TEST(CampaignJson, PlainTcpSpecBytesArePinned) {
+  ExperimentSpec s;
+  s.topo = net::testbed_baseline();
+  EXPECT_EQ(
+      canonical_json(s),
+      "{\"schema\":\"conga-cell-spec-v1\",\"dist\":\"enterprise\","
+      "\"policy\":\"conga\",\"load\":0.6,\"min_rto_ns\":200000000,"
+      "\"dctcp\":false,\"warmup_ns\":10000000,\"measure_ns\":40000000,"
+      "\"max_drain_ns\":1000000000,\"fabric_seed\":1,\"traffic_seed\":7,"
+      "\"fault\":{\"profile\":\"none\",\"seed\":1},\"topo\":{"
+      "\"num_leaves\":2,\"num_spines\":2,\"hosts_per_leaf\":32,"
+      "\"links_per_spine\":2,\"host_link_bps\":1e+10,"
+      "\"fabric_link_bps\":4e+10,\"host_link_delay_ns\":1000,"
+      "\"fabric_link_delay_ns\":1000,\"edge_queue_bytes\":524288,"
+      "\"fabric_queue_bytes\":2097152,\"nic_queue_bytes\":16777216,"
+      "\"dre\":{\"t_dre_ns\":20000,\"alpha\":0.125,\"q_bits\":3},"
+      "\"ce_sum\":false,\"ecn_threshold_bytes\":0,"
+      "\"shared_buffer_bytes\":0,\"shared_buffer_alpha\":2,"
+      "\"overrides\":[]}}");
+}
+
+TEST(CampaignJson, MptcpSubflowsRoundTripAndKey) {
+  ExperimentSpec s;
+  s.topo = net::testbed_baseline();
+  ExperimentSpec mptcp = s;
+  mptcp.mptcp_subflows = 8;
+  const std::string bytes = canonical_json(mptcp);
+  EXPECT_NE(bytes.find("\"mptcp_subflows\":8"), std::string::npos) << bytes;
+  ExperimentSpec parsed;
+  std::string err;
+  ASSERT_TRUE(parse_spec(bytes, parsed, err)) << err;
+  EXPECT_EQ(parsed.mptcp_subflows, 8);
+  EXPECT_EQ(canonical_json(parsed), bytes);
+  EXPECT_NE(cell_key(mptcp, "fp"), cell_key(s, "fp"));
+
+  mptcp.mptcp_subflows = -1;
+  workload::ExperimentConfig cfg;
+  EXPECT_FALSE(to_experiment_config(mptcp, cfg, err));
+  EXPECT_NE(err.find("mptcp_subflows"), std::string::npos) << err;
+
+  // Campaign requests carry the scalar to every expanded cell, and keep
+  // their old bytes while it is 0.
+  CampaignSpec c = make_smoke_campaign();
+  EXPECT_EQ(json_of_campaign(c).dump().find("mptcp_subflows"),
+            std::string::npos);
+  c.mptcp_subflows = 4;
+  CampaignSpec parsed_campaign;
+  ASSERT_TRUE(
+      parse_campaign(json_of_campaign(c).dump(), parsed_campaign, err))
+      << err;
+  EXPECT_EQ(parsed_campaign.mptcp_subflows, 4);
+  for (const Cell& cell : expand_campaign(parsed_campaign, "fp")) {
+    EXPECT_EQ(cell.spec.mptcp_subflows, 4);
+  }
+}
+
+// An MPTCP spec runs exactly the cell the FCT-grid benches used to build by
+// hand: ECMP with an MPTCP transport factory over the same TCP settings.
+TEST(CampaignRun, MptcpSpecMatchesDirectConfig) {
+  net::TopologyConfig topo = net::testbed_baseline();
+  topo.hosts_per_leaf = 4;
+  ExperimentSpec spec;
+  spec.dist = "enterprise";
+  spec.policy = "ecmp";
+  spec.load = 0.3;
+  spec.topo = topo;
+  spec.min_rto_ns = sim::milliseconds(10);
+  spec.mptcp_subflows = 8;
+  spec.warmup_ns = sim::milliseconds(1);
+  spec.measure_ns = sim::milliseconds(4);
+  spec.max_drain_ns = sim::milliseconds(300);
+  workload::ExperimentResult via_spec;
+  std::string err;
+  ASSERT_TRUE(run_spec(spec, via_spec, err)) << err;
+
+  workload::ExperimentConfig direct;
+  direct.topo = topo;
+  direct.dist = workload::enterprise();
+  direct.load = 0.3;
+  direct.lb = lb::ecmp();
+  tcp::MptcpConfig m;
+  m.tcp.min_rto = sim::milliseconds(10);
+  m.num_subflows = 8;
+  direct.transport = tcp::make_mptcp_flow_factory(m);
+  direct.warmup = sim::milliseconds(1);
+  direct.measure = sim::milliseconds(4);
+  direct.max_drain = sim::milliseconds(300);
+  const workload::ExperimentResult expected =
+      workload::run_fct_experiment(direct);
+
+  EXPECT_GT(expected.flows, 0U);
+  EXPECT_EQ(via_spec.fct_digest, expected.fct_digest);
+  EXPECT_EQ(json_of_result(via_spec).dump(), json_of_result(expected).dump());
+
+  // And MPTCP is really on: the plain-TCP cell differs.
+  spec.mptcp_subflows = 0;
+  workload::ExperimentResult plain;
+  ASSERT_TRUE(run_spec(spec, plain, err)) << err;
+  EXPECT_NE(plain.fct_digest, expected.fct_digest);
+}
+
 TEST(CampaignJson, FuzzSpecRoundTripIsByteStable) {
   // Property: for any spec the serializer can produce, parse(dump) re-dumps
   // to the identical bytes — doubles included (shortest-round-trip form).
@@ -92,6 +201,7 @@ TEST(CampaignJson, FuzzSpecRoundTripIsByteStable) {
     }
     s.min_rto_ns = static_cast<sim::TimeNs>(rng.uniform_int(1, 1U << 30));
     s.dctcp = rng.uniform_int(0, 1) != 0;
+    s.mptcp_subflows = static_cast<int>(rng.uniform_int(0, 1)) * 8;
     s.warmup_ns = static_cast<sim::TimeNs>(rng.uniform_int(0, 1U << 30));
     s.measure_ns = static_cast<sim::TimeNs>(rng.uniform_int(1, 1U << 30));
     s.fabric_seed = rng.uniform_int(0, ~0ULL);

@@ -1,8 +1,8 @@
 // End-to-end CLI tests for conga_serve, driving the real binary
 // (CONGA_SERVE_BIN): supervised containment of crashing and hanging cells,
 // SIGTERM drain and SIGKILL followed by a resuming rerun, store gc/stat
-// maintenance, graceful store degradation, and the documented 0/1/2 exit
-// codes.
+// maintenance, graceful store degradation, the documented 0/1/2 exit
+// codes, and the in-process and supervised runners agreeing cell for cell.
 //
 // Every scenario that needs a child failure injects it deterministically
 // through CONGA_CELL_FAULT; nothing here depends on timing beyond "a
@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -23,6 +24,7 @@
 #include "campaign/store.hpp"
 #include "campaign/supervisor.hpp"
 #include "net/topology.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace conga::campaign {
 namespace {
@@ -470,6 +472,79 @@ TEST(ServeCli, UnwritableStoreDegradesGracefully) {
   }
   EXPECT_EQ(warnings, 1u);
 }
+
+#ifdef CONGA_TELEMETRY
+// run_campaign and run_campaign_supervised share their lookup and cache
+// telemetry phases: on the same request, cold on a fresh store and then
+// warm, both emit the same kCampaign* events and byte-identical reports.
+TEST(ServeCli, SupervisedAndInProcessRunsAgree) {
+  using Triple = std::tuple<telemetry::EventType, std::uint64_t, std::uint64_t>;
+  struct Pass {
+    std::vector<Triple> events;
+    std::string report;
+  };
+  TempDir tmp("pairing");
+  const CampaignSpec spec = make_smoke_campaign();
+
+  auto run_pass = [&](bool supervised, const std::string& store_dir) {
+    ResultStore store(store_dir);
+    telemetry::TraceSink sink;
+    RunOptions opts;
+    opts.jobs = 2;
+    opts.store = &store;
+    opts.sink = &sink;
+    CampaignRun run;
+    std::string err;
+    bool ok = false;
+    if (supervised) {
+      SupervisorOptions sopts;
+      sopts.exe = kBin;
+      sopts.store_root = store_dir;
+      sopts.jobs = 2;
+      SuperviseOutcome outcome = SuperviseOutcome::kComplete;
+      ok = run_campaign_supervised(spec, opts, sopts, nullptr, run, outcome,
+                                   err);
+      EXPECT_EQ(outcome, SuperviseOutcome::kComplete);
+    } else {
+      ok = run_campaign(spec, opts, run, err);
+    }
+    EXPECT_TRUE(ok) << err;
+    Pass pass;
+    for (const telemetry::Event& e : sink.all_events()) {
+      if (e.type == telemetry::EventType::kCampaignCellMiss ||
+          e.type == telemetry::EventType::kCampaignStoreWrite ||
+          e.type == telemetry::EventType::kCampaignCellHit) {
+        pass.events.emplace_back(e.type, e.a, e.b);
+      }
+    }
+    pass.report = report_json(run);
+    return pass;
+  };
+
+  const std::string in_store = tmp.sub("inproc");
+  const std::string sup_store = tmp.sub("supervised");
+  const Pass in_cold = run_pass(false, in_store);
+  const Pass in_warm = run_pass(false, in_store);
+  const Pass sup_cold = run_pass(true, sup_store);
+  const Pass sup_warm = run_pass(true, sup_store);
+
+  // Cold: a miss and a store write per cell; warm: a hit per cell.
+  ASSERT_EQ(in_cold.events.size(), 4U);
+  EXPECT_EQ(std::get<0>(in_cold.events[0]),
+            telemetry::EventType::kCampaignCellMiss);
+  EXPECT_EQ(std::get<0>(in_cold.events[1]),
+            telemetry::EventType::kCampaignStoreWrite);
+  ASSERT_EQ(in_warm.events.size(), 2U);
+  EXPECT_EQ(std::get<0>(in_warm.events[0]),
+            telemetry::EventType::kCampaignCellHit);
+
+  EXPECT_EQ(sup_cold.events, in_cold.events);
+  EXPECT_EQ(sup_warm.events, in_warm.events);
+  EXPECT_EQ(in_warm.report, in_cold.report);
+  EXPECT_EQ(sup_cold.report, in_cold.report);
+  EXPECT_EQ(sup_warm.report, in_cold.report);
+}
+#endif  // CONGA_TELEMETRY
 
 }  // namespace
 }  // namespace conga::campaign

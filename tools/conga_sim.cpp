@@ -19,15 +19,18 @@
 //   --transport tcp|mptcp|dctcp      (dctcp implies --ecn-kb 100 default)
 //   --load F --duration-ms N --warmup-ms N --seed N --min-rto-ms N
 //   --subflows N (mptcp) --ecn-kb N --shared-buffer-mb N
+//
+// The flags build a campaign::ExperimentSpec, so a bad load, distribution,
+// policy, window or topology exits 2 with the same message a campaign cell
+// would fail with.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "campaign/experiment_spec.hpp"
 #include "lb_ext/policies.hpp"
-#include "stats/samplers.hpp"
-#include "tcp/mptcp_connection.hpp"
 #include "workload/experiment.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -117,14 +120,11 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-workload::FlowSizeDist make_dist(const std::string& name) {
-  if (name == "enterprise") return workload::enterprise();
-  if (name == "data-mining") return workload::data_mining();
-  if (name == "web-search") return workload::web_search();
-  if (name.rfind("fixed:", 0) == 0) {
-    return workload::fixed_size(std::atof(name.c_str() + 6));
-  }
-  usage(("unknown --workload: " + name).c_str());
+/// The --workload spelling as a spec distribution name.
+std::string spec_dist(const std::string& workload) {
+  if (workload == "data-mining") return "datamining";
+  if (workload == "web-search") return "websearch";
+  return workload;
 }
 
 }  // namespace
@@ -157,42 +157,43 @@ int main(int argc, char** argv) {
     topo.fabric_queue_bytes = topo.shared_buffer_bytes;
   }
 
-  tcp::TcpConfig t;
-  t.min_rto = sim::milliseconds(o.min_rto_ms);
-  tcp::FlowFactory transport;
-  if (o.transport == "tcp") {
-    transport = tcp::make_tcp_flow_factory(t);
-  } else if (o.transport == "dctcp") {
-    t.dctcp = true;
+  if (o.transport == "dctcp") {
     if (topo.ecn_threshold_bytes == 0) topo.ecn_threshold_bytes = 100'000;
-    transport = tcp::make_tcp_flow_factory(t);
   } else if (o.transport == "mptcp") {
-    tcp::MptcpConfig m;
-    m.tcp = t;
-    m.num_subflows = o.subflows;
-    transport = tcp::make_mptcp_flow_factory(m);
-  } else {
+    if (o.subflows < 1) usage("--subflows must be >= 1");
+  } else if (o.transport != "tcp") {
     usage(("unknown --transport: " + o.transport).c_str());
   }
+
+  campaign::ExperimentSpec spec;
+  spec.dist = spec_dist(o.workload);
+  spec.policy = o.lb;
+  spec.load = o.load;
+  spec.topo = topo;
+  spec.min_rto_ns = sim::milliseconds(o.min_rto_ms);
+  spec.dctcp = o.transport == "dctcp";
+  spec.mptcp_subflows = o.transport == "mptcp" ? o.subflows : 0;
+  spec.warmup_ns = sim::milliseconds(o.warmup_ms);
+  spec.measure_ns = sim::milliseconds(o.duration_ms);
+  spec.max_drain_ns = sim::seconds(5.0);
+  workload::ExperimentConfig cfg;
+  std::string err;
+  if (!campaign::to_experiment_config(spec, cfg, err)) usage(err.c_str());
 
   // Build + run, keeping the fabric around for the utilization report.
   sim::Scheduler sched;
   net::Fabric fabric(sched, topo, o.seed);
-  if (!lb_ext::install_policy(fabric, o.lb)) {
-    usage(("unknown --lb: " + o.lb +
-           " (registered: " + lb_ext::policy_names() + ")")
-              .c_str());
-  }
+  lb_ext::install_policy(fabric, o.lb);  // the spec resolved the name
   workload::TrafficGenConfig gc;
   gc.load = o.load;
-  gc.stop = sim::milliseconds(o.warmup_ms + o.duration_ms);
-  gc.measure_start = sim::milliseconds(o.warmup_ms);
+  gc.stop = spec.warmup_ns + spec.measure_ns;
+  gc.measure_start = spec.warmup_ns;
   gc.measure_stop = gc.stop;
   gc.seed = o.seed * 31 + 7;
-  workload::TrafficGenerator gen(fabric, transport, make_dist(o.workload), gc);
+  workload::TrafficGenerator gen(fabric, cfg.transport, cfg.dist, gc);
   gen.start();
   const bool drained =
-      workload::run_with_drain(sched, gen, gc.stop, sim::seconds(5.0));
+      workload::run_with_drain(sched, gen, gc.stop, spec.max_drain_ns);
 
   std::printf("topology %s: %d leaves x %d spines x %d links, %d hosts/leaf",
               o.topology.c_str(), topo.num_leaves, topo.num_spines,
