@@ -9,12 +9,13 @@
 // data-mining at 70%), and part (c) shows CONGA keeps the hotspot queue
 // [Spine1->Leaf1] ~4x shorter at the 90th percentile.
 #include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <utility>
 
 #include "bench_util.hpp"
+#include "campaign/experiment_spec.hpp"
 #include "fct_grid.hpp"
-#include "lb/factories.hpp"
-#include "telemetry/probes.hpp"
-#include "workload/traffic_gen.hpp"
 
 using namespace conga;
 
@@ -23,49 +24,33 @@ namespace {
 void hotspot_queue_cdf(bool full) {
   std::printf("\n(c) queue occupancy CDF at the hotspot [Spine1->Leaf1], "
               "data-mining @ 60%% load\n");
-  net::TopologyConfig topo = net::testbed_link_failure();
-  if (!full) topo.hosts_per_leaf = 16;
-  topo.fabric_queue_bytes = 10 * 1024 * 1024;  // room to expose the contrast
-
-  struct SchemeRow {
-    const char* name;
-    net::Fabric::LbFactory lb;
-  };
   const std::vector<double> percentiles = {10, 25, 50, 75, 90, 99};
   std::printf("%-12s", "pct");
   for (double p : percentiles) std::printf("%11.0f", p);
   std::printf("  (queue KB)\n");
 
-  for (const SchemeRow& s :
-       {SchemeRow{"ECMP", lb::ecmp()},
-        SchemeRow{"CONGA-Flow", core::conga_flow()},
-        SchemeRow{"CONGA", core::conga()}}) {
-    sim::Scheduler sched;
-    net::Fabric fabric(sched, topo, 31);
-    fabric.install_lb(s.lb);
-    tcp::TcpConfig t;
-    t.min_rto = sim::milliseconds(10);
-    workload::TrafficGenConfig gc;
-    gc.load = 0.6;
-    gc.stop = full ? sim::milliseconds(300) : sim::milliseconds(80);
-    workload::TrafficGenerator gen(fabric, tcp::make_tcp_flow_factory(t),
-                                   workload::data_mining(), gc);
-    gen.start();
+  for (const auto& [name, policy] : {std::pair{"ECMP", "ecmp"},
+                                     std::pair{"CONGA-Flow", "conga-flow"},
+                                     std::pair{"CONGA", "conga"}}) {
+    const campaign::ExperimentSpec spec = campaign::hotspot_spec(
+        policy, full ? 32 : 16,
+        full ? sim::milliseconds(300) : sim::milliseconds(80));
     // Probe-only mask: the bench consumes the in-memory series; masking the
     // per-packet categories keeps the run lean (tools/conga_trace records the
     // same scenario with everything enabled).
-    telemetry::TraceSink sink;
-    fabric.attach_telemetry(&sink);
-    sink.set_category_mask(
-        telemetry::category_bit(telemetry::Category::kProbe));
-    const int hotspot = sink.probes().find("down:l1s1p0/queue_bytes");
-    telemetry::PeriodicSampler sampler(sched, sink, sim::microseconds(100),
-                                       sim::milliseconds(10), gc.stop,
-                                       {hotspot});
-    sched.run_until(gc.stop);
-    std::printf("%-12s", s.name);
+    telemetry::TraceSinkConfig sink_cfg;
+    sink_cfg.category_mask =
+        telemetry::category_bit(telemetry::Category::kProbe);
+    telemetry::TraceSink sink(sink_cfg);
+    stats::Summary occ;
+    std::string err;
+    if (!campaign::run_hotspot(spec, sink, occ, err)) {
+      std::fprintf(stderr, "fig11: %s\n", err.c_str());
+      std::exit(2);
+    }
+    std::printf("%-12s", name);
     for (double p : percentiles) {
-      std::printf("%11.1f", sampler.summary(0).percentile(p) / 1e3);
+      std::printf("%11.1f", occ.percentile(p) / 1e3);
     }
     std::printf("\n");
   }

@@ -12,7 +12,7 @@
 #include "lb/factories.hpp"
 #include "stats/samplers.hpp"
 #include "tcp/mptcp_connection.hpp"
-#include "workload/traffic_gen.hpp"
+#include "workload/experiment.hpp"
 
 using namespace conga;
 
@@ -21,24 +21,30 @@ namespace {
 stats::Summary run_one(const net::Fabric::LbFactory& lb,
                        const tcp::FlowFactory& transport,
                        const workload::FlowSizeDist& dist, bool full) {
-  net::TopologyConfig topo = net::testbed_baseline();
-  if (!full) topo.hosts_per_leaf = 16;
-  sim::Scheduler sched;
-  net::Fabric fabric(sched, topo, 43);
-  fabric.install_lb(lb);
-  workload::TrafficGenConfig gc;
-  gc.load = 0.6;
-  gc.stop = full ? sim::milliseconds(500) : sim::milliseconds(100);
-  workload::TrafficGenerator gen(fabric, transport, dist, gc);
-  gen.start();
+  workload::ExperimentConfig cfg;
+  cfg.topo = net::testbed_baseline();
+  if (!full) cfg.topo.hosts_per_leaf = 16;
+  cfg.dist = dist;
+  cfg.load = 0.6;
+  cfg.transport = transport;
+  cfg.lb = lb;
+  const sim::TimeNs stop =
+      full ? sim::milliseconds(500) : sim::milliseconds(100);
+  cfg.measure = stop - cfg.warmup;
+  cfg.max_drain = 0;
+  cfg.fabric_seed = 43;
+  workload::Experiment exp(cfg);
   std::vector<const net::Link*> uplinks;
-  for (const auto& up : fabric.leaf(0).uplinks()) uplinks.push_back(up.link);
+  for (const auto& up : exp.fabric().leaf(0).uplinks()) {
+    uplinks.push_back(up.link);
+  }
   // The paper samples every 10 ms over minutes; scaled runs use 1 ms windows
   // to get enough samples in 100 ms.
   stats::ThroughputImbalanceSampler sampler(
-      sched, uplinks, full ? sim::milliseconds(10) : sim::milliseconds(1),
-      sim::milliseconds(10), gc.stop);
-  sched.run_until(gc.stop);
+      exp.scheduler(), uplinks,
+      full ? sim::milliseconds(10) : sim::milliseconds(1),
+      sim::milliseconds(10), stop);
+  exp.run();
   return sampler.imbalance_pct();
 }
 

@@ -16,7 +16,7 @@
 #include "lb/factories.hpp"
 #include "net/fabric.hpp"
 #include "runtime/parallel_runner.hpp"
-#include "workload/traffic_gen.hpp"
+#include "workload/experiment.hpp"
 
 using namespace conga;
 
@@ -63,23 +63,25 @@ struct PortLoads {
 };
 
 PortLoads run(const net::Fabric::LbFactory& lb, bool full) {
-  const net::TopologyConfig topo = fig16_topo(full);
-  sim::Scheduler sched;
-  net::Fabric fabric(sched, topo, 5);
-  fabric.install_lb(lb);
+  workload::ExperimentConfig cfg;
+  cfg.topo = fig16_topo(full);
+  cfg.dist = workload::web_search();
+  cfg.load = 0.75;
   tcp::TcpConfig t;
   t.min_rto = sim::milliseconds(10);
-  workload::TrafficGenConfig gc;
-  gc.load = 0.75;
-  gc.stop = full ? sim::milliseconds(200) : sim::milliseconds(60);
-  workload::TrafficGenerator gen(fabric, tcp::make_tcp_flow_factory(t),
-                                 workload::web_search(), gc);
-  gen.start();
-  sched.run_until(gc.stop);
+  cfg.transport = tcp::make_tcp_flow_factory(t);
+  cfg.lb = lb;
+  cfg.measure =
+      (full ? sim::milliseconds(200) : sim::milliseconds(60)) - cfg.warmup;
+  cfg.max_drain = 0;
+  cfg.fabric_seed = 5;
+  workload::Experiment exp(cfg);
+  exp.run();
 
   PortLoads out;
-  for (const net::Link* l : fabric.fabric_links()) {
-    const double avg = l->queue().time_avg_bytes(sched.now());
+  const sim::TimeNs now = exp.scheduler().now();
+  for (const net::Link* l : exp.fabric().fabric_links()) {
+    const double avg = l->queue().time_avg_bytes(now);
     if (l->name().rfind("up:", 0) == 0) {
       out.uplink_q.push_back(avg);
       out.up_names.push_back(l->name());

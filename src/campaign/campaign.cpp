@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "campaign/field_reader.hpp"
 #include "campaign/fingerprint.hpp"
 #include "campaign/run_phases.hpp"
 #include "runtime/parallel_runner.hpp"
@@ -23,44 +24,8 @@ constexpr const char* kReportSchema = "conga-campaign-v1";
 constexpr const char* kStatsSchema = "conga-campaign-stats-v1";
 constexpr const char* kVerdictSchema = "conga-campaign-verdict-v1";
 
-// Strict-parse helpers (same contract as the spec parsers: an unmatched
-// field name is an error, a wrong type is an error).
-struct Reader {
-  std::string& err;
-  bool ok = true;
-  bool fail(const std::string& what) {
-    if (ok) err = what;
-    ok = false;
-    return false;
-  }
-};
-
-bool read_string(Reader& r, const Json& v, const std::string& key,
-                 std::string& out) {
-  if (!v.is_string()) return r.fail("expected string " + key);
-  out = v.as_string();
-  return true;
-}
-
-bool read_i64(Reader& r, const Json& v, const std::string& key,
-              std::int64_t& out) {
-  if (!v.is_integer()) return r.fail("expected integer " + key);
-  out = v.as_int();
-  return true;
-}
-
-bool read_u64(Reader& r, const Json& v, const std::string& key,
-              std::uint64_t& out) {
-  if (!v.is_integer()) return r.fail("expected integer " + key);
-  out = v.as_uint();
-  return true;
-}
-
-bool read_bool(Reader& r, const Json& v, const std::string& key, bool& out) {
-  if (!v.is_bool()) return r.fail("expected bool " + key);
-  out = v.as_bool();
-  return true;
-}
+using detail::FieldReader;
+using detail::read_field;
 
 int load_pct_of(const ExperimentSpec& spec) {
   return static_cast<int>(std::lround(spec.load * 100.0));
@@ -153,22 +118,22 @@ bool campaign_from_json(const Json& doc, CampaignSpec& out, std::string& err) {
     err = "campaign must be an object";
     return false;
   }
-  Reader r{err};
+  FieldReader r{err};
   CampaignSpec c;
   for (const auto& [key, v] : doc.members()) {
     if (key == "schema") {
       std::string schema;
-      if (read_string(r, v, key, schema) && schema != kRequestSchema) {
+      if (read_field(r, v, key, schema) && schema != kRequestSchema) {
         return r.fail("unsupported campaign schema '" + schema + "'");
       }
-    } else if (key == "name") read_string(r, v, key, c.name);
-    else if (key == "dist") read_string(r, v, key, c.dist);
+    } else if (key == "name") read_field(r, v, key, c.name);
+    else if (key == "dist") read_field(r, v, key, c.dist);
     else if (key == "policies") {
       if (!v.is_array()) return r.fail("policies must be an array");
       c.policies.clear();
       for (const Json& p : v.items()) {
         std::string name;
-        if (!read_string(r, p, "policy", name)) return false;
+        if (!read_field(r, p, "policy", name)) return false;
         c.policies.push_back(name);
       }
     } else if (key == "loads_pct") {
@@ -176,18 +141,16 @@ bool campaign_from_json(const Json& doc, CampaignSpec& out, std::string& err) {
       c.loads_pct.clear();
       for (const Json& l : v.items()) {
         std::int64_t pct = 0;
-        if (!read_i64(r, l, "load_pct", pct)) return false;
+        if (!read_field(r, l, "load_pct", pct)) return false;
         if (pct <= 0 || pct > 100) return r.fail("load_pct out of (0, 100]");
         c.loads_pct.push_back(static_cast<int>(pct));
       }
-    } else if (key == "min_rto_ns") read_i64(r, v, key, c.min_rto_ns);
-    else if (key == "dctcp") read_bool(r, v, key, c.dctcp);
-    else if (key == "mptcp_subflows") {
-      std::int64_t n = 0;
-      if (read_i64(r, v, key, n)) c.mptcp_subflows = static_cast<int>(n);
-    } else if (key == "warmup_ns") read_i64(r, v, key, c.warmup_ns);
-    else if (key == "measure_ns") read_i64(r, v, key, c.measure_ns);
-    else if (key == "max_drain_ns") read_i64(r, v, key, c.max_drain_ns);
+    } else if (key == "min_rto_ns") read_field(r, v, key, c.min_rto_ns);
+    else if (key == "dctcp") read_field(r, v, key, c.dctcp);
+    else if (key == "mptcp_subflows") read_field(r, v, key, c.mptcp_subflows);
+    else if (key == "warmup_ns") read_field(r, v, key, c.warmup_ns);
+    else if (key == "measure_ns") read_field(r, v, key, c.measure_ns);
+    else if (key == "max_drain_ns") read_field(r, v, key, c.max_drain_ns);
     else if (key == "seeds") {
       if (!v.is_array()) return r.fail("seeds must be an array");
       c.seeds.clear();
@@ -195,8 +158,8 @@ bool campaign_from_json(const Json& doc, CampaignSpec& out, std::string& err) {
         if (!s.is_object()) return r.fail("seed entry must be an object");
         SeedPair pair;
         for (const auto& [sk, sv] : s.members()) {
-          if (sk == "fabric") read_u64(r, sv, sk, pair.fabric);
-          else if (sk == "traffic") read_u64(r, sv, sk, pair.traffic);
+          if (sk == "fabric") read_field(r, sv, sk, pair.fabric);
+          else if (sk == "traffic") read_field(r, sv, sk, pair.traffic);
           else return r.fail("unknown seed field '" + sk + "'");
           if (!r.ok) return false;
         }
@@ -209,8 +172,8 @@ bool campaign_from_json(const Json& doc, CampaignSpec& out, std::string& err) {
         if (!f.is_object()) return r.fail("fault entry must be an object");
         FaultSpec fs;
         for (const auto& [fk, fv] : f.members()) {
-          if (fk == "profile") read_string(r, fv, fk, fs.profile);
-          else if (fk == "seed") read_u64(r, fv, fk, fs.seed);
+          if (fk == "profile") read_field(r, fv, fk, fs.profile);
+          else if (fk == "seed") read_field(r, fv, fk, fs.seed);
           else return r.fail("unknown fault field '" + fk + "'");
           if (!r.ok) return false;
         }
@@ -224,7 +187,7 @@ bool campaign_from_json(const Json& doc, CampaignSpec& out, std::string& err) {
         CampaignCase cc;
         bool have_topo = false;
         for (const auto& [ck, cv] : e.members()) {
-          if (ck == "name") read_string(r, cv, ck, cc.name);
+          if (ck == "name") read_field(r, cv, ck, cc.name);
           else if (ck == "topo") {
             if (!topo_from_json(cv, cc.topo, err)) return false;
             have_topo = true;

@@ -4,12 +4,14 @@
 #include <functional>
 #include <utility>
 
+#include "campaign/field_reader.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "lb_ext/policies.hpp"
 #include "stats/digest.hpp"
 #include "tcp/flow.hpp"
 #include "tcp/mptcp_connection.hpp"
+#include "telemetry/probes.hpp"
 #include "workload/flow_size_dist.hpp"
 
 namespace conga::campaign {
@@ -74,72 +76,8 @@ Json json_of_topo(const net::TopologyConfig& t) {
   return j;
 }
 
-namespace {
-
-// --- strict field extraction -------------------------------------------------
-// Every parser walks the object's members and dispatches by name; an
-// unmatched name is an error (a typo must not hash to a fresh cell key).
-
-struct FieldReader {
-  const Json& doc;
-  std::string& err;
-  bool ok = true;
-
-  bool fail(const std::string& what) {
-    if (ok) err = what;
-    ok = false;
-    return false;
-  }
-
-  bool want(const Json& v, Json::Kind kind, const char* key) {
-    if (kind == Json::Kind::kDouble ? !v.is_number() : v.kind() != kind) {
-      return fail(std::string("field '") + key + "' has the wrong type");
-    }
-    return true;
-  }
-};
-
-bool read_int(FieldReader& r, const Json& v, const char* key, int& out) {
-  if (!v.is_integer()) return r.fail(std::string("expected integer ") + key);
-  out = static_cast<int>(v.as_int());
-  return true;
-}
-
-bool read_i64(FieldReader& r, const Json& v, const char* key,
-              std::int64_t& out) {
-  if (!v.is_integer()) return r.fail(std::string("expected integer ") + key);
-  out = v.as_int();
-  return true;
-}
-
-bool read_u64(FieldReader& r, const Json& v, const char* key,
-              std::uint64_t& out) {
-  if (!v.is_integer()) return r.fail(std::string("expected integer ") + key);
-  out = v.as_uint();
-  return true;
-}
-
-bool read_double(FieldReader& r, const Json& v, const char* key,
-                 double& out) {
-  if (!v.is_number()) return r.fail(std::string("expected number ") + key);
-  out = v.as_double();
-  return true;
-}
-
-bool read_bool(FieldReader& r, const Json& v, const char* key, bool& out) {
-  if (!v.is_bool()) return r.fail(std::string("expected bool ") + key);
-  out = v.as_bool();
-  return true;
-}
-
-bool read_string(FieldReader& r, const Json& v, const char* key,
-                 std::string& out) {
-  if (!v.is_string()) return r.fail(std::string("expected string ") + key);
-  out = v.as_string();
-  return true;
-}
-
-}  // namespace
+using detail::FieldReader;
+using detail::read_field;
 
 bool topo_from_json(const Json& doc, net::TopologyConfig& out,
                     std::string& err) {
@@ -147,72 +85,64 @@ bool topo_from_json(const Json& doc, net::TopologyConfig& out,
     err = "topo must be an object";
     return false;
   }
-  FieldReader r{doc, err};
+  FieldReader r{err};
   net::TopologyConfig t;
   for (const auto& [key, v] : doc.members()) {
-    if (key == "num_leaves") read_int(r, v, key.c_str(), t.num_leaves);
-    else if (key == "num_spines") read_int(r, v, key.c_str(), t.num_spines);
-    else if (key == "hosts_per_leaf")
-      read_int(r, v, key.c_str(), t.hosts_per_leaf);
-    else if (key == "links_per_spine")
-      read_int(r, v, key.c_str(), t.links_per_spine);
-    else if (key == "host_link_bps")
-      read_double(r, v, key.c_str(), t.host_link_bps);
-    else if (key == "fabric_link_bps")
-      read_double(r, v, key.c_str(), t.fabric_link_bps);
+    if (key == "num_leaves") read_field(r, v, key, t.num_leaves);
+    else if (key == "num_spines") read_field(r, v, key, t.num_spines);
+    else if (key == "hosts_per_leaf") read_field(r, v, key, t.hosts_per_leaf);
+    else if (key == "links_per_spine") read_field(r, v, key, t.links_per_spine);
+    else if (key == "host_link_bps") read_field(r, v, key, t.host_link_bps);
+    else if (key == "fabric_link_bps") read_field(r, v, key, t.fabric_link_bps);
     else if (key == "host_link_delay_ns")
-      read_i64(r, v, key.c_str(), t.host_link_delay);
+      read_field(r, v, key, t.host_link_delay);
     else if (key == "fabric_link_delay_ns")
-      read_i64(r, v, key.c_str(), t.fabric_link_delay);
+      read_field(r, v, key, t.fabric_link_delay);
     else if (key == "edge_queue_bytes")
-      read_u64(r, v, key.c_str(), t.edge_queue_bytes);
+      read_field(r, v, key, t.edge_queue_bytes);
     else if (key == "fabric_queue_bytes")
-      read_u64(r, v, key.c_str(), t.fabric_queue_bytes);
-    else if (key == "nic_queue_bytes")
-      read_u64(r, v, key.c_str(), t.nic_queue_bytes);
+      read_field(r, v, key, t.fabric_queue_bytes);
+    else if (key == "nic_queue_bytes") read_field(r, v, key, t.nic_queue_bytes);
     else if (key == "dre") {
       if (!v.is_object()) return r.fail("dre must be an object");
       for (const auto& [dk, dv] : v.members()) {
-        if (dk == "t_dre_ns") read_i64(r, dv, dk.c_str(), t.dre.t_dre);
-        else if (dk == "alpha") read_double(r, dv, dk.c_str(), t.dre.alpha);
-        else if (dk == "q_bits") read_int(r, dv, dk.c_str(), t.dre.q_bits);
+        if (dk == "t_dre_ns") read_field(r, dv, dk, t.dre.t_dre);
+        else if (dk == "alpha") read_field(r, dv, dk, t.dre.alpha);
+        else if (dk == "q_bits") read_field(r, dv, dk, t.dre.q_bits);
         else return r.fail("unknown dre field '" + dk + "'");
       }
-    } else if (key == "ce_sum") read_bool(r, v, key.c_str(), t.ce_sum);
+    } else if (key == "ce_sum") read_field(r, v, key, t.ce_sum);
     else if (key == "ecn_threshold_bytes")
-      read_u64(r, v, key.c_str(), t.ecn_threshold_bytes);
+      read_field(r, v, key, t.ecn_threshold_bytes);
     else if (key == "shared_buffer_bytes")
-      read_u64(r, v, key.c_str(), t.shared_buffer_bytes);
+      read_field(r, v, key, t.shared_buffer_bytes);
     else if (key == "shared_buffer_alpha")
-      read_double(r, v, key.c_str(), t.shared_buffer_alpha);
+      read_field(r, v, key, t.shared_buffer_alpha);
     else if (key == "overrides") {
       if (!v.is_array()) return r.fail("overrides must be an array");
       for (const Json& item : v.items()) {
         if (!item.is_object()) return r.fail("override must be an object");
         net::LinkOverride o;
         for (const auto& [ok_, ov] : item.members()) {
-          if (ok_ == "leaf") read_int(r, ov, ok_.c_str(), o.leaf);
-          else if (ok_ == "spine") read_int(r, ov, ok_.c_str(), o.spine);
-          else if (ok_ == "parallel")
-            read_int(r, ov, ok_.c_str(), o.parallel);
-          else if (ok_ == "rate_factor")
-            read_double(r, ov, ok_.c_str(), o.rate_factor);
+          if (ok_ == "leaf") read_field(r, ov, ok_, o.leaf);
+          else if (ok_ == "spine") read_field(r, ov, ok_, o.spine);
+          else if (ok_ == "parallel") read_field(r, ov, ok_, o.parallel);
+          else if (ok_ == "rate_factor") read_field(r, ov, ok_, o.rate_factor);
           else return r.fail("unknown override field '" + ok_ + "'");
         }
         t.overrides.push_back(o);
       }
-    } else if (key == "num_pods") read_int(r, v, key.c_str(), t.num_pods);
-    else if (key == "num_cores") read_int(r, v, key.c_str(), t.num_cores);
+    } else if (key == "num_pods") read_field(r, v, key, t.num_pods);
+    else if (key == "num_cores") read_field(r, v, key, t.num_cores);
     else if (key == "core_overrides") {
       if (!v.is_array()) return r.fail("core_overrides must be an array");
       for (const Json& item : v.items()) {
         if (!item.is_object()) return r.fail("core override must be an object");
         net::CoreLinkOverride o;
         for (const auto& [ok_, ov] : item.members()) {
-          if (ok_ == "spine") read_int(r, ov, ok_.c_str(), o.spine);
-          else if (ok_ == "core") read_int(r, ov, ok_.c_str(), o.core);
-          else if (ok_ == "rate_factor")
-            read_double(r, ov, ok_.c_str(), o.rate_factor);
+          if (ok_ == "spine") read_field(r, ov, ok_, o.spine);
+          else if (ok_ == "core") read_field(r, ov, ok_, o.core);
+          else if (ok_ == "rate_factor") read_field(r, ov, ok_, o.rate_factor);
           else return r.fail("unknown core override field '" + ok_ + "'");
         }
         t.core_overrides.push_back(o);
@@ -259,35 +189,30 @@ bool spec_from_json(const Json& doc, ExperimentSpec& out, std::string& err) {
     err = "spec must be an object";
     return false;
   }
-  FieldReader r{doc, err};
+  FieldReader r{err};
   ExperimentSpec s;
   for (const auto& [key, v] : doc.members()) {
     if (key == "schema") {
       std::string schema;
-      if (read_string(r, v, key.c_str(), schema) && schema != kSpecSchema) {
+      if (read_field(r, v, key, schema) && schema != kSpecSchema) {
         return r.fail("unsupported spec schema '" + schema + "'");
       }
-    } else if (key == "dist") read_string(r, v, key.c_str(), s.dist);
-    else if (key == "policy") read_string(r, v, key.c_str(), s.policy);
-    else if (key == "load") read_double(r, v, key.c_str(), s.load);
-    else if (key == "min_rto_ns") read_i64(r, v, key.c_str(), s.min_rto_ns);
-    else if (key == "dctcp") read_bool(r, v, key.c_str(), s.dctcp);
-    else if (key == "mptcp_subflows")
-      read_int(r, v, key.c_str(), s.mptcp_subflows);
-    else if (key == "warmup_ns") read_i64(r, v, key.c_str(), s.warmup_ns);
-    else if (key == "measure_ns") read_i64(r, v, key.c_str(), s.measure_ns);
-    else if (key == "max_drain_ns")
-      read_i64(r, v, key.c_str(), s.max_drain_ns);
-    else if (key == "fabric_seed")
-      read_u64(r, v, key.c_str(), s.fabric_seed);
-    else if (key == "traffic_seed")
-      read_u64(r, v, key.c_str(), s.traffic_seed);
+    } else if (key == "dist") read_field(r, v, key, s.dist);
+    else if (key == "policy") read_field(r, v, key, s.policy);
+    else if (key == "load") read_field(r, v, key, s.load);
+    else if (key == "min_rto_ns") read_field(r, v, key, s.min_rto_ns);
+    else if (key == "dctcp") read_field(r, v, key, s.dctcp);
+    else if (key == "mptcp_subflows") read_field(r, v, key, s.mptcp_subflows);
+    else if (key == "warmup_ns") read_field(r, v, key, s.warmup_ns);
+    else if (key == "measure_ns") read_field(r, v, key, s.measure_ns);
+    else if (key == "max_drain_ns") read_field(r, v, key, s.max_drain_ns);
+    else if (key == "fabric_seed") read_field(r, v, key, s.fabric_seed);
+    else if (key == "traffic_seed") read_field(r, v, key, s.traffic_seed);
     else if (key == "fault") {
       if (!v.is_object()) return r.fail("fault must be an object");
       for (const auto& [fk, fv] : v.members()) {
-        if (fk == "profile")
-          read_string(r, fv, fk.c_str(), s.fault.profile);
-        else if (fk == "seed") read_u64(r, fv, fk.c_str(), s.fault.seed);
+        if (fk == "profile") read_field(r, fv, fk, s.fault.profile);
+        else if (fk == "seed") read_field(r, fv, fk, s.fault.seed);
         else return r.fail("unknown fault field '" + fk + "'");
       }
     } else if (key == "topo") {
@@ -421,6 +346,43 @@ bool run_spec(const ExperimentSpec& spec, workload::ExperimentResult& out,
   return true;
 }
 
+ExperimentSpec hotspot_spec(const std::string& policy, int hosts_per_leaf,
+                            sim::TimeNs stop) {
+  ExperimentSpec spec;
+  spec.dist = "datamining";
+  spec.policy = policy;
+  spec.load = 0.6;
+  spec.topo = net::testbed_link_failure();
+  spec.topo.hosts_per_leaf = hosts_per_leaf;
+  spec.topo.fabric_queue_bytes = 10 * 1024 * 1024;  // room for the contrast
+  spec.min_rto_ns = sim::milliseconds(10);
+  spec.warmup_ns = sim::milliseconds(10);
+  spec.measure_ns = stop - spec.warmup_ns;
+  spec.max_drain_ns = 0;
+  spec.fabric_seed = 31;
+  spec.traffic_seed = 7;
+  return spec;
+}
+
+bool run_hotspot(const ExperimentSpec& spec, telemetry::TraceSink& sink,
+                 stats::Summary& queue_bytes, std::string& err) {
+  workload::ExperimentConfig cfg;
+  if (!to_experiment_config(spec, cfg, err)) return false;
+  cfg.fabric_hook = [&sink, hook = std::move(cfg.fabric_hook)](
+                        net::Fabric& fabric) {
+    fabric.attach_telemetry(&sink);
+    if (hook) hook(fabric);
+  };
+  workload::Experiment exp(cfg);
+  telemetry::PeriodicSampler sampler(
+      exp.scheduler(), sink, sim::microseconds(100), spec.warmup_ns,
+      spec.warmup_ns + spec.measure_ns,
+      {sink.probes().find("down:l1s1p0/queue_bytes")});
+  exp.run();
+  queue_bytes = sampler.summary(0);
+  return true;
+}
+
 Json json_of_result(const workload::ExperimentResult& r) {
   Json j = Json::object();
   j.set("avg_norm_fct", Json::number(r.avg_norm_fct));
@@ -451,49 +413,41 @@ bool result_from_json(const Json& doc, workload::ExperimentResult& out,
     err = "result must be an object";
     return false;
   }
-  FieldReader r{doc, err};
+  FieldReader r{err};
   workload::ExperimentResult res;
-  std::uint64_t tmp = 0;
   for (const auto& [key, v] : doc.members()) {
-    if (key == "avg_norm_fct") read_double(r, v, key.c_str(), res.avg_norm_fct);
+    if (key == "avg_norm_fct") read_field(r, v, key, res.avg_norm_fct);
     else if (key == "median_norm_fct")
-      read_double(r, v, key.c_str(), res.median_norm_fct);
-    else if (key == "p99_norm_fct")
-      read_double(r, v, key.c_str(), res.p99_norm_fct);
-    else if (key == "avg_fct_small")
-      read_double(r, v, key.c_str(), res.avg_fct_small);
-    else if (key == "avg_fct_large")
-      read_double(r, v, key.c_str(), res.avg_fct_large);
+      read_field(r, v, key, res.median_norm_fct);
+    else if (key == "p99_norm_fct") read_field(r, v, key, res.p99_norm_fct);
+    else if (key == "avg_fct_small") read_field(r, v, key, res.avg_fct_small);
+    else if (key == "avg_fct_large") read_field(r, v, key, res.avg_fct_large);
     else if (key == "avg_fct_overall")
-      read_double(r, v, key.c_str(), res.avg_fct_overall);
-    else if (key == "flows") {
-      if (read_u64(r, v, key.c_str(), tmp)) res.flows = tmp;
-    } else if (key == "small_flows") {
-      if (read_u64(r, v, key.c_str(), tmp)) res.small_flows = tmp;
-    } else if (key == "large_flows") {
-      if (read_u64(r, v, key.c_str(), tmp)) res.large_flows = tmp;
-    } else if (key == "completed_fraction")
-      read_double(r, v, key.c_str(), res.completed_fraction);
-    else if (key == "drained") read_bool(r, v, key.c_str(), res.drained);
-    else if (key == "unfinished_flows") {
-      if (read_u64(r, v, key.c_str(), tmp)) res.unfinished_flows = tmp;
-    } else if (key == "bytes_outstanding")
-      read_u64(r, v, key.c_str(), res.bytes_outstanding);
+      read_field(r, v, key, res.avg_fct_overall);
+    else if (key == "flows") read_field(r, v, key, res.flows);
+    else if (key == "small_flows") read_field(r, v, key, res.small_flows);
+    else if (key == "large_flows") read_field(r, v, key, res.large_flows);
+    else if (key == "completed_fraction")
+      read_field(r, v, key, res.completed_fraction);
+    else if (key == "drained") read_field(r, v, key, res.drained);
+    else if (key == "unfinished_flows")
+      read_field(r, v, key, res.unfinished_flows);
+    else if (key == "bytes_outstanding")
+      read_field(r, v, key, res.bytes_outstanding);
     else if (key == "fct_digest") {
       std::string hex;
-      if (read_string(r, v, key.c_str(), hex)) {
+      if (read_field(r, v, key, hex)) {
         res.fct_digest = std::strtoull(hex.c_str(), nullptr, 16);
       }
     } else if (key == "reorder_segments")
-      read_u64(r, v, key.c_str(), res.reorder_segments);
+      read_field(r, v, key, res.reorder_segments);
     else if (key == "reorder_max_distance")
-      read_u64(r, v, key.c_str(), res.reorder_max_distance);
+      read_field(r, v, key, res.reorder_max_distance);
     else if (key == "reordered_flows")
-      read_u64(r, v, key.c_str(), res.reordered_flows);
-    else if (key == "probes_sent")
-      read_u64(r, v, key.c_str(), res.probes_sent);
+      read_field(r, v, key, res.reordered_flows);
+    else if (key == "probes_sent") read_field(r, v, key, res.probes_sent);
     else if (key == "probes_received")
-      read_u64(r, v, key.c_str(), res.probes_received);
+      read_field(r, v, key, res.probes_received);
     else
       return r.fail("unknown result field '" + key + "'");
     if (!r.ok) return false;

@@ -26,6 +26,8 @@
 #include "campaign/json.hpp"
 #include "net/topology.hpp"
 #include "sim/time.hpp"
+#include "stats/summary.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/experiment.hpp"
 
 namespace conga::campaign {
@@ -93,9 +95,9 @@ std::string cell_key(const ExperimentSpec& spec,
 
 /// Expands the spec to a runnable config, resolving the policy and
 /// distribution registries and arming the fault profile (the returned
-/// config's fabric_hook owns the injector; keep the config alive through the
-/// run, as run_fct_experiment's callers do). Returns false and sets `err`
-/// for unknown names or invalid parameters; `out` is untouched on failure.
+/// config's fabric_hook owns the injector; a workload::Experiment keeps a
+/// copy of the hook through its run). Returns false and sets `err` for
+/// unknown names or invalid parameters; `out` is untouched on failure.
 bool to_experiment_config(const ExperimentSpec& spec,
                           workload::ExperimentConfig& out, std::string& err);
 
@@ -104,6 +106,22 @@ bool to_experiment_config(const ExperimentSpec& spec,
 /// Returns false and sets `err` when the spec does not resolve.
 bool run_spec(const ExperimentSpec& spec, workload::ExperimentResult& out,
               std::string& err);
+
+/// The Fig 11(c) hotspot scenario: the Fig 7b testbed (one Leaf1-Spine1
+/// link down) with `hosts_per_leaf` hosts per leaf and 10 MB fabric queues,
+/// data-mining at 60% load under `policy`, 10 ms minimum RTO, fabric seed
+/// 31, traffic seed 7; arrivals until `stop`, measured from 10 ms, no
+/// drain. bench/fig11_link_failure part (c) and `conga_trace record` both
+/// run it through run_hotspot.
+ExperimentSpec hotspot_spec(const std::string& policy, int hosts_per_leaf,
+                            sim::TimeNs stop);
+
+/// Runs `spec` with `sink` attached ahead of the spec's own fabric hook (so
+/// fault transitions are recorded) and samples the hotspot [Spine1->Leaf1]
+/// queue every 100 us over the measurement window into `queue_bytes`.
+/// Returns false and sets `err` when the spec does not resolve.
+bool run_hotspot(const ExperimentSpec& spec, telemetry::TraceSink& sink,
+                 stats::Summary& queue_bytes, std::string& err);
 
 /// Serializes a result into the store's canonical payload object (fixed
 /// member order; doubles in shortest-round-trip form).

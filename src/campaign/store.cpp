@@ -25,6 +25,8 @@ constexpr const char* kEntrySchema = "conga-cell-v1";
 /// write-then-rename window, leaving an orphaned tmp file behind.
 std::atomic<bool> g_tear_after_tmp_write{false};
 
+}  // namespace
+
 bool read_file(const std::string& path, std::string& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
@@ -47,8 +49,6 @@ bool write_file(const std::string& path, const std::string& bytes) {
       std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
   return (std::fclose(f) == 0) && ok;
 }
-
-}  // namespace
 
 ResultStore::ResultStore(std::string root) : root_(std::move(root)) {}
 

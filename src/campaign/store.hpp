@@ -31,6 +31,11 @@
 
 namespace conga::campaign {
 
+/// Reads the whole file at `path` into `out`; false on any I/O failure.
+bool read_file(const std::string& path, std::string& out);
+/// Writes `bytes` to `path` (truncating); false on any I/O failure.
+bool write_file(const std::string& path, const std::string& bytes);
+
 class ResultStore {
  public:
   enum class LoadStatus : std::uint8_t {

@@ -12,11 +12,15 @@
 // into a results divergence.
 //
 // Shared by tools/determinism_audit (the CI gate) and the determinism
-// regression tests.
+// regression tests; the RunTap instrumentation is also chaos_audit's.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
+#include "net/fabric.hpp"
+#include "stats/digest.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/experiment.hpp"
 
 namespace conga::debug {
@@ -35,12 +39,29 @@ struct RunDigests {
   friend bool operator==(const RunDigests&, const RunDigests&) = default;
 };
 
-/// Runs `cfg` via workload::run_fct_experiment and digests it. The
-/// instrumentation rides in a fabric hook that installs the scheduler trace
-/// hook, attaches a fully enabled telemetry sink (when `telemetry` is set),
-/// and then calls cfg.fabric_hook, so policy modes and fault plans armed
-/// there run unchanged. The sink is passive: `fct`, `trace` and `events`
-/// do not depend on `telemetry`, and `fct` equals the plain run's
+/// Passive instrumentation of one run: the order-sensitive dispatch digest,
+/// the dispatch count, and a fully enabled telemetry sink with 64-entry
+/// rings (its streaming digest covers every event, retained or not, so no
+/// per-link history is held).
+struct RunTap {
+  RunTap() = default;
+  RunTap(const RunTap&) = delete;  // wrap()'s hooks hold `this`
+  RunTap& operator=(const RunTap&) = delete;
+
+  stats::TraceDigest trace;
+  std::uint64_t events = 0;
+  telemetry::TraceSink sink{telemetry::TraceSinkConfig{64}};
+
+  /// A fabric hook that installs the scheduler trace hook, attaches `sink`
+  /// (when `telemetry` is set), and then calls `hook`, so policy modes and
+  /// fault plans armed there run unchanged and are recorded.
+  std::function<void(net::Fabric&)> wrap(
+      std::function<void(net::Fabric&)> hook, bool telemetry = true);
+};
+
+/// Runs `cfg` via workload::run_fct_experiment with a RunTap wrapped around
+/// cfg.fabric_hook and digests it. The sink is passive: `fct`, `trace` and
+/// `events` do not depend on `telemetry`, and `fct` equals the plain run's
 /// ExperimentResult::fct_digest.
 RunDigests run_digest_trial(const workload::ExperimentConfig& cfg,
                             bool telemetry = true);

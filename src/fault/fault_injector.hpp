@@ -79,7 +79,7 @@ class FaultInjector {
 /// A fabric hook (workload::ExperimentConfig::fabric_hook) that arms `plan`
 /// on a fresh injector seeded with `seed` each time it runs. The hook and
 /// its copies own the injector, so keep one alive through the run, as
-/// run_fct_experiment's callers keep their config.
+/// workload::Experiment keeps its copy of the config's hook.
 std::function<void(net::Fabric&)> arming_hook(FaultPlan plan,
                                               std::uint64_t seed);
 

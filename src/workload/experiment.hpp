@@ -1,12 +1,15 @@
 // Reusable FCT-experiment harness: one (topology, workload, load, scheme,
 // transport) cell of the paper's evaluation grid, with warmup, a measurement
 // window, and a bounded drain. The fig09/10/11/15 benches reach it through
-// campaigns (campaign::run_spec); the ablation bench and the examples call
-// it directly.
+// campaigns (campaign::run_spec); chaos_audit, conga_sim, conga_trace record
+// and the fig11(c)/12/16 loops hold an Experiment to attach monitors and
+// samplers before the run and read the fabric after it; the ablation bench
+// calls run_fct_experiment directly.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "net/fabric.hpp"
@@ -63,7 +66,40 @@ struct ExperimentResult {
   std::uint64_t probes_received = 0;
 };
 
-/// Runs one experiment cell to completion and summarizes it.
+/// One cell, built but not yet run. The constructor builds the scheduler
+/// and fabric, installs cfg.lb, calls cfg.fabric_hook and constructs the
+/// Poisson generator (arrivals in [0, warmup + measure), measured in
+/// [warmup, warmup + measure), seeded with cfg.traffic_seed); nothing is
+/// scheduled by the generator until run(). Between the two, callers attach
+/// what the config cannot express: a flow monitor, a sampler, a sink.
+class Experiment {
+ public:
+  explicit Experiment(const ExperimentConfig& cfg);
+  Experiment(const Experiment&) = delete;
+  Experiment& operator=(const Experiment&) = delete;
+
+  sim::Scheduler& scheduler() { return sched_; }
+  net::Fabric& fabric() { return fabric_; }
+  TrafficGenerator& generator() { return *gen_; }
+
+  /// Starts the generator, runs to the end of arrivals, drains for at most
+  /// cfg.max_drain, folds still-live measured flows into the unfinished
+  /// accounting, and summarizes. Call once; the fabric stays readable.
+  ExperimentResult run();
+
+ private:
+  /// Copy of cfg.fabric_hook: it may own state the run uses (a fault
+  /// injector), so it lives as long as the experiment.
+  std::function<void(net::Fabric&)> hook_;
+  sim::TimeNs stop_;
+  sim::TimeNs max_drain_;
+  sim::Scheduler sched_;
+  net::Fabric fabric_;
+  std::optional<TrafficGenerator> gen_;  ///< built once the hook has run
+};
+
+/// Runs one experiment cell to completion and summarizes it:
+/// Experiment(cfg).run().
 ExperimentResult run_fct_experiment(const ExperimentConfig& cfg);
 
 }  // namespace conga::workload

@@ -1,8 +1,8 @@
 // Campaign service tests: canonical JSON round-trips (including a fuzz
 // sweep), pinned plain-TCP spec bytes, the mptcp_subflows axis,
 // cache-key sensitivity, expansion order, the cold-vs-warm byte-identity
-// promise, verdicts, verify-sample poisoning detection, and the kCampaign
-// telemetry events.
+// promise, verdicts, verify-sample poisoning detection, the kCampaign
+// telemetry events, and workload::Experiment as the one cell runner.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,6 +17,7 @@
 #include "campaign/json.hpp"
 #include "campaign/store.hpp"
 #include "lb/factories.hpp"
+#include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "sim/random.hpp"
 #include "tcp/mptcp_connection.hpp"
@@ -577,6 +578,63 @@ TEST(CampaignTelemetry, CacheDecisionsAreTraced) {
   EXPECT_EQ(cat, telemetry::Category::kCampaign);
 }
 #endif  // CONGA_TELEMETRY
+
+/// Small cells of the three kinds a workload::Experiment must run exactly as
+/// run_spec does: plain CONGA, DRILL (its fabric hook flips the spines), and
+/// a gray-failure fault profile (its hook owns the injector).
+std::vector<ExperimentSpec> experiment_specs() {
+  ExperimentSpec base;
+  base.topo = net::testbed_baseline();
+  base.topo.hosts_per_leaf = 4;
+  base.load = 0.5;
+  base.min_rto_ns = sim::milliseconds(10);
+  base.warmup_ns = sim::milliseconds(1);
+  base.measure_ns = sim::milliseconds(4);
+  base.max_drain_ns = sim::milliseconds(300);
+  ExperimentSpec drill = base;
+  drill.policy = "drill";
+  ExperimentSpec gray = base;
+  gray.fault = {"gray", 3};
+  return {base, drill, gray};
+}
+
+TEST(Experiment, MatchesRunSpecBytes) {
+  for (const ExperimentSpec& spec : experiment_specs()) {
+    workload::ExperimentResult via_spec;
+    std::string err;
+    ASSERT_TRUE(run_spec(spec, via_spec, err)) << err;
+    workload::ExperimentConfig cfg;
+    ASSERT_TRUE(to_experiment_config(spec, cfg, err)) << err;
+    const workload::ExperimentResult direct = workload::Experiment(cfg).run();
+    EXPECT_GT(direct.flows, 0U) << canonical_json(spec);
+    EXPECT_EQ(json_of_result(direct).dump(), json_of_result(via_spec).dump())
+        << canonical_json(spec);
+  }
+}
+
+TEST(Experiment, FabricConservesPacketsAfterRun) {
+  for (const ExperimentSpec& spec : experiment_specs()) {
+    workload::ExperimentConfig cfg;
+    std::string err;
+    ASSERT_TRUE(to_experiment_config(spec, cfg, err)) << err;
+    workload::Experiment exp(cfg);
+    exp.run();
+    net::Fabric& fabric = exp.fabric();
+    std::vector<const net::Link*> links(fabric.fabric_links().begin(),
+                                        fabric.fabric_links().end());
+    for (net::HostId h = 0; h < fabric.num_hosts(); ++h) {
+      links.push_back(fabric.host_to_leaf(h));
+      links.push_back(fabric.leaf_to_host(h));
+    }
+    std::uint64_t delivered = 0;
+    for (const net::Link* link : links) {
+      EXPECT_TRUE(link->conserves_packets())
+          << link->name() << " in " << canonical_json(spec);
+      delivered += link->bytes_sent();
+    }
+    EXPECT_GT(delivered, 0U) << canonical_json(spec);
+  }
+}
 
 }  // namespace
 }  // namespace conga::campaign

@@ -1,8 +1,9 @@
-// End-to-end CLI tests for conga_sim, driving the real binary
-// (CONGA_SIM_BIN): flags that a campaign spec would reject — a load outside
-// (0, 1], an unparseable fixed size, an unknown distribution or policy —
-// exit 2 promptly with the spec's message instead of running (or wedging)
-// a simulation, while the documented flag spellings still run.
+// End-to-end CLI tests for the spec-driven tools, driving the real binaries
+// (CONGA_SIM_BIN, CHAOS_AUDIT_BIN, CONGA_TRACE_BIN): flags that a campaign
+// spec would reject — a load outside (0, 1], an unparseable fixed size, an
+// unknown distribution or policy, an empty window or host count — exit 2
+// promptly with the spec's message instead of running (or wedging, or
+// aborting) a simulation, while the documented flag spellings still run.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -16,19 +17,21 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr const char* kBin = CONGA_SIM_BIN;
+constexpr const char* kSim = CONGA_SIM_BIN;
+constexpr const char* kChaos = CHAOS_AUDIT_BIN;
+constexpr const char* kTrace = CONGA_TRACE_BIN;
 
 struct Outcome {
   int exit_code = -1;  ///< 124 when `timeout` had to kill the run
   std::string err;
 };
 
-/// Runs conga_sim with `flags` under a 10 s timeout; captures stderr.
-Outcome run_sim(const std::string& flags) {
+/// Runs `bin` with `flags` under a 10 s timeout; captures stderr.
+Outcome run_tool(const char* bin, const std::string& flags) {
   const fs::path err_path =
       fs::temp_directory_path() /
       ("conga_sim_cli_test." + std::to_string(::getpid()) + ".err");
-  const std::string cmd = "timeout 10 " + std::string(kBin) + " " + flags +
+  const std::string cmd = "timeout 10 " + std::string(bin) + " " + flags +
                           " >/dev/null 2>" + err_path.string();
   const int st = std::system(cmd.c_str());
   Outcome out;
@@ -48,10 +51,15 @@ Outcome run_sim(const std::string& flags) {
 // a second, so only a rejected flag can explain a fast exit 2.
 const std::string kSmall = "--hosts 4 --warmup-ms 1 --duration-ms 2 ";
 
-void expect_rejected(const std::string& flags, const std::string& message) {
-  const Outcome o = run_sim(kSmall + flags);
+void expect_tool_rejected(const char* bin, const std::string& flags,
+                          const std::string& message) {
+  const Outcome o = run_tool(bin, flags);
   EXPECT_EQ(o.exit_code, 2) << flags << "\n" << o.err;
   EXPECT_NE(o.err.find(message), std::string::npos) << flags << "\n" << o.err;
+}
+
+void expect_rejected(const std::string& flags, const std::string& message) {
+  expect_tool_rejected(kSim, kSmall + flags, message);
 }
 
 TEST(SimCli, RejectsLoadOutsideUnitInterval) {
@@ -77,9 +85,44 @@ TEST(SimCli, DocumentedSpellingsStillRun) {
        {"--workload enterprise", "--workload data-mining",
         "--workload web-search", "--workload fixed:20000",
         "--transport mptcp --lb ecmp", "--transport dctcp --lb drill"}) {
-    const Outcome o = run_sim(kSmall + "--load 0.3 " + flags);
+    const Outcome o = run_tool(kSim, kSmall + "--load 0.3 " + flags);
     EXPECT_EQ(o.exit_code, 0) << flags << "\n" << o.err;
   }
+}
+
+// One small campaign of one policy: a valid audit finishes in about a
+// second, and nothing is written when a flag is rejected.
+const std::string kSmallAudit =
+    "--campaigns 1 --lb ecmp --warmup-ms 1 --duration-ms 2 --out /dev/null ";
+
+TEST(ChaosAuditCli, RejectsFlagsTheSpecRejects) {
+  // A zero load used to wedge the arrival process until the timeout, a
+  // zero host count aborted on an uncaught exception, and the others ran
+  // and reported PASSED.
+  expect_tool_rejected(kChaos, kSmallAudit + "--load 0",
+                       "load must be in (0, 1]");
+  expect_tool_rejected(kChaos, kSmallAudit + "--load 1.5",
+                       "load must be in (0, 1]");
+  expect_tool_rejected(kChaos, kSmallAudit + "--hosts 0",
+                       "topo: hosts_per_leaf must be >= 1");
+  expect_tool_rejected(kChaos, kSmallAudit + "--duration-ms 0",
+                       "windows must be");
+  expect_tool_rejected(kChaos, kSmallAudit + "--drain-ms -5",
+                       "windows must be");
+}
+
+TEST(ChaosAuditCli, SmallAuditPasses) {
+  const Outcome o = run_tool(kChaos, kSmallAudit + "--hosts 4");
+  EXPECT_EQ(o.exit_code, 0) << o.err;
+}
+
+TEST(TraceCli, RecordRejectsRunsTooShortToMeasure) {
+  // The hotspot sampler starts at 10 ms: a 5 ms run used to print an
+  // all-zero percentile row.
+  expect_tool_rejected(kTrace, "record --stop-ms 5 --out /dev/null",
+                       "windows must be");
+  expect_tool_rejected(kTrace, "record --lb nope --out /dev/null",
+                       "unknown policy 'nope'");
 }
 
 }  // namespace

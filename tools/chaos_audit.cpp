@@ -12,6 +12,9 @@
 //     unfinished with bytes outstanding);
 //   * invariants   — any CONGA_CHECK_INVARIANTS violation aborts the audit
 //     loudly via the default handler.
+// Each cell is a campaign::ExperimentSpec (fault = {profile, seed +
+// campaign}) run through workload::Experiment, so a bad --load, --hosts or
+// window exits 2 with the spec's message before any cell runs.
 // Results land in a JSON survival report (--out). The report is a pure
 // function of the flags: rerunning with the same seed — at any --jobs count
 // — must produce a byte-identical file, which makes the audit itself
@@ -39,14 +42,14 @@
 #include <string>
 #include <vector>
 
+#include "campaign/experiment_spec.hpp"
+#include "debug/determinism.hpp"
 #include "debug/invariants.hpp"
 #include "debug/watchdog.hpp"
-#include "fault/fault_injector.hpp"
-#include "fault/fault_plan.hpp"
 #include "lb_ext/policies.hpp"
 #include "runtime/parallel_runner.hpp"
-#include "stats/digest.hpp"
-#include "workload/traffic_gen.hpp"
+#include "telemetry/probes.hpp"
+#include "workload/experiment.hpp"
 
 using namespace conga;
 
@@ -102,79 +105,53 @@ struct CellResult {
   bool survived = false;  ///< drained with a balanced packet ledger
 };
 
-fault::FaultPlan make_plan(const AuditConfig& cfg,
-                           const net::TopologyConfig& topo,
-                           std::uint64_t plan_seed, sim::TimeNs horizon) {
-  if (cfg.profile == "gray") {
-    return fault::make_gray_plan(topo, plan_seed, horizon);
-  }
-  fault::RandomPlanConfig rc;
-  rc.horizon = horizon;
-  return fault::make_random_plan(topo, plan_seed, rc);
+/// Campaign `c`'s cell for `policy`: the fault plan is the spec's profile
+/// drawn from seed + c, so every policy of a campaign faces the same plan.
+campaign::ExperimentSpec cell_spec(const AuditConfig& cfg,
+                                   const std::string& policy, int c) {
+  campaign::ExperimentSpec spec;
+  spec.dist = "enterprise";
+  spec.policy = policy;
+  spec.load = cfg.load;
+  spec.topo = net::testbed_baseline();
+  spec.topo.hosts_per_leaf = cfg.hosts;
+  spec.warmup_ns = sim::milliseconds(cfg.warmup_ms);
+  spec.measure_ns = sim::milliseconds(cfg.duration_ms);
+  spec.max_drain_ns = sim::milliseconds(cfg.drain_ms);
+  spec.fabric_seed = cfg.seed;
+  spec.traffic_seed = cfg.seed * 31 + 7;
+  spec.fault = {cfg.profile, cfg.seed + static_cast<std::uint64_t>(c)};
+  return spec;
 }
 
-CellResult run_cell(const AuditConfig& cfg, const std::string& policy,
-                    std::uint64_t plan_seed) {
-  const sim::TimeNs warmup = sim::milliseconds(cfg.warmup_ms);
-  const sim::TimeNs measure = sim::milliseconds(cfg.duration_ms);
-  const sim::TimeNs stop = warmup + measure;
+CellResult run_cell(const workload::ExperimentConfig& cell) {
+  debug::RunTap tap;
+  workload::ExperimentConfig cfg = cell;
+  cfg.fabric_hook = tap.wrap(cell.fabric_hook);
+  workload::Experiment exp(cfg);
 
-  net::TopologyConfig topo = net::testbed_baseline();
-  topo.hosts_per_leaf = cfg.hosts;
-  const fault::FaultPlan plan = make_plan(cfg, topo, plan_seed, stop);
-
-  sim::Scheduler sched;
-  stats::TraceDigest trace;
-  sched.set_trace_hook([&trace](sim::TimeNs t, std::uint64_t seq) {
-    trace.add(static_cast<std::uint64_t>(t));
-    trace.add(seq);
-  });
-
-  net::Fabric fabric(sched, topo, cfg.seed);
-  if (!lb_ext::install_policy(fabric, policy)) {
-    usage(("unknown policy: " + policy +
-           " (registered: " + lb_ext::policy_names() + ")")
-              .c_str());
-  }
-
-  telemetry::TraceSinkConfig sink_cfg;
-  sink_cfg.ring_capacity = 64;
-  telemetry::TraceSink sink(sink_cfg);
-  fabric.attach_telemetry(&sink);
-
-  workload::TrafficGenConfig gc;
-  gc.load = cfg.load;
-  gc.stop = stop;
-  gc.measure_start = warmup;
-  gc.measure_stop = stop;
-  gc.seed = cfg.seed * 31 + 7;
-
-  workload::TrafficGenerator gen(fabric, tcp::make_tcp_flow_factory({}),
-                                 workload::enterprise(), gc);
   debug::WatchdogConfig wd_cfg;
   wd_cfg.horizon = sim::milliseconds(20);
   wd_cfg.poll_interval = sim::milliseconds(2);
-  debug::LivenessWatchdog watchdog(sched, wd_cfg);
-  watchdog.attach_telemetry(&sink);
-  gen.set_monitor(&watchdog);
-  gen.start();
-
-  fault::FaultInjector injector(fabric, plan_seed);
-  injector.arm(plan);
+  debug::LivenessWatchdog watchdog(exp.scheduler(), wd_cfg);
+  watchdog.attach_telemetry(&tap.sink);
+  exp.generator().set_monitor(&watchdog);
+  const workload::ExperimentResult res = exp.run();
 
   CellResult r;
-  r.drained =
-      workload::run_with_drain(sched, gen, stop, sim::milliseconds(cfg.drain_ms));
-  if (!r.drained) gen.account_unfinished();
-
-  r.fct_digest = stats::fct_digest(gen.collector());
-  r.trace_digest = trace.value();
-  r.flows = gen.collector().count();
-  r.unfinished = gen.collector().unfinished_count();
-  r.bytes_outstanding = gen.collector().bytes_outstanding();
+  r.drained = res.drained;
+  r.fct_digest = res.fct_digest;
+  r.trace_digest = tap.trace.value();
+  r.flows = res.flows;
+  r.unfinished = res.unfinished_flows;
+  r.bytes_outstanding = res.bytes_outstanding;
   r.stalls = watchdog.stall_count();
-  r.transitions = injector.transitions();
+  // The injector registers this counter when its plan is non-empty.
+  const telemetry::ProbeRegistry& probes = tap.sink.probes();
+  const int transitions = probes.find("fault/transitions");
+  if (transitions >= 0) r.transitions = probes.probe(transitions).counter();
 
+  net::Fabric& fabric = exp.fabric();
   auto check_link = [&r](const net::Link* link) {
     r.drops_queue += link->queue().stats().dropped_pkts;
     r.drops_admin += link->drop_stats().admin_down_pkts;
@@ -318,6 +295,18 @@ int main(int argc, char** argv) {
   const std::size_t n_policies = cfg.policies.size();
   const std::size_t n_cells =
       static_cast<std::size_t>(cfg.campaigns) * n_policies;
+  // Every cell resolves before any runs: a bad load, host count or window
+  // exits 2 with the spec's message.
+  std::vector<workload::ExperimentConfig> cell_cfgs(n_cells);
+  for (std::size_t i = 0; i < n_cells; ++i) {
+    std::string err;
+    const campaign::ExperimentSpec spec =
+        cell_spec(cfg, cfg.policies[i % n_policies],
+                  static_cast<int>(i / n_policies));
+    if (!campaign::to_experiment_config(spec, cell_cfgs[i], err)) {
+      usage(err.c_str());
+    }
+  }
   std::printf("chaos_audit: %d campaign(s) x %zu policies, profile=%s, "
               "seed=%" PRIu64 ", jobs=%d\n",
               cfg.campaigns, n_policies, cfg.profile.c_str(), cfg.seed,
@@ -325,8 +314,7 @@ int main(int argc, char** argv) {
 
   const std::vector<CellResult> cells =
       runtime::parallel_map<CellResult>(n_cells, cfg.jobs, [&](std::size_t i) {
-        const std::uint64_t plan_seed = cfg.seed + i / n_policies;
-        return run_cell(cfg, cfg.policies[i % n_policies], plan_seed);
+        return run_cell(cell_cfgs[i]);
       });
 
   for (std::size_t i = 0; i < cells.size(); ++i) {

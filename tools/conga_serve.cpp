@@ -63,6 +63,7 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/fingerprint.hpp"
+#include "campaign/store.hpp"
 #include "campaign/supervisor.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -96,29 +97,6 @@ int usage() {
   return 2;
 }
 
-bool read_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  out.clear();
-  for (;;) {
-    const std::size_t n = std::fread(buf, 1, sizeof(buf), f);
-    out.append(buf, n);
-    if (n < sizeof(buf)) break;
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
-bool write_file(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  return (std::fclose(f) == 0) && ok;
-}
-
 /// Resolves --campaign / --builtin into a request; defaults to the built-in
 /// smoke campaign when neither is given.
 bool load_campaign(const std::string& campaign_path,
@@ -130,7 +108,7 @@ bool load_campaign(const std::string& campaign_path,
   }
   if (!campaign_path.empty()) {
     std::string text;
-    if (!read_file(campaign_path, text)) {
+    if (!campaign::read_file(campaign_path, text)) {
       err = "cannot read " + campaign_path;
       return false;
     }
@@ -333,7 +311,7 @@ int make_and_emit_verdict(const campaign::Json& report,
                           const std::string& verdict_path, double tolerance) {
   std::string base_text;
   std::string err;
-  if (!read_file(baseline_path, base_text)) {
+  if (!campaign::read_file(baseline_path, base_text)) {
     std::fprintf(stderr, "conga_serve: cannot read %s\n",
                  baseline_path.c_str());
     return 2;
@@ -352,7 +330,7 @@ int make_and_emit_verdict(const campaign::Json& report,
   }
   const std::string bytes = verdict.dump_pretty() + "\n";
   if (!verdict_path.empty()) {
-    if (!write_file(verdict_path, bytes)) {
+    if (!campaign::write_file(verdict_path, bytes)) {
       std::fprintf(stderr, "conga_serve: cannot write %s\n",
                    verdict_path.c_str());
       return 2;
@@ -411,7 +389,7 @@ int cmd_run(const Args& a) {
 
   const std::string report_text = campaign::report_json(run);
   if (!a.out_path.empty()) {
-    if (!write_file(a.out_path, report_text)) {
+    if (!campaign::write_file(a.out_path, report_text)) {
       std::fprintf(stderr, "conga_serve: cannot write %s\n",
                    a.out_path.c_str());
       return 2;
@@ -426,7 +404,7 @@ int cmd_run(const Args& a) {
   const campaign::Json stats = campaign::stats_json(run.stats);
   std::fprintf(stderr, "conga_serve: %s\n", stats.dump().c_str());
   if (!a.stats_path.empty() &&
-      !write_file(a.stats_path, stats.dump_pretty() + "\n")) {
+      !campaign::write_file(a.stats_path, stats.dump_pretty() + "\n")) {
     std::fprintf(stderr, "conga_serve: cannot write %s\n",
                  a.stats_path.c_str());
     return 2;
@@ -478,7 +456,7 @@ int cmd_verdict(const Args& a) {
   }
   std::string report_text;
   std::string err;
-  if (!read_file(a.report_path, report_text)) {
+  if (!campaign::read_file(a.report_path, report_text)) {
     std::fprintf(stderr, "conga_serve: cannot read %s\n",
                  a.report_path.c_str());
     return 2;

@@ -20,9 +20,10 @@
 //   --load F --duration-ms N --warmup-ms N --seed N --min-rto-ms N
 //   --subflows N (mptcp) --ecn-kb N --shared-buffer-mb N
 //
-// The flags build a campaign::ExperimentSpec, so a bad load, distribution,
-// policy, window or topology exits 2 with the same message a campaign cell
-// would fail with.
+// The flags build a campaign::ExperimentSpec (fabric seed --seed, traffic
+// seed --seed*31+7) and the tool runs that spec, so a bad load,
+// distribution, policy, window or topology exits 2 with the same message a
+// campaign cell would fail with.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,9 +31,7 @@
 #include <vector>
 
 #include "campaign/experiment_spec.hpp"
-#include "lb_ext/policies.hpp"
 #include "workload/experiment.hpp"
-#include "workload/traffic_gen.hpp"
 
 using namespace conga;
 
@@ -176,24 +175,16 @@ int main(int argc, char** argv) {
   spec.warmup_ns = sim::milliseconds(o.warmup_ms);
   spec.measure_ns = sim::milliseconds(o.duration_ms);
   spec.max_drain_ns = sim::seconds(5.0);
+  spec.fabric_seed = o.seed;
+  spec.traffic_seed = o.seed * 31 + 7;
   workload::ExperimentConfig cfg;
   std::string err;
   if (!campaign::to_experiment_config(spec, cfg, err)) usage(err.c_str());
 
-  // Build + run, keeping the fabric around for the utilization report.
-  sim::Scheduler sched;
-  net::Fabric fabric(sched, topo, o.seed);
-  lb_ext::install_policy(fabric, o.lb);  // the spec resolved the name
-  workload::TrafficGenConfig gc;
-  gc.load = o.load;
-  gc.stop = spec.warmup_ns + spec.measure_ns;
-  gc.measure_start = spec.warmup_ns;
-  gc.measure_stop = gc.stop;
-  gc.seed = o.seed * 31 + 7;
-  workload::TrafficGenerator gen(fabric, cfg.transport, cfg.dist, gc);
-  gen.start();
-  const bool drained =
-      workload::run_with_drain(sched, gen, gc.stop, spec.max_drain_ns);
+  // Keep the experiment around for the utilization report.
+  workload::Experiment exp(cfg);
+  const workload::ExperimentResult r = exp.run();
+  net::Fabric& fabric = exp.fabric();
 
   std::printf("topology %s: %d leaves x %d spines x %d links, %d hosts/leaf",
               o.topology.c_str(), topo.num_leaves, topo.num_spines,
@@ -206,18 +197,18 @@ int main(int argc, char** argv) {
               o.lb.c_str(), o.transport.c_str(), o.workload.c_str(),
               o.load * 100, o.duration_ms);
 
-  const auto& c = gen.collector();
-  std::printf("flows measured:        %zu (%s)\n", c.count(),
-              drained ? "all completed" : "NOT all completed before drain cap");
-  std::printf("avg FCT / optimal:     %.2f\n", c.avg_normalized_fct());
-  std::printf("median FCT / optimal:  %.2f\n", c.median_normalized_fct());
-  std::printf("p99 FCT / optimal:     %.2f\n", c.p99_normalized_fct());
-  std::printf("avg FCT small flows:   %.1f us\n", c.avg_fct_small() * 1e6);
-  std::printf("avg FCT large flows:   %.1f ms\n", c.avg_fct_large() * 1e3);
+  std::printf("flows measured:        %zu (%s)\n", r.flows,
+              r.drained ? "all completed"
+                        : "NOT all completed before drain cap");
+  std::printf("avg FCT / optimal:     %.2f\n", r.avg_norm_fct);
+  std::printf("median FCT / optimal:  %.2f\n", r.median_norm_fct);
+  std::printf("p99 FCT / optimal:     %.2f\n", r.p99_norm_fct);
+  std::printf("avg FCT small flows:   %.1f us\n", r.avg_fct_small * 1e6);
+  std::printf("avg FCT large flows:   %.1f ms\n", r.avg_fct_large * 1e3);
 
   std::printf("\nper-leaf uplink utilization (delivered bits / capacity, "
               "whole run):\n");
-  const double secs = sim::to_seconds(sched.now());
+  const double secs = sim::to_seconds(exp.scheduler().now());
   for (int l = 0; l < fabric.num_leaves(); ++l) {
     std::printf("  leaf%-3d", l);
     for (const auto& up : fabric.leaf(l).uplinks()) {

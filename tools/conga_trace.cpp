@@ -14,10 +14,12 @@
 //     --ring N          per-component ring capacity  [default 8192]
 //     --cats a,b,...    category mask (queue,link,dre,flowlet,conga_table,
 //                       tcp,flow,probe,fault)        [default: all]
-//     --fault-seed N    additionally arm a randomized fault campaign
-//                       (src/fault/ make_random_plan, horizon = stop) so the
-//                       exported trace carries fault transitions and
+//     --fault-seed N    additionally arm a randomized fault campaign (the
+//                       spec's "random" fault profile, horizon = stop) so
+//                       the exported trace carries fault transitions and
 //                       cause-tagged drops            [default: 0 = off]
+//   The flags build campaign::hotspot_spec, so a bad policy or a run too
+//   short to measure (--stop-ms <= 10) exits 2 with the spec's message.
 //
 //   summary FILE        per-category / per-type event counts, component and
 //                       time-range overview of a JSONL trace.
@@ -40,13 +42,9 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault_injector.hpp"
-#include "lb_ext/policies.hpp"
-#include "net/fabric.hpp"
+#include "campaign/experiment_spec.hpp"
 #include "stats/summary.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/probes.hpp"
-#include "workload/traffic_gen.hpp"
 
 using namespace conga;
 
@@ -149,48 +147,18 @@ int cmd_record(int argc, char** argv) {
     }
   }
 
-  if (lb_ext::find_policy(lb_name) == nullptr) {
-    usage(("unknown --lb: " + lb_name +
-           " (registered: " + lb_ext::policy_names() + ")")
-              .c_str());
-  }
-
   // The Fig 11(c) scenario, exactly as bench/fig11_link_failure runs it.
-  net::TopologyConfig topo = net::testbed_link_failure();
-  topo.hosts_per_leaf = 16;
-  topo.fabric_queue_bytes = 10 * 1024 * 1024;
-
-  sim::Scheduler sched;
-  net::Fabric fabric(sched, topo, 31);
-  lb_ext::install_policy(fabric, lb_name);
+  campaign::ExperimentSpec spec =
+      campaign::hotspot_spec(lb_name, 16, sim::milliseconds(stop_ms));
+  if (fault_seed != 0) spec.fault = {"random", fault_seed};
 
   telemetry::TraceSinkConfig cfg;
   cfg.ring_capacity = ring;
   cfg.category_mask = mask;
   telemetry::TraceSink sink(cfg);
-  fabric.attach_telemetry(&sink);
-
-  tcp::TcpConfig t;
-  t.min_rto = sim::milliseconds(10);
-  workload::TrafficGenConfig gc;
-  gc.load = 0.6;
-  gc.stop = sim::milliseconds(stop_ms);
-  workload::TrafficGenerator gen(fabric, tcp::make_tcp_flow_factory(t),
-                                 workload::data_mining(), gc);
-  gen.start();
-
-  fault::FaultInjector injector(fabric, fault_seed);
-  if (fault_seed != 0) {
-    fault::RandomPlanConfig rc;
-    rc.horizon = gc.stop;
-    injector.arm(fault::make_random_plan(topo, fault_seed, rc));
-  }
-
-  const int hotspot = sink.probes().find("down:l1s1p0/queue_bytes");
-  telemetry::PeriodicSampler sampler(sched, sink, sim::microseconds(100),
-                                     sim::milliseconds(10), gc.stop,
-                                     {hotspot});
-  sched.run_until(gc.stop);
+  stats::Summary occ;
+  std::string err;
+  if (!campaign::run_hotspot(spec, sink, occ, err)) usage(err.c_str());
 
   if (!telemetry::write_jsonl_file(sink, out)) {
     usage(("cannot write " + out).c_str());
@@ -215,7 +183,6 @@ int cmd_record(int argc, char** argv) {
     std::printf("%11.0f", p);
   }
   std::printf("  (queue KB)\n%-6s", "");
-  const stats::Summary occ = sampler.summary(0);
   for (double p : {10.0, 25.0, 50.0, 75.0, 90.0, 99.0}) {
     std::printf("%11.1f", occ.percentile(p) / 1e3);
   }
