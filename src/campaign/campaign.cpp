@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "campaign/field_reader.hpp"
+#include "campaign/codec.hpp"
 #include "campaign/fingerprint.hpp"
 #include "campaign/run_phases.hpp"
 #include "runtime/parallel_runner.hpp"
@@ -24,35 +24,129 @@ constexpr const char* kReportSchema = "conga-campaign-v1";
 constexpr const char* kStatsSchema = "conga-campaign-stats-v1";
 constexpr const char* kVerdictSchema = "conga-campaign-verdict-v1";
 
-using detail::FieldReader;
-using detail::read_field;
-
-int load_pct_of(const ExperimentSpec& spec) {
-  return static_cast<int>(std::lround(spec.load * 100.0));
-}
-
-/// The verdict's join key: the grid coordinates of a cell, stable across
-/// code changes (cache keys are not — they fold in the fingerprint).
-std::string coordinate_of(const std::string& case_name,
-                          const std::string& policy, int load_pct,
-                          std::uint64_t fabric_seed,
-                          std::uint64_t traffic_seed,
-                          const std::string& fault_profile,
-                          std::uint64_t fault_seed) {
-  return case_name + "|" + policy + "|" + std::to_string(load_pct) + "|" +
-         std::to_string(fabric_seed) + "|" + std::to_string(traffic_seed) +
-         "|" + fault_profile + "|" + std::to_string(fault_seed);
-}
-
 constexpr std::uint64_t kRecomputedFlag = 1ULL << 63;
 
 }  // namespace
 
-std::string cell_coordinate(const Cell& cell) {
+namespace detail {
+
+template <class V>
+void fields(V& v, SeedPair& s) {
+  v.kind("seed");
+  v.field("fabric", s.fabric);
+  v.field("traffic", s.traffic);
+}
+
+template <class V>
+void fields(V& v, CampaignCase& c) {
+  v.kind("case");
+  v.field("name", c.name);
+  v.field("topo", c.topo, kRequired);
+}
+
+template <class V>
+void fields(V& v, CampaignSpec& c) {
+  v.kind("campaign");
+  v.schema(kRequestSchema);
+  v.field("name", c.name);
+  v.field("dist", c.dist);
+  v.field("policies", c.policies);
+  v.field("loads_pct", c.loads_pct);
+  v.field("min_rto_ns", c.min_rto_ns);
+  v.field("dctcp", c.dctcp);
+  v.field("mptcp_subflows", c.mptcp_subflows, emit_if(c.mptcp_subflows > 0));
+  v.field("warmup_ns", c.warmup_ns);
+  v.field("measure_ns", c.measure_ns);
+  v.field("max_drain_ns", c.max_drain_ns);
+  v.field("seeds", c.seeds);
+  v.field("faults", c.faults);
+  v.field("cases", c.cases);
+}
+
+/// One entry of a report's "cells": grid coordinates, key and result.
+struct ReportCell {
+  std::string case_name;
+  std::string policy;
+  int load_pct = 0;
+  std::uint64_t fabric_seed = 0;
+  std::uint64_t traffic_seed = 0;
+  std::string fault_profile;
+  std::uint64_t fault_seed = 0;
+  std::string key;
+  workload::ExperimentResult result;
+};
+
+template <class V>
+void fields(V& v, ReportCell& c) {
+  v.kind("report cell");
+  v.field("case", c.case_name, kRequired);
+  v.field("policy", c.policy, kRequired);
+  v.field("load_pct", c.load_pct, kRequired);
+  v.field("fabric_seed", c.fabric_seed, kRequired);
+  v.field("traffic_seed", c.traffic_seed, kRequired);
+  v.field("fault_profile", c.fault_profile, kRequired);
+  v.field("fault_seed", c.fault_seed, kRequired);
+  v.field("key", c.key);
+  v.field("result", c.result, kRequired);
+}
+
+template <class V>
+void fields(V& v, FailedCell& f) {
+  v.kind("failed cell");
+  v.field("coordinate", f.coordinate);
+  v.field("key", f.key);
+  v.field("attempts", f.attempts);
+  v.field("outcome", f.outcome);
+  v.field("exit_code", f.exit_code);
+  v.field("signal", f.term_signal);
+  v.field("quarantine", f.quarantine_path);
+}
+
+/// The conga-campaign-v1 report document.
+struct Report {
+  std::string name;
+  std::string fingerprint;
+  Json request;
+  std::vector<ReportCell> cells;
+  std::vector<FailedCell> failed_cells;
+};
+
+template <class V>
+void fields(V& v, Report& r) {
+  v.kind("report");
+  v.schema(kReportSchema, kRequired);
+  v.field("name", r.name);
+  v.field("fingerprint", r.fingerprint);
+  v.field("request", r.request);
+  v.field("cells", r.cells, kRequired);
+  v.field("failed_cells", r.failed_cells);
+}
+
+}  // namespace detail
+
+namespace {
+
+/// A cell's report entry, result aside.
+detail::ReportCell report_cell(const Cell& cell) {
   const ExperimentSpec& s = cell.spec;
-  return coordinate_of(cell.case_name, s.policy, load_pct_of(s),
-                       s.fabric_seed, s.traffic_seed, s.fault.profile,
-                       s.fault.seed);
+  const int load_pct = static_cast<int>(std::lround(s.load * 100.0));
+  return {cell.case_name, s.policy,        load_pct,     s.fabric_seed,
+          s.traffic_seed, s.fault.profile, s.fault.seed, cell.key, {}};
+}
+
+/// The verdict's join key: the grid coordinates of a cell, stable across
+/// code changes (cache keys are not — they fold in the fingerprint).
+std::string coordinate_of(const detail::ReportCell& c) {
+  return c.case_name + "|" + c.policy + "|" + std::to_string(c.load_pct) +
+         "|" + std::to_string(c.fabric_seed) + "|" +
+         std::to_string(c.traffic_seed) + "|" + c.fault_profile + "|" +
+         std::to_string(c.fault_seed);
+}
+
+}  // namespace
+
+std::string cell_coordinate(const Cell& cell) {
+  return coordinate_of(report_cell(cell));
 }
 
 const char* store_health_name(StoreHealth h) {
@@ -68,142 +162,23 @@ const char* store_health_name(StoreHealth h) {
 }
 
 Json json_of_campaign(const CampaignSpec& spec) {
-  Json j = Json::object();
-  j.set("schema", Json::string(kRequestSchema));
-  j.set("name", Json::string(spec.name));
-  j.set("dist", Json::string(spec.dist));
-  Json policies = Json::array();
-  for (const std::string& p : spec.policies) policies.push_back(Json::string(p));
-  j.set("policies", std::move(policies));
-  Json loads = Json::array();
-  for (const int l : spec.loads_pct) loads.push_back(Json::integer(l));
-  j.set("loads_pct", std::move(loads));
-  j.set("min_rto_ns", Json::integer(spec.min_rto_ns));
-  j.set("dctcp", Json::boolean(spec.dctcp));
-  if (spec.mptcp_subflows > 0) {
-    j.set("mptcp_subflows", Json::integer(spec.mptcp_subflows));
-  }
-  j.set("warmup_ns", Json::integer(spec.warmup_ns));
-  j.set("measure_ns", Json::integer(spec.measure_ns));
-  j.set("max_drain_ns", Json::integer(spec.max_drain_ns));
-  Json seeds = Json::array();
-  for (const SeedPair& s : spec.seeds) {
-    Json e = Json::object();
-    e.set("fabric", Json::uinteger(s.fabric));
-    e.set("traffic", Json::uinteger(s.traffic));
-    seeds.push_back(std::move(e));
-  }
-  j.set("seeds", std::move(seeds));
-  Json faults = Json::array();
-  for (const FaultSpec& f : spec.faults) {
-    Json e = Json::object();
-    e.set("profile", Json::string(f.profile));
-    e.set("seed", Json::uinteger(f.seed));
-    faults.push_back(std::move(e));
-  }
-  j.set("faults", std::move(faults));
-  Json cases = Json::array();
-  for (const CampaignCase& c : spec.cases) {
-    Json e = Json::object();
-    e.set("name", Json::string(c.name));
-    e.set("topo", json_of_topo(c.topo));
-    cases.push_back(std::move(e));
-  }
-  j.set("cases", std::move(cases));
-  return j;
+  return detail::encode(spec);
 }
 
 bool campaign_from_json(const Json& doc, CampaignSpec& out, std::string& err) {
-  if (!doc.is_object()) {
-    err = "campaign must be an object";
-    return false;
-  }
-  FieldReader r{err};
   CampaignSpec c;
-  for (const auto& [key, v] : doc.members()) {
-    if (key == "schema") {
-      std::string schema;
-      if (read_field(r, v, key, schema) && schema != kRequestSchema) {
-        return r.fail("unsupported campaign schema '" + schema + "'");
-      }
-    } else if (key == "name") read_field(r, v, key, c.name);
-    else if (key == "dist") read_field(r, v, key, c.dist);
-    else if (key == "policies") {
-      if (!v.is_array()) return r.fail("policies must be an array");
-      c.policies.clear();
-      for (const Json& p : v.items()) {
-        std::string name;
-        if (!read_field(r, p, "policy", name)) return false;
-        c.policies.push_back(name);
-      }
-    } else if (key == "loads_pct") {
-      if (!v.is_array()) return r.fail("loads_pct must be an array");
-      c.loads_pct.clear();
-      for (const Json& l : v.items()) {
-        std::int64_t pct = 0;
-        if (!read_field(r, l, "load_pct", pct)) return false;
-        if (pct <= 0 || pct > 100) return r.fail("load_pct out of (0, 100]");
-        c.loads_pct.push_back(static_cast<int>(pct));
-      }
-    } else if (key == "min_rto_ns") read_field(r, v, key, c.min_rto_ns);
-    else if (key == "dctcp") read_field(r, v, key, c.dctcp);
-    else if (key == "mptcp_subflows") read_field(r, v, key, c.mptcp_subflows);
-    else if (key == "warmup_ns") read_field(r, v, key, c.warmup_ns);
-    else if (key == "measure_ns") read_field(r, v, key, c.measure_ns);
-    else if (key == "max_drain_ns") read_field(r, v, key, c.max_drain_ns);
-    else if (key == "seeds") {
-      if (!v.is_array()) return r.fail("seeds must be an array");
-      c.seeds.clear();
-      for (const Json& s : v.items()) {
-        if (!s.is_object()) return r.fail("seed entry must be an object");
-        SeedPair pair;
-        for (const auto& [sk, sv] : s.members()) {
-          if (sk == "fabric") read_field(r, sv, sk, pair.fabric);
-          else if (sk == "traffic") read_field(r, sv, sk, pair.traffic);
-          else return r.fail("unknown seed field '" + sk + "'");
-          if (!r.ok) return false;
-        }
-        c.seeds.push_back(pair);
-      }
-    } else if (key == "faults") {
-      if (!v.is_array()) return r.fail("faults must be an array");
-      c.faults.clear();
-      for (const Json& f : v.items()) {
-        if (!f.is_object()) return r.fail("fault entry must be an object");
-        FaultSpec fs;
-        for (const auto& [fk, fv] : f.members()) {
-          if (fk == "profile") read_field(r, fv, fk, fs.profile);
-          else if (fk == "seed") read_field(r, fv, fk, fs.seed);
-          else return r.fail("unknown fault field '" + fk + "'");
-          if (!r.ok) return false;
-        }
-        c.faults.push_back(fs);
-      }
-    } else if (key == "cases") {
-      if (!v.is_array()) return r.fail("cases must be an array");
-      c.cases.clear();
-      for (const Json& e : v.items()) {
-        if (!e.is_object()) return r.fail("case entry must be an object");
-        CampaignCase cc;
-        bool have_topo = false;
-        for (const auto& [ck, cv] : e.members()) {
-          if (ck == "name") read_field(r, cv, ck, cc.name);
-          else if (ck == "topo") {
-            if (!topo_from_json(cv, cc.topo, err)) return false;
-            have_topo = true;
-          } else {
-            return r.fail("unknown case field '" + ck + "'");
-          }
-          if (!r.ok) return false;
-        }
-        if (cc.name.empty()) return r.fail("case needs a name");
-        if (!have_topo) return r.fail("case '" + cc.name + "' needs a topo");
-        c.cases.push_back(std::move(cc));
-      }
-    } else {
-      return r.fail("unknown campaign field '" + key + "'");
+  if (!detail::decode(doc, c, err)) return false;
+  for (const int pct : c.loads_pct) {
+    if (pct <= 0 || pct > 100) {
+      err = "load_pct out of (0, 100]";
+      return false;
     }
-    if (!r.ok) return false;
+  }
+  for (const CampaignCase& cc : c.cases) {
+    if (cc.name.empty()) {
+      err = "case needs a name";
+      return false;
+    }
   }
   out = std::move(c);
   return true;
@@ -212,8 +187,7 @@ bool campaign_from_json(const Json& doc, CampaignSpec& out, std::string& err) {
 bool parse_campaign(const std::string& text, CampaignSpec& out,
                     std::string& err) {
   Json doc;
-  if (!Json::parse(text, doc, err)) return false;
-  return campaign_from_json(doc, out, err);
+  return Json::parse(text, doc, err) && campaign_from_json(doc, out, err);
 }
 
 CampaignSpec make_smoke_campaign() {
@@ -433,44 +407,16 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
 }
 
 std::string report_json(const CampaignRun& run) {
-  Json j = Json::object();
-  j.set("schema", Json::string(kReportSchema));
-  j.set("name", Json::string(run.spec.name));
-  j.set("fingerprint", Json::string(run.fingerprint));
-  j.set("request", json_of_campaign(run.spec));
-  Json cells = Json::array();
+  detail::Report report{run.spec.name, run.fingerprint,
+                        json_of_campaign(run.spec), {}, run.failed};
   for (std::size_t i = 0; i < run.cells.size(); ++i) {
     if (i < run.origins.size() && run.origins[i] == CellOrigin::kFailed) {
       continue;  // quarantined cells live in failed_cells, not cells
     }
-    const Cell& cell = run.cells[i];
-    Json e = Json::object();
-    e.set("case", Json::string(cell.case_name));
-    e.set("policy", Json::string(cell.spec.policy));
-    e.set("load_pct", Json::integer(load_pct_of(cell.spec)));
-    e.set("fabric_seed", Json::uinteger(cell.spec.fabric_seed));
-    e.set("traffic_seed", Json::uinteger(cell.spec.traffic_seed));
-    e.set("fault_profile", Json::string(cell.spec.fault.profile));
-    e.set("fault_seed", Json::uinteger(cell.spec.fault.seed));
-    e.set("key", Json::string(cell.key));
-    e.set("result", json_of_result(run.results[i]));
-    cells.push_back(std::move(e));
+    report.cells.push_back(report_cell(run.cells[i]));
+    report.cells.back().result = run.results[i];
   }
-  j.set("cells", std::move(cells));
-  Json failed = Json::array();
-  for (const FailedCell& f : run.failed) {
-    Json e = Json::object();
-    e.set("coordinate", Json::string(f.coordinate));
-    e.set("key", Json::string(f.key));
-    e.set("attempts", Json::integer(f.attempts));
-    e.set("outcome", Json::string(f.outcome));
-    e.set("exit_code", Json::integer(f.exit_code));
-    e.set("signal", Json::integer(f.term_signal));
-    e.set("quarantine", Json::string(f.quarantine_path));
-    failed.push_back(std::move(e));
-  }
-  j.set("failed_cells", std::move(failed));
-  return j.dump_pretty() + "\n";
+  return detail::encode(report).dump_pretty() + "\n";
 }
 
 Json stats_json(const RunStats& stats) {
@@ -488,137 +434,63 @@ Json stats_json(const RunStats& stats) {
   return j;
 }
 
-namespace {
-
-/// Pulls the coordinate string and the interesting metrics out of one
-/// report cell; false when the cell is malformed.
-struct ReportCell {
-  std::string coordinate;
-  double avg_norm_fct = 0.0;
-  std::string fct_digest;
-  std::uint64_t reorder_segments = 0;
-};
-
-bool read_report_cell(const Json& e, ReportCell& out, std::string& err) {
-  const Json* case_name = e.find("case");
-  const Json* policy = e.find("policy");
-  const Json* load_pct = e.find("load_pct");
-  const Json* fabric_seed = e.find("fabric_seed");
-  const Json* traffic_seed = e.find("traffic_seed");
-  const Json* fault_profile = e.find("fault_profile");
-  const Json* fault_seed = e.find("fault_seed");
-  const Json* result = e.find("result");
-  if (case_name == nullptr || !case_name->is_string() || policy == nullptr ||
-      !policy->is_string() || load_pct == nullptr ||
-      !load_pct->is_integer() || fabric_seed == nullptr ||
-      !fabric_seed->is_integer() || traffic_seed == nullptr ||
-      !traffic_seed->is_integer() || fault_profile == nullptr ||
-      !fault_profile->is_string() || fault_seed == nullptr ||
-      !fault_seed->is_integer() || result == nullptr || !result->is_object()) {
-    err = "malformed report cell";
-    return false;
-  }
-  out.coordinate = coordinate_of(
-      case_name->as_string(), policy->as_string(),
-      static_cast<int>(load_pct->as_int()), fabric_seed->as_uint(),
-      traffic_seed->as_uint(), fault_profile->as_string(),
-      fault_seed->as_uint());
-  const Json* fct = result->find("avg_norm_fct");
-  const Json* digest = result->find("fct_digest");
-  const Json* reorder = result->find("reorder_segments");
-  if (fct == nullptr || !fct->is_number() || digest == nullptr ||
-      !digest->is_string() || reorder == nullptr || !reorder->is_integer()) {
-    err = "report cell result missing avg_norm_fct/fct_digest/"
-          "reorder_segments";
-    return false;
-  }
-  out.avg_norm_fct = fct->as_double();
-  out.fct_digest = digest->as_string();
-  out.reorder_segments = reorder->as_uint();
-  return true;
-}
-
-bool read_report(const Json& doc, std::vector<ReportCell>& out,
-                 std::string& fingerprint, std::string& err) {
-  const Json* schema = doc.find("schema");
-  if (!doc.is_object() || schema == nullptr || !schema->is_string() ||
-      schema->as_string() != kReportSchema) {
-    err = "not a conga-campaign-v1 report";
-    return false;
-  }
-  const Json* fp = doc.find("fingerprint");
-  fingerprint = fp != nullptr && fp->is_string() ? fp->as_string() : "";
-  const Json* cells = doc.find("cells");
-  if (cells == nullptr || !cells->is_array()) {
-    err = "report has no cells array";
-    return false;
-  }
-  out.clear();
-  for (const Json& e : cells->items()) {
-    ReportCell cell;
-    if (!read_report_cell(e, cell, err)) return false;
-    out.push_back(std::move(cell));
-  }
-  return true;
-}
-
-}  // namespace
-
 bool make_verdict(const Json& report, const Json& baseline,
                   const VerdictOptions& opts, Json& out, std::string& err) {
-  std::vector<ReportCell> cur_cells;
-  std::vector<ReportCell> base_cells;
-  std::string cur_fp;
-  std::string base_fp;
-  if (!read_report(report, cur_cells, cur_fp, err)) {
+  detail::Report cur;
+  detail::Report base;
+  if (!detail::decode(report, cur, err)) {
     err = "report: " + err;
     return false;
   }
-  if (!read_report(baseline, base_cells, base_fp, err)) {
+  if (!detail::decode(baseline, base, err)) {
     err = "baseline: " + err;
     return false;
   }
 
-  // Coordinate -> baseline cell. std::map, not unordered: verdict cell
+  // Coordinate -> baseline result. std::map, not unordered: verdict cell
   // order must be deterministic (the conga-lint iteration rule).
-  std::map<std::string, const ReportCell*> base_by_coord;
-  for (const ReportCell& c : base_cells) base_by_coord[c.coordinate] = &c;
+  std::map<std::string, const workload::ExperimentResult*> base_by_coord;
+  for (const detail::ReportCell& c : base.cells) {
+    base_by_coord[coordinate_of(c)] = &c.result;
+  }
 
   Json cells = Json::array();
   Json missing = Json::array();
   std::uint64_t regressions = 0;
   std::uint64_t improvements = 0;
-  for (const ReportCell& cur : cur_cells) {
-    const auto it = base_by_coord.find(cur.coordinate);
+  for (const detail::ReportCell& cell : cur.cells) {
+    const std::string coordinate = coordinate_of(cell);
+    const auto it = base_by_coord.find(coordinate);
     if (it == base_by_coord.end()) {
-      missing.push_back(Json::string(cur.coordinate));
+      missing.push_back(Json::string(coordinate));
       continue;
     }
-    const ReportCell& base = *it->second;
+    const workload::ExperimentResult& now = cell.result;
+    const workload::ExperimentResult& was = *it->second;
     const double rel_delta =
-        base.avg_norm_fct != 0.0
-            ? (cur.avg_norm_fct - base.avg_norm_fct) / base.avg_norm_fct
-            : (cur.avg_norm_fct != 0.0 ? 1.0 : 0.0);
+        was.avg_norm_fct != 0.0
+            ? (now.avg_norm_fct - was.avg_norm_fct) / was.avg_norm_fct
+            : (now.avg_norm_fct != 0.0 ? 1.0 : 0.0);
     const bool fct_regression = rel_delta > opts.rel_fct_tolerance;
     const bool fct_improvement = rel_delta < -opts.rel_fct_tolerance;
     const bool reorder_regression =
-        cur.reorder_segments > base.reorder_segments &&
-        (base.reorder_segments == 0 ||
-         static_cast<double>(cur.reorder_segments - base.reorder_segments) /
-                 static_cast<double>(base.reorder_segments) >
+        now.reorder_segments > was.reorder_segments &&
+        (was.reorder_segments == 0 ||
+         static_cast<double>(now.reorder_segments - was.reorder_segments) /
+                 static_cast<double>(was.reorder_segments) >
              opts.rel_fct_tolerance);
     if (fct_regression || reorder_regression) ++regressions;
     if (fct_improvement && !reorder_regression) ++improvements;
 
     Json e = Json::object();
-    e.set("coordinate", Json::string(cur.coordinate));
-    e.set("avg_norm_fct", Json::number(cur.avg_norm_fct));
-    e.set("baseline_avg_norm_fct", Json::number(base.avg_norm_fct));
+    e.set("coordinate", Json::string(coordinate));
+    e.set("avg_norm_fct", Json::number(now.avg_norm_fct));
+    e.set("baseline_avg_norm_fct", Json::number(was.avg_norm_fct));
     e.set("rel_delta", Json::number(rel_delta));
     e.set("fct_digest_changed",
-          Json::boolean(cur.fct_digest != base.fct_digest));
-    e.set("reorder_segments", Json::uinteger(cur.reorder_segments));
-    e.set("baseline_reorder_segments", Json::uinteger(base.reorder_segments));
+          Json::boolean(now.fct_digest != was.fct_digest));
+    e.set("reorder_segments", Json::uinteger(now.reorder_segments));
+    e.set("baseline_reorder_segments", Json::uinteger(was.reorder_segments));
     e.set("status",
           Json::string(fct_regression || reorder_regression ? "regression"
                        : fct_improvement                    ? "improvement"
@@ -628,8 +500,8 @@ bool make_verdict(const Json& report, const Json& baseline,
 
   Json v = Json::object();
   v.set("schema", Json::string(kVerdictSchema));
-  v.set("fingerprint", Json::string(cur_fp));
-  v.set("baseline_fingerprint", Json::string(base_fp));
+  v.set("fingerprint", Json::string(cur.fingerprint));
+  v.set("baseline_fingerprint", Json::string(base.fingerprint));
   v.set("rel_fct_tolerance", Json::number(opts.rel_fct_tolerance));
   v.set("regressions", Json::uinteger(regressions));
   v.set("improvements", Json::uinteger(improvements));

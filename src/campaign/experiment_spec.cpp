@@ -4,7 +4,7 @@
 #include <functional>
 #include <utility>
 
-#include "campaign/field_reader.hpp"
+#include "campaign/codec.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "lb_ext/policies.hpp"
@@ -16,221 +16,28 @@
 
 namespace conga::campaign {
 
-namespace {
-
-constexpr const char* kSpecSchema = "conga-cell-spec-v1";
-
-Json json_of_override(const net::LinkOverride& o) {
-  Json j = Json::object();
-  j.set("leaf", Json::integer(o.leaf));
-  j.set("spine", Json::integer(o.spine));
-  j.set("parallel", Json::integer(o.parallel));
-  j.set("rate_factor", Json::number(o.rate_factor));
-  return j;
+Json json_of_topo(const net::TopologyConfig& topo) {
+  return detail::encode(topo);
 }
-
-}  // namespace
-
-Json json_of_topo(const net::TopologyConfig& t) {
-  Json j = Json::object();
-  j.set("num_leaves", Json::integer(t.num_leaves));
-  j.set("num_spines", Json::integer(t.num_spines));
-  j.set("hosts_per_leaf", Json::integer(t.hosts_per_leaf));
-  j.set("links_per_spine", Json::integer(t.links_per_spine));
-  j.set("host_link_bps", Json::number(t.host_link_bps));
-  j.set("fabric_link_bps", Json::number(t.fabric_link_bps));
-  j.set("host_link_delay_ns", Json::integer(t.host_link_delay));
-  j.set("fabric_link_delay_ns", Json::integer(t.fabric_link_delay));
-  j.set("edge_queue_bytes", Json::uinteger(t.edge_queue_bytes));
-  j.set("fabric_queue_bytes", Json::uinteger(t.fabric_queue_bytes));
-  j.set("nic_queue_bytes", Json::uinteger(t.nic_queue_bytes));
-  Json dre = Json::object();
-  dre.set("t_dre_ns", Json::integer(t.dre.t_dre));
-  dre.set("alpha", Json::number(t.dre.alpha));
-  dre.set("q_bits", Json::integer(t.dre.q_bits));
-  j.set("dre", std::move(dre));
-  j.set("ce_sum", Json::boolean(t.ce_sum));
-  j.set("ecn_threshold_bytes", Json::uinteger(t.ecn_threshold_bytes));
-  j.set("shared_buffer_bytes", Json::uinteger(t.shared_buffer_bytes));
-  j.set("shared_buffer_alpha", Json::number(t.shared_buffer_alpha));
-  Json ovr = Json::array();
-  for (const net::LinkOverride& o : t.overrides) {
-    ovr.push_back(json_of_override(o));
-  }
-  j.set("overrides", std::move(ovr));
-  // Pod fields only on pod fabrics, so every 2-tier spec keeps its
-  // canonical bytes (and cell key).
-  if (t.num_pods > 1) {
-    j.set("num_pods", Json::integer(t.num_pods));
-    j.set("num_cores", Json::integer(t.num_cores));
-    Json core_ovr = Json::array();
-    for (const net::CoreLinkOverride& o : t.core_overrides) {
-      Json c = Json::object();
-      c.set("spine", Json::integer(o.spine));
-      c.set("core", Json::integer(o.core));
-      c.set("rate_factor", Json::number(o.rate_factor));
-      core_ovr.push_back(std::move(c));
-    }
-    j.set("core_overrides", std::move(core_ovr));
-  }
-  return j;
-}
-
-using detail::FieldReader;
-using detail::read_field;
 
 bool topo_from_json(const Json& doc, net::TopologyConfig& out,
                     std::string& err) {
-  if (!doc.is_object()) {
-    err = "topo must be an object";
-    return false;
-  }
-  FieldReader r{err};
-  net::TopologyConfig t;
-  for (const auto& [key, v] : doc.members()) {
-    if (key == "num_leaves") read_field(r, v, key, t.num_leaves);
-    else if (key == "num_spines") read_field(r, v, key, t.num_spines);
-    else if (key == "hosts_per_leaf") read_field(r, v, key, t.hosts_per_leaf);
-    else if (key == "links_per_spine") read_field(r, v, key, t.links_per_spine);
-    else if (key == "host_link_bps") read_field(r, v, key, t.host_link_bps);
-    else if (key == "fabric_link_bps") read_field(r, v, key, t.fabric_link_bps);
-    else if (key == "host_link_delay_ns")
-      read_field(r, v, key, t.host_link_delay);
-    else if (key == "fabric_link_delay_ns")
-      read_field(r, v, key, t.fabric_link_delay);
-    else if (key == "edge_queue_bytes")
-      read_field(r, v, key, t.edge_queue_bytes);
-    else if (key == "fabric_queue_bytes")
-      read_field(r, v, key, t.fabric_queue_bytes);
-    else if (key == "nic_queue_bytes") read_field(r, v, key, t.nic_queue_bytes);
-    else if (key == "dre") {
-      if (!v.is_object()) return r.fail("dre must be an object");
-      for (const auto& [dk, dv] : v.members()) {
-        if (dk == "t_dre_ns") read_field(r, dv, dk, t.dre.t_dre);
-        else if (dk == "alpha") read_field(r, dv, dk, t.dre.alpha);
-        else if (dk == "q_bits") read_field(r, dv, dk, t.dre.q_bits);
-        else return r.fail("unknown dre field '" + dk + "'");
-      }
-    } else if (key == "ce_sum") read_field(r, v, key, t.ce_sum);
-    else if (key == "ecn_threshold_bytes")
-      read_field(r, v, key, t.ecn_threshold_bytes);
-    else if (key == "shared_buffer_bytes")
-      read_field(r, v, key, t.shared_buffer_bytes);
-    else if (key == "shared_buffer_alpha")
-      read_field(r, v, key, t.shared_buffer_alpha);
-    else if (key == "overrides") {
-      if (!v.is_array()) return r.fail("overrides must be an array");
-      for (const Json& item : v.items()) {
-        if (!item.is_object()) return r.fail("override must be an object");
-        net::LinkOverride o;
-        for (const auto& [ok_, ov] : item.members()) {
-          if (ok_ == "leaf") read_field(r, ov, ok_, o.leaf);
-          else if (ok_ == "spine") read_field(r, ov, ok_, o.spine);
-          else if (ok_ == "parallel") read_field(r, ov, ok_, o.parallel);
-          else if (ok_ == "rate_factor") read_field(r, ov, ok_, o.rate_factor);
-          else return r.fail("unknown override field '" + ok_ + "'");
-        }
-        t.overrides.push_back(o);
-      }
-    } else if (key == "num_pods") read_field(r, v, key, t.num_pods);
-    else if (key == "num_cores") read_field(r, v, key, t.num_cores);
-    else if (key == "core_overrides") {
-      if (!v.is_array()) return r.fail("core_overrides must be an array");
-      for (const Json& item : v.items()) {
-        if (!item.is_object()) return r.fail("core override must be an object");
-        net::CoreLinkOverride o;
-        for (const auto& [ok_, ov] : item.members()) {
-          if (ok_ == "spine") read_field(r, ov, ok_, o.spine);
-          else if (ok_ == "core") read_field(r, ov, ok_, o.core);
-          else if (ok_ == "rate_factor") read_field(r, ov, ok_, o.rate_factor);
-          else return r.fail("unknown core override field '" + ok_ + "'");
-        }
-        t.core_overrides.push_back(o);
-      }
-    } else {
-      return r.fail("unknown topo field '" + key + "'");
-    }
-    if (!r.ok) return false;
-  }
-  out = t;
-  return true;
+  return detail::decode(doc, out, err);
 }
 
-Json json_of_spec(const ExperimentSpec& spec) {
-  Json j = Json::object();
-  j.set("schema", Json::string(kSpecSchema));
-  j.set("dist", Json::string(spec.dist));
-  j.set("policy", Json::string(spec.policy));
-  j.set("load", Json::number(spec.load));
-  j.set("min_rto_ns", Json::integer(spec.min_rto_ns));
-  j.set("dctcp", Json::boolean(spec.dctcp));
-  if (spec.mptcp_subflows > 0) {
-    j.set("mptcp_subflows", Json::integer(spec.mptcp_subflows));
-  }
-  j.set("warmup_ns", Json::integer(spec.warmup_ns));
-  j.set("measure_ns", Json::integer(spec.measure_ns));
-  j.set("max_drain_ns", Json::integer(spec.max_drain_ns));
-  j.set("fabric_seed", Json::uinteger(spec.fabric_seed));
-  j.set("traffic_seed", Json::uinteger(spec.traffic_seed));
-  Json fault = Json::object();
-  fault.set("profile", Json::string(spec.fault.profile));
-  fault.set("seed", Json::uinteger(spec.fault.seed));
-  j.set("fault", std::move(fault));
-  j.set("topo", json_of_topo(spec.topo));
-  return j;
-}
+Json json_of_spec(const ExperimentSpec& spec) { return detail::encode(spec); }
 
 std::string canonical_json(const ExperimentSpec& spec) {
   return json_of_spec(spec).dump();
 }
 
 bool spec_from_json(const Json& doc, ExperimentSpec& out, std::string& err) {
-  if (!doc.is_object()) {
-    err = "spec must be an object";
-    return false;
-  }
-  FieldReader r{err};
-  ExperimentSpec s;
-  for (const auto& [key, v] : doc.members()) {
-    if (key == "schema") {
-      std::string schema;
-      if (read_field(r, v, key, schema) && schema != kSpecSchema) {
-        return r.fail("unsupported spec schema '" + schema + "'");
-      }
-    } else if (key == "dist") read_field(r, v, key, s.dist);
-    else if (key == "policy") read_field(r, v, key, s.policy);
-    else if (key == "load") read_field(r, v, key, s.load);
-    else if (key == "min_rto_ns") read_field(r, v, key, s.min_rto_ns);
-    else if (key == "dctcp") read_field(r, v, key, s.dctcp);
-    else if (key == "mptcp_subflows") read_field(r, v, key, s.mptcp_subflows);
-    else if (key == "warmup_ns") read_field(r, v, key, s.warmup_ns);
-    else if (key == "measure_ns") read_field(r, v, key, s.measure_ns);
-    else if (key == "max_drain_ns") read_field(r, v, key, s.max_drain_ns);
-    else if (key == "fabric_seed") read_field(r, v, key, s.fabric_seed);
-    else if (key == "traffic_seed") read_field(r, v, key, s.traffic_seed);
-    else if (key == "fault") {
-      if (!v.is_object()) return r.fail("fault must be an object");
-      for (const auto& [fk, fv] : v.members()) {
-        if (fk == "profile") read_field(r, fv, fk, s.fault.profile);
-        else if (fk == "seed") read_field(r, fv, fk, s.fault.seed);
-        else return r.fail("unknown fault field '" + fk + "'");
-      }
-    } else if (key == "topo") {
-      if (!topo_from_json(v, s.topo, err)) return false;
-    } else {
-      return r.fail("unknown spec field '" + key + "'");
-    }
-    if (!r.ok) return false;
-  }
-  out = s;
-  return true;
+  return detail::decode(doc, out, err);
 }
 
 bool parse_spec(const std::string& text, ExperimentSpec& out,
                 std::string& err) {
-  Json doc;
-  if (!Json::parse(text, doc, err)) return false;
-  return spec_from_json(doc, out, err);
+  return detail::parse_as(text, out, err);
 }
 
 std::string cell_key(const ExperimentSpec& spec,
@@ -384,76 +191,12 @@ bool run_hotspot(const ExperimentSpec& spec, telemetry::TraceSink& sink,
 }
 
 Json json_of_result(const workload::ExperimentResult& r) {
-  Json j = Json::object();
-  j.set("avg_norm_fct", Json::number(r.avg_norm_fct));
-  j.set("median_norm_fct", Json::number(r.median_norm_fct));
-  j.set("p99_norm_fct", Json::number(r.p99_norm_fct));
-  j.set("avg_fct_small", Json::number(r.avg_fct_small));
-  j.set("avg_fct_large", Json::number(r.avg_fct_large));
-  j.set("avg_fct_overall", Json::number(r.avg_fct_overall));
-  j.set("flows", Json::uinteger(r.flows));
-  j.set("small_flows", Json::uinteger(r.small_flows));
-  j.set("large_flows", Json::uinteger(r.large_flows));
-  j.set("completed_fraction", Json::number(r.completed_fraction));
-  j.set("drained", Json::boolean(r.drained));
-  j.set("unfinished_flows", Json::uinteger(r.unfinished_flows));
-  j.set("bytes_outstanding", Json::uinteger(r.bytes_outstanding));
-  j.set("fct_digest", Json::string(hex64(r.fct_digest)));
-  j.set("reorder_segments", Json::uinteger(r.reorder_segments));
-  j.set("reorder_max_distance", Json::uinteger(r.reorder_max_distance));
-  j.set("reordered_flows", Json::uinteger(r.reordered_flows));
-  j.set("probes_sent", Json::uinteger(r.probes_sent));
-  j.set("probes_received", Json::uinteger(r.probes_received));
-  return j;
+  return detail::encode(r);
 }
 
 bool result_from_json(const Json& doc, workload::ExperimentResult& out,
                       std::string& err) {
-  if (!doc.is_object()) {
-    err = "result must be an object";
-    return false;
-  }
-  FieldReader r{err};
-  workload::ExperimentResult res;
-  for (const auto& [key, v] : doc.members()) {
-    if (key == "avg_norm_fct") read_field(r, v, key, res.avg_norm_fct);
-    else if (key == "median_norm_fct")
-      read_field(r, v, key, res.median_norm_fct);
-    else if (key == "p99_norm_fct") read_field(r, v, key, res.p99_norm_fct);
-    else if (key == "avg_fct_small") read_field(r, v, key, res.avg_fct_small);
-    else if (key == "avg_fct_large") read_field(r, v, key, res.avg_fct_large);
-    else if (key == "avg_fct_overall")
-      read_field(r, v, key, res.avg_fct_overall);
-    else if (key == "flows") read_field(r, v, key, res.flows);
-    else if (key == "small_flows") read_field(r, v, key, res.small_flows);
-    else if (key == "large_flows") read_field(r, v, key, res.large_flows);
-    else if (key == "completed_fraction")
-      read_field(r, v, key, res.completed_fraction);
-    else if (key == "drained") read_field(r, v, key, res.drained);
-    else if (key == "unfinished_flows")
-      read_field(r, v, key, res.unfinished_flows);
-    else if (key == "bytes_outstanding")
-      read_field(r, v, key, res.bytes_outstanding);
-    else if (key == "fct_digest") {
-      std::string hex;
-      if (read_field(r, v, key, hex)) {
-        res.fct_digest = std::strtoull(hex.c_str(), nullptr, 16);
-      }
-    } else if (key == "reorder_segments")
-      read_field(r, v, key, res.reorder_segments);
-    else if (key == "reorder_max_distance")
-      read_field(r, v, key, res.reorder_max_distance);
-    else if (key == "reordered_flows")
-      read_field(r, v, key, res.reordered_flows);
-    else if (key == "probes_sent") read_field(r, v, key, res.probes_sent);
-    else if (key == "probes_received")
-      read_field(r, v, key, res.probes_received);
-    else
-      return r.fail("unknown result field '" + key + "'");
-    if (!r.ok) return false;
-  }
-  out = res;
-  return true;
+  return detail::decode(doc, out, err);
 }
 
 }  // namespace conga::campaign

@@ -9,15 +9,10 @@
 // TopologyConfig, faults as a named profile plus seed. A spec expands to an
 // ExperimentConfig via the policy/distribution registries, and serializes to
 // *canonical JSON*: one fixed field order, shortest-round-trip doubles, no
-// whitespace — the byte sequence the content-addressed store keys on.
-//
-// Canonical contract (tests/campaign_test.cpp enforces it):
-//   parse(canonical_json(s)) == s  and  canonical_json(parse(text)) is
-//   byte-identical for any field ordering of `text`. Unknown fields are a
-//   parse error (a typo must not silently hash to a fresh cell); absent
-//   fields take the documented defaults (so adding a field with its old
-//   behaviour as default does not invalidate existing cells... the code
-//   fingerprint already does).
+// whitespace — the byte sequence the content-addressed store keys on. Every
+// document here is written and strictly read from one field table
+// (campaign/codec.hpp): parse(canonical_json(s)) == s, any member order
+// canonicalizes to the same bytes, and absent fields keep their defaults.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +75,9 @@ Json json_of_spec(const ExperimentSpec& spec);
 /// Spec -> canonical JSON bytes (compact dump of json_of_spec).
 std::string canonical_json(const ExperimentSpec& spec);
 
-/// Strict parse from a document: fields in any order, unknown fields are an
-/// error, absent fields keep defaults. Returns false and sets `err`.
+/// Strict parse from a document: fields in any order; an unknown, repeated,
+/// mistyped or out-of-range field is an error; absent fields keep their
+/// defaults. Returns false and sets `err`.
 bool spec_from_json(const Json& doc, ExperimentSpec& out, std::string& err);
 /// Convenience: text -> spec.
 bool parse_spec(const std::string& text, ExperimentSpec& out,

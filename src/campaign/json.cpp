@@ -103,12 +103,6 @@ Json& Json::set(std::string key, Json v) {
   return members_.back().second;
 }
 
-std::string canonical_double(double v) {
-  char buf[40];
-  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, r.ptr);
-}
-
 std::uint64_t fnv1a64(const std::string& bytes) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : bytes) {
@@ -125,6 +119,13 @@ std::string hex64(std::uint64_t v) {
 }
 
 namespace {
+
+/// Shortest round-trip form (std::to_chars).
+std::string canonical_double(double v) {
+  char buf[40];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, r.ptr);
+}
 
 void write_escaped(std::string& out, const std::string& s) {
   out.push_back('"');
@@ -465,7 +466,7 @@ class Parser {
         break;
       case 'n':
         if (!literal("null", 4)) return false;
-        out = Json::null();
+        out = Json();
         ok = true;
         break;
       default:

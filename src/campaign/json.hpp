@@ -37,7 +37,6 @@ class Json {
   };
 
   Json() = default;
-  static Json null() { return Json(); }
   static Json boolean(bool b);
   static Json integer(std::int64_t v);
   static Json uinteger(std::uint64_t v);
@@ -47,7 +46,6 @@ class Json {
   static Json object();
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
   bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const {
     return kind_ == Kind::kInt || kind_ == Kind::kUint ||
@@ -105,10 +103,6 @@ class Json {
   std::vector<Json> items_;
   std::vector<std::pair<std::string, Json>> members_;
 };
-
-/// Formats a double the way the canonical writer does (std::to_chars
-/// shortest round-trip); exposed for result-payload digests.
-std::string canonical_double(double v);
 
 /// 64-bit FNV-1a over a byte string — the store's payload digest primitive.
 std::uint64_t fnv1a64(const std::string& bytes);

@@ -12,6 +12,7 @@
 #include <system_error>
 #include <utility>
 
+#include "campaign/codec.hpp"
 #include "campaign/experiment_spec.hpp"
 #include "campaign/json.hpp"
 
@@ -20,6 +21,28 @@ namespace conga::campaign {
 namespace {
 
 constexpr const char* kEntrySchema = "conga-cell-v1";
+
+/// A conga-cell-v1 entry. The result stays a raw document: the payload
+/// digest covers its bytes as stored.
+struct Entry {
+  std::string key;
+  std::string fingerprint;
+  Json spec;
+  Json result;
+  std::string payload_digest;
+};
+
+template <class V>
+void fields(V& v, Entry& e) {
+  using detail::kRequired;
+  v.kind("entry");
+  v.schema(kEntrySchema, kRequired);
+  v.field("key", e.key, kRequired);
+  v.field("fingerprint", e.fingerprint, kRequired);
+  v.field("spec", e.spec, kRequired);
+  v.field("result", e.result, kRequired);
+  v.field("payload_digest", e.payload_digest, kRequired);
+}
 
 /// Armed by set_tear_after_tmp_write_for_tests(): the next put() dies in the
 /// write-then-rename window, leaving an orphaned tmp file behind.
@@ -63,35 +86,20 @@ ResultStore::LoadStatus ResultStore::load(const std::string& key,
   std::string bytes;
   if (!read_file(entry_path(key), bytes)) return LoadStatus::kMiss;
 
-  Json doc;
-  if (!Json::parse(bytes, doc, err)) {
-    err = "unparseable entry: " + err;
+  Entry e;
+  if (!detail::parse_as(bytes, e, err)) {
+    err = "bad entry: " + err;
     return LoadStatus::kCorrupt;
   }
-  const Json* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != kEntrySchema) {
-    err = "bad entry schema";
-    return LoadStatus::kCorrupt;
-  }
-  const Json* stored_key = doc.find("key");
-  if (stored_key == nullptr || !stored_key->is_string() ||
-      stored_key->as_string() != key) {
+  if (e.key != key) {
     err = "entry key mismatch";
     return LoadStatus::kCorrupt;
   }
-  const Json* result = doc.find("result");
-  const Json* digest = doc.find("payload_digest");
-  if (result == nullptr || !result->is_object() || digest == nullptr ||
-      !digest->is_string()) {
-    err = "entry missing result/payload_digest";
-    return LoadStatus::kCorrupt;
-  }
-  if (hex64(fnv1a64(result->dump())) != digest->as_string()) {
+  if (hex64(fnv1a64(e.result.dump())) != e.payload_digest) {
     err = "stored payload digest mismatch (corrupted entry)";
     return LoadStatus::kCorrupt;
   }
-  if (!result_from_json(*result, out, err)) {
+  if (!result_from_json(e.result, out, err)) {
     err = "bad result payload: " + err;
     return LoadStatus::kCorrupt;
   }
@@ -109,17 +117,10 @@ bool ResultStore::put(const std::string& key, const std::string& fingerprint,
     err = "put: spec is not valid JSON: " + err;
     return false;
   }
-  Json result_doc = json_of_result(result);
-  const std::string payload_digest = hex64(fnv1a64(result_doc.dump()));
-
-  Json entry = Json::object();
-  entry.set("schema", Json::string(kEntrySchema));
-  entry.set("key", Json::string(key));
-  entry.set("fingerprint", Json::string(fingerprint));
-  entry.set("spec", std::move(spec_doc));
-  entry.set("result", std::move(result_doc));
-  entry.set("payload_digest", Json::string(payload_digest));
-  const std::string bytes = entry.dump_pretty();
+  Entry entry{key, fingerprint, std::move(spec_doc), json_of_result(result),
+              ""};
+  entry.payload_digest = hex64(fnv1a64(entry.result.dump()));
+  const std::string bytes = detail::encode(entry).dump_pretty();
 
   const std::string final_path = entry_path(key);
   std::error_code ec;
@@ -171,12 +172,10 @@ namespace {
 std::string entry_fingerprint(const std::string& path) {
   std::string bytes;
   if (!read_file(path, bytes)) return "(unreadable)";
-  Json doc;
+  Entry e;
   std::string err;
-  if (!Json::parse(bytes, doc, err)) return "(unreadable)";
-  const Json* fp = doc.find("fingerprint");
-  if (fp == nullptr || !fp->is_string()) return "(unreadable)";
-  return fp->as_string();
+  if (!detail::parse_as(bytes, e, err)) return "(unreadable)";
+  return e.fingerprint;
 }
 
 std::uint64_t file_bytes(const std::filesystem::path& p) {

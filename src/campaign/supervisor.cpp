@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/codec.hpp"
 #include "campaign/experiment_spec.hpp"
 #include "campaign/fingerprint.hpp"
 #include "campaign/json.hpp"
@@ -75,15 +76,42 @@ struct ChildSlot {
   bool shutdown_kill = false;  ///< killed by the drain grace; stays pending
 };
 
-std::string make_cell_request(const Cell& cell, const std::string& fingerprint,
-                              const std::string& store_root) {
-  Json j = Json::object();
-  j.set("schema", Json::string(kCellRequestSchema));
-  j.set("key", Json::string(cell.key));
-  j.set("fingerprint", Json::string(fingerprint));
-  j.set("store", Json::string(store_root));
-  j.set("spec", json_of_spec(cell.spec));
-  return j.dump() + "\n";
+/// What the supervisor sends a `conga_serve cell` child on stdin...
+struct CellRequest {
+  std::string key;
+  std::string fingerprint;
+  std::string store;  ///< store root; "" = storeless
+  ExperimentSpec spec;
+};
+
+/// ...and what the child echoes on stdout.
+struct CellResponse {
+  std::string key;
+  bool stored = false;
+  std::string store_error;
+  workload::ExperimentResult result;
+};
+
+using detail::kRequired;
+
+template <class V>
+void fields(V& v, CellRequest& r) {
+  v.kind("cell request");
+  v.schema(kCellRequestSchema, kRequired);
+  v.field("key", r.key, kRequired);
+  v.field("fingerprint", r.fingerprint, kRequired);
+  v.field("store", r.store, kRequired);
+  v.field("spec", r.spec, kRequired);
+}
+
+template <class V>
+void fields(V& v, CellResponse& r) {
+  v.kind("cell response");
+  v.schema(kCellResponseSchema, kRequired);
+  v.field("key", r.key, kRequired);
+  v.field("stored", r.stored);
+  v.field("store_error", r.store_error);
+  v.field("result", r.result, kRequired);
 }
 
 /// Forks and execs `exe cell`, feeding it `request` on stdin. On success
@@ -162,34 +190,16 @@ void drain_pipe(ChildSlot& slot) {
   }
 }
 
+/// A child's response for cell `key`.
 bool parse_response(const std::string& text, const std::string& key,
-                    workload::ExperimentResult& result, bool& stored,
-                    std::string& err) {
-  Json doc;
-  if (!Json::parse(text, doc, err)) {
-    err = "unparseable cell response: " + err;
+                    CellResponse& resp, std::string& err) {
+  if (!detail::parse_as(text, resp, err)) {
+    err = "bad cell response: " + err;
     return false;
   }
-  const Json* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != kCellResponseSchema) {
-    err = "bad cell response schema";
-    return false;
-  }
-  const Json* got_key = doc.find("key");
-  if (got_key == nullptr || !got_key->is_string() ||
-      got_key->as_string() != key) {
-    err = "cell response key mismatch";
-    return false;
-  }
-  const Json* stored_v = doc.find("stored");
-  stored = stored_v != nullptr && stored_v->is_bool() && stored_v->as_bool();
-  const Json* result_v = doc.find("result");
-  if (result_v == nullptr || !result_v->is_object()) {
-    err = "cell response missing result";
-    return false;
-  }
-  return result_from_json(*result_v, result, err);
+  if (resp.key == key) return true;
+  err = "cell response key mismatch";
+  return false;
 }
 
 bool write_file_synced(const std::string& path, const std::string& bytes) {
@@ -350,26 +360,10 @@ std::string self_exe_path(const char* argv0) {
 int cell_main(const std::string& request_text, std::string& response_out,
               std::string& diag) {
   response_out.clear();
-  Json doc;
+  CellRequest req;
   std::string err;
-  if (!Json::parse(request_text, doc, err)) {
+  if (!detail::parse_as(request_text, req, err)) {
     diag = "cell: bad request: " + err;
-    return kExitPermanent;
-  }
-  const Json* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != kCellRequestSchema) {
-    diag = "cell: not a conga-cell-request-v1 document";
-    return kExitPermanent;
-  }
-  const Json* key_v = doc.find("key");
-  const Json* fp_v = doc.find("fingerprint");
-  const Json* store_v = doc.find("store");
-  const Json* spec_v = doc.find("spec");
-  if (key_v == nullptr || !key_v->is_string() || fp_v == nullptr ||
-      !fp_v->is_string() || store_v == nullptr || !store_v->is_string() ||
-      spec_v == nullptr || !spec_v->is_object()) {
-    diag = "cell: request missing key/fingerprint/store/spec";
     return kExitPermanent;
   }
 
@@ -389,32 +383,17 @@ int cell_main(const std::string& request_text, std::string& response_out,
     }
   }
 
-  ExperimentSpec spec;
-  if (!spec_from_json(*spec_v, spec, err)) {
-    diag = "cell: bad spec: " + err;
-    return kExitPermanent;
-  }
-  workload::ExperimentResult result;
-  if (!run_spec(spec, result, err)) {
+  CellResponse resp{req.key, false, "", {}};
+  if (!run_spec(req.spec, resp.result, err)) {
     diag = "cell: " + err;
     return kExitPermanent;
   }
-
-  bool stored = false;
-  std::string store_err;
-  if (!store_v->as_string().empty()) {
-    ResultStore store(store_v->as_string());
-    stored = store.put(key_v->as_string(), fp_v->as_string(),
-                       canonical_json(spec), result, store_err);
+  if (!req.store.empty()) {
+    ResultStore store(req.store);
+    resp.stored = store.put(req.key, req.fingerprint, canonical_json(req.spec),
+                            resp.result, resp.store_error);
   }
-
-  Json resp = Json::object();
-  resp.set("schema", Json::string(kCellResponseSchema));
-  resp.set("key", Json::string(key_v->as_string()));
-  resp.set("stored", Json::boolean(stored));
-  resp.set("store_error", Json::string(store_err));
-  resp.set("result", json_of_result(result));
-  response_out = resp.dump() + "\n";
+  response_out = detail::encode(resp).dump() + "\n";
   return 0;
 }
 
@@ -482,13 +461,12 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
                     (static_cast<std::uint64_t>(pc.attempt) << 32) | enc);
 
     if (exited && code == 0) {
-      workload::ExperimentResult result;
-      bool stored = false;
+      CellResponse resp;
       std::string perr;
-      if (parse_response(slot.buf, cell.key, result, stored, perr)) {
-        run.results[idx] = result;  // origin stays as phase 1 set it
-        stored_flags[idx] = stored ? 1 : 0;
-        if (!sopts.store_root.empty() && !stored) {
+      if (parse_response(slot.buf, cell.key, resp, perr)) {
+        run.results[idx] = resp.result;  // origin stays as phase 1 set it
+        stored_flags[idx] = resp.stored ? 1 : 0;
+        if (!sopts.store_root.empty() && !resp.stored) {
           degraded = true;
           if (!degraded_warned) {
             degraded_warned = true;
@@ -499,7 +477,7 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
         }
         if (ropts.verbose) {
           std::fprintf(stderr, "  [%s: %zu flows, attempt %d]\n",
-                       cell_coordinate(cell).c_str(), result.flows,
+                       cell_coordinate(cell).c_str(), resp.result.flows,
                        pc.attempt);
         }
         return;
@@ -591,7 +569,10 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
         it = pending.erase(it);
         const Cell& cell = run.cells[slot.cell.idx];
         const std::string request =
-            make_cell_request(cell, run.fingerprint, sopts.store_root);
+            detail::encode(CellRequest{cell.key, run.fingerprint,
+                                       sopts.store_root, cell.spec})
+                .dump() +
+            "\n";
         const char* action =
             fault_action(faults, slot.cell.idx, slot.cell.attempt);
         std::string spawn_err;

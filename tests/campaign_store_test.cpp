@@ -175,6 +175,14 @@ TEST(ResultStore, CorruptionIsDetected) {
   EXPECT_EQ(store.load(std::string(32, 'b'), other, err),
             ResultStore::LoadStatus::kCorrupt);
   EXPECT_NE(err.find("key"), std::string::npos) << err;
+  // A repeated member (lookups used to take the first one and load it).
+  std::string repeated = original;
+  const std::size_t schema_pos = repeated.find("\"schema\"");
+  ASSERT_NE(schema_pos, std::string::npos);
+  repeated.insert(schema_pos, "\"schema\": \"conga-cell-v1\",\n  ");
+  overwrite(repeated);
+  EXPECT_EQ(store.load(key, out, err), ResultStore::LoadStatus::kCorrupt);
+  EXPECT_NE(err.find("duplicate"), std::string::npos) << err;
 }
 
 TEST(ResultStore, CampaignHealsCorruptEntry) {

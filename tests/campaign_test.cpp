@@ -61,6 +61,42 @@ CampaignSpec tiny_campaign() {
   return c;
 }
 
+net::TopologyConfig two_pods() {
+  net::TopologyConfig t;
+  t.num_pods = 2;
+  t.num_leaves = 4;
+  t.num_spines = 4;
+  t.hosts_per_leaf = 4;
+  t.num_cores = 2;
+  t.core_overrides.push_back(net::CoreLinkOverride{1, 0, 0.1});
+  return t;
+}
+
+/// A result with every field away from its default.
+workload::ExperimentResult full_result() {
+  workload::ExperimentResult r;
+  r.avg_norm_fct = 12.345678901234567;
+  r.median_norm_fct = 1.5;
+  r.p99_norm_fct = 99.25;
+  r.avg_fct_small = 0.000123;
+  r.avg_fct_large = 0.5;
+  r.avg_fct_overall = 0.01;
+  r.flows = 1234;
+  r.small_flows = 1000;
+  r.large_flows = 34;
+  r.completed_fraction = 0.9990234375;
+  r.drained = true;
+  r.unfinished_flows = 3;
+  r.bytes_outstanding = 4567890123ULL;
+  r.fct_digest = 0xda563ccc62ab9618ULL;
+  r.reorder_segments = 42;
+  r.reorder_max_distance = 9;
+  r.reordered_flows = 5;
+  r.probes_sent = 7;
+  r.probes_received = 6;
+  return r;
+}
+
 TEST(CampaignJson, SpecCanonicalRoundTrip) {
   ExperimentSpec s;
   s.topo = net::testbed_baseline();
@@ -74,6 +110,10 @@ TEST(CampaignJson, SpecCanonicalRoundTrip) {
 // The default spec's canonical bytes, as every plain-TCP cell key has
 // hashed them since before mptcp_subflows existed. Emitting that field at 0
 // (or any new field at its default) would silently re-key every store entry.
+// The other document shapes are pinned too (a pod spec with a core
+// override, an MPTCP spec with a gray fault and a link override, the smoke
+// campaign request, a fully populated result), so a typo or reorder in a
+// field table fails here instead of re-keying the store.
 TEST(CampaignJson, PlainTcpSpecBytesArePinned) {
   ExperimentSpec s;
   s.topo = net::testbed_baseline();
@@ -93,6 +133,74 @@ TEST(CampaignJson, PlainTcpSpecBytesArePinned) {
       "\"ce_sum\":false,\"ecn_threshold_bytes\":0,"
       "\"shared_buffer_bytes\":0,\"shared_buffer_alpha\":2,"
       "\"overrides\":[]}}");
+
+  ExperimentSpec pod;
+  pod.topo = two_pods();
+  EXPECT_EQ(canonical_json(pod),
+      R"({"schema":"conga-cell-spec-v1","dist":"enterprise",)"
+      R"("policy":"conga","load":0.6,"min_rto_ns":200000000,"dctcp":false,)"
+      R"("warmup_ns":10000000,"measure_ns":40000000,)"
+      R"("max_drain_ns":1000000000,"fabric_seed":1,"traffic_seed":7,)"
+      R"("fault":{"profile":"none","seed":1},"topo":{"num_leaves":4,)"
+      R"("num_spines":4,"hosts_per_leaf":4,"links_per_spine":1,)"
+      R"("host_link_bps":1e+10,"fabric_link_bps":4e+10,)"
+      R"("host_link_delay_ns":1000,"fabric_link_delay_ns":1000,)"
+      R"("edge_queue_bytes":524288,"fabric_queue_bytes":2097152,)"
+      R"("nic_queue_bytes":16777216,"dre":{"t_dre_ns":20000,"alpha":0.125,)"
+      R"("q_bits":3},"ce_sum":false,"ecn_threshold_bytes":0,)"
+      R"("shared_buffer_bytes":0,"shared_buffer_alpha":2,"overrides":[],)"
+      R"("num_pods":2,"num_cores":2,"core_overrides":[{"spine":1,"core":0,)"
+      R"("rate_factor":0.1}]}})");
+
+  ExperimentSpec mptcp;
+  mptcp.dist = "datamining";
+  mptcp.policy = "ecmp";
+  mptcp.load = 0.3;
+  mptcp.topo = net::testbed_baseline();
+  mptcp.topo.overrides.push_back(net::LinkOverride{0, 1, 1, 0.5});
+  mptcp.min_rto_ns = sim::milliseconds(1);
+  mptcp.mptcp_subflows = 8;
+  mptcp.fault = {"gray", 5};
+  EXPECT_EQ(canonical_json(mptcp),
+      R"({"schema":"conga-cell-spec-v1","dist":"datamining",)"
+      R"("policy":"ecmp","load":0.3,"min_rto_ns":1000000,"dctcp":false,)"
+      R"("mptcp_subflows":8,"warmup_ns":10000000,"measure_ns":40000000,)"
+      R"("max_drain_ns":1000000000,"fabric_seed":1,"traffic_seed":7,)"
+      R"("fault":{"profile":"gray","seed":5},"topo":{"num_leaves":2,)"
+      R"("num_spines":2,"hosts_per_leaf":32,"links_per_spine":2,)"
+      R"("host_link_bps":1e+10,"fabric_link_bps":4e+10,)"
+      R"("host_link_delay_ns":1000,"fabric_link_delay_ns":1000,)"
+      R"("edge_queue_bytes":524288,"fabric_queue_bytes":2097152,)"
+      R"("nic_queue_bytes":16777216,"dre":{"t_dre_ns":20000,"alpha":0.125,)"
+      R"("q_bits":3},"ce_sum":false,"ecn_threshold_bytes":0,)"
+      R"("shared_buffer_bytes":0,"shared_buffer_alpha":2,)"
+      R"("overrides":[{"leaf":0,"spine":1,"parallel":1,)"
+      R"("rate_factor":0.5}]}})");
+
+  EXPECT_EQ(json_of_campaign(make_smoke_campaign()).dump(),
+      R"({"schema":"conga-campaign-request-v1","name":"smoke",)"
+      R"("dist":"enterprise","policies":["ecmp","conga"],"loads_pct":[40],)"
+      R"("min_rto_ns":200000000,"dctcp":false,"warmup_ns":2000000,)"
+      R"("measure_ns":8000000,"max_drain_ns":500000000,)"
+      R"("seeds":[{"fabric":1,"traffic":7}],"faults":[{"profile":"none",)"
+      R"("seed":1}],"cases":[{"name":"testbed","topo":{"num_leaves":2,)"
+      R"("num_spines":2,"hosts_per_leaf":8,"links_per_spine":2,)"
+      R"("host_link_bps":1e+10,"fabric_link_bps":4e+10,)"
+      R"("host_link_delay_ns":1000,"fabric_link_delay_ns":1000,)"
+      R"("edge_queue_bytes":524288,"fabric_queue_bytes":2097152,)"
+      R"("nic_queue_bytes":16777216,"dre":{"t_dre_ns":20000,"alpha":0.125,)"
+      R"("q_bits":3},"ce_sum":false,"ecn_threshold_bytes":0,)"
+      R"("shared_buffer_bytes":0,"shared_buffer_alpha":2,"overrides":[]}}]})");
+
+  EXPECT_EQ(json_of_result(full_result()).dump(),
+      R"({"avg_norm_fct":12.345678901234567,"median_norm_fct":1.5,)"
+      R"("p99_norm_fct":99.25,"avg_fct_small":0.000123,"avg_fct_large":0.5,)"
+      R"("avg_fct_overall":0.01,"flows":1234,"small_flows":1000,)"
+      R"("large_flows":34,"completed_fraction":0.9990234375,"drained":true,)"
+      R"("unfinished_flows":3,"bytes_outstanding":4567890123,)"
+      R"("fct_digest":"da563ccc62ab9618","reorder_segments":42,)"
+      R"("reorder_max_distance":9,"reordered_flows":5,"probes_sent":7,)"
+      R"("probes_received":6})");
 }
 
 TEST(CampaignJson, MptcpSubflowsRoundTripAndKey) {
@@ -256,17 +364,36 @@ TEST(CampaignJson, UnknownFieldsAreErrors) {
   CampaignSpec campaign;
   EXPECT_FALSE(parse_campaign("{\"policy\":[\"conga\"]}", campaign, err));
   EXPECT_NE(err.find("unknown campaign field"), std::string::npos) << err;
-}
 
-net::TopologyConfig two_pods() {
-  net::TopologyConfig t;
-  t.num_pods = 2;
-  t.num_leaves = 4;
-  t.num_spines = 4;
-  t.hosts_per_leaf = 4;
-  t.num_cores = 2;
-  t.core_overrides.push_back(net::CoreLinkOverride{1, 0, 0.1});
-  return t;
+  // Integers outside the destination type (these used to wrap: two
+  // documents, one cell key).
+  EXPECT_FALSE(
+      parse_spec("{\"topo\":{\"num_leaves\":4294967298}}", parsed, err));
+  EXPECT_NE(err.find("num_leaves"), std::string::npos) << err;
+  EXPECT_FALSE(parse_spec("{\"fabric_seed\":-1}", parsed, err));
+  EXPECT_NE(err.find("fabric_seed"), std::string::npos) << err;
+  Json doc;
+  workload::ExperimentResult result;
+  ASSERT_TRUE(Json::parse("{\"flows\":-5}", doc, err)) << err;
+  EXPECT_FALSE(result_from_json(doc, result, err));
+  EXPECT_NE(err.find("flows"), std::string::npos) << err;
+
+  // A repeated member (the last one used to win) and a digest that is not
+  // 16 hex digits (it used to load as 0).
+  EXPECT_FALSE(parse_spec("{\"load\":0.5,\"load\":0.7}", parsed, err));
+  EXPECT_NE(err.find("duplicate spec field 'load'"), std::string::npos)
+      << err;
+  EXPECT_FALSE(parse_campaign("{\"name\":\"a\",\"name\":\"b\"}", campaign,
+                              err));
+  EXPECT_NE(err.find("duplicate campaign field 'name'"), std::string::npos)
+      << err;
+  ASSERT_TRUE(Json::parse("{\"fct_digest\":\"zz-not-hex\"}", doc, err))
+      << err;
+  EXPECT_FALSE(result_from_json(doc, result, err));
+  EXPECT_NE(err.find("fct_digest"), std::string::npos) << err;
+  ASSERT_TRUE(Json::parse("{\"fct_digest\":\"da563ccc62ab961\"}", doc, err))
+      << err;
+  EXPECT_FALSE(result_from_json(doc, result, err));
 }
 
 TEST(CampaignJson, PodSpecRoundTrips) {

@@ -2,7 +2,8 @@
 // (CONGA_SERVE_BIN): supervised containment of crashing and hanging cells,
 // SIGTERM drain and SIGKILL followed by a resuming rerun, store gc/stat
 // maintenance, graceful store degradation, the documented 0/1/2 exit
-// codes, and the in-process and supervised runners agreeing cell for cell.
+// codes, the in-process and supervised runners agreeing cell for cell, and
+// the pinned request in tests/data expanding to its pinned cell keys.
 //
 // Every scenario that needs a child failure injects it deterministically
 // through CONGA_CELL_FAULT; nothing here depends on timing beyond "a
@@ -32,6 +33,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr const char* kBin = CONGA_SERVE_BIN;
+constexpr const char* kDataDir = CONGA_TEST_DATA_DIR;
 
 struct TempDir {
   fs::path path;
@@ -166,6 +168,15 @@ TEST(ServeCli, ExitCodesAndErrorReporting) {
   EXPECT_NE(err_text.find("unknown flag '--bogus'"), std::string::npos)
       << err_text;
 
+  // 2: a numeric flag that is not one whole number (this one used to be
+  // read as --jobs 4 and run the campaign).
+  EXPECT_EQ(run_cmd(std::string(kBin) + " run --jobs 4x >/dev/null 2>" +
+                    err_path),
+            2);
+  ASSERT_TRUE(read_file(err_path, err_text));
+  EXPECT_NE(err_text.find("--jobs must be positive"), std::string::npos)
+      << err_text;
+
   // 2: missing required value / bad subcommand of store.
   EXPECT_EQ(run_cmd(std::string(kBin) +
                     " store frobnicate >/dev/null 2>" + err_path),
@@ -184,6 +195,24 @@ TEST(ServeCli, ExitCodesAndErrorReporting) {
                     " --supervise --max-attempts 1 --backoff-base-ms 20"
                     " --backoff-cap-ms 50 >/dev/null 2>/dev/null"),
             1);
+}
+
+// Every cell key of a request covering pods, core and link overrides,
+// MPTCP and a gray fault, under a fixed fingerprint: a change to any
+// document's field table or canonical bytes shows up as a diff here.
+TEST(ServeCli, PinnedRequestExpandsToPinnedKeys) {
+  TempDir tmp("pinned");
+  const std::string out = tmp.sub("expand.txt");
+  const std::string data = kDataDir;
+  ASSERT_EQ(run_cmd("CONGA_CODE_FINGERPRINT=ci-pinned " + std::string(kBin) +
+                    " expand --campaign " + data +
+                    "/pinned_request.json >" + out),
+            0);
+  std::string got;
+  std::string want;
+  ASSERT_TRUE(read_file(out, got));
+  ASSERT_TRUE(read_file(data + "/pinned_expand.txt", want));
+  EXPECT_EQ(got, want);
 }
 
 TEST(ServeCli, ContainmentCrashAndHang) {

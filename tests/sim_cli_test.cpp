@@ -1,9 +1,10 @@
 // End-to-end CLI tests for the spec-driven tools, driving the real binaries
-// (CONGA_SIM_BIN, CHAOS_AUDIT_BIN, CONGA_TRACE_BIN): flags that a campaign
-// spec would reject — a load outside (0, 1], an unparseable fixed size, an
-// unknown distribution or policy, an empty window or host count — exit 2
-// promptly with the spec's message instead of running (or wedging, or
-// aborting) a simulation, while the documented flag spellings still run.
+// (CONGA_SIM_BIN, CHAOS_AUDIT_BIN, CONGA_TRACE_BIN, DETERMINISM_AUDIT_BIN):
+// flags that a campaign spec would reject — a load outside (0, 1], an
+// unparseable fixed size, an unknown distribution or policy, an empty window
+// or host count — and numeric flags that are not one whole number exit 2
+// promptly with a message instead of running (or wedging, or aborting) a
+// simulation, while the documented flag spellings still run.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -20,6 +21,7 @@ namespace fs = std::filesystem;
 constexpr const char* kSim = CONGA_SIM_BIN;
 constexpr const char* kChaos = CHAOS_AUDIT_BIN;
 constexpr const char* kTrace = CONGA_TRACE_BIN;
+constexpr const char* kAudit = DETERMINISM_AUDIT_BIN;
 
 struct Outcome {
   int exit_code = -1;  ///< 124 when `timeout` had to kill the run
@@ -80,6 +82,19 @@ TEST(SimCli, RejectsUnknownPolicyAndEmptyWindow) {
                   "--subflows must be >= 1");
 }
 
+TEST(SimCli, RejectsMalformedNumbers) {
+  // Each used to be read as a prefix ("2x" as 2, "abc" as seed 0) and run.
+  expect_rejected("--load 0.3 --hosts 2x", "--hosts wants a number");
+  expect_rejected("--load 0.3 --seed abc", "--seed wants a number");
+  expect_rejected("--load 0.3x", "--load wants a number");
+}
+
+TEST(DeterminismAuditCli, RejectsMalformedNumbers) {
+  expect_tool_rejected(kAudit, "--duration-ms 2.9",
+                       "--duration-ms wants a number");
+  expect_tool_rejected(kAudit, "--seed -1", "--seed wants a number");
+}
+
 TEST(SimCli, DocumentedSpellingsStillRun) {
   for (const char* flags :
        {"--workload enterprise", "--workload data-mining",
@@ -109,6 +124,8 @@ TEST(ChaosAuditCli, RejectsFlagsTheSpecRejects) {
                        "windows must be");
   expect_tool_rejected(kChaos, kSmallAudit + "--drain-ms -5",
                        "windows must be");
+  expect_tool_rejected(kChaos, kSmallAudit + "--hosts 2x",
+                       "--hosts wants a number");
 }
 
 TEST(ChaosAuditCli, SmallAuditPasses) {
@@ -123,6 +140,11 @@ TEST(TraceCli, RecordRejectsRunsTooShortToMeasure) {
                        "windows must be");
   expect_tool_rejected(kTrace, "record --lb nope --out /dev/null",
                        "unknown policy 'nope'");
+}
+
+TEST(TraceCli, RecordRejectsMalformedNumbers) {
+  expect_tool_rejected(kTrace, "record --stop-ms 20x --out /dev/null",
+                       "--stop-ms wants a number");
 }
 
 }  // namespace

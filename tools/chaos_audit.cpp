@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "campaign/experiment_spec.hpp"
+#include "cli_flags.hpp"
 #include "debug/determinism.hpp"
 #include "debug/invariants.hpp"
 #include "debug/watchdog.hpp"
@@ -242,25 +243,25 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+      tools::number_flag(argc, argv, i, cfg.seed, usage);
     } else if (a == "--campaigns") {
-      cfg.campaigns = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, cfg.campaigns, usage);
     } else if (a == "--jobs") {
-      cfg.jobs = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, cfg.jobs, usage);
     } else if (a == "--out") {
       cfg.out = need(i);
     } else if (a == "--profile") {
       cfg.profile = need(i);
     } else if (a == "--hosts") {
-      cfg.hosts = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, cfg.hosts, usage);
     } else if (a == "--duration-ms") {
-      cfg.duration_ms = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, cfg.duration_ms, usage);
     } else if (a == "--warmup-ms") {
-      cfg.warmup_ms = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, cfg.warmup_ms, usage);
     } else if (a == "--drain-ms") {
-      cfg.drain_ms = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, cfg.drain_ms, usage);
     } else if (a == "--load") {
-      cfg.load = std::atof(need(i));
+      tools::number_flag(argc, argv, i, cfg.load, usage);
     } else if (a == "--lb") {
       cfg.policies.clear();
       std::string list = need(i);

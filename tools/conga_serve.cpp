@@ -65,6 +65,7 @@
 #include "campaign/fingerprint.hpp"
 #include "campaign/store.hpp"
 #include "campaign/supervisor.hpp"
+#include "cli_flags.hpp"
 #include "telemetry/telemetry.hpp"
 
 using namespace conga;
@@ -147,15 +148,6 @@ struct Args {
   bool verbose = false;
 };
 
-bool parse_int_flag(const std::string& v, std::int64_t min_value,
-                    std::int64_t& out) {
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || parsed < min_value) return false;
-  out = parsed;
-  return true;
-}
-
 bool parse_args(int argc, char** argv, int start, Args& a, std::string& err) {
   for (int i = start; i < argc; ++i) {
     const char* arg = argv[i];
@@ -168,7 +160,6 @@ bool parse_args(int argc, char** argv, int start, Args& a, std::string& err) {
       return true;
     };
     std::string v;
-    std::int64_t n = 0;
     if (std::strcmp(arg, "--campaign") == 0) {
       if (!value(a.campaign_path)) return false;
     } else if (std::strcmp(arg, "--builtin") == 0) {
@@ -202,55 +193,51 @@ bool parse_args(int argc, char** argv, int start, Args& a, std::string& err) {
         return false;
       }
     } else if (std::strcmp(arg, "--tolerance") == 0) {
-      if (!value(v)) return false;
-      a.tolerance = std::atof(v.c_str());
-      if (!(a.tolerance >= 0.0)) {
-        err = "--tolerance must be >= 0";
+      if (!value(v) || !tools::parse_double_flag(v, a.tolerance) ||
+          !(a.tolerance >= 0.0)) {
+        if (err.empty()) err = "--tolerance must be >= 0";
         return false;
       }
     } else if (std::strcmp(arg, "--verify-sample") == 0) {
       if (!value(v)) return false;
-      const double pct = std::atof(v.c_str());
-      if (!(pct > 0.0) || pct > 100.0) {
+      double pct = 0.0;
+      if (!tools::parse_double_flag(v, pct) || !(pct > 0.0) || pct > 100.0) {
         err = "--verify-sample wants a percentage in (0, 100]";
         return false;
       }
       a.verify_sample = pct / 100.0;
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      if (!value(v)) return false;
-      a.jobs = std::atoi(v.c_str());
-      if (a.jobs <= 0) {
-        err = "--jobs must be positive";
+      if (!value(v) || !tools::parse_int_flag(v, 1, a.jobs)) {
+        if (err.empty()) err = "--jobs must be positive";
         return false;
       }
     } else if (std::strcmp(arg, "--max-attempts") == 0) {
-      if (!value(v) || !parse_int_flag(v, 1, n)) {
+      if (!value(v) || !tools::parse_int_flag(v, 1, a.max_attempts)) {
         if (err.empty()) err = "--max-attempts must be >= 1";
         return false;
       }
-      a.max_attempts = static_cast<int>(n);
     } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if (!value(v) || !parse_int_flag(v, 1, a.deadline_ms)) {
+      if (!value(v) || !tools::parse_int_flag(v, 1, a.deadline_ms)) {
         if (err.empty()) err = "--deadline-ms must be >= 1";
         return false;
       }
     } else if (std::strcmp(arg, "--backoff-base-ms") == 0) {
-      if (!value(v) || !parse_int_flag(v, 1, a.backoff_base_ms)) {
+      if (!value(v) || !tools::parse_int_flag(v, 1, a.backoff_base_ms)) {
         if (err.empty()) err = "--backoff-base-ms must be >= 1";
         return false;
       }
     } else if (std::strcmp(arg, "--backoff-cap-ms") == 0) {
-      if (!value(v) || !parse_int_flag(v, 1, a.backoff_cap_ms)) {
+      if (!value(v) || !tools::parse_int_flag(v, 1, a.backoff_cap_ms)) {
         if (err.empty()) err = "--backoff-cap-ms must be >= 1";
         return false;
       }
     } else if (std::strcmp(arg, "--drain-grace-ms") == 0) {
-      if (!value(v) || !parse_int_flag(v, 0, a.drain_grace_ms)) {
+      if (!value(v) || !tools::parse_int_flag(v, 0, a.drain_grace_ms)) {
         if (err.empty()) err = "--drain-grace-ms must be >= 0";
         return false;
       }
     } else if (std::strcmp(arg, "--tmp-age-seconds") == 0) {
-      if (!value(v) || !parse_int_flag(v, 0, a.tmp_age_seconds)) {
+      if (!value(v) || !tools::parse_int_flag(v, 0, a.tmp_age_seconds)) {
         if (err.empty()) err = "--tmp-age-seconds must be >= 0";
         return false;
       }

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "campaign/experiment_spec.hpp"
+#include "cli_flags.hpp"
 #include "workload/experiment.hpp"
 
 using namespace conga;
@@ -71,13 +72,13 @@ Options parse(int argc, char** argv) {
     if (a == "--topology") {
       o.topology = need(i);
     } else if (a == "--leaves") {
-      o.leaves = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, o.leaves, usage);
     } else if (a == "--spines") {
-      o.spines = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, o.spines, usage);
     } else if (a == "--hosts") {
-      o.hosts = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, o.hosts, usage);
     } else if (a == "--parallel") {
-      o.parallel = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, o.parallel, usage);
     } else if (a == "--fail") {
       net::LinkOverride ov;
       ov.rate_factor = 0.0;
@@ -95,21 +96,21 @@ Options parse(int argc, char** argv) {
     } else if (a == "--transport") {
       o.transport = need(i);
     } else if (a == "--load") {
-      o.load = std::atof(need(i));
+      tools::number_flag(argc, argv, i, o.load, usage);
     } else if (a == "--duration-ms") {
-      o.duration_ms = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, o.duration_ms, usage);
     } else if (a == "--warmup-ms") {
-      o.warmup_ms = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, o.warmup_ms, usage);
     } else if (a == "--min-rto-ms") {
-      o.min_rto_ms = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, o.min_rto_ms, usage);
     } else if (a == "--subflows") {
-      o.subflows = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, o.subflows, usage);
     } else if (a == "--ecn-kb") {
-      o.ecn_kb = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, o.ecn_kb, usage);
     } else if (a == "--shared-buffer-mb") {
-      o.shared_buffer_mb = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, o.shared_buffer_mb, usage);
     } else if (a == "--seed") {
-      o.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+      tools::number_flag(argc, argv, i, o.seed, usage);
     } else if (a == "--help" || a == "-h") {
       usage("usage");
     } else {

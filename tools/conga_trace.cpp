@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "campaign/experiment_spec.hpp"
+#include "cli_flags.hpp"
 #include "stats/summary.hpp"
 #include "telemetry/export.hpp"
 
@@ -122,11 +123,11 @@ int cmd_record(int argc, char** argv) {
     } else if (a == "--lb") {
       lb_name = need(i);
     } else if (a == "--stop-ms") {
-      stop_ms = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, stop_ms, usage);
     } else if (a == "--ring") {
-      ring = static_cast<std::size_t>(std::atoll(need(i)));
+      tools::number_flag(argc, argv, i, ring, usage);
     } else if (a == "--fault-seed") {
-      fault_seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+      tools::number_flag(argc, argv, i, fault_seed, usage);
     } else if (a == "--cats") {
       mask = 0;
       std::string cats = need(i);
@@ -259,9 +260,11 @@ int cmd_slice(const char* path, int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--from-ms") {
-      from_ns = std::atoll(need(i)) * 1'000'000LL;
+      tools::number_flag(argc, argv, i, from_ns, usage);
+      from_ns *= 1'000'000LL;
     } else if (a == "--to-ms") {
-      to_ns = std::atoll(need(i)) * 1'000'000LL;
+      tools::number_flag(argc, argv, i, to_ns, usage);
+      to_ns *= 1'000'000LL;
     } else if (a == "--cat") {
       cat = need(i);
     } else if (a == "--type") {

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "campaign/experiment_spec.hpp"
+#include "cli_flags.hpp"
 #include "debug/determinism.hpp"
 #include "runtime/parallel_runner.hpp"
 
@@ -142,19 +143,19 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+      tools::number_flag(argc, argv, i, seed, usage);
     } else if (a == "--runs") {
-      runs = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, runs, usage);
     } else if (a == "--duration-ms") {
-      duration_ms = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, duration_ms, usage);
     } else if (a == "--warmup-ms") {
-      warmup_ms = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, warmup_ms, usage);
     } else if (a == "--hosts") {
-      hosts = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, hosts, usage);
     } else if (a == "--load") {
-      load = std::atof(need(i));
+      tools::number_flag(argc, argv, i, load, usage);
     } else if (a == "--jobs") {
-      jobs = std::atoi(need(i));
+      tools::number_flag(argc, argv, i, jobs, usage);
     } else if (a == "--lb") {
       lb = need(i);
     } else if (a == "--workload") {
