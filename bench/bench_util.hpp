@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "runtime/parallel_runner.hpp"
 
 namespace conga::bench {
@@ -28,12 +29,18 @@ inline bool full_mode(int argc, char** argv) {
 /// Worker threads for independent experiment cells: `--jobs N` beats
 /// CONGA_BENCH_JOBS beats hardware concurrency; 1 = sequential (today's
 /// behaviour). Results are deterministic for any value (see
-/// runtime/parallel_runner.hpp).
+/// runtime/parallel_runner.hpp). A value that is not a whole number >= 1
+/// exits 2.
 inline int jobs_mode(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0) {
-      const int n = std::atoi(argv[i + 1]);
-      if (n > 0) return n;
+      int n = 0;
+      if (!tools::parse_int_flag(argv[i + 1], 1, n)) {
+        std::fprintf(stderr, "%s: --jobs wants a number >= 1, got '%s'\n",
+                     argv[0], argv[i + 1]);
+        std::exit(2);
+      }
+      return n;
     }
   }
   return runtime::default_jobs();

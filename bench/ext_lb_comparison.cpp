@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
       store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--load") == 0 && i + 1 < argc) {
-      only_load = std::atoi(argv[++i]);
-      if (only_load <= 0 || only_load > 100) {
+      if (!tools::parse_int_flag(argv[++i], 1, only_load) ||
+          only_load > 100) {
         std::fprintf(stderr, "ext_lb_comparison: bad --load %s\n", argv[i]);
         return 2;
       }

@@ -8,11 +8,15 @@
 //     return an uplink index for which leaf.uplink_reaches(i, dst) holds;
 //   * annotate() may stamp overlay fields on the outgoing packet;
 //   * on_fabric_receive() sees every packet arriving from the fabric.
+// A flowlet-switched policy derives from lb::FlowletLb (lb/flowlet_lb.hpp)
+// instead: it supplies only choose(), the uplink for a new flowlet, picked
+// from leaf.viable_uplinks(dst); the base keeps each flowlet on its cached
+// uplink while it stays alive and usable.
 #include <cstdio>
 #include <memory>
 
-#include "core/flowlet_table.hpp"
 #include "lb/factories.hpp"
+#include "lb/flowlet_lb.hpp"
 #include "net/fabric.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -20,34 +24,28 @@ using namespace conga;
 
 namespace {
 
-class RoundRobinLb final : public lb::LoadBalancer {
+class RoundRobinLb final : public lb::FlowletLb {
  public:
   explicit RoundRobinLb(net::LeafSwitch& leaf)
-      : leaf_(leaf), flowlets_(core::FlowletTableConfig{}) {}
-
-  int select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
-                    sim::TimeNs now) override {
-    const net::FlowKey key = pkt.wire_key();
-    const int cached = flowlets_.lookup(key, now);
-    if (cached >= 0 && leaf_.uplink_reaches(cached, dst_leaf)) return cached;
-    // Next reachable uplink in cyclic order.
-    const int n = static_cast<int>(leaf_.uplinks().size());
-    for (int k = 0; k < n; ++k) {
-      const int i = (next_ + k) % n;
-      if (leaf_.uplink_reaches(i, dst_leaf)) {
-        next_ = (i + 1) % n;
-        flowlets_.install(key, i, now);
-        return i;
-      }
-    }
-    return 0;  // unreachable destination: caller topology guarantees not
-  }
+      : FlowletLb(leaf, core::FlowletTableConfig{}) {}
 
   std::string name() const override { return "RoundRobin"; }
 
  private:
-  net::LeafSwitch& leaf_;
-  core::FlowletTable flowlets_;
+  // The next viable uplink in cyclic order from next_: the first one at or
+  // after next_, else (wrapping around) the first one.
+  int choose(const net::FlowKey& /*key*/, net::LeafId dst_leaf,
+             sim::TimeNs /*now*/) override {
+    int viable[16];
+    const int n = leaf_.viable_uplinks(dst_leaf, viable);
+    int pick = -1;
+    for (int k = 0; k < n; ++k) {
+      if (pick < 0 || (pick < next_ && viable[k] >= next_)) pick = viable[k];
+    }
+    next_ = (pick + 1) % static_cast<int>(leaf_.uplinks().size());
+    return pick;
+  }
+
   int next_ = 0;
 };
 

@@ -1,6 +1,6 @@
 #include "campaign/experiment_spec.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <functional>
 #include <utility>
 
@@ -69,8 +69,12 @@ bool to_experiment_config(const ExperimentSpec& spec,
   }
   workload::ExperimentConfig cfg;
   if (spec.dist.rfind("fixed:", 0) == 0) {
-    const double bytes = std::strtod(spec.dist.c_str() + 6, nullptr);
-    if (!(bytes >= 1)) {
+    // All of the suffix must be one finite decimal (no hex, blanks or
+    // trailing junk) from 1 to 2^53, where a double holds every byte count.
+    double bytes = 0;
+    const char* end = spec.dist.data() + spec.dist.size();
+    const auto [stop, ec] = std::from_chars(spec.dist.data() + 6, end, bytes);
+    if (ec != std::errc() || stop != end || !(bytes >= 1) || bytes > 0x1p53) {
       err = "bad fixed distribution '" + spec.dist + "'";
       return false;
     }

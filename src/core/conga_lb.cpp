@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <vector>
 
 #include "telemetry/telemetry.hpp"
 
@@ -22,9 +21,8 @@ CongestionTableConfig table_config(int num_leaves, int num_uplinks,
 
 CongaLb::CongaLb(net::LeafSwitch& leaf, int num_leaves, const CongaConfig& cfg,
                  std::string display_name)
-    : leaf_(leaf),
+    : FlowletLb(leaf, cfg.flowlet),
       display_name_(std::move(display_name)),
-      flowlets_(cfg.flowlet),
       to_leaf_(table_config(num_leaves, static_cast<int>(leaf.uplinks().size()),
                             cfg)),
       // The From-Leaf table is indexed by the *remote* leaf's LBTag, whose
@@ -33,22 +31,12 @@ CongaLb::CongaLb(net::LeafSwitch& leaf, int num_leaves, const CongaConfig& cfg,
       from_leaf_(table_config(num_leaves, kMaxLbTagValues, cfg)) {
   assert(!leaf.uplinks().empty() &&
          "install CONGA after wiring the leaf's uplinks");
-  flowlets_.set_label(leaf.name() + "/flowlets");
 }
 
 void CongaLb::attach_telemetry(telemetry::TraceSink* sink) {
-  if (sink == nullptr) {
-    flowlets_.set_telemetry(nullptr, 0);
-    to_leaf_.set_telemetry(nullptr, 0);
-    from_leaf_.set_telemetry(nullptr, 0);
-    return;
-  }
-  flowlets_.set_telemetry(sink,
-                          sink->intern_component(leaf_.name() + "/flowlets"));
-  to_leaf_.set_telemetry(sink,
-                         sink->intern_component(leaf_.name() + "/to_leaf"));
-  from_leaf_.set_telemetry(
-      sink, sink->intern_component(leaf_.name() + "/from_leaf"));
+  FlowletLb::attach_telemetry(sink);
+  to_leaf_.set_telemetry(sink, component(sink, "/to_leaf"));
+  from_leaf_.set_telemetry(sink, component(sink, "/from_leaf"));
 }
 
 std::uint8_t CongaLb::cost(net::LeafId dst_leaf, int uplink,
@@ -60,44 +48,10 @@ std::uint8_t CongaLb::cost(net::LeafId dst_leaf, int uplink,
   return std::max(local, remote);
 }
 
-int CongaLb::decide(const net::FlowKey& key, net::LeafId dst_leaf,
+int CongaLb::choose(const net::FlowKey& key, net::LeafId dst_leaf,
                     sim::TimeNs now) {
-  const int n = static_cast<int>(leaf_.uplinks().size());
-  std::uint8_t best = 255;
-  // Collect the argmin set to break ties as §3.5 prescribes, considering
-  // only uplinks that are valid next hops for this destination.
-  std::vector<int> ties;
-  ties.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    if (!leaf_.uplink_reaches(i, dst_leaf)) continue;
-    const std::uint8_t c = cost(dst_leaf, i, now);
-    if (c < best) {
-      best = c;
-      ties.clear();
-      ties.push_back(i);
-    } else if (c == best) {
-      ties.push_back(i);
-    }
-  }
-  const int prev = flowlets_.last_port(key);
-  if (prev >= 0 &&
-      std::find(ties.begin(), ties.end(), prev) != ties.end()) {
-    return prev;  // a flow only moves if a strictly better uplink exists
-  }
-  return ties[leaf_.rng().index(ties.size())];
-}
-
-int CongaLb::select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
-                           sim::TimeNs now) {
-  const net::FlowKey key = pkt.wire_key();
-  const int cached = flowlets_.lookup(key, now);
-  if (cached >= 0 && cached < static_cast<int>(leaf_.uplinks().size()) &&
-      leaf_.uplink_reaches(cached, dst_leaf)) {
-    return cached;
-  }
-  const int chosen = decide(key, dst_leaf, now);
-  flowlets_.install(key, chosen, now);
-  return chosen;
+  return sticky_argmin(key, dst_leaf,
+                       [&](int uplink) { return cost(dst_leaf, uplink, now); });
 }
 
 void CongaLb::annotate(net::Packet& pkt, int /*uplink*/, sim::TimeNs now) {

@@ -21,7 +21,7 @@
 
 #include "core/congestion_tables.hpp"
 #include "core/flowlet_table.hpp"
-#include "lb/load_balancer.hpp"
+#include "lb/flowlet_lb.hpp"
 #include "net/leaf_switch.hpp"
 
 namespace conga::core {
@@ -44,34 +44,33 @@ inline CongaConfig make_conga_flow_config(
   return cfg;
 }
 
-class CongaLb final : public lb::LoadBalancer {
+class CongaLb final : public lb::FlowletLb {
  public:
   /// `num_leaves` sizes the congestion tables; the uplink count is taken from
   /// the leaf (which must be fully wired before the balancer is installed).
   CongaLb(net::LeafSwitch& leaf, int num_leaves, const CongaConfig& cfg,
           std::string display_name = "CONGA");
 
-  int select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
-                    sim::TimeNs now) override;
   void on_fabric_receive(const net::Packet& pkt, sim::TimeNs now) override;
   void annotate(net::Packet& pkt, int uplink, sim::TimeNs now) override;
   void attach_telemetry(telemetry::TraceSink* sink) override;
   std::string name() const override { return display_name_; }
 
   /// The §3.5 rule in isolation (no flowlet cache); exposed for tests.
-  int decide(const net::FlowKey& key, net::LeafId dst_leaf, sim::TimeNs now);
+  int decide(const net::FlowKey& key, net::LeafId dst_leaf, sim::TimeNs now) {
+    return choose(key, dst_leaf, now);
+  }
 
   /// Path cost for one uplink: max(local, remote).
   std::uint8_t cost(net::LeafId dst_leaf, int uplink, sim::TimeNs now) const;
 
-  FlowletTable& flowlets() { return flowlets_; }
-  const CongestionToLeafTable& to_leaf_table() const { return to_leaf_; }
   CongestionFromLeafTable& from_leaf_table() { return from_leaf_; }
 
  private:
-  net::LeafSwitch& leaf_;
+  int choose(const net::FlowKey& key, net::LeafId dst_leaf,
+             sim::TimeNs now) override;
+
   std::string display_name_;
-  FlowletTable flowlets_;
   CongestionToLeafTable to_leaf_;
   CongestionFromLeafTable from_leaf_;
 };

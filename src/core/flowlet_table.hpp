@@ -63,7 +63,6 @@ class FlowletTable {
   /// Names this table in invariant-violation reports (e.g. the owning leaf);
   /// optional, defaults to "flowlet_table".
   void set_label(std::string label) { label_ = std::move(label); }
-  const std::string& label() const { return label_; }
 
   /// Routes create/expire/path-change events to `sink` under component
   /// `comp` (normally "<leaf>/flowlets"). nullptr detaches.

@@ -19,10 +19,7 @@ class EcmpLb final : public LoadBalancer {
                     sim::TimeNs /*now*/) override {
     // Hash over the uplinks that are valid next hops for this destination.
     int viable[16];
-    int n = 0;
-    for (int i = 0; i < static_cast<int>(leaf_.uplinks().size()); ++i) {
-      if (leaf_.uplink_reaches(i, dst_leaf)) viable[n++] = i;
-    }
+    const int n = leaf_.viable_uplinks(dst_leaf, viable);
     return viable[net::mix64(pkt.wire_key().hash() ^ seed_) %
                   static_cast<std::uint64_t>(n)];
   }

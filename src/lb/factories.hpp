@@ -7,6 +7,10 @@
 //   fabric.install_lb(lb::ecmp());
 //   fabric.install_lb(core::conga());                       // Tfl = 500us
 //   fabric.install_lb(core::conga(make_conga_flow_config()));  // CONGA-Flow
+//
+// The competitor schemes of src/lb_ext/ are built by name from the policy
+// registry (lb_ext/policies.hpp): lb_ext::make_policy("letflow"), or
+// install_policy() for schemes that also need a spine-side mode (DRILL).
 #pragma once
 
 #include <memory>
@@ -18,13 +22,28 @@
 #include "lb/local_aware_lb.hpp"
 #include "lb/spray_lb.hpp"
 #include "lb/weighted_lb.hpp"
-#include "lb_ext/drill_lb.hpp"
-#include "lb_ext/hula_lb.hpp"
-#include "lb_ext/letflow_lb.hpp"
-#include "lb_ext/presto_lb.hpp"
 #include "net/fabric.hpp"
 
 namespace conga::lb {
+
+/// A factory building T(leaf, args...) on every leaf.
+template <class T, class... Args>
+net::Fabric::LbFactory per_leaf(Args... args) {
+  return [args...](net::LeafSwitch& leaf, const net::TopologyConfig&,
+                   std::uint64_t) -> std::unique_ptr<LoadBalancer> {
+    return std::make_unique<T>(leaf, args...);
+  };
+}
+
+/// The same for balancers with per-destination-leaf state, built as
+/// T(leaf, num_leaves, args...).
+template <class T, class... Args>
+net::Fabric::LbFactory per_leaf_with_count(Args... args) {
+  return [args...](net::LeafSwitch& leaf, const net::TopologyConfig& topo,
+                   std::uint64_t) -> std::unique_ptr<LoadBalancer> {
+    return std::make_unique<T>(leaf, topo.num_leaves, args...);
+  };
+}
 
 inline net::Fabric::LbFactory ecmp() {
   return [](net::LeafSwitch& leaf, const net::TopologyConfig&,
@@ -33,35 +52,21 @@ inline net::Fabric::LbFactory ecmp() {
   };
 }
 
-inline net::Fabric::LbFactory spray() {
-  return [](net::LeafSwitch& leaf, const net::TopologyConfig&,
-            std::uint64_t) -> std::unique_ptr<LoadBalancer> {
-    return std::make_unique<SprayLb>(leaf);
-  };
-}
+inline net::Fabric::LbFactory spray() { return per_leaf<SprayLb>(); }
 
 inline net::Fabric::LbFactory local_aware(
     core::FlowletTableConfig fcfg = {}) {
-  return [fcfg](net::LeafSwitch& leaf, const net::TopologyConfig&,
-                std::uint64_t) -> std::unique_ptr<LoadBalancer> {
-    return std::make_unique<LocalAwareLb>(leaf, fcfg);
-  };
+  return per_leaf<LocalAwareLb>(fcfg);
 }
 
 inline net::Fabric::LbFactory local_equal(core::FlowletTableConfig fcfg = {}) {
-  return [fcfg](net::LeafSwitch& leaf, const net::TopologyConfig&,
-                std::uint64_t) -> std::unique_ptr<LoadBalancer> {
-    return std::make_unique<LocalEqualLb>(leaf, fcfg);
-  };
+  return per_leaf<LocalEqualLb>(fcfg);
 }
 
 /// `weights` has one entry per uplink (same weights on every leaf).
 inline net::Fabric::LbFactory weighted(std::vector<double> weights,
                                        core::FlowletTableConfig fcfg = {}) {
-  return [weights, fcfg](net::LeafSwitch& leaf, const net::TopologyConfig&,
-                         std::uint64_t) -> std::unique_ptr<LoadBalancer> {
-    return std::make_unique<WeightedLb>(leaf, weights, fcfg);
-  };
+  return per_leaf<WeightedLb>(std::move(weights), fcfg);
 }
 
 }  // namespace conga::lb
@@ -70,10 +75,7 @@ namespace conga::core {
 
 inline net::Fabric::LbFactory conga(CongaConfig cfg = {},
                                     std::string name = "CONGA") {
-  return [cfg, name](net::LeafSwitch& leaf, const net::TopologyConfig& topo,
-                     std::uint64_t) -> std::unique_ptr<lb::LoadBalancer> {
-    return std::make_unique<CongaLb>(leaf, topo.num_leaves, cfg, name);
-  };
+  return lb::per_leaf_with_count<CongaLb>(cfg, std::move(name));
 }
 
 /// CONGA-Flow: one congestion-aware decision per flow (§5 "Schemes
@@ -84,40 +86,3 @@ inline net::Fabric::LbFactory conga_flow(
 }
 
 }  // namespace conga::core
-
-// Competitor schemes (src/lb_ext/). Name-keyed lookup over all of these
-// lives in lb_ext/policies.hpp; use install_policy() instead of install_lb()
-// for schemes that also need a spine-side mode (DRILL).
-namespace conga::lb_ext {
-
-inline net::Fabric::LbFactory letflow(LetFlowConfig cfg = {}) {
-  return [cfg](net::LeafSwitch& leaf, const net::TopologyConfig&,
-               std::uint64_t) -> std::unique_ptr<lb::LoadBalancer> {
-    return std::make_unique<LetFlowLb>(leaf, cfg);
-  };
-}
-
-/// Leaf half only — pair with Fabric::set_spine_drill(true) (or use
-/// install_policy("drill")) for the full scheme.
-inline net::Fabric::LbFactory drill(DrillConfig cfg = {}) {
-  return [cfg](net::LeafSwitch& leaf, const net::TopologyConfig& topo,
-               std::uint64_t) -> std::unique_ptr<lb::LoadBalancer> {
-    return std::make_unique<DrillLb>(leaf, topo.num_leaves, cfg);
-  };
-}
-
-inline net::Fabric::LbFactory presto(PrestoConfig cfg = {}) {
-  return [cfg](net::LeafSwitch& leaf, const net::TopologyConfig&,
-               std::uint64_t) -> std::unique_ptr<lb::LoadBalancer> {
-    return std::make_unique<PrestoLb>(leaf, cfg);
-  };
-}
-
-inline net::Fabric::LbFactory hula(HulaConfig cfg = {}) {
-  return [cfg](net::LeafSwitch& leaf, const net::TopologyConfig& topo,
-               std::uint64_t) -> std::unique_ptr<lb::LoadBalancer> {
-    return std::make_unique<HulaLb>(leaf, topo.num_leaves, cfg);
-  };
-}
-
-}  // namespace conga::lb_ext

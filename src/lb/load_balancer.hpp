@@ -6,9 +6,12 @@
 // CONGA harvests CE values and piggybacked feedback — and (b) an annotation
 // hook to stamp overlay fields on outgoing packets.
 //
-// Implementations in src/lb/ (ECMP, packet spray, local-aware, weighted) and
-// src/core/ (CONGA itself). Downstream users can plug their own scheme; see
-// examples/custom_lb.cpp.
+// Implementations in src/lb/ (ECMP, packet spray, local-aware, weighted),
+// src/core/ (CONGA itself) and src/lb_ext/ (LetFlow, DRILL, Presto, HULA),
+// all registered by name in lb_ext/policies.hpp. The flowlet-switched ones
+// derive from lb::FlowletLb (lb/flowlet_lb.hpp), which owns the flowlet
+// table and calls the policy's choose() once per new flowlet. Downstream
+// users can plug their own scheme; see examples/custom_lb.cpp.
 #pragma once
 
 #include <string>

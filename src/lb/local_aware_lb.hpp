@@ -6,46 +6,45 @@
 // attracts yet more traffic. Included to reproduce that pathology.
 #pragma once
 
-#include "core/flowlet_table.hpp"
-#include "lb/load_balancer.hpp"
-#include "net/leaf_switch.hpp"
+#include "lb/flowlet_lb.hpp"
 
 namespace conga::lb {
 
-class LocalAwareLb final : public LoadBalancer {
+/// The first viable uplink with the strictly smallest `metric(uplink)`;
+/// local schemes break ties by index, with no RNG draw.
+template <class Metric>
+int first_argmin(const net::LeafSwitch& leaf, net::LeafId dst_leaf,
+                 Metric metric) {
+  int viable[16];
+  const int n = leaf.viable_uplinks(dst_leaf, viable);
+  int best = -1;
+  decltype(metric(0)) best_m{};
+  for (int k = 0; k < n; ++k) {
+    const auto m = metric(viable[k]);
+    if (best < 0 || m < best_m) {
+      best_m = m;
+      best = viable[k];
+    }
+  }
+  return best;
+}
+
+class LocalAwareLb final : public FlowletLb {
  public:
   LocalAwareLb(net::LeafSwitch& leaf, const core::FlowletTableConfig& fcfg)
-      : leaf_(leaf), flowlets_(fcfg) {}
-
-  int select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
-                    sim::TimeNs now) override {
-    const net::FlowKey key = pkt.wire_key();
-    const int cached = flowlets_.lookup(key, now);
-    if (cached >= 0 && cached < static_cast<int>(leaf_.uplinks().size()) &&
-        leaf_.uplink_reaches(cached, dst_leaf)) {
-      return cached;
-    }
-    const auto& ups = leaf_.uplinks();
-    int best = -1;
-    double best_u = 0;
-    for (int i = 0; i < static_cast<int>(ups.size()); ++i) {
-      if (!leaf_.uplink_reaches(i, dst_leaf)) continue;
-      const double u =
-          ups[static_cast<std::size_t>(i)].link->dre().utilization(now);
-      if (best < 0 || u < best_u) {
-        best_u = u;
-        best = i;
-      }
-    }
-    flowlets_.install(key, best, now);
-    return best;
-  }
+      : FlowletLb(leaf, fcfg) {}
 
   std::string name() const override { return "Local"; }
 
  private:
-  net::LeafSwitch& leaf_;
-  core::FlowletTable flowlets_;
+  int choose(const net::FlowKey& /*key*/, net::LeafId dst_leaf,
+             sim::TimeNs now) override {
+    return first_argmin(leaf_, dst_leaf, [&](int uplink) {
+      return leaf_.uplinks()[static_cast<std::size_t>(uplink)]
+          .link->dre()
+          .utilization(now);
+    });
+  }
 };
 
 /// Strict equal-split local balancing (the LocalFlow / packet-scatter model
@@ -54,40 +53,21 @@ class LocalAwareLb final : public LoadBalancer {
 /// This is the baseline for which the paper derives the 80-of-100G Fig 2(b)
 /// equilibrium: the constrained path throttles its TCP flows, and equal
 /// splitting then drags the healthy path down to the same rate.
-class LocalEqualLb final : public LoadBalancer {
+class LocalEqualLb final : public FlowletLb {
  public:
   LocalEqualLb(net::LeafSwitch& leaf, const core::FlowletTableConfig& fcfg)
-      : leaf_(leaf), flowlets_(fcfg) {}
-
-  int select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
-                    sim::TimeNs now) override {
-    const net::FlowKey key = pkt.wire_key();
-    const int cached = flowlets_.lookup(key, now);
-    if (cached >= 0 && cached < static_cast<int>(leaf_.uplinks().size()) &&
-        leaf_.uplink_reaches(cached, dst_leaf)) {
-      return cached;
-    }
-    const auto& ups = leaf_.uplinks();
-    int best = -1;
-    std::uint64_t best_bytes = 0;
-    for (int i = 0; i < static_cast<int>(ups.size()); ++i) {
-      if (!leaf_.uplink_reaches(i, dst_leaf)) continue;
-      const std::uint64_t b =
-          ups[static_cast<std::size_t>(i)].link->bytes_sent();
-      if (best < 0 || b < best_bytes) {
-        best_bytes = b;
-        best = i;
-      }
-    }
-    flowlets_.install(key, best, now);
-    return best;
-  }
+      : FlowletLb(leaf, fcfg) {}
 
   std::string name() const override { return "LocalEq"; }
 
  private:
-  net::LeafSwitch& leaf_;
-  core::FlowletTable flowlets_;
+  int choose(const net::FlowKey& /*key*/, net::LeafId dst_leaf,
+             sim::TimeNs /*now*/) override {
+    return first_argmin(leaf_, dst_leaf, [&](int uplink) {
+      return leaf_.uplinks()[static_cast<std::size_t>(uplink)]
+          .link->bytes_sent();
+    });
+  }
 };
 
 }  // namespace conga::lb

@@ -15,10 +15,7 @@ class SprayLb final : public LoadBalancer {
   int select_uplink(const net::Packet& /*pkt*/, net::LeafId dst_leaf,
                     sim::TimeNs /*now*/) override {
     int viable[16];
-    int n = 0;
-    for (int i = 0; i < static_cast<int>(leaf_.uplinks().size()); ++i) {
-      if (leaf_.uplink_reaches(i, dst_leaf)) viable[n++] = i;
-    }
+    const int n = leaf_.viable_uplinks(dst_leaf, viable);
     return viable[leaf_.rng().index(static_cast<std::size_t>(n))];
   }
 

@@ -1,14 +1,12 @@
 #include "lb/weighted_lb.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <numeric>
 
 namespace conga::lb {
 
 WeightedLb::WeightedLb(net::LeafSwitch& leaf, std::vector<double> weights,
                        const core::FlowletTableConfig& fcfg)
-    : leaf_(leaf), flowlets_(fcfg) {
+    : FlowletLb(leaf, fcfg) {
   // Weights are stated for a leaf with the full uplink complement; a leaf
   // that lost uplinks (failures) falls back to an equal split — a static
   // scheme has no principled way to redistribute them anyway (§2.4).
@@ -20,44 +18,36 @@ WeightedLb::WeightedLb(net::LeafSwitch& leaf, std::vector<double> weights,
     weights.assign(leaf.uplinks().size(), 1.0);
     total = static_cast<double>(weights.size());
   }
-  cumulative_.resize(weights.size());
+  // Each share is a difference of the normalized CDF, whose last point is
+  // pinned to 1 against rounding.
+  share_.resize(weights.size());
   double acc = 0.0;
+  double prev = 0.0;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     acc += weights[i] / total;
-    cumulative_[i] = acc;
+    const double cdf = i + 1 == weights.size() ? 1.0 : acc;
+    share_[i] = cdf - prev;
+    prev = cdf;
   }
-  cumulative_.back() = 1.0;  // guard against rounding
 }
 
-int WeightedLb::select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
-                              sim::TimeNs now) {
-  const net::FlowKey key = pkt.wire_key();
-  const int cached = flowlets_.lookup(key, now);
-  if (cached >= 0 && cached < static_cast<int>(leaf_.uplinks().size()) &&
-      leaf_.uplink_reaches(cached, dst_leaf)) {
-    return cached;
-  }
+int WeightedLb::choose(const net::FlowKey& /*key*/, net::LeafId dst_leaf,
+                       sim::TimeNs /*now*/) {
   // Draw proportionally to the weights of the uplinks that can reach the
   // destination (the static weights renormalize over survivors).
-  const int n = static_cast<int>(cumulative_.size());
+  int viable[16];
+  const int n = leaf_.viable_uplinks(dst_leaf, viable);
   double total = 0;
-  for (int i = 0; i < n; ++i) {
-    if (leaf_.uplink_reaches(i, dst_leaf)) {
-      total += cumulative_[static_cast<std::size_t>(i)] -
-               (i > 0 ? cumulative_[static_cast<std::size_t>(i) - 1] : 0.0);
-    }
+  for (int k = 0; k < n; ++k) {
+    total += share_[static_cast<std::size_t>(viable[k])];
   }
   double u = leaf_.rng().uniform() * total;
   int chosen = -1;
-  for (int i = 0; i < n; ++i) {
-    if (!leaf_.uplink_reaches(i, dst_leaf)) continue;
-    const double w = cumulative_[static_cast<std::size_t>(i)] -
-                     (i > 0 ? cumulative_[static_cast<std::size_t>(i) - 1] : 0.0);
-    chosen = i;
-    u -= w;
+  for (int k = 0; k < n; ++k) {
+    chosen = viable[k];
+    u -= share_[static_cast<std::size_t>(chosen)];
     if (u <= 0) break;
   }
-  flowlets_.install(key, chosen, now);
   return chosen;
 }
 

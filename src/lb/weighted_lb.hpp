@@ -7,27 +7,24 @@
 
 #include <vector>
 
-#include "core/flowlet_table.hpp"
-#include "lb/load_balancer.hpp"
-#include "net/leaf_switch.hpp"
+#include "lb/flowlet_lb.hpp"
 
 namespace conga::lb {
 
-class WeightedLb final : public LoadBalancer {
+class WeightedLb final : public FlowletLb {
  public:
-  /// `weights` must have one non-negative entry per leaf uplink.
+  /// `weights` has one non-negative entry per leaf uplink; any other size
+  /// (or an all-zero list) is an equal split.
   WeightedLb(net::LeafSwitch& leaf, std::vector<double> weights,
              const core::FlowletTableConfig& fcfg);
-
-  int select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
-                    sim::TimeNs now) override;
 
   std::string name() const override { return "Weighted"; }
 
  private:
-  net::LeafSwitch& leaf_;
-  std::vector<double> cumulative_;  ///< normalized CDF over uplinks
-  core::FlowletTable flowlets_;
+  int choose(const net::FlowKey& key, net::LeafId dst_leaf,
+             sim::TimeNs now) override;
+
+  std::vector<double> share_;  ///< normalized weight per uplink
 };
 
 }  // namespace conga::lb

@@ -14,6 +14,7 @@
 
 #include "lb/load_balancer.hpp"
 #include "net/leaf_switch.hpp"
+#include "net/spine_switch.hpp"
 
 namespace conga::lb_ext {
 
@@ -31,44 +32,26 @@ class DrillLb final : public lb::LoadBalancer {
   int select_uplink(const net::Packet& /*pkt*/, net::LeafId dst_leaf,
                     sim::TimeNs /*now*/) override {
     int viable[16];
-    int n = 0;
-    for (int i = 0; i < static_cast<int>(leaf_.uplinks().size()); ++i) {
-      if (leaf_.uplink_reaches(i, dst_leaf)) viable[n++] = i;
-    }
+    const int n = leaf_.viable_uplinks(dst_leaf, viable);
     const auto d = static_cast<std::size_t>(dst_leaf);
     if (n == 1) {
       best_[d] = viable[0];
       return viable[0];
     }
     const int mem = best_[d];
-    const bool mem_ok = mem >= 0 &&
-                        mem < static_cast<int>(leaf_.uplinks().size()) &&
-                        leaf_.uplink_reaches(mem, dst_leaf);
+    const bool mem_ok = leaf_.usable_uplink(mem, dst_leaf);
     int cand[7];
     int m = 0;
     for (int s = 0; s < samples_; ++s) {
       cand[m++] = viable[leaf_.rng().index(static_cast<std::size_t>(n))];
     }
     if (mem_ok) cand[m++] = mem;
-    int winner = -1;
-    std::uint64_t winner_q = 0;
-    for (int c = 0; c < m; ++c) {
-      const std::uint64_t q = leaf_.uplinks()[static_cast<std::size_t>(cand[c])]
-                                  .link->queue()
-                                  .bytes();
-      if (winner < 0 || q < winner_q) {
-        winner = cand[c];
-        winner_q = q;
-      } else if (q == winner_q && winner != cand[c]) {
-        // Pinned tie-break (DrillTieBreak test): the remembered port wins,
-        // then the lowest uplink index.
-        if (mem_ok && cand[c] == mem) {
-          winner = mem;
-        } else if (!(mem_ok && winner == mem) && cand[c] < winner) {
-          winner = cand[c];
-        }
-      }
-    }
+    const int winner =
+        net::drill_winner(cand, m, mem_ok ? mem : -1, [&](int port) {
+          return leaf_.uplinks()[static_cast<std::size_t>(port)]
+              .link->queue()
+              .bytes();
+        });
     best_[d] = winner;
     return winner;
   }

@@ -1,51 +1,17 @@
 #include "lb_ext/hula_lb.hpp"
 
-#include "telemetry/telemetry.hpp"
-
 namespace conga::lb_ext {
 
 HulaLb::HulaLb(net::LeafSwitch& leaf, int num_leaves, const HulaConfig& cfg)
-    : leaf_(leaf), flowlets_(cfg.flowlet), agent_(leaf, num_leaves, cfg.probe) {
-  flowlets_.set_label(leaf.name() + "/flowlets");
+    : FlowletLb(leaf, cfg.flowlet), agent_(leaf, num_leaves, cfg.probe) {
   agent_.start();
 }
 
-int HulaLb::decide(const net::FlowKey& key, net::LeafId dst_leaf,
+int HulaLb::choose(const net::FlowKey& key, net::LeafId dst_leaf,
                    sim::TimeNs now) {
-  int best[16];
-  int nbest = 0;
-  std::uint8_t best_metric = 0;
-  for (int i = 0; i < static_cast<int>(leaf_.uplinks().size()); ++i) {
-    if (!leaf_.uplink_reaches(i, dst_leaf)) continue;
-    const std::uint8_t m = agent_.table().metric(dst_leaf, i, now);
-    if (nbest == 0 || m < best_metric) {
-      best_metric = m;
-      best[0] = i;
-      nbest = 1;
-    } else if (m == best_metric) {
-      best[nbest++] = i;
-    }
-  }
-  // Same tie-break as CONGA §3.5: a flow only moves off its previous port
-  // for a strictly better one; fresh ties break randomly.
-  const int last = flowlets_.last_port(key);
-  for (int i = 0; i < nbest; ++i) {
-    if (best[i] == last) return last;
-  }
-  return best[leaf_.rng().index(static_cast<std::size_t>(nbest))];
-}
-
-int HulaLb::select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
-                          sim::TimeNs now) {
-  const net::FlowKey key = pkt.wire_key();
-  const int cached = flowlets_.lookup(key, now);
-  if (cached >= 0 && cached < static_cast<int>(leaf_.uplinks().size()) &&
-      leaf_.uplink_reaches(cached, dst_leaf)) {
-    return cached;
-  }
-  const int pick = decide(key, dst_leaf, now);
-  flowlets_.install(key, pick, now);
-  return pick;
+  return sticky_argmin(key, dst_leaf, [&](int uplink) {
+    return agent_.table().metric(dst_leaf, uplink, now);
+  });
 }
 
 void HulaLb::on_probe_packet(net::PacketPtr pkt, sim::TimeNs now) {
@@ -53,13 +19,10 @@ void HulaLb::on_probe_packet(net::PacketPtr pkt, sim::TimeNs now) {
 }
 
 void HulaLb::attach_telemetry(telemetry::TraceSink* sink) {
+  // The probe agent registers its component first, as it always has: the
+  // registration order is part of the telemetry digest.
   agent_.attach_telemetry(sink);
-  if (sink == nullptr) {
-    flowlets_.set_telemetry(nullptr, 0);
-    return;
-  }
-  flowlets_.set_telemetry(sink,
-                          sink->intern_component(leaf_.name() + "/flowlets"));
+  FlowletLb::attach_telemetry(sink);
 }
 
 }  // namespace conga::lb_ext

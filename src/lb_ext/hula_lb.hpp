@@ -12,7 +12,7 @@
 #pragma once
 
 #include "core/flowlet_table.hpp"
-#include "lb/load_balancer.hpp"
+#include "lb/flowlet_lb.hpp"
 #include "net/leaf_switch.hpp"
 #include "probe/probe_plane.hpp"
 
@@ -28,25 +28,25 @@ struct HulaConfig {
   HulaConfig() { flowlet.gap = sim::microseconds(100); }
 };
 
-class HulaLb final : public lb::LoadBalancer {
+class HulaLb final : public lb::FlowletLb {
  public:
   HulaLb(net::LeafSwitch& leaf, int num_leaves, const HulaConfig& cfg = {});
 
-  int select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
-                    sim::TimeNs now) override;
   void on_probe_packet(net::PacketPtr pkt, sim::TimeNs now) override;
   void attach_telemetry(telemetry::TraceSink* sink) override;
   std::string name() const override { return "HULA"; }
 
   /// The probe-table decision in isolation (no flowlet cache); for tests.
-  int decide(const net::FlowKey& key, net::LeafId dst_leaf, sim::TimeNs now);
+  int decide(const net::FlowKey& key, net::LeafId dst_leaf, sim::TimeNs now) {
+    return choose(key, dst_leaf, now);
+  }
 
   probe::ProbeAgent& agent() { return agent_; }
-  core::FlowletTable& flowlets() { return flowlets_; }
 
  private:
-  net::LeafSwitch& leaf_;
-  core::FlowletTable flowlets_;
+  int choose(const net::FlowKey& key, net::LeafId dst_leaf,
+             sim::TimeNs now) override;
+
   probe::ProbeAgent agent_;
 };
 

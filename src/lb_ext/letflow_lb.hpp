@@ -7,8 +7,7 @@
 #pragma once
 
 #include "core/flowlet_table.hpp"
-#include "lb/load_balancer.hpp"
-#include "net/leaf_switch.hpp"
+#include "lb/flowlet_lb.hpp"
 
 namespace conga::lb_ext {
 
@@ -21,40 +20,20 @@ struct LetFlowConfig {
   LetFlowConfig() { flowlet.gap = sim::microseconds(500); }
 };
 
-class LetFlowLb final : public lb::LoadBalancer {
+class LetFlowLb final : public lb::FlowletLb {
  public:
-  LetFlowLb(net::LeafSwitch& leaf, const LetFlowConfig& cfg)
-      : leaf_(leaf), flowlets_(cfg.flowlet) {
-    flowlets_.set_label(leaf.name() + "/flowlets");
-  }
-
-  int select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
-                    sim::TimeNs now) override {
-    const net::FlowKey key = pkt.wire_key();
-    const int cached = flowlets_.lookup(key, now);
-    if (cached >= 0 && cached < static_cast<int>(leaf_.uplinks().size()) &&
-        leaf_.uplink_reaches(cached, dst_leaf)) {
-      return cached;
-    }
-    int viable[16];
-    int n = 0;
-    for (int i = 0; i < static_cast<int>(leaf_.uplinks().size()); ++i) {
-      if (leaf_.uplink_reaches(i, dst_leaf)) viable[n++] = i;
-    }
-    const int pick = viable[leaf_.rng().index(static_cast<std::size_t>(n))];
-    flowlets_.install(key, pick, now);
-    return pick;
-  }
-
-  void attach_telemetry(telemetry::TraceSink* sink) override;
+  LetFlowLb(net::LeafSwitch& leaf, const LetFlowConfig& cfg = {})
+      : FlowletLb(leaf, cfg.flowlet) {}
 
   std::string name() const override { return "LetFlow"; }
 
-  core::FlowletTable& flowlets() { return flowlets_; }
-
  private:
-  net::LeafSwitch& leaf_;
-  core::FlowletTable flowlets_;
+  int choose(const net::FlowKey& /*key*/, net::LeafId dst_leaf,
+             sim::TimeNs /*now*/) override {
+    int viable[16];
+    const int n = leaf_.viable_uplinks(dst_leaf, viable);
+    return viable[leaf_.rng().index(static_cast<std::size_t>(n))];
+  }
 };
 
 }  // namespace conga::lb_ext

@@ -1,8 +1,9 @@
 // The policy registry: every load balancer the simulator can run, keyed by
 // the command-line name the tools and benches accept. One table drives
-// conga_sim/conga_trace/chaos_audit --lb validation, the ext_lb_comparison
-// sweep, and the README policy matrix, so a policy added here shows up
-// everywhere at once.
+// conga_sim/conga_trace/chaos_audit --lb validation, make_policy, the
+// ext_lb_comparison sweep, and the README policy matrix, so a policy added
+// as one row here (name, summary, spine mode, factory) shows up everywhere
+// at once.
 #pragma once
 
 #include <string>
@@ -18,6 +19,8 @@ struct PolicyInfo {
   /// Whether the policy also switches the spines to queue-aware forwarding
   /// (SpineSwitch::enable_drill); applied by install_policy().
   bool spine_drill;
+  /// The policy's leaf balancers with their default configuration.
+  net::Fabric::LbFactory (*factory)();
 };
 
 /// All registered policies, in canonical (documentation) order.

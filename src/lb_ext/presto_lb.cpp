@@ -16,16 +16,10 @@ PrestoLb::PrestoLb(net::LeafSwitch& leaf, const PrestoConfig& cfg)
 int PrestoLb::select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
                             sim::TimeNs now) {
   int viable[16];
-  int n = 0;
-  for (int i = 0; i < static_cast<int>(leaf_.uplinks().size()); ++i) {
-    if (leaf_.uplink_reaches(i, dst_leaf)) viable[n++] = i;
-  }
+  const int n = leaf_.viable_uplinks(dst_leaf, viable);
   const std::uint64_t h = pkt.wire_key().hash();
   Cell& c = cells_[h % cfg_.num_entries];
-  const bool cell_ok = c.port >= 0 &&
-                       c.port < static_cast<int>(leaf_.uplinks().size()) &&
-                       leaf_.uplink_reaches(c.port, dst_leaf);
-  if (!cell_ok) {
+  if (!leaf_.usable_uplink(c.port, dst_leaf)) {
     // Fresh cell: flows start at a hash-chosen offset so simultaneous flows
     // don't march the same round-robin sequence in lockstep.
     c.port = viable[net::mix64(h ^ kStartSalt) % static_cast<std::uint64_t>(n)];

@@ -36,7 +36,6 @@ class PrestoLb final : public lb::LoadBalancer {
   std::string name() const override { return "Presto"; }
 
   std::uint64_t rotations() const { return rotations_; }
-  const PrestoConfig& config() const { return cfg_; }
 
  private:
   /// Per-flow-hash cell state. Like the flowlet table, collisions merge

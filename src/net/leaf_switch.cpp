@@ -63,9 +63,7 @@ void LeafSwitch::send_to_fabric(PacketPtr pkt, LeafId dst_leaf) {
   int up = lb_->select_uplink(*pkt, dst_leaf, now);
   assert(up >= 0 && up < static_cast<int>(uplinks_.size()));
   CONGA_INVARIANT(check_condition(
-      up >= 0 && up < static_cast<int>(uplinks_.size()) &&
-          uplink_reaches(up, dst_leaf),
-      name(), now, "leaf.uplink-validity",
+      usable_uplink(up, dst_leaf), name(), now, "leaf.uplink-validity",
       "load balancer picked an uplink that is out of range, down, or cannot "
       "reach the destination leaf"));
   pkt->overlay.lbtag = static_cast<std::uint8_t>(up);

@@ -70,6 +70,25 @@ class LeafSwitch : public Node {
                           [static_cast<std::size_t>(dst_leaf)];
   }
 
+  /// True if `uplink` is an index into uplinks() that reaches `dst_leaf`:
+  /// the check for a remembered port (flowlet entry, flowcell, DRILL's
+  /// memory) that may predate a failure.
+  bool usable_uplink(int uplink, LeafId dst_leaf) const {
+    return uplink >= 0 && uplink < static_cast<int>(uplinks_.size()) &&
+           uplink_reaches(uplink, dst_leaf);
+  }
+
+  /// Writes the uplinks that reach `dst_leaf` to `out` in index order and
+  /// returns their count. 16 bounds the uplinks of a leaf: the LBTag is 4
+  /// bits (TopologyConfig::validate).
+  int viable_uplinks(LeafId dst_leaf, int (&out)[16]) const {
+    int n = 0;
+    for (int i = 0; i < static_cast<int>(uplinks_.size()); ++i) {
+      if (uplink_reaches(i, dst_leaf)) out[n++] = i;
+    }
+    return n;
+  }
+
   // --- Node ---
   void receive(PacketPtr pkt, int in_port) override;
   std::string name() const override { return "leaf" + std::to_string(id_); }

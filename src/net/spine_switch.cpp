@@ -64,23 +64,10 @@ std::size_t SpineSwitch::drill_pick(std::size_t leaf,
   cand[n++] = static_cast<int>(drill_rng_->index(links.size()));
   cand[n++] = static_cast<int>(drill_rng_->index(links.size()));
   if (mem_ok) cand[n++] = mem;
-  int winner = -1;
-  std::uint64_t winner_q = 0;
-  for (int c = 0; c < n; ++c) {
-    const std::uint64_t q =
-        links[static_cast<std::size_t>(cand[c])]->queue().bytes();
-    if (winner < 0 || q < winner_q) {
-      winner = cand[c];
-      winner_q = q;
-    } else if (q == winner_q && winner != cand[c]) {
-      // Pinned tie-break: the remembered port wins, then the lowest index.
-      if (mem_ok && cand[c] == mem) {
-        winner = mem;
-      } else if (!(mem_ok && winner == mem) && cand[c] < winner) {
-        winner = cand[c];
-      }
-    }
-  }
+  const int winner =
+      drill_winner(cand, n, mem_ok ? mem : -1, [&](int port) {
+        return links[static_cast<std::size_t>(port)]->queue().bytes();
+      });
   drill_best_[leaf] = winner;
   return static_cast<std::size_t>(winner);
 }

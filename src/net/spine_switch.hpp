@@ -25,6 +25,31 @@
 
 namespace conga::net {
 
+/// DRILL's choice among the candidate ports cand[0..n): the sampled ports,
+/// then the remembered port `mem` if it is still valid (-1 otherwise). The
+/// shortest queue_bytes(port) wins; a tie goes to `mem`, then to the lowest
+/// index (pinned by the DrillLb tests). Shared by the leaf half
+/// (lb_ext::DrillLb) and the spine half (SpineSwitch).
+template <class QueueBytes>
+int drill_winner(const int* cand, int n, int mem, QueueBytes queue_bytes) {
+  int winner = -1;
+  std::uint64_t winner_q = 0;
+  for (int c = 0; c < n; ++c) {
+    const std::uint64_t q = queue_bytes(cand[c]);
+    if (winner < 0 || q < winner_q) {
+      winner = cand[c];
+      winner_q = q;
+    } else if (q == winner_q && winner != cand[c]) {
+      if (cand[c] == mem) {
+        winner = mem;
+      } else if (winner != mem && cand[c] < winner) {
+        winner = cand[c];
+      }
+    }
+  }
+  return winner;
+}
+
 class SpineSwitch : public Node {
  public:
   /// `core` only renames the switch ("core<id>"); forwarding is the same.

@@ -57,10 +57,9 @@ void ProbeAgent::tick() {
   const sim::TimeNs now = leaf_.scheduler().now();
   for (net::LeafId dst = 0; dst < num_leaves_; ++dst) {
     if (dst == leaf_.id()) continue;
-    for (int u = 0; u < static_cast<int>(leaf_.uplinks().size()); ++u) {
-      if (!leaf_.uplink_reaches(u, dst)) continue;
-      send_request(dst, u, now);
-    }
+    int viable[16];
+    const int n = leaf_.viable_uplinks(dst, viable);
+    for (int k = 0; k < n; ++k) send_request(dst, viable[k], now);
   }
   ++round_;
   if (now + cfg_.period <= cfg_.horizon) {
@@ -91,10 +90,7 @@ void ProbeAgent::send_request(net::LeafId dst, int uplink, sim::TimeNs now) {
 void ProbeAgent::send_reply(const net::Packet& req, sim::TimeNs /*now*/) {
   const net::LeafId origin = req.probe.origin_leaf;
   int viable[16];
-  int n = 0;
-  for (int i = 0; i < static_cast<int>(leaf_.uplinks().size()); ++i) {
-    if (leaf_.uplink_reaches(i, origin)) viable[n++] = i;
-  }
+  const int n = leaf_.viable_uplinks(origin, viable);
   if (n == 0) return;  // origin unreachable: the request's entry goes stale
   // Replies rotate over the viable uplinks instead of consulting the load
   // balancer: control traffic must not touch the policy's flowlet or queue

@@ -6,10 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <utility>
+
 #include "campaign/experiment_spec.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "lb/factories.hpp"
+#include "lb_ext/policies.hpp"
 #include "runtime/parallel_runner.hpp"
 #include "stats/digest.hpp"
 #include "stats/fct_collector.hpp"
@@ -190,6 +199,73 @@ TEST(DigestTrial, ChainsThePolicyFabricHook) {
   unhooked.fabric_hook = nullptr;
   EXPECT_NE(debug::run_digest_trial(unhooked).trace, a.trace)
       << "the spine mode must change the schedule";
+}
+
+// Every registered policy on both testbed topologies (Fig 7), and on the
+// baseline under two "random" fault campaigns, pinned in
+// tests/data/policy_digests.txt: the balancers, and everything they share,
+// must keep each policy's results (fct), schedule (trace) and event count
+// bit-identical across refactors. Only runtime faults withdraw an uplink
+// that a live flowlet entry still points at; fault seeds 5 and 6 are two
+// whose digests move for every flowlet policy (CONGA, CONGA-Flow, HULA,
+// Local, LocalEq, Weighted, LetFlow) when the cached uplink is reused
+// without the usable check. On a mismatch the test prints the lines this
+// build produced, in the file's format.
+TEST(PolicyDigests, EveryRegisteredPolicyMatchesItsPin) {
+  std::map<std::string, std::string> pinned;  // "<cell> <policy>" -> digests
+  std::ifstream in(CONGA_TEST_DATA_DIR "/policy_digests.txt");
+  ASSERT_TRUE(in) << "missing tests/data/policy_digests.txt";
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string cell, policy, digests;
+    fields >> cell >> policy >> std::ws;
+    std::getline(fields, digests);
+    pinned[cell + " " + policy] = digests;
+  }
+
+  struct Cell {
+    const char* name;
+    net::TopologyConfig topo;
+    campaign::FaultSpec fault;
+  };
+  const Cell cells[] = {
+      {"baseline", net::testbed_baseline(), {"none", 1}},
+      {"link-failure", net::testbed_link_failure(), {"none", 1}},
+      {"faults-5", net::testbed_baseline(), {"random", 5}},
+      {"faults-6", net::testbed_baseline(), {"random", 6}}};
+  std::string produced;
+  std::size_t runs = 0;
+  for (const Cell& c : cells) {
+    for (const lb_ext::PolicyInfo& p : lb_ext::policy_catalog()) {
+      campaign::ExperimentSpec spec;
+      spec.policy = p.name;
+      spec.topo = c.topo;
+      spec.topo.hosts_per_leaf = 8;
+      spec.load = 0.6;
+      spec.warmup_ns = sim::milliseconds(1);
+      spec.measure_ns = sim::milliseconds(3);
+      spec.max_drain_ns = sim::milliseconds(20);
+      spec.fault = c.fault;
+      workload::ExperimentConfig cfg;
+      std::string err;
+      ASSERT_TRUE(campaign::to_experiment_config(spec, cfg, err)) << err;
+      const debug::RunDigests d = debug::run_digest_trial(cfg, false);
+      char buf[96];
+      std::snprintf(buf, sizeof buf,
+                    "fct=%016" PRIx64 " trace=%016" PRIx64 " events=%" PRIu64,
+                    d.fct, d.trace, d.events);
+      const std::string key = std::string(c.name) + " " + p.name;
+      produced += key + " " + buf + "\n";
+      const auto it = pinned.find(key);
+      EXPECT_TRUE(it != pinned.end() && it->second == buf)
+          << key << ": " << buf << ", pinned "
+          << (it == pinned.end() ? "nothing" : it->second);
+      ++runs;
+    }
+  }
+  EXPECT_EQ(pinned.size(), runs) << "pins for unregistered policies";
+  if (HasFailure()) std::printf("produced:\n%s", produced.c_str());
 }
 
 }  // namespace

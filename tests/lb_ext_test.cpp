@@ -6,7 +6,10 @@
 #include <set>
 
 #include "lb/factories.hpp"
+#include "lb_ext/drill_lb.hpp"
+#include "lb_ext/letflow_lb.hpp"
 #include "lb_ext/policies.hpp"
+#include "lb_ext/presto_lb.hpp"
 #include "net/fabric.hpp"
 
 namespace conga::lb_ext {
@@ -42,7 +45,7 @@ TEST(LetFlowLb, OwnsIndependentDefaultGap) {
 TEST(LetFlowLb, FlowletsStickWithinGap) {
   sim::Scheduler sched;
   net::Fabric fabric(sched, topo(4), 5);
-  fabric.install_lb(letflow());
+  fabric.install_lb(make_policy("letflow"));
   auto* lb = fabric.leaf(0).load_balancer();
   net::Packet p = packet_for_flow(7);
   const int first = lb->select_uplink(p, 1, 0);
@@ -54,7 +57,7 @@ TEST(LetFlowLb, FlowletsStickWithinGap) {
 TEST(LetFlowLb, RerollsUniformlyOnExpiry) {
   sim::Scheduler sched;
   net::Fabric fabric(sched, topo(4), 5);
-  fabric.install_lb(letflow());
+  fabric.install_lb(make_policy("letflow"));
   auto& leaf = fabric.leaf(0);
   // Bury one uplink in local congestion: LetFlow must keep picking it with
   // the same probability — the scheme is congestion-oblivious by definition.
@@ -74,7 +77,7 @@ TEST(LetFlowLb, RerollsUniformlyOnExpiry) {
 TEST(DrillLb, MemoryWinsTiesSoEqualQueuesNeverMoveTheFlow) {
   sim::Scheduler sched;
   net::Fabric fabric(sched, topo(4), 5);
-  fabric.install_lb(drill());
+  fabric.install_lb(make_policy("drill"));
   auto* lb = dynamic_cast<DrillLb*>(fabric.leaf(0).load_balancer());
   ASSERT_NE(lb, nullptr);
   net::Packet p = packet_for_flow(9);
@@ -90,7 +93,7 @@ TEST(DrillLb, MemoryWinsTiesSoEqualQueuesNeverMoveTheFlow) {
 TEST(DrillLb, MovesToTheShorterQueueAndResticksThere) {
   sim::Scheduler sched;
   net::Fabric fabric(sched, topo(2), 5);
-  fabric.install_lb(drill());
+  fabric.install_lb(make_policy("drill"));
   auto& leaf = fabric.leaf(0);
   auto* lb = dynamic_cast<DrillLb*>(leaf.load_balancer());
   ASSERT_NE(lb, nullptr);
@@ -134,7 +137,7 @@ TEST(DrillPolicy, InstallsAndRemovesSpineMode) {
 TEST(PrestoLb, RotatesEvery64KBAndCyclesPorts) {
   sim::Scheduler sched;
   net::Fabric fabric(sched, topo(4), 5);
-  fabric.install_lb(presto());
+  fabric.install_lb(make_policy("presto"));
   auto* lb = dynamic_cast<PrestoLb*>(fabric.leaf(0).load_balancer());
   ASSERT_NE(lb, nullptr);
   net::Packet p = packet_for_flow(11, 1500);
@@ -160,7 +163,7 @@ TEST(PrestoLb, RotatesEvery64KBAndCyclesPorts) {
 TEST(PrestoLb, DistinctFlowsStartOnSpreadPorts) {
   sim::Scheduler sched;
   net::Fabric fabric(sched, topo(4), 5);
-  fabric.install_lb(presto());
+  fabric.install_lb(make_policy("presto"));
   auto* lb = fabric.leaf(0).load_balancer();
   std::set<int> used;
   for (int i = 0; i < 64; ++i) {

@@ -154,7 +154,7 @@ workload::ExperimentConfig hula_cell(std::uint64_t traffic_seed) {
   cfg.topo = topo22();
   cfg.topo.hosts_per_leaf = 4;
   cfg.load = 0.4;
-  cfg.lb = lb_ext::hula();
+  cfg.lb = lb_ext::make_policy("hula");
   cfg.warmup = sim::milliseconds(1);
   cfg.measure = sim::milliseconds(5);
   cfg.max_drain = sim::seconds(1.0);

@@ -1,5 +1,6 @@
 // End-to-end CLI tests for the spec-driven tools, driving the real binaries
-// (CONGA_SIM_BIN, CHAOS_AUDIT_BIN, CONGA_TRACE_BIN, DETERMINISM_AUDIT_BIN):
+// (CONGA_SIM_BIN, CHAOS_AUDIT_BIN, CONGA_TRACE_BIN, DETERMINISM_AUDIT_BIN,
+// and EXT_LB_COMPARISON_BIN for the bench flags):
 // flags that a campaign spec would reject — a load outside (0, 1], an
 // unparseable fixed size, an unknown distribution or policy, an empty window
 // or host count — and numeric flags that are not one whole number exit 2
@@ -22,6 +23,7 @@ constexpr const char* kSim = CONGA_SIM_BIN;
 constexpr const char* kChaos = CHAOS_AUDIT_BIN;
 constexpr const char* kTrace = CONGA_TRACE_BIN;
 constexpr const char* kAudit = DETERMINISM_AUDIT_BIN;
+constexpr const char* kLbComparison = EXT_LB_COMPARISON_BIN;
 
 struct Outcome {
   int exit_code = -1;  ///< 124 when `timeout` had to kill the run
@@ -72,6 +74,12 @@ TEST(SimCli, RejectsLoadOutsideUnitInterval) {
 
 TEST(SimCli, RejectsBadDistributions) {
   expect_rejected("--workload fixed:abc", "bad fixed distribution");
+  // Each used to be parsed leniently: "500abc" ran as 500 B under its own
+  // cache key, "1e400" made every flow infinite and never finished, and
+  // "0x10" was read as hex.
+  expect_rejected("--workload fixed:500abc", "bad fixed distribution");
+  expect_rejected("--workload fixed:1e400", "bad fixed distribution");
+  expect_rejected("--workload fixed:0x10", "bad fixed distribution");
   expect_rejected("--workload pareto", "unknown distribution");
 }
 
@@ -93,6 +101,13 @@ TEST(DeterminismAuditCli, RejectsMalformedNumbers) {
   expect_tool_rejected(kAudit, "--duration-ms 2.9",
                        "--duration-ms wants a number");
   expect_tool_rejected(kAudit, "--seed -1", "--seed wants a number");
+}
+
+TEST(BenchCli, RejectsMalformedNumbers) {
+  // --jobs is every bench's flag (bench_util.hpp): "abc" used to fall back
+  // to the default worker count, and "--load 10x" ran the 10% point.
+  expect_tool_rejected(kLbComparison, "--jobs abc", "--jobs wants a number");
+  expect_tool_rejected(kLbComparison, "--load 10x", "bad --load 10x");
 }
 
 TEST(SimCli, DocumentedSpellingsStillRun) {

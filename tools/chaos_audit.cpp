@@ -2,9 +2,9 @@
 //
 // For each campaign a fault plan is drawn (deterministically from the seed)
 // and executed against an identical scenario once per load-balancing policy
-// (by default every registered policy: ecmp, conga, conga-flow, spray,
-// local, letflow, drill, presto, hula). Each cell runs with the liveness
-// watchdog attached and is checked after the drain:
+// (by default every registered policy but local-eq and weighted: ecmp,
+// conga, conga-flow, spray, local, letflow, drill, presto, hula). Each cell
+// runs with the liveness watchdog attached and is checked after the drain:
 //   * conservation — every link's packet ledger must balance: offered ==
 //     drops-by-cause + resident + in-flight + delivered;
 //   * liveness     — flows that stopped making forward progress are counted
@@ -64,9 +64,9 @@ namespace {
   std::exit(2);
 }
 
-// Audited by default: every registered policy (weighted and local-eq are
-// behavioural duplicates of ecmp/local under faults, so they are left to an
-// explicit --lb list).
+// Audited by default: every registered policy but local-eq and weighted
+// (with equal weights it draws exactly as letflow does), which are left to
+// an explicit --lb list; CI's chaos lane runs that list.
 constexpr const char* kDefaultPolicies[] = {
     "ecmp",    "conga", "conga-flow", "spray", "local",
     "letflow", "drill", "presto",     "hula"};
