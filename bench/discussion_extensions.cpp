@@ -14,7 +14,6 @@
 
 #include "bench_util.hpp"
 #include "lb/factories.hpp"
-#include "stats/samplers.hpp"
 #include "workload/experiment.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -87,18 +86,15 @@ void conga_with_dctcp(bool full) {
                                    workload::enterprise(), gc);
     gen.start();
     workload::run_with_drain(sched, gen, gc.stop, sim::seconds(2.0));
-    stats::Summary norm;
-    for (const auto& r : gen.collector().records()) {
-      norm.add(static_cast<double>(r.fct) /
-               static_cast<double>(std::max<sim::TimeNs>(r.optimal_fct, 1)));
-    }
     std::uint64_t max_q = 0;
     for (const net::Link* l : fabric.fabric_links()) {
       max_q = std::max(max_q, l->queue().stats().max_bytes_seen);
     }
     std::printf("%-18s%14.2f%14.2f%15.1f KB\n",
-                dctcp ? "CONGA+DCTCP" : "CONGA+TCP", norm.median(),
-                norm.mean(), static_cast<double>(max_q) / 1e3);
+                dctcp ? "CONGA+DCTCP" : "CONGA+TCP",
+                gen.collector().median_normalized_fct(),
+                gen.collector().avg_normalized_fct(),
+                static_cast<double>(max_q) / 1e3);
   }
   std::printf("CONGA needs no TCP modifications (§2.1 property 2), and "
               "pairing it with an\nECN-based transport composes: balancing "

@@ -17,44 +17,45 @@
 
 #include "bench_util.hpp"
 #include "lb/factories.hpp"
-#include "net/fabric.hpp"
 #include "telemetry/probes.hpp"
-#include "workload/traffic_gen.hpp"
+#include "workload/experiment.hpp"
 
 using namespace conga;
 
 namespace {
 
 std::vector<double> run(const net::Fabric::LbFactory& lb, bool full) {
-  net::TopologyConfig topo = net::testbed_baseline();
-  topo.hosts_per_leaf = full ? 32 : 16;
-
-  sim::Scheduler sched;
-  net::Fabric fabric(sched, topo, 31);
-  fabric.install_lb(lb);
+  workload::ExperimentConfig cfg;
+  cfg.topo = net::testbed_baseline();
+  cfg.topo.hosts_per_leaf = full ? 32 : 16;
+  cfg.dist = workload::fixed_size(300'000);
+  cfg.load = 0.65;
   tcp::TcpConfig t;
   t.min_rto = sim::milliseconds(5);
-  workload::TrafficGenConfig gc;
-  gc.load = 0.65;
-  gc.stop = sim::milliseconds(100);
-  workload::TrafficGenerator gen(fabric, tcp::make_tcp_flow_factory(t),
-                                 workload::fixed_size(300'000), gc);
-  gen.start();
+  cfg.transport = tcp::make_tcp_flow_factory(t);
+  cfg.lb = lb;
+  cfg.warmup = 0;
+  cfg.measure = sim::milliseconds(100);
+  cfg.max_drain = 0;
+  cfg.fabric_seed = 31;
+  telemetry::TraceSink sink(
+      {.category_mask = telemetry::category_bit(telemetry::Category::kProbe)});
+  workload::Experiment exp(cfg);
 
   // One of Leaf1's uplinks to Spine1 dies at t=40ms; detected at 41ms.
-  sched.schedule_at(sim::milliseconds(40), [&] {
+  net::Fabric& fabric = exp.fabric();
+  exp.scheduler().schedule_at(sim::milliseconds(40), [&fabric] {
     fabric.fail_fabric_link(1, 1, 0, sim::milliseconds(1));
   });
 
   // The fabric's leaf1/rx_host_bytes probe sums bytes_received() over
-  // Leaf 1's hosts; the counter deltas at 2 ms intervals are exactly the
-  // throughput buckets the bench used to accumulate by hand.
-  telemetry::TraceSink sink;
+  // Leaf 1's hosts; its counter deltas at 2 ms intervals are the
+  // throughput buckets.
   fabric.attach_telemetry(&sink);
-  sink.set_category_mask(telemetry::category_bit(telemetry::Category::kProbe));
-  telemetry::PeriodicSampler rx(sched, sink, sim::milliseconds(2), 0, gc.stop,
+  telemetry::PeriodicSampler rx(exp.scheduler(), sink, sim::milliseconds(2),
+                                0, cfg.measure,
                                 {sink.probes().find("leaf1/rx_host_bytes")});
-  sched.run_until(gc.stop);
+  exp.run();
 
   std::vector<double> gbps;
   for (const double delta_bytes : rx.series(0)) {

@@ -10,8 +10,8 @@
 
 #include "bench_util.hpp"
 #include "lb/factories.hpp"
-#include "stats/samplers.hpp"
 #include "tcp/mptcp_connection.hpp"
+#include "telemetry/probes.hpp"
 #include "workload/experiment.hpp"
 
 using namespace conga;
@@ -33,19 +33,23 @@ stats::Summary run_one(const net::Fabric::LbFactory& lb,
   cfg.measure = stop - cfg.warmup;
   cfg.max_drain = 0;
   cfg.fabric_seed = 43;
+  telemetry::TraceSink sink(
+      {.category_mask = telemetry::category_bit(telemetry::Category::kProbe)});
   workload::Experiment exp(cfg);
-  std::vector<const net::Link*> uplinks;
+  exp.fabric().attach_telemetry(&sink);
+  // Synchronous samples of Leaf 0's uplink tx_bytes probes. The paper
+  // samples every 10 ms over minutes; scaled runs use 1 ms windows to get
+  // enough samples in 100 ms.
+  std::vector<int> uplinks;
   for (const auto& up : exp.fabric().leaf(0).uplinks()) {
-    uplinks.push_back(up.link);
+    uplinks.push_back(sink.probes().find(up.link->name() + "/tx_bytes"));
   }
-  // The paper samples every 10 ms over minutes; scaled runs use 1 ms windows
-  // to get enough samples in 100 ms.
-  stats::ThroughputImbalanceSampler sampler(
-      exp.scheduler(), uplinks,
+  telemetry::PeriodicSampler sampler(
+      exp.scheduler(), sink,
       full ? sim::milliseconds(10) : sim::milliseconds(1),
-      sim::milliseconds(10), stop);
+      sim::milliseconds(10), stop, uplinks);
   exp.run();
-  return sampler.imbalance_pct();
+  return sampler.spread_pct();
 }
 
 }  // namespace

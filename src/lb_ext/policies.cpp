@@ -22,11 +22,6 @@ const std::vector<PolicyInfo>& policy_catalog() {
        [] { return lb::local_aware(); }},
       {"local-eq", "flowlets on the uplink that sent the fewest bytes", false,
        [] { return lb::local_equal(); }},
-      // Equal static weights (a weight list that does not match the leaf's
-      // uplinks is an equal split): WCMP degenerates to ECMP-over-flowlets,
-      // the useful "weighted" baseline on any symmetric topology.
-      {"weighted", "flowlets, static equal WCMP weights", false,
-       [] { return lb::weighted({}); }},
       {"letflow", "LetFlow: flowlets re-rolled uniformly at random", false,
        [] { return lb::per_leaf<LetFlowLb>(); }},
       {"drill", "DRILL: per-packet two-choices over local queues", true,

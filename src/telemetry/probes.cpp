@@ -1,5 +1,6 @@
 #include "telemetry/probes.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <utility>
@@ -105,6 +106,24 @@ stats::Summary PeriodicSampler::summary(std::string_view name) const {
   }
   assert(false && "unknown probe name");
   return {};
+}
+
+stats::Summary PeriodicSampler::spread_pct() const {
+  stats::Summary out;
+  if (series_.empty()) return out;
+  std::size_t intervals = series_[0].size();
+  for (const auto& s : series_) intervals = std::min(intervals, s.size());
+  for (std::size_t t = 0; t < intervals; ++t) {
+    double mx = series_[0][t], mn = mx, sum = 0;
+    for (const auto& s : series_) {
+      mx = std::max(mx, s[t]);
+      mn = std::min(mn, s[t]);
+      sum += s[t];
+    }
+    const double mean = sum / static_cast<double>(series_.size());
+    if (mean > 0) out.add((mx - mn) / mean * 100.0);
+  }
+  return out;
 }
 
 }  // namespace conga::telemetry

@@ -102,6 +102,12 @@ class PeriodicSampler {
   /// Convenience: summary of the probe named `name` (aborts if absent).
   stats::Summary summary(std::string_view name) const;
 
+  /// Spread across the sampled probes, one sample per interval:
+  /// (MAX - MIN) / MEAN of the probes' values in percent, skipping intervals
+  /// whose mean is 0. Over per-uplink tx_bytes counters this is the paper's
+  /// Fig 12 throughput imbalance (§5.2).
+  stats::Summary spread_pct() const;
+
  private:
   struct Sampled {
     int index;           ///< into the registry

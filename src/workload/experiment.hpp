@@ -1,10 +1,10 @@
 // Reusable FCT-experiment harness: one (topology, workload, load, scheme,
 // transport) cell of the paper's evaluation grid, with warmup, a measurement
 // window, and a bounded drain. The fig09/10/11/15 benches reach it through
-// campaigns (campaign::run_spec); chaos_audit, conga_sim, conga_trace record
-// and the fig11(c)/12/16 loops hold an Experiment to attach monitors and
-// samplers before the run and read the fabric after it; the ablation bench
-// calls run_fct_experiment directly.
+// campaigns (campaign::run_spec); chaos_audit, conga_sim, conga_trace record,
+// the fig11(c)/12/16 loops and ext_failure_recovery hold an Experiment to
+// attach monitors, samplers and scheduled faults before the run and read the
+// fabric after it; the ablation bench calls run_fct_experiment directly.
 #pragma once
 
 #include <cstdint>

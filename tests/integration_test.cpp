@@ -8,9 +8,9 @@
 
 #include "lb/factories.hpp"
 #include "net/fabric.hpp"
-#include "stats/samplers.hpp"
 #include "tcp/flow.hpp"
 #include "tcp/mptcp_connection.hpp"
+#include "telemetry/probes.hpp"
 #include "workload/incast_gen.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -319,6 +319,8 @@ TEST(Symmetric, CongaBalancesUplinksBetterThanEcmp) {
   auto imbalance = [&](const Fabric::LbFactory& lb) {
     TopologyConfig cfg = net::testbed_baseline();
     cfg.hosts_per_leaf = 16;
+    telemetry::TraceSink sink({.category_mask = telemetry::category_bit(
+                                   telemetry::Category::kProbe)});
     sim::Scheduler sched;
     Fabric fabric(sched, cfg, 43);
     fabric.install_lb(lb);
@@ -329,14 +331,16 @@ TEST(Symmetric, CongaBalancesUplinksBetterThanEcmp) {
         fabric, tcp::make_tcp_flow_factory(dc_tcp()),
         workload::enterprise(), gen_cfg);
     gen.start();
-    std::vector<const net::Link*> uplinks;
-    for (const auto& up : fabric.leaf(0).uplinks()) uplinks.push_back(up.link);
-    stats::ThroughputImbalanceSampler sampler(sched, uplinks,
-                                              sim::milliseconds(1),
-                                              sim::milliseconds(5),
-                                              sim::milliseconds(40));
+    fabric.attach_telemetry(&sink);
+    std::vector<int> uplinks;
+    for (const auto& up : fabric.leaf(0).uplinks()) {
+      uplinks.push_back(sink.probes().find(up.link->name() + "/tx_bytes"));
+    }
+    telemetry::PeriodicSampler sampler(sched, sink, sim::milliseconds(1),
+                                       sim::milliseconds(5),
+                                       sim::milliseconds(40), uplinks);
     sched.run_until(sim::milliseconds(40));
-    return sampler.imbalance_pct().median();
+    return sampler.spread_pct().median();
   };
   const double conga_imb = imbalance(core::conga());
   const double ecmp_imb = imbalance(lb::ecmp());

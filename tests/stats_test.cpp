@@ -1,9 +1,8 @@
-// Tests for summary statistics, FCT accounting, and the periodic samplers.
+// Tests for summary statistics and FCT accounting.
 #include <gtest/gtest.h>
 
 #include "net/fabric.hpp"
 #include "stats/fct_collector.hpp"
-#include "stats/samplers.hpp"
 #include "stats/summary.hpp"
 
 namespace conga::stats {
@@ -92,91 +91,6 @@ TEST(FctCollector, P99Normalized) {
   c.record(1000, 10000, 100);                             // 100x outlier
   // p99 interpolates between the 99th sample (1x) and the outlier (100x).
   EXPECT_GT(c.p99_normalized_fct(), 1.5);
-}
-
-/// Node that drops everything (endpoint for sampler tests).
-class NullNode : public net::Node {
- public:
-  void receive(net::PacketPtr, int) override {}
-  std::string name() const override { return "null"; }
-};
-
-TEST(ImbalanceSampler, EqualLoadGivesLowImbalance) {
-  sim::Scheduler sched;
-  NullNode sink;
-  net::LinkConfig cfg;
-  cfg.rate_bps = 10e9;
-  net::Link a(sched, "a", cfg), b(sched, "b", cfg);
-  a.connect_to(&sink, 0);
-  b.connect_to(&sink, 0);
-  ThroughputImbalanceSampler sampler(sched, {&a, &b}, sim::milliseconds(1), 0,
-                                     sim::milliseconds(10));
-  // Equal packet streams on both links.
-  for (int i = 0; i < 1000; ++i) {
-    sched.schedule_at(sim::microseconds(10) * i, [&a, &b] {
-      auto pa = net::make_packet();
-      pa->size_bytes = 1000;
-      a.send(std::move(pa));
-      auto pb = net::make_packet();
-      pb->size_bytes = 1000;
-      b.send(std::move(pb));
-    });
-  }
-  sched.run();
-  ASSERT_GT(sampler.imbalance_pct().count(), 5u);
-  EXPECT_LT(sampler.imbalance_pct().mean(), 1.0);
-}
-
-TEST(ImbalanceSampler, SkewedLoadGivesHighImbalance) {
-  sim::Scheduler sched;
-  NullNode sink;
-  net::LinkConfig cfg;
-  cfg.rate_bps = 10e9;
-  net::Link a(sched, "a", cfg), b(sched, "b", cfg);
-  a.connect_to(&sink, 0);
-  b.connect_to(&sink, 0);
-  ThroughputImbalanceSampler sampler(sched, {&a, &b}, sim::milliseconds(1), 0,
-                                     sim::milliseconds(10));
-  for (int i = 0; i < 1000; ++i) {
-    sched.schedule_at(sim::microseconds(10) * i, [&a, &b, i] {
-      auto pa = net::make_packet();
-      pa->size_bytes = 1000;
-      a.send(std::move(pa));
-      if (i % 3 == 0) {  // b gets a third of the traffic
-        auto pb = net::make_packet();
-        pb->size_bytes = 1000;
-        b.send(std::move(pb));
-      }
-    });
-  }
-  sched.run();
-  // (max-min)/avg with loads 1 and 1/3: (1 - 1/3) / (2/3) = 100%.
-  EXPECT_NEAR(sampler.imbalance_pct().mean(), 100.0, 15.0);
-}
-
-TEST(ImbalanceSampler, MeanThroughputPerLink) {
-  sim::Scheduler sched;
-  NullNode sink;
-  net::LinkConfig cfg;
-  cfg.rate_bps = 10e9;
-  net::Link a(sched, "a", cfg), b(sched, "b", cfg);
-  a.connect_to(&sink, 0);
-  b.connect_to(&sink, 0);
-  ThroughputImbalanceSampler sampler(sched, {&a, &b}, sim::milliseconds(1), 0,
-                                     sim::milliseconds(10));
-  // 1000 x 1000B on a over 10ms = 0.8 Gbps.
-  for (int i = 0; i < 1000; ++i) {
-    sched.schedule_at(sim::microseconds(10) * i, [&a] {
-      auto p = net::make_packet();
-      p->size_bytes = 1000;
-      a.send(std::move(p));
-    });
-  }
-  sched.run_until(sim::milliseconds(10));
-  const auto tputs = sampler.mean_throughput_bps();
-  ASSERT_EQ(tputs.size(), 2u);
-  EXPECT_NEAR(tputs[0], 0.8e9, 0.05e9);
-  EXPECT_NEAR(tputs[1], 0.0, 1.0);
 }
 
 }  // namespace

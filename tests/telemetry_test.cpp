@@ -71,7 +71,9 @@ TEST(TraceSink, RingWrapsKeepingNewestEvents) {
   // Oldest-first unwrap: the four newest events, a = 6, 7, 8, 9.
   for (std::uint64_t i = 0; i < 4; ++i) {
     EXPECT_EQ(ev[i].a, 6 + i);
-    if (i > 0) EXPECT_LT(ev[i - 1].seq, ev[i].seq);
+    if (i > 0) {
+      EXPECT_LT(ev[i - 1].seq, ev[i].seq);
+    }
   }
 }
 
@@ -221,6 +223,83 @@ TEST(PeriodicSampler, CounterDeltasAndGaugeValues) {
   // Probe samples are also recorded as events: (11 counter + 11 gauge).
   EXPECT_EQ(sink.total_recorded(), 22u);
 #endif
+}
+
+/// Node that drops everything (endpoint for the spread tests' links).
+class NullNode : public net::Node {
+ public:
+  void receive(net::PacketPtr, int) override {}
+  std::string name() const override { return "null"; }
+};
+
+/// Sends 1000 B on `a` every 10 us for 10 ms, and on `b` on every
+/// `b_every`-th of those ticks; returns spread_pct() over the two links'
+/// byte counters sampled every 1 ms.
+stats::Summary two_link_spread(int b_every) {
+  sim::Scheduler sched;
+  TraceSink sink;
+  NullNode null;
+  net::LinkConfig cfg;
+  cfg.rate_bps = 10e9;
+  net::Link a(sched, "a", cfg), b(sched, "b", cfg);
+  a.connect_to(&null, 0);
+  b.connect_to(&null, 0);
+  sink.probes().add_counter("a/tx_bytes", [&a] { return a.bytes_sent(); });
+  sink.probes().add_counter("b/tx_bytes", [&b] { return b.bytes_sent(); });
+  telemetry::PeriodicSampler sampler(sched, sink, sim::milliseconds(1), 0,
+                                     sim::milliseconds(10));
+  for (int i = 0; i < 1000; ++i) {
+    sched.schedule_at(sim::microseconds(10) * i, [&a, &b, i, b_every] {
+      auto pa = net::make_packet();
+      pa->size_bytes = 1000;
+      a.send(std::move(pa));
+      if (i % b_every == 0) {
+        auto pb = net::make_packet();
+        pb->size_bytes = 1000;
+        b.send(std::move(pb));
+      }
+    });
+  }
+  sched.run();
+  return sampler.spread_pct();
+}
+
+TEST(PeriodicSampler, EqualLoadGivesLowImbalance) {
+  const stats::Summary spread = two_link_spread(1);
+  ASSERT_GT(spread.count(), 5u);
+  EXPECT_LT(spread.mean(), 1.0);
+}
+
+TEST(PeriodicSampler, SkewedLoadGivesHighImbalance) {
+  // b gets a third of the traffic: (max-min)/mean with loads 1 and 1/3 is
+  // (1 - 1/3) / (2/3) = 100%.
+  const stats::Summary spread = two_link_spread(3);
+  ASSERT_GT(spread.count(), 5u);
+  EXPECT_NEAR(spread.mean(), 100.0, 15.0);
+}
+
+TEST(PeriodicSampler, SpreadSkipsIdleIntervals) {
+  sim::Scheduler sched;
+  TraceSink sink;
+  std::uint64_t x = 0, y = 0;
+  sink.probes().add_counter("x/bytes", [&x] { return x; });
+  sink.probes().add_counter("y/bytes", [&y] { return y; });
+  // Intervals (1, 2] and (3, 4] carry 300 on x and 100 on y; (2, 3] is idle.
+  for (const int us : {1500, 3500}) {
+    sched.schedule_at(sim::microseconds(us), [&x, &y] {
+      x += 300;
+      y += 100;
+    });
+  }
+  telemetry::PeriodicSampler sampler(sched, sink, sim::milliseconds(1),
+                                     sim::milliseconds(1),
+                                     sim::milliseconds(4));
+  sched.run();
+  ASSERT_EQ(sampler.series(0).size(), 3u);
+  // Two samples of (300 - 100) / 200 = 100%; the idle interval adds none.
+  const stats::Summary spread = sampler.spread_pct();
+  ASSERT_EQ(spread.count(), 2u);
+  EXPECT_DOUBLE_EQ(spread.mean(), 100.0);
 }
 
 #ifdef CONGA_TELEMETRY

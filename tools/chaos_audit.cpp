@@ -2,8 +2,8 @@
 //
 // For each campaign a fault plan is drawn (deterministically from the seed)
 // and executed against an identical scenario once per load-balancing policy
-// (by default every registered policy but local-eq and weighted: ecmp,
-// conga, conga-flow, spray, local, letflow, drill, presto, hula). Each cell
+// (by default every registered policy but local-eq: ecmp, conga,
+// conga-flow, spray, local, letflow, drill, presto, hula). Each cell
 // runs with the liveness watchdog attached and is checked after the drain:
 //   * conservation — every link's packet ledger must balance: offered ==
 //     drops-by-cause + resident + in-flight + delivered;
@@ -64,9 +64,8 @@ namespace {
   std::exit(2);
 }
 
-// Audited by default: every registered policy but local-eq and weighted
-// (with equal weights it draws exactly as letflow does), which are left to
-// an explicit --lb list; CI's chaos lane runs that list.
+// Audited by default: every registered policy but local-eq, which is left
+// to an explicit --lb list; CI's chaos lane runs it.
 constexpr const char* kDefaultPolicies[] = {
     "ecmp",    "conga", "conga-flow", "spray", "local",
     "letflow", "drill", "presto",     "hula"};

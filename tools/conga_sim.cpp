@@ -14,7 +14,7 @@
 //   --fail L:S:P[:factor]            fail (or degrade) a leaf-spine link
 //   --lb NAME                        any registered policy (ecmp, conga,
 //                                    conga-flow, spray, local, local-eq,
-//                                    weighted, letflow, drill, presto, hula)
+//                                    letflow, drill, presto, hula)
 //   --workload enterprise|data-mining|web-search|fixed:BYTES
 //   --transport tcp|mptcp|dctcp      (dctcp implies --ecn-kb 100 default)
 //   --load F --duration-ms N --warmup-ms N --seed N --min-rto-ms N
