@@ -20,19 +20,10 @@ Json json_of_topo(const net::TopologyConfig& topo) {
   return detail::encode(topo);
 }
 
-bool topo_from_json(const Json& doc, net::TopologyConfig& out,
-                    std::string& err) {
-  return detail::decode(doc, out, err);
-}
-
 Json json_of_spec(const ExperimentSpec& spec) { return detail::encode(spec); }
 
 std::string canonical_json(const ExperimentSpec& spec) {
   return json_of_spec(spec).dump();
-}
-
-bool spec_from_json(const Json& doc, ExperimentSpec& out, std::string& err) {
-  return detail::decode(doc, out, err);
 }
 
 bool parse_spec(const std::string& text, ExperimentSpec& out,
@@ -134,14 +125,15 @@ bool to_experiment_config(const ExperimentSpec& spec,
   cfg.fabric_seed = spec.fabric_seed;
   cfg.traffic_seed = spec.traffic_seed;
 
-  const bool spine_drill = info->spine_drill;
-  if (spine_drill || !plan.empty()) {
+  net::Fabric::SpineLbFactory spine_lb;
+  if (info->spine_factory != nullptr) spine_lb = info->spine_factory();
+  if (spine_lb || !plan.empty()) {
     std::function<void(net::Fabric&)> arm;
     if (!plan.empty()) {
       arm = fault::arming_hook(std::move(plan), spec.fault.seed);
     }
-    cfg.fabric_hook = [spine_drill, arm](net::Fabric& f) {
-      if (spine_drill) f.set_spine_drill(true);
+    cfg.fabric_hook = [spine_lb, arm](net::Fabric& f) {
+      if (spine_lb) f.install_spine_lb(spine_lb);
       if (arm) arm(f);
     };
   }

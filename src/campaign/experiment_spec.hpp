@@ -64,22 +64,18 @@ struct ExperimentSpec {
   FaultSpec fault;
 };
 
-/// Topology <-> canonical document (shared by cell specs and campaign
-/// requests; same strict-parse contract as specs).
+/// Topology -> canonical document (shared by cell specs and campaign
+/// requests).
 Json json_of_topo(const net::TopologyConfig& topo);
-bool topo_from_json(const Json& doc, net::TopologyConfig& out,
-                    std::string& err);
 
 /// Spec -> canonical JSON document (fixed member order).
 Json json_of_spec(const ExperimentSpec& spec);
 /// Spec -> canonical JSON bytes (compact dump of json_of_spec).
 std::string canonical_json(const ExperimentSpec& spec);
 
-/// Strict parse from a document: fields in any order; an unknown, repeated,
+/// Strict parse from text: fields in any order; an unknown, repeated,
 /// mistyped or out-of-range field is an error; absent fields keep their
 /// defaults. Returns false and sets `err`.
-bool spec_from_json(const Json& doc, ExperimentSpec& out, std::string& err);
-/// Convenience: text -> spec.
 bool parse_spec(const std::string& text, ExperimentSpec& out,
                 std::string& err);
 
@@ -122,7 +118,7 @@ bool run_hotspot(const ExperimentSpec& spec, telemetry::TraceSink& sink,
 /// Serializes a result into the store's canonical payload object (fixed
 /// member order; doubles in shortest-round-trip form).
 Json json_of_result(const workload::ExperimentResult& r);
-/// Strict inverse of json_of_result (same contract as spec_from_json).
+/// Strict inverse of json_of_result (same contract as parse_spec).
 bool result_from_json(const Json& doc, workload::ExperimentResult& out,
                       std::string& err);
 

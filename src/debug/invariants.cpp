@@ -27,7 +27,6 @@ ViolationHandler set_violation_handler(ViolationHandler h) {
 }
 
 std::uint64_t violation_count() { return g_count; }
-void reset_violation_count() { g_count = 0; }
 
 std::string format_violation(const Violation& v) {
   std::ostringstream os;

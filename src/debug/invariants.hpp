@@ -43,10 +43,9 @@ using ViolationHandler = std::function<void(const Violation&)>;
 /// empty handler restores the default (print to stderr + abort).
 ViolationHandler set_violation_handler(ViolationHandler h);
 
-/// Violations reported since process start / the last reset. Counted before
-/// the handler runs, so a non-aborting handler still leaves a tally.
+/// Violations reported since process start. Counted before the handler
+/// runs, so a non-aborting handler still leaves a tally.
 std::uint64_t violation_count();
-void reset_violation_count();
 
 /// Formats `v` as the single-line structured report the default handler
 /// prints: "invariant violation [<invariant>] node=<node> t=<ns>ns: <detail>".

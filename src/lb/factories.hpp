@@ -9,8 +9,9 @@
 //   fabric.install_lb(core::conga(make_conga_flow_config()));  // CONGA-Flow
 //
 // The competitor schemes of src/lb_ext/ are built by name from the policy
-// registry (lb_ext/policies.hpp): lb_ext::make_policy("letflow"), or
-// install_policy() for schemes that also need a spine-side mode (DRILL).
+// registry (lb_ext/policies.hpp): lb_ext::make_policy("letflow") for the
+// leaf balancers alone, or install_policy(), which also installs a policy's
+// spine balancers (Fabric::install_spine_lb).
 #pragma once
 
 #include <memory>

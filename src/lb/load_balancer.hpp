@@ -1,4 +1,5 @@
-// Strategy interface for the source-leaf uplink choice.
+// Strategy interfaces for the source-leaf uplink choice and the spine's
+// downlink choice.
 //
 // A LeafSwitch owns one LoadBalancer and consults it for every packet it
 // encapsulates toward the fabric. Congestion-aware schemes additionally get
@@ -12,16 +13,23 @@
 // derive from lb::FlowletLb (lb/flowlet_lb.hpp), which owns the flowlet
 // table and calls the policy's choose() once per new flowlet. Downstream
 // users can plug their own scheme; see examples/custom_lb.cpp.
+//
+// A SpineSwitch forwards by salted ECMP hash unless a policy installs a
+// SpineBalancer on it (Fabric::install_spine_lb); DRILL's spine half
+// (lb_ext/drill_lb.hpp) is the one user today.
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/time.hpp"
 
 namespace conga::net {
 class LeafSwitch;
-}
+class Link;
+}  // namespace conga::net
 
 namespace conga::telemetry {
 class TraceSink;
@@ -59,6 +67,16 @@ class LoadBalancer {
   virtual void attach_telemetry(telemetry::TraceSink* /*sink*/) {}
 
   virtual std::string name() const = 0;
+};
+
+class SpineBalancer {
+ public:
+  virtual ~SpineBalancer() = default;
+
+  /// Chooses an index into `links`, the spine's parallel live downlinks
+  /// toward `dst_leaf`. Called only when there are at least two.
+  virtual std::size_t select_downlink(net::LeafId dst_leaf,
+                                      const std::vector<net::Link*>& links) = 0;
 };
 
 }  // namespace conga::lb

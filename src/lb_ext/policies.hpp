@@ -2,7 +2,7 @@
 // the command-line name the tools and benches accept. One table drives
 // conga_sim/conga_trace/chaos_audit --lb validation, make_policy, the
 // ext_lb_comparison sweep, and the README policy matrix, so a policy added
-// as one row here (name, summary, spine mode, factory) shows up everywhere
+// as one row here (name, summary, spine half, factory) shows up everywhere
 // at once.
 #pragma once
 
@@ -16,9 +16,10 @@ namespace conga::lb_ext {
 struct PolicyInfo {
   const char* name;     ///< command-line name ("letflow", "drill", ...)
   const char* summary;  ///< one-line description for help text / docs
-  /// Whether the policy also switches the spines to queue-aware forwarding
-  /// (SpineSwitch::enable_drill); applied by install_policy().
-  bool spine_drill;
+  /// The policy's spine balancers, or nullptr for policies that leave the
+  /// spines on ECMP hashing; installed by install_policy() and by the
+  /// fabric hook of campaign::to_experiment_config().
+  net::Fabric::SpineLbFactory (*spine_factory)();
   /// The policy's leaf balancers with their default configuration.
   net::Fabric::LbFactory (*factory)();
 };
@@ -35,8 +36,9 @@ std::string policy_names();
 /// Factory for `name`; an empty std::function if unknown.
 net::Fabric::LbFactory make_policy(const std::string& name);
 
-/// Installs `name` on `fabric` (leaf balancers plus the spine mode from the
-/// catalog). Returns false — leaving the fabric untouched — if unknown.
+/// Installs `name` on `fabric`: its leaf balancers, then its spine balancers
+/// (or ECMP spines when it has none). Returns false — leaving the fabric
+/// untouched — if unknown.
 bool install_policy(net::Fabric& fabric, const std::string& name);
 
 }  // namespace conga::lb_ext

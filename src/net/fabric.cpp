@@ -395,18 +395,17 @@ void Fabric::install_lb(const LbFactory& factory) {
   }
 }
 
-void Fabric::set_spine_drill(bool enabled) {
+void Fabric::install_spine_lb(const SpineLbFactory& factory) {
   for (auto& spine : spines_) {
-    if (enabled) {
-      // Class 6 in the keyed-stream namespace (1 leaves, 2 spines, 3 LBs,
-      // 4 cores; the fault injector keys 4 flap and 5 gray off its own
-      // seed). stream_seed() is a pure derivation, so flipping the mode
-      // never advances rng_ and cannot perturb other streams.
-      spine->enable_drill(rng_.stream_seed(
-          (6ULL << 56) | static_cast<std::uint64_t>(spine->id())));
-    } else {
-      spine->disable_drill();
-    }
+    // Class 6 in the keyed-stream namespace (1 leaves, 2 spines, 3 LBs,
+    // 4 cores; the fault injector keys 4 flap and 5 gray off its own
+    // seed). stream_seed() is a pure derivation, so installing never
+    // advances rng_ and cannot perturb other streams.
+    spine->set_balancer(
+        factory ? factory(cfg_, rng_.stream_seed(
+                                    (6ULL << 56) |
+                                    static_cast<std::uint64_t>(spine->id())))
+                : nullptr);
   }
 }
 

@@ -29,6 +29,9 @@ class Fabric {
   /// (all uplinks present) when invoked.
   using LbFactory = std::function<std::unique_ptr<lb::LoadBalancer>(
       LeafSwitch& leaf, const TopologyConfig& cfg, std::uint64_t seed)>;
+  /// A factory producing one SpineBalancer per spine.
+  using SpineLbFactory = std::function<std::unique_ptr<lb::SpineBalancer>(
+      const TopologyConfig& cfg, std::uint64_t seed)>;
 
   Fabric(sim::Scheduler& sched, const TopologyConfig& cfg,
          std::uint64_t seed = 1);
@@ -39,11 +42,10 @@ class Fabric {
   /// Installs a load balancer on every leaf.
   void install_lb(const LbFactory& factory);
 
-  /// Switches every spine between ECMP (default) and DRILL forwarding for
-  /// the spine -> leaf stage (power-of-two-choices over parallel downlink
-  /// queue depths; see SpineSwitch::enable_drill). The policy registry
-  /// (src/lb_ext/policies.hpp) flips this when installing "drill".
-  void set_spine_drill(bool enabled);
+  /// Installs a downlink chooser on every spine (not on cores); an empty
+  /// factory restores ECMP hashing. The policy registry
+  /// (src/lb_ext/policies.hpp) installs a policy's spine half with it.
+  void install_spine_lb(const SpineLbFactory& factory);
 
   /// Routes the whole fabric's telemetry to `sink` (nullptr detaches):
   /// every link (queue + DRE included), every installed load balancer, and

@@ -71,8 +71,8 @@ class LeafSwitch : public Node {
   }
 
   /// True if `uplink` is an index into uplinks() that reaches `dst_leaf`:
-  /// the check for a remembered port (flowlet entry, flowcell, DRILL's
-  /// memory) that may predate a failure.
+  /// the check for a remembered port (flowlet entry, flowcell, last-best
+  /// port) that may predate a failure.
   bool usable_uplink(int uplink, LeafId dst_leaf) const {
     return uplink >= 0 && uplink < static_cast<int>(uplinks_.size()) &&
            uplink_reaches(uplink, dst_leaf);

@@ -60,7 +60,6 @@ void Link::attach_telemetry(telemetry::TraceSink* sink) {
 void Link::send(PacketPtr pkt) {
   assert(dst_ != nullptr && "link not connected");
   ++packets_offered_;
-  bytes_offered_ += pkt->size_bytes;
   if (!up_) {  // black-hole on a failed link
     ++drop_stats_.admin_down_pkts;
     drop_stats_.admin_down_bytes += pkt->size_bytes;
@@ -138,7 +137,6 @@ void Link::start_transmission() {
                             return;
                           }
                           ++packets_delivered_;
-                          bytes_delivered_ += p->size_bytes;
                           dst_->receive(std::move(p), dst_port_);
                         });
 }

@@ -127,10 +127,8 @@ class Link {
 
   const LinkDropStats& drop_stats() const { return drop_stats_; }
   std::uint64_t packets_offered() const { return packets_offered_; }
-  std::uint64_t bytes_offered() const { return bytes_offered_; }
   std::uint64_t packets_in_flight() const { return in_flight_pkts_; }
   std::uint64_t packets_delivered() const { return packets_delivered_; }
-  std::uint64_t bytes_delivered() const { return bytes_delivered_; }
 
   /// Packet conservation: every packet offered to this link is accounted to
   /// exactly one fate. After a full drain (no packets queued or on the wire)
@@ -177,10 +175,8 @@ class Link {
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_offered_ = 0;
-  std::uint64_t bytes_offered_ = 0;
   std::uint64_t in_flight_pkts_ = 0;
   std::uint64_t packets_delivered_ = 0;
-  std::uint64_t bytes_delivered_ = 0;
   LinkDropStats drop_stats_;
 };
 

@@ -45,31 +45,12 @@ void SpineSwitch::receive(PacketPtr pkt, int /*in_port*/) {
   }
   std::size_t i = 0;
   if (links.size() > 1) {
-    i = drill_rng_ != nullptr
-            ? drill_pick(leaf, links)
+    i = balancer_ != nullptr
+            ? balancer_->select_downlink(pkt->overlay.dst_leaf, links)
             : static_cast<std::size_t>(
                   mix64(pkt->wire_key().hash() ^ hash_seed_) % links.size());
   }
   links[i]->send(std::move(pkt));
-}
-
-std::size_t SpineSwitch::drill_pick(std::size_t leaf,
-                                    const std::vector<Link*>& links) {
-  // Downlink removals shift indices, so the remembered winner is only a
-  // heuristic; out-of-range memory is ignored until rewritten.
-  const int mem = drill_best_[leaf];
-  const bool mem_ok = mem >= 0 && mem < static_cast<int>(links.size());
-  int cand[3];
-  int n = 0;
-  cand[n++] = static_cast<int>(drill_rng_->index(links.size()));
-  cand[n++] = static_cast<int>(drill_rng_->index(links.size()));
-  if (mem_ok) cand[n++] = mem;
-  const int winner =
-      drill_winner(cand, n, mem_ok ? mem : -1, [&](int port) {
-        return links[static_cast<std::size_t>(port)]->queue().bytes();
-      });
-  drill_best_[leaf] = winner;
-  return static_cast<std::size_t>(winner);
 }
 
 }  // namespace conga::net

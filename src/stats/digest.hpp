@@ -37,7 +37,6 @@ class TraceDigest {
     h_ = sim::mix64(h_ ^ sim::mix64(v + kGamma));
     ++words_;
   }
-  void add_double(double d) { add(hash_double(d)); }
 
   /// Final value; folds the word count in so a truncated stream with a
   /// colliding prefix still differs.

@@ -16,7 +16,6 @@ struct TcpConfig {
   /// Minimum retransmission timeout. The paper evaluates 200 ms (the Linux
   /// default) and 1 ms (Vasudevan et al.'s Incast remedy) in Fig 13.
   sim::TimeNs min_rto = sim::milliseconds(200);
-  sim::TimeNs max_rto = sim::seconds(60.0);
 
   /// ACK every n-th in-order segment (1 = every segment; 2 = delayed ACKs).
   int ack_every = 1;
@@ -43,7 +42,6 @@ struct TcpConfig {
   /// the fabric (TopologyConfig::ecn_threshold_bytes). An extension beyond
   /// the paper's testbed TCP, for the CONGA+DCTCP ablation.
   bool dctcp = false;
-  double dctcp_g = 1.0 / 16;  ///< EWMA gain for the marked fraction
 
   std::uint32_t mss() const { return mtu - 40; }
 

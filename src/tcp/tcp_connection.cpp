@@ -23,6 +23,11 @@ std::string tcp_node_name(const conga::net::FlowKey& f) {
 
 namespace conga::tcp {
 
+namespace {
+constexpr sim::TimeNs kMaxRto = sim::seconds(60.0);
+constexpr double kDctcpG = 1.0 / 16;  ///< EWMA gain for the marked fraction
+}  // namespace
+
 TcpSender::TcpSender(sim::Scheduler& sched, net::Host& local,
                      const net::FlowKey& flow, ChunkSource& source,
                      const TcpConfig& cfg, std::function<void()> on_done)
@@ -292,7 +297,7 @@ void TcpSender::update_rtt(sim::TimeNs sample) {
   }
   rto_ = std::clamp<sim::TimeNs>(
       srtt_ + std::max(cfg_.rto_granularity(), 4 * rttvar_), cfg_.min_rto,
-      cfg_.max_rto);
+      kMaxRto);
 }
 
 void TcpSender::ca_increase(std::uint64_t bytes_acked) {
@@ -328,7 +333,7 @@ void TcpSender::dctcp_on_ack(std::uint64_t bytes_acked, bool ece) {
   if (dctcp_acked_ > 0) {
     const double frac = static_cast<double>(dctcp_marked_) /
                         static_cast<double>(dctcp_acked_);
-    dctcp_alpha_ = (1 - cfg_.dctcp_g) * dctcp_alpha_ + cfg_.dctcp_g * frac;
+    dctcp_alpha_ = (1 - kDctcpG) * dctcp_alpha_ + kDctcpG * frac;
     if (dctcp_marked_ > 0 && !in_recovery_ && !sack_recovery_) {
       cwnd_ = std::max(cwnd_ * (1.0 - dctcp_alpha_ / 2.0),
                        2.0 * static_cast<double>(mss()));

@@ -60,10 +60,6 @@ PeriodicSampler::PeriodicSampler(sim::Scheduler& sched, TraceSink& sink,
   sched_.schedule_at(start, [this] { tick(); });
 }
 
-const std::string& PeriodicSampler::probe_name(std::size_t i) const {
-  return sink_.probes().probe(probes_[i].index).name;
-}
-
 void PeriodicSampler::tick() {
   const sim::TimeNs now = sched_.now();
   times_.push_back(now);

@@ -84,7 +84,6 @@ class PeriodicSampler {
                   std::vector<int> probe_indices = {});
 
   std::size_t probe_count() const { return probes_.size(); }
-  const std::string& probe_name(std::size_t i) const;
 
   /// Sample timestamps (shared by every probe).
   const std::vector<sim::TimeNs>& times() const { return times_; }

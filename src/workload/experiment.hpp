@@ -32,9 +32,9 @@ struct ExperimentConfig {
   std::uint64_t fabric_seed = 1;
   std::uint64_t traffic_seed = 7;
 
-  /// Called after install_lb, before traffic starts — for fabric-wide modes
-  /// a plain LbFactory cannot reach (e.g. Fabric::set_spine_drill for the
-  /// "drill" policy, or link degradation for asymmetric cells).
+  /// Called after install_lb, before traffic starts — for fabric state a
+  /// plain LbFactory cannot reach (e.g. Fabric::install_spine_lb for a
+  /// policy's spine half, or link degradation for asymmetric cells).
   std::function<void(net::Fabric&)> fabric_hook;
 };
 

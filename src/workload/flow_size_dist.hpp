@@ -40,10 +40,6 @@ class FlowSizeDist {
   /// Mean flow size implied by the table (log-linear segments).
   double mean_bytes() const { return mean_; }
 
-  /// Standard deviation of the flow size (closed form over the log-linear
-  /// segments, computed at construction; used by the Theorem 2 analysis).
-  double stddev_bytes() const { return stddev_; }
-
   /// Coefficient of variation sigma/mean — the quantity Theorem 2 shows
   /// governs load-balancing difficulty.
   double coeff_of_variation() const { return stddev_ / mean_; }

@@ -5,9 +5,6 @@
 #include <cmath>
 #include <utility>
 
-#include "telemetry/probes.hpp"
-#include "telemetry/telemetry.hpp"
-
 namespace conga::workload {
 
 TrafficGenerator::TrafficGenerator(net::Fabric& fabric,
@@ -133,18 +130,6 @@ void TrafficGenerator::account_unfinished() {
                           f.start_time() < cfg_.measure_stop;
     if (measured) collector_.record_unfinished(f.size(), f.progress_bytes());
   }
-}
-
-void TrafficGenerator::register_reorder_probes(
-    telemetry::TraceSink& sink) const {
-  const stats::FctCollector* col = &collector_;
-  telemetry::ProbeRegistry& reg = sink.probes();
-  reg.add_counter("tcp/reorder_segments",
-                  [col] { return col->reorder_segments(); });
-  reg.add_counter("tcp/reorder_max_distance",
-                  [col] { return col->reorder_max_distance(); });
-  reg.add_counter("tcp/reorder_flows",
-                  [col] { return col->reordered_flows(); });
 }
 
 void TrafficGenerator::reap() {

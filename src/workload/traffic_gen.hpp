@@ -25,10 +25,6 @@
 #include "tcp/flow.hpp"
 #include "workload/flow_size_dist.hpp"
 
-namespace conga::telemetry {
-class TraceSink;
-}  // namespace conga::telemetry
-
 namespace conga::workload {
 
 struct TrafficGenConfig {
@@ -63,13 +59,6 @@ class TrafficGenerator {
   /// after the drain has given up; live flows are iterated in id order so
   /// the accounting is deterministic.
   void account_unfinished();
-
-  /// Registers the reordering ledger as metric probes (tcp/reorder_segments,
-  /// tcp/reorder_max_distance, tcp/reorder_flows). Opt-in rather than part
-  /// of Fabric::register_probes: the generator outlives no fabric, and the
-  /// standard probe set (and thus the telemetry digest) stays unchanged for
-  /// harnesses that don't ask for it.
-  void register_reorder_probes(telemetry::TraceSink& sink) const;
 
   const stats::FctCollector& collector() const { return collector_; }
   std::uint64_t flows_started() const { return started_; }

@@ -171,7 +171,7 @@ TEST(DigestTrial, InstrumentationIsPassive) {
   EXPECT_EQ(off.telemetry, 0u);
 }
 
-// "drill" sets its spine mode in the config's own fabric hook. The helper
+// "drill" installs its spine half in the config's own fabric hook. The helper
 // must chain that hook behind its instrumentation, not replace it: the runs
 // reproduce, match the plain run, and differ from the same cell with the
 // policy hook dropped.
@@ -198,11 +198,13 @@ TEST(DigestTrial, ChainsThePolicyFabricHook) {
   workload::ExperimentConfig unhooked = cfg;
   unhooked.fabric_hook = nullptr;
   EXPECT_NE(debug::run_digest_trial(unhooked).trace, a.trace)
-      << "the spine mode must change the schedule";
+      << "the spine half must change the schedule";
 }
 
-// Every registered policy on both testbed topologies (Fig 7), and on the
-// baseline under two "random" fault campaigns, pinned in
+// Every registered policy on both testbed topologies (Fig 7), on the
+// baseline under two "random" fault campaigns, and on a two-pod fabric with
+// a core tier (spines hash onto core uplinks, and choose among parallel
+// downlinks inside each pod), pinned in
 // tests/data/policy_digests.txt: the balancers, and everything they share,
 // must keep each policy's results (fct), schedule (trace) and event count
 // bit-identical across refactors. Only runtime faults withdraw an uplink
@@ -229,11 +231,18 @@ TEST(PolicyDigests, EveryRegisteredPolicyMatchesItsPin) {
     net::TopologyConfig topo;
     campaign::FaultSpec fault;
   };
+  net::TopologyConfig pods;
+  pods.num_pods = 2;
+  pods.num_leaves = 4;
+  pods.num_spines = 4;
+  pods.num_cores = 2;
+  pods.links_per_spine = 2;
   const Cell cells[] = {
       {"baseline", net::testbed_baseline(), {"none", 1}},
       {"link-failure", net::testbed_link_failure(), {"none", 1}},
       {"faults-5", net::testbed_baseline(), {"random", 5}},
-      {"faults-6", net::testbed_baseline(), {"random", 6}}};
+      {"faults-6", net::testbed_baseline(), {"random", 6}},
+      {"pods", pods, {"none", 1}}};
   std::string produced;
   std::size_t runs = 0;
   for (const Cell& c : cells) {

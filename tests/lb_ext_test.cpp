@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "lb/factories.hpp"
 #include "lb_ext/drill_lb.hpp"
@@ -119,16 +120,64 @@ TEST(DrillLb, MovesToTheShorterQueueAndResticksThere) {
   EXPECT_EQ(lb->remembered(1), other);
 }
 
+// The spine half on a spine with 2 parallel downlinks to leaf 1.
+struct DrillSpine {
+  sim::Scheduler sched;
+  net::Fabric fabric{sched, parallel_topo(), 5};
+  DrillSpineLb* lb = nullptr;
+  std::vector<net::Link*> links;
+
+  static net::TopologyConfig parallel_topo() {
+    net::TopologyConfig cfg = topo(2);
+    cfg.links_per_spine = 2;
+    return cfg;
+  }
+  DrillSpine() {
+    install_policy(fabric, "drill");
+    lb = dynamic_cast<DrillSpineLb*>(fabric.spine(0).balancer());
+    links = {fabric.down_link(0, 1, 0), fabric.down_link(0, 1, 1)};
+  }
+};
+
+TEST(DrillSpineLb, MemoryWinsTiesSoEqualQueuesNeverMoveTheFlow) {
+  DrillSpine s;
+  ASSERT_NE(s.lb, nullptr);
+  const std::size_t first = s.lb->select_downlink(1, s.links);
+  EXPECT_EQ(s.lb->remembered(1), static_cast<int>(first));
+  for (int i = 1; i <= 50; ++i) {
+    EXPECT_EQ(s.lb->select_downlink(1, s.links), first);
+  }
+}
+
+TEST(DrillSpineLb, MovesToTheShorterQueueAndResticksThere) {
+  DrillSpine s;
+  ASSERT_NE(s.lb, nullptr);
+  const std::size_t first = s.lb->select_downlink(1, s.links);
+  const std::size_t other = 1 - first;
+  for (int i = 0; i < 10; ++i) {
+    net::PacketPtr filler = net::make_packet();
+    filler->flow = packet_for_flow(1000 + i).flow;
+    filler->size_bytes = 1500;
+    s.links[first]->send(std::move(filler));
+  }
+  ASSERT_GT(s.links[first]->queue().bytes(), 0u);
+  std::size_t last = first;
+  for (int i = 0; i < 20; ++i) last = s.lb->select_downlink(1, s.links);
+  EXPECT_EQ(last, other);
+  EXPECT_EQ(s.lb->remembered(1), static_cast<int>(other));
+}
+
 TEST(DrillPolicy, InstallsAndRemovesSpineMode) {
   sim::Scheduler sched;
   net::Fabric fabric(sched, topo(2), 5);
   ASSERT_TRUE(install_policy(fabric, "drill"));
-  EXPECT_TRUE(fabric.spine(0).drill_enabled());
-  EXPECT_TRUE(fabric.spine(1).drill_enabled());
+  EXPECT_NE(dynamic_cast<DrillSpineLb*>(fabric.spine(0).balancer()), nullptr);
+  EXPECT_NE(dynamic_cast<DrillSpineLb*>(fabric.spine(1).balancer()), nullptr);
   EXPECT_EQ(fabric.leaf(0).load_balancer()->name(), "DRILL");
-  // Switching policy must tear the spine mode back down.
+  // Switching policy must put the spines back on ECMP hashing.
   ASSERT_TRUE(install_policy(fabric, "conga"));
-  EXPECT_FALSE(fabric.spine(0).drill_enabled());
+  EXPECT_EQ(fabric.spine(0).balancer(), nullptr);
+  EXPECT_EQ(fabric.spine(1).balancer(), nullptr);
   EXPECT_EQ(fabric.leaf(0).load_balancer()->name(), "CONGA");
 }
 
@@ -196,7 +245,7 @@ TEST(PolicyRegistry, UnknownNameLeavesFabricUntouched) {
   ASSERT_TRUE(install_policy(fabric, "ecmp"));
   EXPECT_FALSE(install_policy(fabric, "bogus"));
   EXPECT_EQ(fabric.leaf(0).load_balancer()->name(), "ECMP");
-  EXPECT_FALSE(fabric.spine(0).drill_enabled());
+  EXPECT_EQ(fabric.spine(0).balancer(), nullptr);
 }
 
 TEST(PolicyRegistry, NamesAreStable) {
