@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/conga_lb.hpp"
@@ -11,6 +12,7 @@
 #include "core/flowlet_table.hpp"
 #include "lb/factories.hpp"
 #include "net/fabric.hpp"
+#include "net/queue.hpp"
 #include "sim/scheduler.hpp"
 
 using namespace conga;
@@ -63,23 +65,27 @@ void BM_CongestionTableUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_CongestionTableUpdate);
 
+// One piggybacked feedback pick per packet; args are (leaves, uplinks). The
+// 24 x 16 case is a large fabric at the 4-bit LBTag maximum.
 void BM_FeedbackPick(benchmark::State& state) {
+  const auto leaves = static_cast<int>(state.range(0));
+  const auto uplinks = static_cast<int>(state.range(1));
   core::CongestionTableConfig cfg;
-  cfg.num_leaves = 8;
-  cfg.num_uplinks = 12;
+  cfg.num_leaves = leaves;
+  cfg.num_uplinks = uplinks;
   core::CongestionFromLeafTable table(cfg);
-  for (int l = 0; l < 8; ++l) {
-    for (int u = 0; u < 12; ++u) {
+  for (int l = 0; l < leaves; ++l) {
+    for (int u = 0; u < uplinks; ++u) {
       table.update(l, u, static_cast<std::uint8_t>(u), 0);
     }
   }
   int i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.pick_feedback(i % 8, i));
+    benchmark::DoNotOptimize(table.pick_feedback(i % leaves, i));
     ++i;
   }
 }
-BENCHMARK(BM_FeedbackPick);
+BENCHMARK(BM_FeedbackPick)->Args({8, 12})->Args({24, 16});
 
 struct SelectFixture {
   sim::Scheduler sched;
@@ -157,7 +163,7 @@ void BM_SchedulerScheduleDispatchTraced(benchmark::State& state) {
 BENCHMARK(BM_SchedulerScheduleDispatchTraced);
 
 // TCP-timer re-arm pattern: schedule then cancel without dispatching. With
-// the generation-checked slots this is two O(1) slot ops plus one lazy heap
+// the generation-checked slots this is two O(1) slot ops plus one lazy queue
 // node; with the old unordered_set lazy cancel it was a rehashing insert on
 // every cancel.
 void BM_ScheduleCancelChurn(benchmark::State& state) {
@@ -189,8 +195,9 @@ BENCHMARK(BM_SchedulerDispatchDepth1k);
 // The TCP timer pattern beside a packet stream: 500 parked 1 ms timers, one
 // re-armed (cancel + reschedule) per iteration, while ~50 near events (5 us
 // out, one dispatched per 100 ns step) churn. No timer ever fires. The
-// parked timers sit in the far heap, so the near events' sifts stay shallow
-// and the cancelled nodes are compacted away instead of piling up.
+// parked timers sit untouched in high radix buckets while the near events
+// move down the low ones, and the cancelled nodes are compacted away
+// instead of piling up.
 void BM_SchedulerDispatchWithParkedTimers(benchmark::State& state) {
   sim::Scheduler sched;
   std::vector<sim::EventId> timers(500);
@@ -211,6 +218,25 @@ void BM_SchedulerDispatchWithParkedTimers(benchmark::State& state) {
   state.counters["pending"] = static_cast<double>(sched.pending());
 }
 BENCHMARK(BM_SchedulerDispatchWithParkedTimers);
+
+// A NIC backlog 10k packets deep (an incast burst on a host port): each
+// iteration enqueues 10k packets, then dequeues them all. The dequeues walk
+// the chain of packets the queue links through Packet::queue_next.
+void BM_QueueDeepBacklog(benchmark::State& state) {
+  constexpr int kBacklog = 10'000;
+  net::DropTailQueue q(std::uint64_t{kBacklog} * 1500);
+  sim::TimeNs t = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < kBacklog; ++i) {
+      net::PacketPtr p = net::make_packet();
+      p->size_bytes = 1500;
+      q.enqueue(std::move(p), ++t);
+    }
+    while (net::PacketPtr p = q.dequeue(++t)) benchmark::DoNotOptimize(p);
+  }
+  state.SetItemsProcessed(state.iterations() * kBacklog);
+}
+BENCHMARK(BM_QueueDeepBacklog);
 
 // Steady-state packet cost: each iteration acquires from and releases to
 // the thread-local pool — no allocator traffic after the first chunk.

@@ -1,5 +1,6 @@
 #include "core/congestion_tables.hpp"
 
+#include <bit>
 #include <cassert>
 
 #include "telemetry/telemetry.hpp"
@@ -55,8 +56,9 @@ CongestionFromLeafTable::CongestionFromLeafTable(
     const CongestionTableConfig& cfg)
     : cfg_(cfg),
       cells_(static_cast<std::size_t>(cfg.num_leaves) * cfg.num_uplinks),
-      rr_next_(static_cast<std::size_t>(cfg.num_leaves), 0),
-      any_(static_cast<std::size_t>(cfg.num_leaves), false) {}
+      rows_(static_cast<std::size_t>(cfg.num_leaves)) {
+  assert(cfg.num_uplinks <= 16 && "LBTag masks hold 16 tags");
+}
 
 void CongestionFromLeafTable::update(net::LeafId src_leaf, int lbtag,
                                      std::uint8_t ce, sim::TimeNs now) {
@@ -64,10 +66,12 @@ void CongestionFromLeafTable::update(net::LeafId src_leaf, int lbtag,
   assert(lbtag >= 0 && lbtag < cfg_.num_uplinks);
   MetricCell& c = cells_[static_cast<std::size_t>(src_leaf) * cfg_.num_uplinks +
                          lbtag];
-  if (c.value != ce || c.updated < 0) c.changed = true;
+  Row& row = rows_[static_cast<std::size_t>(src_leaf)];
+  const auto bit = static_cast<std::uint16_t>(1U << lbtag);
+  if (c.value != ce || c.updated < 0) row.changed |= bit;
+  row.written |= bit;
   c.value = ce;
   c.updated = now;
-  any_[static_cast<std::size_t>(src_leaf)] = true;
   telemetry::emit(tele_, telemetry::EventType::kCongaFromLeafUpdate,
                   tele_comp_, now, pack_cell(src_leaf, lbtag), ce);
 }
@@ -82,33 +86,22 @@ std::optional<CongestionFromLeafTable::Feedback>
 CongestionFromLeafTable::pick_feedback(net::LeafId dst_leaf, sim::TimeNs now) {
   assert(dst_leaf >= 0 && dst_leaf < cfg_.num_leaves);
   const auto leaf = static_cast<std::size_t>(dst_leaf);
-  if (!any_[leaf]) return std::nullopt;
-
-  const int n = cfg_.num_uplinks;
-  MetricCell* row = &cells_[leaf * static_cast<std::size_t>(n)];
-  int& cursor = rr_next_[leaf];
-
-  auto take = [&](int i) -> Feedback {
-    MetricCell& c = row[i];
-    c.changed = false;
-    cursor = (i + 1) % n;
-    return Feedback{static_cast<std::uint8_t>(i),
-                    aged_value(c, now, cfg_.age_after)};
-  };
-
-  // First pass: the next *changed* entry in round-robin order.
-  if (cfg_.favor_changed) {
-    for (int k = 0; k < n; ++k) {
-      const int i = (cursor + k) % n;
-      if (row[i].updated >= 0 && row[i].changed) return take(i);
-    }
-  }
-  // Otherwise: the next ever-written entry in round-robin order.
-  for (int k = 0; k < n; ++k) {
-    const int i = (cursor + k) % n;
-    if (row[i].updated >= 0) return take(i);
-  }
-  return std::nullopt;
+  Row& row = rows_[leaf];
+  // Changed entries first (§3.3 step 4), else any ever-written one.
+  const unsigned mask =
+      cfg_.favor_changed && row.changed != 0 ? row.changed : row.written;
+  if (mask == 0) return std::nullopt;
+  // The first set bit at or after the cursor, wrapping to the lowest.
+  const unsigned ahead = mask & (~0U << row.cursor);
+  const int i = std::countr_zero(ahead != 0 ? ahead : mask);
+  row.changed &= static_cast<std::uint16_t>(~(1U << i));
+  // A cursor of num_uplinks masks every tag off, so the next pick wraps.
+  row.cursor = static_cast<std::uint8_t>(i + 1);
+  const MetricCell& c =
+      cells_[leaf * static_cast<std::size_t>(cfg_.num_uplinks) +
+             static_cast<std::size_t>(i)];
+  return Feedback{static_cast<std::uint8_t>(i),
+                  aged_value(c, now, cfg_.age_after)};
 }
 
 }  // namespace conga::core

@@ -31,7 +31,6 @@ namespace conga::core {
 struct MetricCell {
   std::uint8_t value = 0;
   sim::TimeNs updated = -1;  ///< -1: never written
-  bool changed = false;      ///< changed since last fed back (From-Leaf only)
 };
 
 struct CongestionTableConfig {
@@ -77,7 +76,10 @@ class CongestionToLeafTable {
 };
 
 /// Received-CE table at the destination leaf: [src_leaf][lbtag] -> metric,
-/// with the round-robin / changed-first feedback selector.
+/// with the round-robin / changed-first feedback selector. Each source leaf
+/// keeps two LBTag bitmasks, one word each since there are at most 16 tags:
+/// the cells ever written, and those whose value changed since last fed
+/// back. A pick is a next-set-bit search from the round-robin cursor.
 class CongestionFromLeafTable {
  public:
   explicit CongestionFromLeafTable(const CongestionTableConfig& cfg);
@@ -107,12 +109,18 @@ class CongestionFromLeafTable {
   }
 
  private:
+  /// Per-source-leaf selector state; bit i of a mask is LBTag i.
+  struct Row {
+    std::uint16_t written = 0;  ///< cells ever written
+    std::uint16_t changed = 0;  ///< cells changed since last fed back
+    std::uint8_t cursor = 0;    ///< the tag after the last pick
+  };
+
   CongestionTableConfig cfg_;
   telemetry::TraceSink* tele_ = nullptr;
   std::uint32_t tele_comp_ = 0;
-  std::vector<MetricCell> cells_;        // row-major [leaf][lbtag]
-  std::vector<int> rr_next_;             // per-leaf round-robin cursor
-  std::vector<bool> any_;                // per-leaf: ever updated
+  std::vector<MetricCell> cells_;  // row-major [leaf][lbtag]
+  std::vector<Row> rows_;
 };
 
 }  // namespace conga::core

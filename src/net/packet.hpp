@@ -22,15 +22,16 @@ struct SackBlock {
   std::uint64_t end = 0;
 };
 
-/// TCP header state carried by every packet.
+/// TCP header state carried by every packet. Fields are ordered widest
+/// first, so the struct has one 5-byte tail hole instead of two padding holes.
 struct TcpHeader {
   std::uint64_t seq = 0;        ///< first payload byte (data) / echo (ack)
   std::uint64_t ack = 0;        ///< cumulative ack (valid if is_ack)
+  std::uint64_t echo_ts = 0;    ///< sender timestamp echoed by ACKs (RTT est.)
   std::uint32_t payload = 0;    ///< payload bytes carried
+  std::uint32_t subflow = 0;    ///< MPTCP subflow index (0 for plain TCP)
   bool is_ack = false;          ///< pure ACK traveling receiver -> sender
   bool fin = false;             ///< last segment of the flow
-  std::uint32_t subflow = 0;    ///< MPTCP subflow index (0 for plain TCP)
-  std::uint64_t echo_ts = 0;    ///< sender timestamp echoed by ACKs (RTT est.)
   std::uint8_t sack_count = 0;  ///< valid entries in `sack` (ACKs only)
   std::array<SackBlock, 3> sack{};  ///< out-of-order blocks held (RFC 2018)
 };
@@ -67,6 +68,9 @@ struct Packet {
   std::uint64_t id = 0;          ///< unique within the allocating thread
   FlowKey flow;                  ///< data-direction 5-tuple
   std::uint32_t size_bytes = 0;  ///< total bytes on the wire (incl. headers)
+  /// Next packet in the DropTailQueue holding this one (null at the tail
+  /// and outside queues); beside size_bytes, so a dequeue reads one line.
+  Packet* queue_next = nullptr;
   sim::TimeNs enqueued_at = 0;   ///< set by queues, for latency accounting
   bool ecn_ce = false;           ///< ECN Congestion-Experienced codepoint
   bool ecn_echo = false;         ///< ECE on ACKs (echoed per packet, DCTCP)
@@ -82,6 +86,10 @@ struct Packet {
   /// as a real switch hashing the actual header would.
   FlowKey wire_key() const { return tcp.is_ack ? reversed(flow) : flow; }
 };
+
+// Every hop touches the packet and the pool holds thousands of them: the
+// queue link took TcpHeader's padding rather than growing the struct.
+static_assert(sizeof(Packet) <= 168, "Packet grew past 168 bytes");
 
 /// Returns a packet to the calling thread's free-list pool (see PacketPool).
 struct PacketDeleter {

@@ -7,6 +7,13 @@
 
 namespace conga::net {
 
+DropTailQueue::~DropTailQueue() {
+  while (head_ != nullptr) {
+    PacketPtr pkt(head_);
+    head_ = pkt->queue_next;
+  }
+}
+
 void DropTailQueue::account(sim::TimeNs now) {
   byte_time_integral_ +=
       static_cast<double>(bytes_) * static_cast<double>(now - last_change_);
@@ -40,19 +47,31 @@ bool DropTailQueue::enqueue(PacketPtr pkt, sim::TimeNs now) {
   pkt->enqueued_at = now;
   telemetry::emit(tele_, telemetry::EventType::kQueueEnqueue, tele_comp_, now,
                   pkt->size_bytes, bytes_);
-  q_.push_back(std::move(pkt));
+  Packet* const p = pkt.release();
+  p->queue_next = nullptr;
+  (tail_ != nullptr ? tail_->queue_next : head_) = p;
+  tail_ = p;
+  ++packets_;
   CONGA_INVARIANT(check_queue_bounds(label_, now, bytes_, capacity_bytes_,
-                                     q_.size()));
+                                     packets_));
   CONGA_INVARIANT(check_byte_conservation(label_, now, stats_.enqueued_bytes,
                                           stats_.dequeued_bytes, bytes_));
   return true;
 }
 
 PacketPtr DropTailQueue::dequeue(sim::TimeNs now) {
-  if (q_.empty()) return nullptr;
+  if (head_ == nullptr) return nullptr;
   account(now);
-  PacketPtr pkt = std::move(q_.front());
-  q_.pop_front();
+  PacketPtr pkt(head_);
+  head_ = pkt->queue_next;
+  pkt->queue_next = nullptr;
+  if (head_ == nullptr) {
+    tail_ = nullptr;
+  } else {
+    // The next dequeue reads the new head; start loading it now.
+    __builtin_prefetch(head_);
+  }
+  --packets_;
   bytes_ -= pkt->size_bytes;
   ++stats_.dequeued_pkts;
   stats_.dequeued_bytes += pkt->size_bytes;
@@ -60,7 +79,7 @@ PacketPtr DropTailQueue::dequeue(sim::TimeNs now) {
   telemetry::emit(tele_, telemetry::EventType::kQueueDequeue, tele_comp_, now,
                   pkt->size_bytes, bytes_);
   CONGA_INVARIANT(check_queue_bounds(label_, now, bytes_, capacity_bytes_,
-                                     q_.size()));
+                                     packets_));
   CONGA_INVARIANT(check_byte_conservation(label_, now, stats_.enqueued_bytes,
                                           stats_.dequeued_bytes, bytes_));
   return pkt;

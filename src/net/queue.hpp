@@ -6,8 +6,8 @@
 // time-averaged occupancy of every fabric port.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 
@@ -58,6 +58,11 @@ class SharedBufferPool {
   std::uint64_t used_ = 0;
 };
 
+/// An intrusive FIFO: resident packets are linked head to tail through
+/// `Packet::queue_next`, so the queue itself is three words and never grows,
+/// and a dequeue touches only the packet it returns (prefetching the next).
+/// The queue owns its resident packets and returns any left at destruction
+/// to the packet pool.
 class DropTailQueue {
  public:
   /// `ecn_threshold_bytes`: packets enqueued while the occupancy exceeds
@@ -70,6 +75,9 @@ class DropTailQueue {
       : capacity_bytes_(capacity_bytes),
         ecn_threshold_bytes_(ecn_threshold_bytes),
         pool_(pool) {}
+  ~DropTailQueue();
+  DropTailQueue(const DropTailQueue&) = delete;
+  DropTailQueue& operator=(const DropTailQueue&) = delete;
 
   /// Attempts to enqueue; on overflow the packet is dropped (freed) and
   /// false is returned.
@@ -90,9 +98,9 @@ class DropTailQueue {
     tele_comp_ = comp;
   }
 
-  bool empty() const { return q_.empty(); }
+  bool empty() const { return head_ == nullptr; }
   std::uint64_t bytes() const { return bytes_; }
-  std::size_t packets() const { return q_.size(); }
+  std::size_t packets() const { return packets_; }
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
   const QueueStats& stats() const { return stats_; }
 
@@ -109,7 +117,9 @@ class DropTailQueue {
   std::uint32_t tele_comp_ = 0;
   std::string label_ = "queue";
   std::uint64_t bytes_ = 0;
-  std::deque<PacketPtr> q_;
+  Packet* head_ = nullptr;  ///< owned, like every packet linked behind it
+  Packet* tail_ = nullptr;
+  std::size_t packets_ = 0;
   QueueStats stats_;
   // Integral of occupancy over time, for time-averaged queue length.
   double byte_time_integral_ = 0.0;

@@ -1,8 +1,9 @@
 #include "sim/scheduler.hpp"
 
-#include <cassert>
+#include <bit>
 #include <cstddef>
 #include <utility>
+#include <vector>
 
 #include "debug/invariants.hpp"
 
@@ -21,110 +22,84 @@ std::uint32_t Scheduler::acquire_slot() {
 
 void Scheduler::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  s.gen += 2;  // stays odd; invalidates outstanding ids and stale heap nodes
+  s.gen += 2;  // stays odd; invalidates outstanding ids and stale nodes
   s.next_free = free_head_;
   free_head_ = slot;
 }
 
 namespace {
 
-/// Index of the smallest of the four keys at h[c..c+3], without branches:
-/// a two-round tournament of conditional selects.
-template <typename Node>
-std::size_t min_of_four(const Node* h, std::size_t c) {
-  const auto k0 = h[c].key(), k1 = h[c + 1].key();
-  const auto k2 = h[c + 2].key(), k3 = h[c + 3].key();
-  const bool right1 = k1 < k0, right2 = k3 < k2;
-  const auto ka = right1 ? k1 : k0, kb = right2 ? k3 : k2;
-  const std::size_t a = c + right1, b = c + 2 + right2;
-  return kb < ka ? b : a;
+using Key = unsigned __int128;
+
+std::uint64_t high(Key k) { return static_cast<std::uint64_t>(k >> 64); }
+std::uint64_t low(Key k) { return static_cast<std::uint64_t>(k); }
+
+/// Index of the lowest set bit of a non-zero mask.
+unsigned lowest_bit(Key mask) {
+  return low(mask) != 0
+             ? static_cast<unsigned>(std::countr_zero(low(mask)))
+             : 64U + static_cast<unsigned>(std::countr_zero(high(mask)));
 }
 
 }  // namespace
 
-void Scheduler::Heap::sift_up(std::size_t i) {
-  HeapNode* const h = nodes_.data();
-  const HeapNode node = h[i];
-  const Key k = node.key();
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!(k < h[parent].key())) break;
-    h[i] = h[parent];
-    i = parent;
-  }
-  h[i] = node;
+void Scheduler::file(const Node& n) {
+  // The bucket is the highest bit in which the key differs from the base.
+  // Bucket 0 also takes a key equal to the base: a ticket scheduled again
+  // after a cancel leaves a stale twin that may become the base first (or,
+  // in violation of schedule()'s precondition, a passed ticket).
+  const Key x = n.key() ^ base_;
+  const unsigned i =
+      high(x) != 0 ? 64U + static_cast<unsigned>(std::bit_width(high(x))) - 1
+                   : static_cast<unsigned>(std::bit_width(low(x) | 1)) - 1;
+  buckets_[i].push_back(n);
+  nonempty_ |= Key{1} << i;
 }
 
-void Scheduler::Heap::sift_down(std::size_t i) {
-  const std::size_t n = nodes_.size();
-  HeapNode* const h = nodes_.data();
-  const HeapNode node = h[i];
-  const Key k = node.key();
-  for (;;) {
-    const std::size_t first = 4 * i + 1;
-    std::size_t best;
-    if (first + 4 <= n) {
-      best = min_of_four(h, first);
-    } else if (first < n) {  // the one parent with fewer than four children
-      best = first;
-      for (std::size_t c = first + 1; c < n; ++c) {
-        if (h[c].key() < h[best].key()) best = c;
+bool Scheduler::pop_next(Key limit, Node& out) {
+  while (nonempty_ != 0) {
+    const unsigned i = lowest_bit(nonempty_);
+    std::vector<Node>& b = buckets_[i];
+    Node* best = b.data();
+    if (b.size() > 1) {
+      // Every key in bucket i agrees with the base above bit i and has bit
+      // i set (bucket 0 also holds the base itself): a bucket that starts
+      // past the limit is rejected unscanned.
+      const Key floor =
+          i == 0 ? base_ : (base_ >> i >> 1 << 1 << i) | (Key{1} << i);
+      if (floor > limit) return false;
+      for (Node* n = best + 1; n != b.data() + b.size(); ++n) {
+        if (n->key() < best->key()) best = n;
       }
-    } else {
-      break;
     }
-    if (!(h[best].key() < k)) break;
-    h[i] = h[best];
-    i = best;
-  }
-  h[i] = node;
-}
-
-void Scheduler::Heap::push(const HeapNode& node) {
-  nodes_.push_back(node);
-  sift_up(nodes_.size() - 1);
-}
-
-void Scheduler::Heap::pop() {
-  nodes_.front() = nodes_.back();
-  nodes_.pop_back();
-  if (!nodes_.empty()) sift_down(0);
-}
-
-template <typename Pred>
-void Scheduler::Heap::remove_if(Pred stale) {
-  std::size_t kept = 0;
-  for (const HeapNode& n : nodes_) {
-    if (!stale(n)) nodes_[kept++] = n;
-  }
-  nodes_.resize(kept);
-  if (kept < 2) return;
-  for (std::size_t i = (kept - 2) / 4 + 1; i-- > 0;) sift_down(i);
-}
-
-Scheduler::Heap* Scheduler::next_heap() {
-  for (;;) {
-    Heap* heap;
-    if (far_.empty()) {
-      if (near_.empty()) return nullptr;
-      heap = &near_;
-    } else if (near_.empty()) {
-      heap = &far_;
-    } else {
-      heap = near_.top().key() < far_.top().key() ? &near_ : &far_;
+    if (best->key() > limit) return false;
+    out = *best;
+    *best = b.back();
+    b.pop_back();
+    --nodes_;
+    // The rest of the bucket lies above the new base and agrees with it
+    // from bit i up, so each node drops into a lower bucket. A stale node
+    // is a key like any other until it is the minimum.
+    base_ = out.key();
+    nonempty_ &= ~(Key{1} << i);
+    if (!b.empty()) {
+      for (const Node& n : b) file(n);
+      b.clear();
     }
-    if (!stale(heap->top())) return heap;
-    // Only the root about to dispatch is settled: a stale far root behind a
-    // live near one waits for compaction instead of costing a pop now.
-    heap->pop();
+    if (!stale(out)) return true;
   }
+  // Only stale nodes were left, and the base may be one of them: with the
+  // queue empty, rest it on the last dispatch, below every later key.
+  base_ = key_of(cursor_.time, cursor_.seq);
+  return false;
 }
 
 EventId Scheduler::push(TimeNs t, std::uint64_t seq, Callback&& cb) {
   const std::uint32_t slot = acquire_slot();
   const std::uint32_t gen = slots_[slot].gen;
   slots_[slot].cb = std::move(cb);
-  (t - now_ > kHorizon ? far_ : near_).push(HeapNode{t, seq, slot, gen});
+  file(Node{t, seq, slot, gen});
+  ++nodes_;
   ++live_;
   return make_id(slot, gen);
 }
@@ -135,7 +110,11 @@ EventId Scheduler::schedule_at(TimeNs t, Callback cb) {
 }
 
 EventId Scheduler::schedule(const Ticket& tk, Callback cb) {
-  assert(!passed(tk) && "ticket already passed");
+  // A passed ticket lies at or before the last dispatch: its event would
+  // fire out of order, and below the base the radix queue may misfile it.
+  CONGA_INVARIANT(check_condition(!passed(tk), "scheduler", now_,
+                                  "scheduler.ticket-passed",
+                                  "schedule() on a ticket that has passed"));
   return push(tk.time, tk.seq, std::move(cb));
 }
 
@@ -150,29 +129,30 @@ void Scheduler::cancel(EventId id) {
   s.cb = Callback{};  // destroy the payload (e.g. a captured packet) now
   release_slot(slot);
   --live_;
-  if (heap_nodes() > 2 * live_ + 64) {
-    // Stale nodes outnumber live ones: drop them now rather than sift past
-    // them until they surface. Keys are unique, so order is unchanged.
-    const auto is_stale = [this](const HeapNode& n) { return stale(n); };
-    near_.remove_if(is_stale);
-    far_.remove_if(is_stale);
+  if (nodes_ > 2 * live_ + 64) {
+    // Stale nodes outnumber live ones: drop them now rather than carry them
+    // until each is the minimum. Buckets are unordered, so dropping nodes
+    // changes no order.
+    for (unsigned i = 0; i < kBuckets; ++i) {
+      std::erase_if(buckets_[i], [this](const Node& n) { return stale(n); });
+      if (buckets_[i].empty()) nonempty_ &= ~(Key{1} << i);
+    }
+    nodes_ = live_;
   }
-  CONGA_INVARIANT(check_condition(heap_nodes() <= 2 * live_ + 64, "scheduler",
+  CONGA_INVARIANT(check_condition(nodes_ <= 2 * live_ + 64, "scheduler",
                                   now_, "scheduler.stale-bound",
-                                  "heap nodes exceed 2*pending()+64"));
+                                  "queue nodes exceed 2*pending()+64"));
 }
 
-void Scheduler::dispatch_top(Heap& heap, Callback& cb) {
-  const HeapNode top = heap.top();
-  cb = std::move(slots_[top.slot].cb);
-  release_slot(top.slot);
+void Scheduler::dispatch(const Node& n, Callback& cb) {
+  cb = std::move(slots_[n.slot].cb);
+  release_slot(n.slot);
   --live_;
-  heap.pop();
-  CONGA_INVARIANT(check_time_monotonic("scheduler", now_, top.time));
-  now_ = top.time;
-  cursor_ = Ticket{top.time, top.seq};
+  CONGA_INVARIANT(check_time_monotonic("scheduler", now_, n.time));
+  now_ = n.time;
+  cursor_ = Ticket{n.time, n.seq};
   ++dispatched_;
-  if (trace_) trace_(top.time, top.seq);
+  if (trace_) trace_(n.time, n.seq);
   cb();
   cb = Callback{};  // release the payload before the next dispatch
 }
@@ -180,21 +160,17 @@ void Scheduler::dispatch_top(Heap& heap, Callback& cb) {
 void Scheduler::run() {
   stopped_ = false;
   Callback cb;
-  while (!stopped_) {
-    Heap* const heap = next_heap();
-    if (heap == nullptr) break;
-    dispatch_top(*heap, cb);
-  }
+  Node n{};
+  while (!stopped_ && pop_next(~Key{0}, n)) dispatch(n, cb);
 }
 
 void Scheduler::run_until(TimeNs t) {
   stopped_ = false;
   Callback cb;
-  while (!stopped_) {
-    Heap* const heap = next_heap();
-    if (heap == nullptr || heap->top().time > t) break;
-    dispatch_top(*heap, cb);
-  }
+  Node n{};
+  // Every key at time t is at most (t, max seq); none is at a negative time.
+  const Key limit = t < 0 ? Key{0} : key_of(t, ~std::uint64_t{0});
+  while (!stopped_ && pop_next(limit, n)) dispatch(n, cb);
   // A stopped run leaves the clock at its last dispatch: events at or
   // before t may still be pending, and the clock must not pass them.
   if (stopped_) return;

@@ -5,6 +5,7 @@
 // run is exactly reproducible given the same seed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -27,7 +28,7 @@ constexpr EventId kInvalidEventId = 0;
 /// A reserved position `(time, seq)` in the dispatch order: the slot an event
 /// scheduled at that moment would occupy, taken without creating one. A
 /// component can record "something happens here" for free and only pay for a
-/// heap node if it later needs a callback at exactly that position. The
+/// queue node if it later needs a callback at exactly that position. The
 /// default ticket `(0, 0)` precedes every real position, so it has always
 /// passed.
 struct Ticket {
@@ -46,27 +47,33 @@ struct Ticket {
 /// singleton, so multiple independent simulations can coexist (which the
 /// tests and the parallel experiment runner exploit heavily).
 ///
-/// Implementation: two 4-ary implicit heaps of 24-byte POD nodes ordered by
-/// the 128-bit key `(time << 64 | seq)`, indexing into a slot arena that owns
-/// the callbacks. An event due within a short fixed horizon of now() (a link
-/// hop, a drain, a zero-delay hand-off) goes into the near heap; one further
-/// out (TCP RTO/TLP timers, generator arrivals, samplers) is parked in the
-/// far heap. Dispatch takes the earlier of the two roots, so the order is the
-/// single total `(time, seq)` order whichever heap an event sat in, while the
-/// sifts every packet hop pays walk only the shallow near heap.
+/// Implementation: an exact monotone radix queue over the 128-bit key
+/// `(time << 64 | seq)`. Keys are unique, and every key scheduled is above
+/// the last one dispatched (schedule_at clamps to now() and takes a fresh
+/// seq; a ticket is scheduled only before it passes), so the queue needs
+/// only to be right for keys at or above its base, the last dispatched key.
+/// A node sits in bucket i, where bit i is the highest bit in which its key
+/// differs from the base. Dispatch scans the lowest non-empty bucket for its
+/// least key, makes that the base and redistributes the rest into lower
+/// buckets; a node moves down at most once per bucket, so a packet hop a few
+/// microseconds out costs a few cheap moves, and a timer parked far out sits
+/// untouched in a high bucket until the clock nears it. Bucket i's keys are
+/// all at least `(base >> (i+1) << (i+1)) | 1 << i`, so run_until(t) rejects
+/// a bucket wholly past t without scanning it, and it never makes a node
+/// past t the base (a later schedule_at at t must still lie above it).
+/// 24-byte POD nodes index into a slot arena that owns the callbacks.
 ///
 /// Each slot carries a generation counter baked into the EventId, so
 /// cancel() is an O(1) generation bump — no per-dispatch hash-set lookup, and
 /// a stale id (already fired, already cancelled, never valid) can never
 /// corrupt the pending-event accounting. A cancelled event's callback (and
 /// any packet it owns) is destroyed eagerly at cancel(); its node goes stale
-/// and is discarded when it reaches the root dispatch takes from, or
-/// earlier: once the two heaps hold more than 2·pending()+64 nodes, cancel()
-/// drops every stale node and re-heapifies. Keys are unique, so neither step
-/// can change the order.
+/// and is discarded when it becomes the least key, or earlier: once the
+/// buckets hold more than 2·pending()+64 nodes, cancel() drops every stale
+/// node. Buckets are unordered sets, so neither step can change the order.
 ///
 /// Tickets (reserve_at / passed / schedule) let a component hold a place in
-/// the dispatch order without a heap node — a link's "wire free" instant, a
+/// the dispatch order without a queue node — a link's "wire free" instant, a
 /// TCP sender's RTO deadline — and turn it into an event only if something
 /// must actually run there.
 class Scheduler {
@@ -107,14 +114,15 @@ class Scheduler {
            (tk.time == cursor_.time && tk.seq <= cursor_.seq);
   }
 
-  /// Schedules `cb` at exactly `tk`'s position. `tk` must not have passed.
-  /// Consumes no sequence number (the ticket already did).
+  /// Schedules `cb` at exactly `tk`'s position. `tk` must not have passed
+  /// (checked as `scheduler.ticket-passed` in invariant builds). Consumes no
+  /// sequence number (the ticket already did).
   EventId schedule(const Ticket& tk, Callback cb);
 
   /// Cancels a pending event. Cancelling an already-fired, already-cancelled,
   /// or invalid id is a harmless no-op (this makes timer management in TCP
   /// much simpler). Amortized O(1): the slot's generation is bumped so the
-  /// heap node goes stale, and the callback is destroyed immediately.
+  /// queue node goes stale, and the callback is destroyed immediately.
   void cancel(EventId id);
 
   /// Runs until the event queue is empty or stop() is called.
@@ -157,42 +165,27 @@ class Scheduler {
   /// low. Times are never negative (they clamp to now() >= 0), so unsigned
   /// order is (time, seq) order.
   using Key = unsigned __int128;
+  static Key key_of(TimeNs time, std::uint64_t seq) {
+    return (static_cast<Key>(static_cast<std::uint64_t>(time)) << 64) | seq;
+  }
 
-  /// One pending (or stale) entry in a heap. Trivially copyable and 24
-  /// bytes, so sift operations move PODs, not callbacks.
-  struct HeapNode {
+  /// One pending (or stale) entry in a bucket. Trivially copyable and 24
+  /// bytes, so redistribution moves PODs, not callbacks.
+  struct Node {
     TimeNs time;
     std::uint64_t seq;   ///< schedule-order tie-break; fed to the trace hook
     std::uint32_t slot;  ///< index into slots_
     std::uint32_t gen;   ///< slot generation this node refers to
 
-    Key key() const {
-      return (static_cast<Key>(static_cast<std::uint64_t>(time)) << 64) | seq;
-    }
+    Key key() const { return key_of(time, seq); }
   };
 
-  /// An implicit 4-ary min-heap of nodes on their key.
-  class Heap {
-   public:
-    bool empty() const { return nodes_.empty(); }
-    std::size_t size() const { return nodes_.size(); }
-    const HeapNode& top() const { return nodes_.front(); }
-    void push(const HeapNode& node);
-    /// Removes the root (which must exist).
-    void pop();
-    /// Drops every node for which `stale(node)` holds and re-heapifies.
-    template <typename Pred>
-    void remove_if(Pred stale);
-
-   private:
-    void sift_up(std::size_t i);
-    void sift_down(std::size_t i);
-    std::vector<HeapNode> nodes_;
-  };
+  /// One bucket per bit of the key.
+  static constexpr unsigned kBuckets = 128;
 
   /// Callback arena entry. `gen` is odd while the slot identifies events
   /// (so a packed EventId is never 0) and advances by 2 every time the slot
-  /// is released, invalidating outstanding ids and stale heap nodes. A
+  /// is released, invalidating outstanding ids and stale queue nodes. A
   /// generation would have to wrap through 2^31 reuses of one slot while an
   /// old id is still held for a stale handle to collide — out of reach of
   /// any realistic run.
@@ -204,29 +197,24 @@ class Scheduler {
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffU;
 
-  /// Events due more than this far past now() are parked in the far heap.
-  /// It sits above any link hop's serialization plus propagation delay
-  /// (about 2.2 us for a 1500-byte frame on a 10G, 1 us link) and below
-  /// TCP's shortest timer (TLP >= 2*SRTT + 250 us), so packet events stay
-  /// near and parked timers stay far. Dispatch order does not depend on it.
-  static constexpr TimeNs kHorizon = microseconds(8);
-
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(slot) << 32) | gen;
   }
 
-  bool stale(const HeapNode& n) const { return slots_[n.slot].gen != n.gen; }
-  std::size_t heap_nodes() const { return near_.size() + far_.size(); }
+  bool stale(const Node& n) const { return slots_[n.slot].gen != n.gen; }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   /// Inserts a live event at (t, seq).
   EventId push(TimeNs t, std::uint64_t seq, Callback&& cb);
-  /// Returns the heap whose root is the next live event (discarding stale
-  /// roots on the way), or nullptr when nothing is pending.
-  Heap* next_heap();
-  /// Dispatches the live root event of `heap` (as returned by next_heap()).
-  void dispatch_top(Heap& heap, Callback& cb);
+  /// Files `n` in the bucket of its highest bit differing from base_.
+  void file(const Node& n);
+  /// Removes the earliest live node if its key is at most `limit`, making
+  /// it the base, and returns true; otherwise changes no live node and
+  /// returns false. Stale minima on the way are dropped.
+  bool pop_next(Key limit, Node& out);
+  /// Dispatches `n`, just taken by pop_next().
+  void dispatch(const Node& n, Callback& cb);
 
   TimeNs now_ = 0;
   /// Position of the last dispatch (or, after an unstopped run_until, the
@@ -238,8 +226,15 @@ class Scheduler {
   std::uint64_t dispatched_ = 0;
   std::size_t live_ = 0;
   bool stopped_ = false;
-  Heap near_;
-  Heap far_;
+  /// Key of the last node pop_next() removed (or of the last dispatch once
+  /// the queue is empty): every node in a bucket is at or above it, and
+  /// every key scheduled from now on is above it.
+  Key base_ = 0;
+  /// Bit i set exactly when buckets_[i] holds nodes.
+  Key nonempty_ = 0;
+  /// Nodes in the buckets, live and stale.
+  std::size_t nodes_ = 0;
+  std::array<std::vector<Node>, kBuckets> buckets_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
 };

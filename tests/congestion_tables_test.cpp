@@ -1,7 +1,12 @@
 // Tests for the Congestion-To-Leaf / Congestion-From-Leaf tables (§3.3).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "core/congestion_tables.hpp"
+#include "sim/random.hpp"
 
 namespace conga::core {
 namespace {
@@ -159,6 +164,96 @@ TEST(FromLeafTable, PlainRoundRobinWhenFavorChangedDisabled) {
   // Entry 2 changes again, but plain round-robin must serve 0 next anyway.
   t.update(0, 2, 7, 3);
   EXPECT_EQ(t.pick_feedback(0, 4)->lbtag, 0);
+}
+
+/// The two-scan selector the table used before its LBTag bitmasks: a
+/// per-cell changed flag, a first round-robin pass over changed cells and a
+/// second over written ones. Kept as the reference for the bitmask search.
+class ReferenceSelector {
+ public:
+  explicit ReferenceSelector(const CongestionTableConfig& c)
+      : cfg_(c),
+        cells_(static_cast<std::size_t>(c.num_leaves * c.num_uplinks)),
+        cursor_(static_cast<std::size_t>(c.num_leaves), 0),
+        any_(static_cast<std::size_t>(c.num_leaves), false) {}
+
+  void update(int leaf, int tag, std::uint8_t ce, sim::TimeNs now) {
+    Cell& c = cells_[static_cast<std::size_t>(leaf * cfg_.num_uplinks + tag)];
+    if (c.m.value != ce || c.m.updated < 0) c.changed = true;
+    c.m.value = ce;
+    c.m.updated = now;
+    any_[static_cast<std::size_t>(leaf)] = true;
+  }
+
+  std::optional<CongestionFromLeafTable::Feedback> pick(int leaf,
+                                                        sim::TimeNs now) {
+    if (!any_[static_cast<std::size_t>(leaf)]) return std::nullopt;
+    const int n = cfg_.num_uplinks;
+    Cell* row = &cells_[static_cast<std::size_t>(leaf * n)];
+    int& cursor = cursor_[static_cast<std::size_t>(leaf)];
+    const auto take = [&](int i) {
+      row[i].changed = false;
+      cursor = (i + 1) % n;
+      return CongestionFromLeafTable::Feedback{
+          static_cast<std::uint8_t>(i),
+          aged_value(row[i].m, now, cfg_.age_after)};
+    };
+    if (cfg_.favor_changed) {
+      for (int k = 0; k < n; ++k) {
+        const int i = (cursor + k) % n;
+        if (row[i].m.updated >= 0 && row[i].changed) return take(i);
+      }
+    }
+    for (int k = 0; k < n; ++k) {
+      const int i = (cursor + k) % n;
+      if (row[i].m.updated >= 0) return take(i);
+    }
+    return std::nullopt;
+  }
+
+ private:
+  struct Cell {
+    MetricCell m;
+    bool changed = false;
+  };
+  CongestionTableConfig cfg_;
+  std::vector<Cell> cells_;
+  std::vector<int> cursor_;
+  std::vector<bool> any_;
+};
+
+TEST(FromLeafTable, BitmaskPickMatchesReferenceSelector) {
+  for (int uplinks = 1; uplinks <= 16; ++uplinks) {
+    for (const bool favor : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << "uplinks=" << uplinks << " favor_changed=" << favor);
+      CongestionTableConfig c = cfg(3, uplinks, microseconds(50));
+      c.favor_changed = favor;
+      CongestionFromLeafTable table(c);
+      ReferenceSelector ref(c);
+      sim::Rng rng(static_cast<std::uint64_t>(uplinks * 2 + favor));
+      sim::TimeNs now = 0;
+      for (int step = 0; step < 4'000; ++step) {
+        now += static_cast<sim::TimeNs>(rng.index(3'000));
+        const int leaf = static_cast<int>(rng.index(3));
+        if (rng.index(3) == 0) {
+          // Values from {0..3}: many updates rewrite an unchanged value.
+          const int tag = static_cast<int>(rng.index(
+              static_cast<std::size_t>(uplinks)));
+          const auto ce = static_cast<std::uint8_t>(rng.index(4));
+          table.update(leaf, tag, ce, now);
+          ref.update(leaf, tag, ce, now);
+          continue;
+        }
+        const auto got = table.pick_feedback(leaf, now);
+        const auto want = ref.pick(leaf, now);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+        if (!want) continue;
+        ASSERT_EQ(got->lbtag, want->lbtag) << "step " << step;
+        ASSERT_EQ(got->metric, want->metric) << "step " << step;
+      }
+    }
+  }
 }
 
 TEST(AgedValue, Semantics) {

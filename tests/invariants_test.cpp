@@ -14,6 +14,7 @@
 #include "debug/determinism.hpp"
 #include "lb/factories.hpp"
 #include "net/queue.hpp"
+#include "sim/scheduler.hpp"
 #include "workload/flow_size_dist.hpp"
 
 namespace conga {
@@ -169,6 +170,28 @@ TEST(HookIntegration, HealthyQueueRaisesNothing) {
             q.stats().dequeued_bytes);  // all drained
   EXPECT_EQ(q.stats().dropped_pkts, 3u);
   EXPECT_EQ(cap.count(), 0u);
+}
+
+// The scheduler's queue is exact only for keys above the last dispatch, so
+// scheduling on a ticket that has passed must be caught where the hooks are
+// compiled in; without them it is an unchecked precondition.
+TEST(HookIntegration, SchedulingOnAPassedTicketFires) {
+#if defined(CONGA_CHECK_INVARIANTS) && CONGA_CHECK_INVARIANTS
+  sim::Scheduler sched;
+  const sim::Ticket tk = sched.reserve_at(sim::microseconds(1));
+  sched.run_until(sim::microseconds(2));
+  ASSERT_TRUE(sched.passed(tk));
+  ScopedViolationCapture cap;
+  sched.schedule(tk, [] {});
+  EXPECT_TRUE(cap.fired("scheduler.ticket-passed"));
+  // A ticket that has not passed is fine.
+  const sim::Ticket later = sched.reserve_at(sim::microseconds(3));
+  sched.schedule(later, [] {});
+  EXPECT_EQ(cap.count(), 1u);
+#else
+  GTEST_SKIP() << "invariant hooks are compiled out "
+                  "(build with -DCONGA_CHECK_INVARIANTS=ON)";
+#endif
 }
 
 // End-to-end: a real (small) fabric simulation completes with zero

@@ -1,6 +1,8 @@
 // Tests for the drop-tail queue and link transmission model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -286,6 +288,81 @@ TEST(DropTailQueue, EcnDisabledByDefault) {
   DropTailQueue q(1 << 20);
   for (int i = 0; i < 100; ++i) q.enqueue(packet_of(1500), 0);
   EXPECT_EQ(q.stats().ecn_marked_pkts, 0u);
+}
+
+// The queue links resident packets through Packet::queue_next: random
+// interleavings of enqueue, tail drop and dequeue must come out in the
+// order a plain FIFO of the admitted packets gives, with every packet
+// unlinked on its way out.
+TEST(DropTailQueue, FifoOrderAcrossDropsAndDequeues) {
+  DropTailQueue q(10'000);
+  std::deque<std::uint64_t> model;  // ids of the admitted packets, in order
+  int empty_again = 0;
+  std::uint64_t state = 12345;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  for (int step = 0; step < 20'000; ++step) {
+    // Alternate fill and drain phases, so the queue both overflows and
+    // empties again many times.
+    const bool filling = (step / 200) % 2 == 0;
+    if (next() % 4 < (filling ? 3U : 1U)) {
+      auto p = packet_of(static_cast<std::uint32_t>(100 + next() % 1400));
+      const std::uint64_t id = p->id;
+      const bool fits = q.bytes() + p->size_bytes <= q.capacity_bytes();
+      ASSERT_EQ(q.enqueue(std::move(p), step), fits);
+      if (fits) model.push_back(id);
+    } else {
+      PacketPtr p = q.dequeue(step);
+      if (model.empty()) {
+        ASSERT_EQ(p, nullptr);
+        continue;
+      }
+      ASSERT_NE(p, nullptr);
+      ASSERT_EQ(p->id, model.front());
+      ASSERT_EQ(p->queue_next, nullptr);
+      model.pop_front();
+      if (model.empty()) ++empty_again;
+    }
+    ASSERT_EQ(q.packets(), model.size());
+    ASSERT_EQ(q.empty(), model.empty());
+  }
+  EXPECT_GT(q.stats().dropped_pkts, 0u);
+  EXPECT_GT(empty_again, 10);
+}
+
+// A tail-dropped packet goes straight back to the pool: it is never linked
+// in, so the resident chain still ends at the last admitted packet.
+TEST(DropTailQueue, DroppedPacketIsNeverLinked) {
+  DropTailQueue q(1000);
+  ASSERT_TRUE(q.enqueue(packet_of(600), 0));
+  const std::uint64_t released = packet_pool_stats().released;
+  auto big = packet_of(500);
+  const Packet* const dropped = big.get();
+  ASSERT_FALSE(q.enqueue(std::move(big), 0));
+  EXPECT_EQ(packet_pool_stats().released, released + 1);
+  // The pool hands the dropped packet's storage out again at once.
+  auto reused = packet_of(400);
+  EXPECT_EQ(reused.get(), dropped);
+  ASSERT_TRUE(q.enqueue(std::move(reused), 1));
+  EXPECT_EQ(q.packets(), 2u);
+  EXPECT_EQ(q.dequeue(2)->size_bytes, 600u);
+  EXPECT_EQ(q.dequeue(3)->size_bytes, 400u);
+  EXPECT_EQ(q.dequeue(4), nullptr);
+}
+
+TEST(DropTailQueue, DestructionReturnsResidentPacketsToThePool) {
+  const PacketPoolStats before = packet_pool_stats();
+  {
+    DropTailQueue q(1 << 20);
+    for (int i = 0; i < 300; ++i) q.enqueue(packet_of(1500), 0);
+    q.dequeue(1);
+    ASSERT_EQ(q.packets(), 299u);
+  }
+  const PacketPoolStats after = packet_pool_stats();
+  EXPECT_EQ(after.acquired - before.acquired, 300u);
+  EXPECT_EQ(after.released - before.released, 300u);
 }
 
 TEST(Link, DownLinkBlackholes) {
