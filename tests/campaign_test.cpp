@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -290,6 +292,12 @@ TEST(CampaignJson, FuzzSpecRoundTripIsByteStable) {
   const char* dists[] = {"enterprise", "datamining", "websearch",
                          "fixed:1234"};
   const char* profiles[] = {"none", "random", "gray"};
+  // Any 64-bit seed: the codec must keep the bits above INT64_MAX.
+  auto any_u64 = [&rng] {
+    return static_cast<std::uint64_t>(rng.uniform_int(
+        std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max()));
+  };
   for (int trial = 0; trial < 300; ++trial) {
     ExperimentSpec s;
     s.dist = dists[rng.uniform_int(0, 3)];
@@ -313,10 +321,10 @@ TEST(CampaignJson, FuzzSpecRoundTripIsByteStable) {
     s.mptcp_subflows = static_cast<int>(rng.uniform_int(0, 1)) * 8;
     s.warmup_ns = static_cast<sim::TimeNs>(rng.uniform_int(0, 1U << 30));
     s.measure_ns = static_cast<sim::TimeNs>(rng.uniform_int(1, 1U << 30));
-    s.fabric_seed = rng.uniform_int(0, ~0ULL);
-    s.traffic_seed = rng.uniform_int(0, ~0ULL);
+    s.fabric_seed = any_u64();
+    s.traffic_seed = any_u64();
     s.fault.profile = profiles[rng.uniform_int(0, 2)];
-    s.fault.seed = rng.uniform_int(0, ~0ULL);
+    s.fault.seed = any_u64();
 
     const std::string bytes = canonical_json(s);
     ExperimentSpec parsed;

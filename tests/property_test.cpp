@@ -266,10 +266,15 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(4, 2, 2, 4),
                       std::make_tuple(2, 3, 3, 2)),
     [](const auto& info) {
-      return "p" + std::to_string(std::get<0>(info.param)) + "l" +
-             std::to_string(std::get<1>(info.param)) + "s" +
-             std::to_string(std::get<2>(info.param)) + "c" +
-             std::to_string(std::get<3>(info.param));
+      std::string name = "p";
+      name += std::to_string(std::get<0>(info.param));
+      name += "l";
+      name += std::to_string(std::get<1>(info.param));
+      name += "s";
+      name += std::to_string(std::get<2>(info.param));
+      name += "c";
+      name += std::to_string(std::get<3>(info.param));
+      return name;
     });
 
 // --- FlowKey hashing sanity ---

@@ -5,7 +5,8 @@
 // unparseable fixed size, an unknown distribution or policy, an empty window
 // or host count — and numeric flags that are not one whole number exit 2
 // promptly with a message instead of running (or wedging, or aborting) a
-// simulation, while the documented flag spellings still run.
+// simulation, while the documented flag spellings still run and flag order
+// does not change what runs.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -27,27 +28,38 @@ constexpr const char* kLbComparison = EXT_LB_COMPARISON_BIN;
 
 struct Outcome {
   int exit_code = -1;  ///< 124 when `timeout` had to kill the run
+  std::string out;
   std::string err;
 };
 
-/// Runs `bin` with `flags` under a 10 s timeout; captures stderr.
-Outcome run_tool(const char* bin, const std::string& flags) {
-  const fs::path err_path =
-      fs::temp_directory_path() /
-      ("conga_sim_cli_test." + std::to_string(::getpid()) + ".err");
-  const std::string cmd = "timeout 10 " + std::string(bin) + " " + flags +
-                          " >/dev/null 2>" + err_path.string();
-  const int st = std::system(cmd.c_str());
-  Outcome out;
-  if (st != -1 && WIFEXITED(st)) out.exit_code = WEXITSTATUS(st);
-  if (std::FILE* f = std::fopen(err_path.c_str(), "rb")) {
-    char buf[4096];
-    const std::size_t n = std::fread(buf, 1, sizeof(buf), f);
-    out.err.assign(buf, n);
+/// The first 64 KiB of `path`, which is then removed.
+std::string take_file(const fs::path& path) {
+  std::string text;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    char buf[65536];
+    text.assign(buf, std::fread(buf, 1, sizeof(buf), f));
     std::fclose(f);
   }
   std::error_code ec;
-  fs::remove(err_path, ec);
+  fs::remove(path, ec);
+  return text;
+}
+
+/// Runs `bin` with `flags` under a 10 s timeout; captures stdout and stderr.
+Outcome run_tool(const char* bin, const std::string& flags) {
+  const fs::path base =
+      fs::temp_directory_path() /
+      ("conga_sim_cli_test." + std::to_string(::getpid()));
+  const fs::path out_path = base.string() + ".out";
+  const fs::path err_path = base.string() + ".err";
+  const std::string cmd = "timeout 10 " + std::string(bin) + " " + flags +
+                          " >" + out_path.string() + " 2>" +
+                          err_path.string();
+  const int st = std::system(cmd.c_str());
+  Outcome out;
+  if (st != -1 && WIFEXITED(st)) out.exit_code = WEXITSTATUS(st);
+  out.out = take_file(out_path);
+  out.err = take_file(err_path);
   return out;
 }
 
@@ -118,6 +130,57 @@ TEST(SimCli, DocumentedSpellingsStillRun) {
     const Outcome o = run_tool(kSim, kSmall + "--load 0.3 " + flags);
     EXPECT_EQ(o.exit_code, 0) << flags << "\n" << o.err;
   }
+}
+
+TEST(SimCli, RejectsBadTopologySizes) {
+  // Each used to be dropped silently, running the 32-host 2x2 preset.
+  expect_rejected("--load 0.3 --hosts 0", "hosts_per_leaf must be >= 1");
+  expect_rejected("--load 0.3 --leaves -3", "num_leaves must be >= 1");
+  expect_rejected("--load 0.3 --spines 0", "num_spines must be >= 1");
+  expect_rejected("--load 0.3 --parallel 0", "links_per_spine must be >= 1");
+  // 0 keeps meaning "off / transport default"; a negative size is an error.
+  expect_rejected("--load 0.3 --ecn-kb -5", "--ecn-kb must be >= 0");
+  expect_rejected("--load 0.3 --shared-buffer-mb -1",
+                  "--shared-buffer-mb must be >= 0");
+}
+
+TEST(SimCli, RejectsMalformedFail) {
+  // sscanf used to read the leading fields and drop the junk after them.
+  for (const char* fail : {"1:1:0junk", "1:1:0:0.5x", "1:1", "1:1:0:0.5:2",
+                           "1::0", "a:1:0"}) {
+    expect_rejected(std::string("--load 0.3 --fail ") + fail,
+                    "--fail expects L:S:P[:factor]");
+  }
+  expect_rejected("--load 0.3 --fail 5:0:0", "override: leaf out of range");
+  expect_rejected("--load 0.3 --fail 0:1:7",
+                  "override: parallel index out of range");
+}
+
+TEST(SimCli, FlagOrderIsIrrelevant) {
+  // --topology names the preset the other flags edit, wherever it stands.
+  const std::string flags = "--warmup-ms 1 --duration-ms 2 --load 0.3 ";
+  const Outcome hosts_first =
+      run_tool(kSim, flags + "--hosts 4 --parallel 3 --topology failure");
+  const Outcome preset_first =
+      run_tool(kSim, flags + "--topology failure --hosts 4 --parallel 3");
+  ASSERT_EQ(hosts_first.exit_code, 0) << hosts_first.err;
+  ASSERT_EQ(preset_first.exit_code, 0) << preset_first.err;
+  EXPECT_NE(hosts_first.out.find("2 leaves x 2 spines x 3 links, 4 hosts/leaf, "
+                                 "1 link overrides"),
+            std::string::npos)
+      << hosts_first.out;
+  EXPECT_EQ(hosts_first.out, preset_first.out);
+}
+
+TEST(SimCli, ValueFlagGivenLastNeedsAValue) {
+  expect_tool_rejected(kSim, "--load", "flag needs a value");
+  expect_tool_rejected(kAudit, "--lb", "flag needs a value");
+  expect_tool_rejected(kChaos, "--out", "flag needs a value");
+  expect_tool_rejected(kTrace, "record --cats", "flag needs a value");
+  expect_tool_rejected(kTrace, "slice /dev/null --cat", "flag needs a value");
+  // Used to be reported as an unknown percentiles flag.
+  expect_tool_rejected(kTrace, "percentiles /dev/null --comp",
+                       "flag needs a value");
 }
 
 // One small campaign of one policy: a valid audit finishes in about a

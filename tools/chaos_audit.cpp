@@ -71,20 +71,13 @@ constexpr const char* kDefaultPolicies[] = {
     "letflow", "drill", "presto",     "hula"};
 
 struct AuditConfig {
+  /// Every cell's spec but its policy and fault seed.
+  campaign::ExperimentSpec base;
   std::vector<std::string> policies{std::begin(kDefaultPolicies),
                                     std::end(kDefaultPolicies)};
-  std::uint64_t seed = 1;
   int campaigns = 3;
   int jobs = 1;
   std::string out = "chaos_survival.json";
-  std::string profile = "random";
-  int hosts = 4;
-  int duration_ms = 5;
-  int warmup_ms = 1;
-  // Covers several backed-off RTOs of the default transport (min_rto 200 ms),
-  // so "unfinished" means wedged, not merely waiting out a timer.
-  int drain_ms = 1000;
-  double load = 0.5;
 };
 
 struct CellResult {
@@ -104,25 +97,6 @@ struct CellResult {
   bool conservation_ok = true;
   bool survived = false;  ///< drained with a balanced packet ledger
 };
-
-/// Campaign `c`'s cell for `policy`: the fault plan is the spec's profile
-/// drawn from seed + c, so every policy of a campaign faces the same plan.
-campaign::ExperimentSpec cell_spec(const AuditConfig& cfg,
-                                   const std::string& policy, int c) {
-  campaign::ExperimentSpec spec;
-  spec.dist = "enterprise";
-  spec.policy = policy;
-  spec.load = cfg.load;
-  spec.topo = net::testbed_baseline();
-  spec.topo.hosts_per_leaf = cfg.hosts;
-  spec.warmup_ns = sim::milliseconds(cfg.warmup_ms);
-  spec.measure_ns = sim::milliseconds(cfg.duration_ms);
-  spec.max_drain_ns = sim::milliseconds(cfg.drain_ms);
-  spec.fabric_seed = cfg.seed;
-  spec.traffic_seed = cfg.seed * 31 + 7;
-  spec.fault = {cfg.profile, cfg.seed + static_cast<std::uint64_t>(c)};
-  return spec;
-}
 
 CellResult run_cell(const workload::ExperimentConfig& cell) {
   debug::RunTap tap;
@@ -177,10 +151,10 @@ CellResult run_cell(const workload::ExperimentConfig& cell) {
 void write_report(std::FILE* f, const AuditConfig& cfg,
                   const std::vector<CellResult>& cells) {
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"seed\": %" PRIu64 ",\n", cfg.seed);
+  std::fprintf(f, "  \"seed\": %" PRIu64 ",\n", cfg.base.fabric_seed);
   std::fprintf(f, "  \"campaigns\": %d,\n", cfg.campaigns);
-  std::fprintf(f, "  \"profile\": \"%s\",\n", cfg.profile.c_str());
-  std::fprintf(f, "  \"load\": %.3f,\n", cfg.load);
+  std::fprintf(f, "  \"profile\": \"%s\",\n", cfg.base.fault.profile.c_str());
+  std::fprintf(f, "  \"load\": %.3f,\n", cfg.base.load);
   std::fprintf(f, "  \"cells\": [\n");
   const std::size_t n_policies = cfg.policies.size();
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -235,61 +209,53 @@ void write_report(std::FILE* f, const AuditConfig& cfg,
 
 int main(int argc, char** argv) {
   AuditConfig cfg;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("flag needs a value");
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--seed") {
-      tools::number_flag(argc, argv, i, cfg.seed, usage);
-    } else if (a == "--campaigns") {
-      tools::number_flag(argc, argv, i, cfg.campaigns, usage);
-    } else if (a == "--jobs") {
-      tools::number_flag(argc, argv, i, cfg.jobs, usage);
-    } else if (a == "--out") {
-      cfg.out = need(i);
-    } else if (a == "--profile") {
-      cfg.profile = need(i);
-    } else if (a == "--hosts") {
-      tools::number_flag(argc, argv, i, cfg.hosts, usage);
-    } else if (a == "--duration-ms") {
-      tools::number_flag(argc, argv, i, cfg.duration_ms, usage);
-    } else if (a == "--warmup-ms") {
-      tools::number_flag(argc, argv, i, cfg.warmup_ms, usage);
-    } else if (a == "--drain-ms") {
-      tools::number_flag(argc, argv, i, cfg.drain_ms, usage);
-    } else if (a == "--load") {
-      tools::number_flag(argc, argv, i, cfg.load, usage);
-    } else if (a == "--lb") {
+  campaign::ExperimentSpec& base = cfg.base;
+  base.topo = net::testbed_baseline();
+  base.topo.hosts_per_leaf = 4;
+  base.load = 0.5;
+  base.warmup_ns = sim::milliseconds(1);
+  base.measure_ns = sim::milliseconds(5);
+  // Covers several backed-off RTOs of the default transport (min_rto 200 ms),
+  // so "unfinished" means wedged, not merely waiting out a timer.
+  base.max_drain_ns = sim::milliseconds(1000);
+  base.fault.profile = "random";
+  tools::set_seed(base, 1);
+
+  tools::FlagReader args(argc, argv, usage);
+  args.each([&](const std::string& flag) {
+    if (tools::cell_flag(args, flag, base)) return true;
+    if (flag == "--campaigns") {
+      cfg.campaigns = args.number<int>(1);
+    } else if (flag == "--jobs") {
+      cfg.jobs = args.number<int>();
+    } else if (flag == "--out") {
+      cfg.out = args.text();
+    } else if (flag == "--profile") {
+      base.fault.profile = args.text();
+    } else if (flag == "--drain-ms") {
+      base.max_drain_ns = sim::milliseconds(args.number<int>());
+    } else if (flag == "--lb") {
       cfg.policies.clear();
-      std::string list = need(i);
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        if (!name.empty()) {
-          if (lb_ext::find_policy(name) == nullptr) {
-            usage(("unknown --lb policy: " + name +
-                   " (registered: " + lb_ext::policy_names() + ")")
-                      .c_str());
-          }
-          cfg.policies.push_back(name);
+      for (const std::string& name : args.list()) {
+        if (name.empty()) continue;
+        if (lb_ext::find_policy(name) == nullptr) {
+          usage(("unknown --lb policy: " + name +
+                 " (registered: " + lb_ext::policy_names() + ")")
+                    .c_str());
         }
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
+        cfg.policies.push_back(name);
       }
       if (cfg.policies.empty()) usage("--lb needs at least one policy");
-    } else if (a == "--help" || a == "-h") {
+    } else if (flag == "--help" || flag == "-h") {
       usage("usage");
     } else {
-      usage(("unknown flag: " + a).c_str());
+      return false;
     }
-  }
-  if (cfg.campaigns < 1) usage("--campaigns must be >= 1");
-  if (cfg.profile != "random" && cfg.profile != "gray") {
-    usage(("unknown --profile: " + cfg.profile).c_str());
+    return true;
+  });
+  const std::string& profile = base.fault.profile;
+  if (profile != "random" && profile != "gray") {
+    usage(("unknown --profile: " + profile).c_str());
   }
 
   const std::size_t n_policies = cfg.policies.size();
@@ -297,19 +263,18 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cfg.campaigns) * n_policies;
   // Every cell resolves before any runs: a bad load, host count or window
   // exits 2 with the spec's message.
-  std::vector<workload::ExperimentConfig> cell_cfgs(n_cells);
+  std::vector<workload::ExperimentConfig> cell_cfgs;
   for (std::size_t i = 0; i < n_cells; ++i) {
-    std::string err;
-    const campaign::ExperimentSpec spec =
-        cell_spec(cfg, cfg.policies[i % n_policies],
-                  static_cast<int>(i / n_policies));
-    if (!campaign::to_experiment_config(spec, cell_cfgs[i], err)) {
-      usage(err.c_str());
-    }
+    campaign::ExperimentSpec spec = base;
+    spec.policy = cfg.policies[i % n_policies];
+    // Campaign c's plan is drawn from seed + c, so every policy of a
+    // campaign faces the same plan.
+    spec.fault.seed = base.fabric_seed + i / n_policies;
+    cell_cfgs.push_back(tools::resolve(spec, usage));
   }
   std::printf("chaos_audit: %d campaign(s) x %zu policies, profile=%s, "
               "seed=%" PRIu64 ", jobs=%d\n",
-              cfg.campaigns, n_policies, cfg.profile.c_str(), cfg.seed,
+              cfg.campaigns, n_policies, profile.c_str(), base.fabric_seed,
               cfg.jobs);
 
   const std::vector<CellResult> cells =

@@ -9,24 +9,30 @@
 //             --lb ecmp --workload fixed:500000 --load 0.5
 //
 // Flags:
-//   --topology baseline|failure      preset testbed topologies (Fig 7)
+//   --topology baseline|failure|custom   preset testbed topologies (Fig 7);
+//                                    custom is a 2x2 fabric with 1 link
+//                                    per spine pair
 //   --leaves N --spines N --hosts N --parallel N   custom Leaf-Spine
 //   --fail L:S:P[:factor]            fail (or degrade) a leaf-spine link
 //   --lb NAME                        any registered policy (ecmp, conga,
 //                                    conga-flow, spray, local, local-eq,
 //                                    letflow, drill, presto, hula)
 //   --workload enterprise|data-mining|web-search|fixed:BYTES
+//                                    (or the spec names datamining,
+//                                    websearch, as determinism_audit takes)
 //   --transport tcp|mptcp|dctcp      (dctcp implies --ecn-kb 100 default)
 //   --load F --duration-ms N --warmup-ms N --seed N --min-rto-ms N
-//   --subflows N (mptcp) --ecn-kb N --shared-buffer-mb N
+//   --subflows N (mptcp) --ecn-kb N --shared-buffer-mb N (0 = off)
 //
-// The flags build a campaign::ExperimentSpec (fabric seed --seed, traffic
-// seed --seed*31+7) and the tool runs that spec, so a bad load,
-// distribution, policy, window or topology exits 2 with the same message a
-// campaign cell would fail with.
+// The flags write a campaign::ExperimentSpec (fabric seed --seed, traffic
+// seed --seed*31+7) on top of the --topology preset, wherever that flag
+// appears, and the tool runs that spec, so a bad load, distribution,
+// policy, window or topology size exits 2 with the same message a campaign
+// cell would fail with.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -44,80 +50,31 @@ namespace {
   std::exit(2);
 }
 
-struct Options {
-  std::string topology = "baseline";
-  int leaves = -1, spines = -1, hosts = -1, parallel = -1;
-  std::vector<net::LinkOverride> fails;
-  std::string lb = "conga";
-  std::string workload = "enterprise";
-  std::string transport = "tcp";
-  double load = 0.6;
-  int duration_ms = 100;
-  int warmup_ms = 10;
-  int min_rto_ms = 10;
-  int subflows = 8;
-  int ecn_kb = 0;
-  int shared_buffer_mb = 0;
-  std::uint64_t seed = 1;
-};
-
-Options parse(int argc, char** argv) {
-  Options o;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("flag needs a value");
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--topology") {
-      o.topology = need(i);
-    } else if (a == "--leaves") {
-      tools::number_flag(argc, argv, i, o.leaves, usage);
-    } else if (a == "--spines") {
-      tools::number_flag(argc, argv, i, o.spines, usage);
-    } else if (a == "--hosts") {
-      tools::number_flag(argc, argv, i, o.hosts, usage);
-    } else if (a == "--parallel") {
-      tools::number_flag(argc, argv, i, o.parallel, usage);
-    } else if (a == "--fail") {
-      net::LinkOverride ov;
-      ov.rate_factor = 0.0;
-      double factor = 0.0;
-      const char* spec = need(i);
-      const int n = std::sscanf(spec, "%d:%d:%d:%lf", &ov.leaf, &ov.spine,
-                                &ov.parallel, &factor);
-      if (n < 3) usage("--fail expects L:S:P[:factor]");
-      if (n == 4) ov.rate_factor = factor;
-      o.fails.push_back(ov);
-    } else if (a == "--lb") {
-      o.lb = need(i);
-    } else if (a == "--workload") {
-      o.workload = need(i);
-    } else if (a == "--transport") {
-      o.transport = need(i);
-    } else if (a == "--load") {
-      tools::number_flag(argc, argv, i, o.load, usage);
-    } else if (a == "--duration-ms") {
-      tools::number_flag(argc, argv, i, o.duration_ms, usage);
-    } else if (a == "--warmup-ms") {
-      tools::number_flag(argc, argv, i, o.warmup_ms, usage);
-    } else if (a == "--min-rto-ms") {
-      tools::number_flag(argc, argv, i, o.min_rto_ms, usage);
-    } else if (a == "--subflows") {
-      tools::number_flag(argc, argv, i, o.subflows, usage);
-    } else if (a == "--ecn-kb") {
-      tools::number_flag(argc, argv, i, o.ecn_kb, usage);
-    } else if (a == "--shared-buffer-mb") {
-      tools::number_flag(argc, argv, i, o.shared_buffer_mb, usage);
-    } else if (a == "--seed") {
-      tools::number_flag(argc, argv, i, o.seed, usage);
-    } else if (a == "--help" || a == "-h") {
-      usage("usage");
-    } else {
-      usage(("unknown flag: " + a).c_str());
-    }
+/// The last --topology value: the preset every other flag edits. It is
+/// read ahead of the flag loop so that `--hosts 4 --topology failure`
+/// builds the same spec as `--topology failure --hosts 4`.
+std::string topology_flag(int argc, char** argv) {
+  std::string name = "baseline";
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--topology") == 0) name = argv[++i];
   }
-  return o;
+  return name;
+}
+
+/// "L:S:P[:factor]" as a failed (factor 0) or degraded link; the topology
+/// checks the indices.
+net::LinkOverride parse_fail(const std::string& text) {
+  constexpr int kAny = std::numeric_limits<int>::min();
+  const std::vector<std::string> f = tools::split(text, ':');
+  net::LinkOverride ov;
+  if ((f.size() != 3 && f.size() != 4) ||
+      !tools::parse_int_flag(f[0], kAny, ov.leaf) ||
+      !tools::parse_int_flag(f[1], kAny, ov.spine) ||
+      !tools::parse_int_flag(f[2], kAny, ov.parallel) ||
+      (f.size() == 4 && !tools::parse_double_flag(f[3], ov.rate_factor))) {
+    usage("--fail expects L:S:P[:factor]");
+  }
+  return ov;
 }
 
 /// The --workload spelling as a spec distribution name.
@@ -130,73 +87,92 @@ std::string spec_dist(const std::string& workload) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
-
-  net::TopologyConfig topo;
-  if (o.topology == "baseline") {
+  campaign::ExperimentSpec spec;
+  net::TopologyConfig& topo = spec.topo;
+  const std::string topology = topology_flag(argc, argv);
+  if (topology == "baseline") {
     topo = net::testbed_baseline();
-  } else if (o.topology == "failure") {
+  } else if (topology == "failure") {
     topo = net::testbed_link_failure();
-  } else if (o.topology == "custom") {
-    // keep defaults; fields below override
-  } else {
-    usage(("unknown --topology: " + o.topology).c_str());
+  } else if (topology != "custom") {
+    usage(("unknown --topology: " + topology).c_str());
   }
-  if (o.leaves > 0) topo.num_leaves = o.leaves;
-  if (o.spines > 0) topo.num_spines = o.spines;
-  if (o.hosts > 0) topo.hosts_per_leaf = o.hosts;
-  if (o.parallel > 0) topo.links_per_spine = o.parallel;
-  for (const auto& f : o.fails) topo.overrides.push_back(f);
-  if (o.ecn_kb > 0) {
-    topo.ecn_threshold_bytes = static_cast<std::uint64_t>(o.ecn_kb) * 1000;
-  }
-  if (o.shared_buffer_mb > 0) {
-    topo.shared_buffer_bytes =
-        static_cast<std::uint64_t>(o.shared_buffer_mb) * 1024 * 1024;
+  spec.min_rto_ns = sim::milliseconds(10);
+  spec.measure_ns = sim::milliseconds(100);
+  spec.max_drain_ns = sim::seconds(5.0);
+  spec.mptcp_subflows = 8;  // --subflows; only --transport mptcp keeps it
+  tools::set_seed(spec, 1);
+  std::string workload = "enterprise";
+  std::string transport = "tcp";
+
+  tools::FlagReader args(argc, argv, usage);
+  args.each([&](const std::string& flag) {
+    if (tools::cell_flag(args, flag, spec)) return true;
+    if (flag == "--topology") {
+      args.text();  // already applied
+    } else if (flag == "--leaves") {
+      topo.num_leaves = args.number<int>();
+    } else if (flag == "--spines") {
+      topo.num_spines = args.number<int>();
+    } else if (flag == "--parallel") {
+      topo.links_per_spine = args.number<int>();
+    } else if (flag == "--fail") {
+      topo.overrides.push_back(parse_fail(args.text()));
+    } else if (flag == "--lb") {
+      spec.policy = args.text();
+    } else if (flag == "--workload") {
+      workload = args.text();
+    } else if (flag == "--transport") {
+      transport = args.text();
+    } else if (flag == "--min-rto-ms") {
+      spec.min_rto_ns = sim::milliseconds(args.number<int>());
+    } else if (flag == "--subflows") {
+      spec.mptcp_subflows = args.number<int>();
+    } else if (flag == "--ecn-kb") {
+      topo.ecn_threshold_bytes =
+          static_cast<std::uint64_t>(args.number<int>(0)) * 1000;
+    } else if (flag == "--shared-buffer-mb") {
+      topo.shared_buffer_bytes =
+          static_cast<std::uint64_t>(args.number<int>(0)) * 1024 * 1024;
+    } else if (flag == "--help" || flag == "-h") {
+      usage("usage");
+    } else {
+      return false;
+    }
+    return true;
+  });
+
+  spec.dist = spec_dist(workload);
+  if (topo.shared_buffer_bytes > 0) {
     topo.edge_queue_bytes = topo.shared_buffer_bytes;
     topo.fabric_queue_bytes = topo.shared_buffer_bytes;
   }
-
-  if (o.transport == "dctcp") {
+  if (transport == "dctcp") {
+    spec.dctcp = true;
     if (topo.ecn_threshold_bytes == 0) topo.ecn_threshold_bytes = 100'000;
-  } else if (o.transport == "mptcp") {
-    if (o.subflows < 1) usage("--subflows must be >= 1");
-  } else if (o.transport != "tcp") {
-    usage(("unknown --transport: " + o.transport).c_str());
+  } else if (transport == "mptcp") {
+    if (spec.mptcp_subflows < 1) usage("--subflows must be >= 1");
+  } else if (transport != "tcp") {
+    usage(("unknown --transport: " + transport).c_str());
   }
-
-  campaign::ExperimentSpec spec;
-  spec.dist = spec_dist(o.workload);
-  spec.policy = o.lb;
-  spec.load = o.load;
-  spec.topo = topo;
-  spec.min_rto_ns = sim::milliseconds(o.min_rto_ms);
-  spec.dctcp = o.transport == "dctcp";
-  spec.mptcp_subflows = o.transport == "mptcp" ? o.subflows : 0;
-  spec.warmup_ns = sim::milliseconds(o.warmup_ms);
-  spec.measure_ns = sim::milliseconds(o.duration_ms);
-  spec.max_drain_ns = sim::seconds(5.0);
-  spec.fabric_seed = o.seed;
-  spec.traffic_seed = o.seed * 31 + 7;
-  workload::ExperimentConfig cfg;
-  std::string err;
-  if (!campaign::to_experiment_config(spec, cfg, err)) usage(err.c_str());
+  if (transport != "mptcp") spec.mptcp_subflows = 0;
 
   // Keep the experiment around for the utilization report.
-  workload::Experiment exp(cfg);
+  workload::Experiment exp(tools::resolve(spec, usage));
   const workload::ExperimentResult r = exp.run();
   net::Fabric& fabric = exp.fabric();
 
   std::printf("topology %s: %d leaves x %d spines x %d links, %d hosts/leaf",
-              o.topology.c_str(), topo.num_leaves, topo.num_spines,
+              topology.c_str(), topo.num_leaves, topo.num_spines,
               topo.links_per_spine, topo.hosts_per_leaf);
   if (!topo.overrides.empty()) {
     std::printf(", %zu link overrides", topo.overrides.size());
   }
   std::printf("\nscheme %s, transport %s, workload %s @ %.0f%% load, "
-              "%d ms window\n\n",
-              o.lb.c_str(), o.transport.c_str(), o.workload.c_str(),
-              o.load * 100, o.duration_ms);
+              "%lld ms window\n\n",
+              spec.policy.c_str(), transport.c_str(), workload.c_str(),
+              spec.load * 100,
+              static_cast<long long>(spec.measure_ns / sim::kNsPerMs));
 
   std::printf("flows measured:        %zu (%s)\n", r.flows,
               r.drained ? "all completed"

@@ -38,7 +38,6 @@
 //                       the bench prints, from the recorded trace alone.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -101,61 +100,51 @@ struct TraceFile {
 
 // --- record -----------------------------------------------------------------
 
+// Each subcommand reads the flags after its argv[0]: the subcommand name
+// for record, the trace file for the others.
+
 int cmd_record(int argc, char** argv) {
   std::string out = "trace.jsonl";
   std::string csv;
   std::string lb_name = "conga";
   int stop_ms = 80;
-  std::size_t ring = 8192;
-  std::uint32_t mask = telemetry::kAllCategories;
   std::uint64_t fault_seed = 0;
+  telemetry::TraceSinkConfig cfg;  // ring 8192, every category
 
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("flag needs a value");
-    return argv[++i];
-  };
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--out") {
-      out = need(i);
-    } else if (a == "--csv") {
-      csv = need(i);
-    } else if (a == "--lb") {
-      lb_name = need(i);
-    } else if (a == "--stop-ms") {
-      tools::number_flag(argc, argv, i, stop_ms, usage);
-    } else if (a == "--ring") {
-      tools::number_flag(argc, argv, i, ring, usage);
-    } else if (a == "--fault-seed") {
-      tools::number_flag(argc, argv, i, fault_seed, usage);
-    } else if (a == "--cats") {
-      mask = 0;
-      std::string cats = need(i);
-      std::size_t pos = 0;
-      while (pos <= cats.size()) {
-        std::size_t comma = cats.find(',', pos);
-        if (comma == std::string::npos) comma = cats.size();
+  tools::FlagReader args(argc, argv, usage, "record ");
+  args.each([&](const std::string& flag) {
+    if (flag == "--out") {
+      out = args.text();
+    } else if (flag == "--csv") {
+      csv = args.text();
+    } else if (flag == "--lb") {
+      lb_name = args.text();
+    } else if (flag == "--stop-ms") {
+      stop_ms = args.number<int>();
+    } else if (flag == "--ring") {
+      cfg.ring_capacity = args.number<std::size_t>();
+    } else if (flag == "--fault-seed") {
+      fault_seed = args.number<std::uint64_t>();
+    } else if (flag == "--cats") {
+      cfg.category_mask = 0;
+      for (const std::string& name : args.list()) {
         telemetry::Category c = telemetry::Category::kCount;
-        const std::string name = cats.substr(pos, comma - pos);
         if (!telemetry::parse_category(name, c)) {
           usage(("unknown category: " + name).c_str());
         }
-        mask |= telemetry::category_bit(c);
-        pos = comma + 1;
+        cfg.category_mask |= telemetry::category_bit(c);
       }
     } else {
-      usage(("unknown record flag: " + a).c_str());
+      return false;
     }
-  }
+    return true;
+  });
 
   // The Fig 11(c) scenario, exactly as bench/fig11_link_failure runs it.
   campaign::ExperimentSpec spec =
       campaign::hotspot_spec(lb_name, 16, sim::milliseconds(stop_ms));
   if (fault_seed != 0) spec.fault = {"random", fault_seed};
 
-  telemetry::TraceSinkConfig cfg;
-  cfg.ring_capacity = ring;
-  cfg.category_mask = mask;
   telemetry::TraceSink sink(cfg);
   stats::Summary occ;
   std::string err;
@@ -250,39 +239,36 @@ int cmd_summary(const char* path) {
 
 // --- slice ------------------------------------------------------------------
 
-int cmd_slice(const char* path, int argc, char** argv) {
-  long long from_ns = -1, to_ns = -1;
+int cmd_slice(int argc, char** argv) {
+  const char* path = argv[0];
+  long long from_ms = -1, to_ms = -1;
   std::string cat, type, comp;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("flag needs a value");
-    return argv[++i];
-  };
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--from-ms") {
-      tools::number_flag(argc, argv, i, from_ns, usage);
-      from_ns *= 1'000'000LL;
-    } else if (a == "--to-ms") {
-      tools::number_flag(argc, argv, i, to_ns, usage);
-      to_ns *= 1'000'000LL;
-    } else if (a == "--cat") {
-      cat = need(i);
-    } else if (a == "--type") {
-      type = need(i);
-    } else if (a == "--comp") {
-      comp = need(i);
+  tools::FlagReader args(argc, argv, usage, "slice ");
+  args.each([&](const std::string& flag) {
+    if (flag == "--from-ms") {
+      from_ms = args.number<long long>();
+    } else if (flag == "--to-ms") {
+      to_ms = args.number<long long>();
+    } else if (flag == "--cat") {
+      cat = args.text();
+    } else if (flag == "--type") {
+      type = args.text();
+    } else if (flag == "--comp") {
+      comp = args.text();
     } else {
-      usage(("unknown slice flag: " + a).c_str());
+      return false;
     }
-  }
+    return true;
+  });
 
   TraceFile in(path);
   std::string line;
   while (in.next(line)) {
     if (!is_event_line(line)) continue;
     const long long t = std::atoll(field(line, "t").c_str());
-    if (from_ns >= 0 && t < from_ns) continue;
-    if (to_ns >= 0 && t > to_ns) continue;
+    // In double, so that a huge --from-ms cannot overflow.
+    if (from_ms >= 0 && t < from_ms * 1e6) continue;
+    if (to_ms >= 0 && t > to_ms * 1e6) continue;
     if (!cat.empty() && field(line, "cat") != cat) continue;
     if (!type.empty() && field(line, "type") != type) continue;
     if (!comp.empty() &&
@@ -296,15 +282,15 @@ int cmd_slice(const char* path, int argc, char** argv) {
 
 // --- percentiles ------------------------------------------------------------
 
-int cmd_percentiles(const char* path, int argc, char** argv) {
+int cmd_percentiles(int argc, char** argv) {
+  const char* path = argv[0];
   std::string comp;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--comp") == 0 && i + 1 < argc) {
-      comp = argv[++i];
-    } else {
-      usage(("unknown percentiles flag: " + std::string(argv[i])).c_str());
-    }
-  }
+  tools::FlagReader args(argc, argv, usage, "percentiles ");
+  args.each([&](const std::string& flag) {
+    if (flag != "--comp") return false;
+    comp = args.text();
+    return true;
+  });
   TraceFile in(path);
   std::string line;
   stats::Summary values;
@@ -339,10 +325,10 @@ int cmd_percentiles(const char* path, int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) usage("missing subcommand (record|summary|slice|percentiles)");
   const std::string cmd = argv[1];
-  if (cmd == "record") return cmd_record(argc - 2, argv + 2);
+  if (cmd == "record") return cmd_record(argc - 1, argv + 1);
   if (argc < 3) usage((cmd + " needs a trace file").c_str());
   if (cmd == "summary") return cmd_summary(argv[2]);
-  if (cmd == "slice") return cmd_slice(argv[2], argc - 3, argv + 3);
-  if (cmd == "percentiles") return cmd_percentiles(argv[2], argc - 3, argv + 3);
+  if (cmd == "slice") return cmd_slice(argc - 2, argv + 2);
+  if (cmd == "percentiles") return cmd_percentiles(argc - 2, argv + 2);
   usage(("unknown subcommand: " + cmd).c_str());
 }

@@ -34,9 +34,9 @@
 // This is the CI gate for the parallel experiment runner: any shared mutable
 // simulation state between workers shows up as a digest mismatch (and as a
 // TSan report in the sanitizer lane).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -57,14 +57,6 @@ namespace {
   std::exit(2);
 }
 
-/// Resolves a spec into a runnable config; a bad spec is a usage error.
-workload::ExperimentConfig config_of(const campaign::ExperimentSpec& spec) {
-  workload::ExperimentConfig cfg;
-  std::string err;
-  if (!campaign::to_experiment_config(spec, cfg, err)) usage(err.c_str());
-  return cfg;
-}
-
 /// Parallel-grid gate: per-cell digests must not depend on the jobs count.
 int run_parallel_grid_audit(const campaign::ExperimentSpec& base, int jobs) {
   struct Cell {
@@ -81,9 +73,8 @@ int run_parallel_grid_audit(const campaign::ExperimentSpec& base, int jobs) {
   auto run_cell = [&](std::size_t i) {
     campaign::ExperimentSpec s = base;
     s.load = cells[i].load;
-    s.fabric_seed = cells[i].seed;
-    s.traffic_seed = cells[i].seed * 31 + 7;
-    return debug::run_digest_trial(config_of(s));
+    tools::set_seed(s, cells[i].seed);
+    return debug::run_digest_trial(tools::resolve(s, usage));
   };
 
   std::printf("parallel-grid audit: %zu cells, jobs=1 vs jobs=%d\n",
@@ -126,75 +117,50 @@ int run_parallel_grid_audit(const campaign::ExperimentSpec& base, int jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t seed = 1;
-  int runs = 2;
-  int duration_ms = 20;
-  int warmup_ms = 5;
-  int hosts = 8;
-  int jobs = 0;
-  double load = 0.6;
-  std::string lb = "conga";
-  std::string workload_name = "enterprise";
-
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("flag needs a value");
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--seed") {
-      tools::number_flag(argc, argv, i, seed, usage);
-    } else if (a == "--runs") {
-      tools::number_flag(argc, argv, i, runs, usage);
-    } else if (a == "--duration-ms") {
-      tools::number_flag(argc, argv, i, duration_ms, usage);
-    } else if (a == "--warmup-ms") {
-      tools::number_flag(argc, argv, i, warmup_ms, usage);
-    } else if (a == "--hosts") {
-      tools::number_flag(argc, argv, i, hosts, usage);
-    } else if (a == "--load") {
-      tools::number_flag(argc, argv, i, load, usage);
-    } else if (a == "--jobs") {
-      tools::number_flag(argc, argv, i, jobs, usage);
-    } else if (a == "--lb") {
-      lb = need(i);
-    } else if (a == "--workload") {
-      workload_name = need(i);
-    } else if (a == "--help" || a == "-h") {
-      usage("usage");
-    } else {
-      usage(("unknown flag: " + a).c_str());
-    }
-  }
-  if (runs < 2) usage("--runs must be >= 2");
-
   campaign::ExperimentSpec s;
   s.topo = net::testbed_baseline();
-  s.topo.hosts_per_leaf = hosts;
-  s.policy = lb;
-  s.dist = workload_name;
-  s.load = load;
-  s.warmup_ns = sim::milliseconds(warmup_ms);
-  s.measure_ns = sim::milliseconds(duration_ms);
-  s.fabric_seed = seed;
-  s.traffic_seed = seed * 31 + 7;
+  s.topo.hosts_per_leaf = 8;
+  s.warmup_ns = sim::milliseconds(5);
+  s.measure_ns = sim::milliseconds(20);
+  tools::set_seed(s, 1);
+  int runs = 2;
+  int jobs = 0;
+
+  tools::FlagReader args(argc, argv, usage);
+  args.each([&](const std::string& flag) {
+    if (tools::cell_flag(args, flag, s)) return true;
+    if (flag == "--runs") {
+      runs = args.number<int>(2);
+    } else if (flag == "--jobs") {
+      jobs = args.number<int>();
+    } else if (flag == "--lb") {
+      s.policy = args.text();
+    } else if (flag == "--workload") {
+      s.dist = args.text();
+    } else if (flag == "--help" || flag == "-h") {
+      usage("usage");
+    } else {
+      return false;
+    }
+    return true;
+  });
 
   // Resolving up front turns a bad --lb/--workload into a usage error
   // before any cell runs.
-  const workload::ExperimentConfig cfg = config_of(s);
+  const workload::ExperimentConfig cfg = tools::resolve(s, usage);
   if (jobs != 0) {
     if (jobs < 2) usage("--jobs must be >= 2 (or omitted)");
     // The grid sweeps loads itself; smaller per-cell windows keep the whole
     // grid comparable in cost to the classic two-run audit.
     s.warmup_ns = sim::milliseconds(2);
-    s.measure_ns = sim::milliseconds(duration_ms < 10 ? duration_ms : 10);
+    s.measure_ns = std::min(s.measure_ns, sim::milliseconds(10));
     return run_parallel_grid_audit(s, jobs);
   }
 
   std::printf("determinism_audit: %s workload, lb=%s, load=%.2f, seed=%llu, "
               "%d runs\n",
-              workload_name.c_str(), lb.c_str(), load,
-              static_cast<unsigned long long>(seed), runs);
+              s.dist.c_str(), s.policy.c_str(), s.load,
+              static_cast<unsigned long long>(s.fabric_seed), runs);
 
   std::vector<debug::RunDigests> results;
   for (int r = 0; r < runs; ++r) {
