@@ -145,6 +145,25 @@ void BM_SchedulerScheduleDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerScheduleDispatch);
 
+// Typed twin of BM_SchedulerScheduleDispatch: the same one-event cycle
+// posted to a target, as link arrivals and drains are, with no callback to
+// store, relocate, call and destroy. The difference is the per-hop saving.
+void BM_SchedulerTypedDispatch(benchmark::State& state) {
+  struct Count final : sim::Scheduler::Target {
+    void on_event(std::uint32_t tag) override { n += tag; }
+    std::uint64_t n = 0;
+  } target;
+  sim::Scheduler sched;
+  const sim::Scheduler::TargetId id = sched.add_target(&target);
+  sim::TimeNs t = 0;
+  for (auto _ : state) {
+    sched.post_at(++t, id, 1);
+    sched.run_until(t);
+  }
+  benchmark::DoNotOptimize(target.n);
+}
+BENCHMARK(BM_SchedulerTypedDispatch);
+
 // The trace hook must cost one predictable branch when unset; this is the
 // hook-enabled companion to BM_SchedulerScheduleDispatch, so the delta is
 // the whole observability overhead (satellite: zero-cost when disabled).

@@ -11,6 +11,7 @@
 #include "stats/digest.hpp"
 #include "tcp/flow.hpp"
 #include "tcp/mptcp_connection.hpp"
+#include "tcp/tcp_config.hpp"
 #include "telemetry/probes.hpp"
 #include "workload/flow_size_dist.hpp"
 
@@ -88,6 +89,10 @@ bool to_experiment_config(const ExperimentSpec& spec,
   }
   if (spec.warmup_ns < 0 || spec.measure_ns <= 0 || spec.max_drain_ns < 0) {
     err = "windows must be non-negative (measure > 0)";
+    return false;
+  }
+  if (spec.min_rto_ns <= 0 || spec.min_rto_ns > tcp::kMaxRto) {
+    err = "min_rto must be in (0, 60 s]";
     return false;
   }
   if (spec.mptcp_subflows < 0) {

@@ -11,13 +11,21 @@ namespace conga::net {
 
 Link::Link(sim::Scheduler& sched, std::string name, const LinkConfig& cfg)
     : sched_(sched),
-      name_(std::move(name)),
+      target_(sched.add_target(this)),
       cfg_(cfg),
       queue_(cfg.queue_capacity_bytes, cfg.ecn_threshold_bytes,
              cfg.shared_pool),
-      dre_(cfg.dre, cfg.rate_bps) {
+      dre_(cfg.dre, cfg.rate_bps),
+      name_(std::move(name)) {
   queue_.set_label(name_);
   dre_.set_label(name_);
+}
+
+Link::~Link() {
+  while (wire_head_ != nullptr) {
+    PacketPtr pkt(wire_head_);
+    wire_head_ = pkt->queue_next;
+  }
 }
 
 void Link::connect_to(Node* dst, int dst_port) {
@@ -95,7 +103,29 @@ void Link::send(PacketPtr pkt) {
 void Link::schedule_drain() {
   // The wire-free instant becomes a real event at exactly the position its
   // ticket reserved, so ties with other events break as if it always was.
-  sched_.schedule(busy_until_, [this] { start_transmission(); });
+  sched_.post(busy_until_, target_, kDrain);
+}
+
+void Link::on_event(std::uint32_t tag) {
+  if (tag == kDrain) {
+    start_transmission();
+    return;
+  }
+  // Arrivals fire in transmission order, so this one is the wire head's.
+  PacketPtr p(wire_head_);
+  wire_head_ = p->queue_next;
+  if (wire_head_ == nullptr) wire_tail_ = nullptr;
+  p->queue_next = nullptr;
+  --in_flight_pkts_;
+  if (p->corrupted) {
+    ++drop_stats_.corrupt_pkts;
+    drop_stats_.corrupt_bytes += p->size_bytes;
+    telemetry::emit(tele_, telemetry::EventType::kLinkDropCorrupt, tele_comp_,
+                    sched_.now(), p->size_bytes);
+    return;
+  }
+  ++packets_delivered_;
+  dst_->receive(std::move(p), dst_port_);
 }
 
 void Link::start_transmission() {
@@ -123,22 +153,13 @@ void Link::start_transmission() {
   // only while packets wait behind this one.
   busy_until_ = sched_.reserve_at(now + ser);
   if (!queue_.empty()) schedule_drain();
-  // Far end sees the packet after serialization + propagation.
-  sched_.schedule_after(ser + cfg_.propagation_delay,
-                        [this, p = std::move(pkt)]() mutable {
-                          --in_flight_pkts_;
-                          if (p->corrupted) {
-                            ++drop_stats_.corrupt_pkts;
-                            drop_stats_.corrupt_bytes += p->size_bytes;
-                            telemetry::emit(
-                                tele_,
-                                telemetry::EventType::kLinkDropCorrupt,
-                                tele_comp_, sched_.now(), p->size_bytes);
-                            return;
-                          }
-                          ++packets_delivered_;
-                          dst_->receive(std::move(p), dst_port_);
-                        });
+  // Far end sees the packet after serialization + propagation. The next
+  // packet starts no earlier than busy_until_ and the delay is constant, so
+  // it cannot arrive first: the wire stays in arrival order.
+  Packet* const p = pkt.release();  // dequeue() left queue_next null
+  (wire_tail_ != nullptr ? wire_tail_->queue_next : wire_head_) = p;
+  wire_tail_ = p;
+  sched_.post_at(now + ser + cfg_.propagation_delay, target_, kArrive);
 }
 
 }  // namespace conga::net

@@ -18,6 +18,12 @@
 //  * set_ce_suppressed() — stale-feedback injection: the link stops raising
 //    the CONGA CE field, so downstream leaves see frozen congestion info.
 //
+// Packets on the wire form a FIFO through Packet::queue_next (a packet is in
+// the egress queue or on the wire, never both). Serialization is sequential
+// and propagation constant, so they arrive in the order they started: the
+// link is its own scheduler target, and an arrival event only says "deliver
+// the wire head".
+//
 // Every drop is accounted by cause (admin-down / gray / corrupt here;
 // queue overflow in QueueStats), and the link maintains a packet
 // conservation identity the chaos auditor checks after drain:
@@ -65,9 +71,13 @@ struct LinkDropStats {
   std::uint64_t corrupt_bytes = 0;
 };
 
-class Link {
+/// Cache-line aligned, so the per-hop state at the front of the object
+/// (see the members) starts a line.
+class alignas(64) Link final : private sim::Scheduler::Target {
  public:
   Link(sim::Scheduler& sched, std::string name, const LinkConfig& cfg);
+  /// Returns any packets still on the wire to the pool.
+  ~Link();
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -150,34 +160,46 @@ class Link {
   }
 
  private:
+  /// Typed-event tags: the wire head reaches the far end; the wire frees up
+  /// with packets queued.
+  enum : std::uint32_t { kArrive = 0, kDrain = 1 };
+
+  void on_event(std::uint32_t tag) override;
   void start_transmission();
   /// Schedules the event that starts the next queued packet at busy_until_.
   void schedule_drain();
 
+  // Per-hop state comes first: an arrival reads only the first cache line
+  // of the link (vptr to dst_port_), a transmission the next few. Names and
+  // the cold fault state follow; the gray-failure RNG alone is 2.5 KB.
   sim::Scheduler& sched_;
-  std::string name_;
-  LinkConfig cfg_;
   Node* dst_ = nullptr;
+  /// Packets transmitted and not yet arrived, oldest first.
+  Packet* wire_head_ = nullptr;
+  Packet* wire_tail_ = nullptr;
+  std::uint64_t in_flight_pkts_ = 0;
+  std::uint64_t packets_delivered_ = 0;
+  sim::Scheduler::TargetId target_;
   int dst_port_ = -1;
+  /// Position at which the wire frees up after the packet last started. A
+  /// drain event sits on it exactly while packets are queued behind it.
+  sim::Ticket busy_until_;
+  std::uint64_t bytes_sent_ = 0;
+  std::uint64_t packets_sent_ = 0;
+  std::uint64_t packets_offered_ = 0;
+  double rate_scale_ = 1.0;
+  double gray_drop_prob_ = 0.0;
+  double gray_corrupt_prob_ = 0.0;
+  bool up_ = true;
+  bool ce_suppressed_ = false;
+  LinkConfig cfg_;
   DropTailQueue queue_;
   core::Dre dre_;
   telemetry::TraceSink* tele_ = nullptr;
   std::uint32_t tele_comp_ = 0;
-  /// Position at which the wire frees up after the packet last started. A
-  /// drain event sits on it exactly while packets are queued behind it.
-  sim::Ticket busy_until_;
-  bool up_ = true;
-  bool ce_suppressed_ = false;
-  double rate_scale_ = 1.0;
-  double gray_drop_prob_ = 0.0;
-  double gray_corrupt_prob_ = 0.0;
-  sim::Rng gray_rng_{0};
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t packets_sent_ = 0;
-  std::uint64_t packets_offered_ = 0;
-  std::uint64_t in_flight_pkts_ = 0;
-  std::uint64_t packets_delivered_ = 0;
   LinkDropStats drop_stats_;
+  std::string name_;
+  sim::Rng gray_rng_{0};
 };
 
 }  // namespace conga::net

@@ -68,8 +68,9 @@ struct Packet {
   std::uint64_t id = 0;          ///< unique within the allocating thread
   FlowKey flow;                  ///< data-direction 5-tuple
   std::uint32_t size_bytes = 0;  ///< total bytes on the wire (incl. headers)
-  /// Next packet in the DropTailQueue holding this one (null at the tail
-  /// and outside queues); beside size_bytes, so a dequeue reads one line.
+  /// Next packet in the DropTailQueue or on the Link wire holding this one
+  /// (null at the tail and elsewhere); beside size_bytes, so a dequeue reads
+  /// one line.
   Packet* queue_next = nullptr;
   sim::TimeNs enqueued_at = 0;   ///< set by queues, for latency accounting
   bool ecn_ce = false;           ///< ECN Congestion-Experienced codepoint

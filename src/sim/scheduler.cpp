@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -16,6 +17,8 @@ std::uint32_t Scheduler::acquire_slot() {
     slots_[slot].next_free = kNoSlot;
     return slot;
   }
+  // Slot indices stay below kTyped, which marks typed nodes.
+  assert(slots_.size() < kTyped);
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
@@ -118,6 +121,19 @@ EventId Scheduler::schedule(const Ticket& tk, Callback cb) {
   return push(tk.time, tk.seq, std::move(cb));
 }
 
+Scheduler::TargetId Scheduler::add_target(Target* target) {
+  assert(targets_.size() < kTyped);
+  targets_.push_back(target);
+  return static_cast<TargetId>(targets_.size() - 1);
+}
+
+void Scheduler::post(const Ticket& tk, TargetId target, std::uint32_t tag) {
+  CONGA_INVARIANT(check_condition(!passed(tk), "scheduler", now_,
+                                  "scheduler.ticket-passed",
+                                  "post() on a ticket that has passed"));
+  push_typed(tk.time, tk.seq, target, tag);
+}
+
 void Scheduler::cancel(EventId id) {
   const std::uint32_t slot = static_cast<std::uint32_t>(id >> 32);
   const std::uint32_t gen = static_cast<std::uint32_t>(id);
@@ -145,14 +161,18 @@ void Scheduler::cancel(EventId id) {
 }
 
 void Scheduler::dispatch(const Node& n, Callback& cb) {
-  cb = std::move(slots_[n.slot].cb);
-  release_slot(n.slot);
   --live_;
   CONGA_INVARIANT(check_time_monotonic("scheduler", now_, n.time));
   now_ = n.time;
   cursor_ = Ticket{n.time, n.seq};
   ++dispatched_;
   if (trace_) trace_(n.time, n.seq);
+  if ((n.slot & kTyped) != 0) {
+    targets_[n.slot & ~kTyped]->on_event(n.gen);
+    return;
+  }
+  cb = std::move(slots_[n.slot].cb);
+  release_slot(n.slot);
   cb();
   cb = Callback{};  // release the payload before the next dispatch
 }

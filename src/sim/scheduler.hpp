@@ -76,9 +76,29 @@ struct Ticket {
 /// the dispatch order without a queue node — a link's "wire free" instant, a
 /// TCP sender's RTO deadline — and turn it into an event only if something
 /// must actually run there.
+///
+/// Typed events (add_target / post_at / post) are the callback-free form for
+/// the hot path: a node that names a registered Target and a tag, with no
+/// slot, so it costs no arena round trip and no type-erased call. They take
+/// their seq exactly as callback events do, so they interleave with them in
+/// the same `(time, seq)` order. A typed event cannot be cancelled; its
+/// target must outlive it.
 class Scheduler {
  public:
   using Callback = UniqueFunction;
+
+  /// Receiver of typed events. A component whose events only say "this
+  /// happened to me" (a link's far-end arrival, its drain) registers once
+  /// and is called back with the tag it posted.
+  class Target {
+   public:
+    virtual void on_event(std::uint32_t tag) = 0;
+
+   protected:
+    ~Target() = default;
+  };
+  /// Index of a registered Target, returned by add_target.
+  using TargetId = std::uint32_t;
 
   Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
@@ -118,6 +138,22 @@ class Scheduler {
   /// (checked as `scheduler.ticket-passed` in invariant builds). Consumes no
   /// sequence number (the ticket already did).
   EventId schedule(const Ticket& tk, Callback cb);
+
+  /// Registers `target` for typed events and returns its id. Targets are
+  /// never unregistered; one must outlive every event posted to it.
+  TargetId add_target(Target* target);
+
+  /// Posts a typed event for `target` at absolute time `t`: it takes a seq
+  /// and clamps to now() exactly as schedule_at does, and on dispatch calls
+  /// `on_event(tag)`. It cannot be cancelled.
+  void post_at(TimeNs t, TargetId target, std::uint32_t tag) {
+    if (t < now_) t = now_;
+    push_typed(t, next_seq_++, target, tag);
+  }
+
+  /// Posts a typed event at exactly `tk`'s position, as schedule(tk, cb)
+  /// does (same precondition, same invariant). It cannot be cancelled.
+  void post(const Ticket& tk, TargetId target, std::uint32_t tag);
 
   /// Cancels a pending event. Cancelling an already-fired, already-cancelled,
   /// or invalid id is a harmless no-op (this makes timer management in TCP
@@ -170,12 +206,14 @@ class Scheduler {
   }
 
   /// One pending (or stale) entry in a bucket. Trivially copyable and 24
-  /// bytes, so redistribution moves PODs, not callbacks.
+  /// bytes, so redistribution moves PODs, not callbacks. A typed event sets
+  /// kTyped in `slot`, keeps its target id in the low bits and its tag in
+  /// `gen`; it owns no slot and is never stale.
   struct Node {
     TimeNs time;
     std::uint64_t seq;   ///< schedule-order tie-break; fed to the trace hook
-    std::uint32_t slot;  ///< index into slots_
-    std::uint32_t gen;   ///< slot generation this node refers to
+    std::uint32_t slot;  ///< index into slots_, or kTyped | target id
+    std::uint32_t gen;   ///< slot generation this node refers to, or tag
 
     Key key() const { return key_of(time, seq); }
   };
@@ -196,17 +234,27 @@ class Scheduler {
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffU;
+  static constexpr std::uint32_t kTyped = 0x80000000U;
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(slot) << 32) | gen;
   }
 
-  bool stale(const Node& n) const { return slots_[n.slot].gen != n.gen; }
+  bool stale(const Node& n) const {
+    return (n.slot & kTyped) == 0 && slots_[n.slot].gen != n.gen;
+  }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   /// Inserts a live event at (t, seq).
   EventId push(TimeNs t, std::uint64_t seq, Callback&& cb);
+  /// Inserts a typed event at (t, seq).
+  void push_typed(TimeNs t, std::uint64_t seq, TargetId target,
+                  std::uint32_t tag) {
+    file(Node{t, seq, kTyped | target, tag});
+    ++nodes_;
+    ++live_;
+  }
   /// Files `n` in the bucket of its highest bit differing from base_.
   void file(const Node& n);
   /// Removes the earliest live node if its key is at most `limit`, making
@@ -237,6 +285,7 @@ class Scheduler {
   std::array<std::vector<Node>, kBuckets> buckets_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
+  std::vector<Target*> targets_;
 };
 
 }  // namespace conga::sim

@@ -1,16 +1,17 @@
 // Move-only type-erased callable (a minimal std::move_only_function for
-// C++20). Scheduler callbacks capture move-only payloads (packets as
-// unique_ptr), which std::function cannot hold; this keeps packet ownership
-// RAII-clean all the way through the event queue.
+// C++20). Scheduler callbacks may capture move-only state, which
+// std::function cannot hold. No callback carries a packet any more: a link's
+// arrivals and drains are typed events (Scheduler::Target), and the packets
+// in flight sit in the link's wire FIFO.
 //
 // Small-buffer optimised: callables up to kInlineSize bytes that are
-// nothrow-move-constructible live inline in the wrapper, so the simulator's
-// hot-path captures — a `this` pointer for link/timer events, `this` plus a
-// pooled PacketPtr for packet delivery — never touch the allocator. Larger
-// or throwing-move callables fall back to the heap exactly like the old
-// unique_ptr<Base> implementation. Type erasure is a hand-rolled ops table
-// (call / relocate / destroy) instead of a virtual base, which also lets the
-// wrapper be relocated into a scheduler slot with one indirect call.
+// nothrow-move-constructible live inline in the wrapper, so the callbacks the
+// simulator schedules — a `this` pointer for TCP timers, generators and
+// samplers, a few indices for a routing update — never touch the allocator.
+// Larger or throwing-move callables fall back to the heap exactly like the
+// old unique_ptr<Base> implementation. Type erasure is a hand-rolled ops
+// table (call / relocate / destroy) instead of a virtual base, which also
+// lets the wrapper be relocated into a scheduler slot with one indirect call.
 #pragma once
 
 #include <cstddef>
@@ -23,10 +24,12 @@ namespace conga::sim {
 
 class UniqueFunction {
  public:
-  /// Inline storage size: covers every callback the simulator schedules on
-  /// its hot paths (the largest is a lambda capturing `this` plus a pooled
-  /// packet plus a port index). Grow with care: the scheduler stores one
-  /// UniqueFunction per pending event.
+  /// Inline storage size. It was sized for the packet-delivery closure
+  /// (`this` plus a pooled packet plus a port index) that typed link events
+  /// have since replaced. The largest inline callback scheduled now is a
+  /// fabric routing update (`this`, three indices, two links and an epoch).
+  /// Whether to shrink it wants a re-profile first. Grow with care: the
+  /// scheduler stores one UniqueFunction per slot.
   static constexpr std::size_t kInlineSize = 48;
 
   UniqueFunction() = default;

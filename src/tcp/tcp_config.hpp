@@ -8,6 +8,10 @@
 
 namespace conga::tcp {
 
+/// Upper bound on the retransmission timeout (RFC 6298 §2.5 allows any
+/// maximum of at least 60 s). A minimum RTO must lie in (0, kMaxRto].
+constexpr sim::TimeNs kMaxRto = sim::seconds(60.0);
+
 struct TcpConfig {
   std::uint32_t mtu = 1500;           ///< bytes incl. IP+TCP headers
   std::uint32_t init_cwnd_pkts = 10;  ///< IW10, the modern Linux default

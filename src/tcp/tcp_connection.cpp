@@ -24,7 +24,6 @@ std::string tcp_node_name(const conga::net::FlowKey& f) {
 namespace conga::tcp {
 
 namespace {
-constexpr sim::TimeNs kMaxRto = sim::seconds(60.0);
 constexpr double kDctcpG = 1.0 / 16;  ///< EWMA gain for the marked fraction
 }  // namespace
 

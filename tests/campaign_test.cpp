@@ -23,6 +23,7 @@
 #include "net/topology.hpp"
 #include "sim/random.hpp"
 #include "tcp/mptcp_connection.hpp"
+#include "tcp/tcp_config.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/experiment.hpp"
 #include "workload/flow_size_dist.hpp"
@@ -242,6 +243,29 @@ TEST(CampaignJson, MptcpSubflowsRoundTripAndKey) {
 
 // An MPTCP spec runs exactly the cell the FCT-grid benches used to build by
 // hand: ECMP with an MPTCP transport factory over the same TCP settings.
+TEST(CampaignJson, RtoFloorOutsideRangeIsRejected) {
+  // A spec document can carry any min_rto_ns, but only a floor in
+  // (0, kMaxRto] runs: at or below 0 the RTO granularity goes negative, and
+  // above the ceiling the RTO clamp's bounds cross.
+  ExperimentSpec s;
+  s.topo = net::testbed_baseline();
+  workload::ExperimentConfig cfg;
+  std::string err;
+  for (const sim::TimeNs bad :
+       {sim::TimeNs{0}, sim::milliseconds(-5), tcp::kMaxRto + 1}) {
+    SCOPED_TRACE(bad);
+    s.min_rto_ns = bad;
+    ExperimentSpec parsed;
+    ASSERT_TRUE(parse_spec(canonical_json(s), parsed, err)) << err;
+    EXPECT_FALSE(to_experiment_config(parsed, cfg, err));
+    EXPECT_EQ(err, "min_rto must be in (0, 60 s]");
+  }
+  for (const sim::TimeNs good : {sim::TimeNs{1}, tcp::kMaxRto}) {
+    s.min_rto_ns = good;
+    EXPECT_TRUE(to_experiment_config(s, cfg, err)) << err;
+  }
+}
+
 TEST(CampaignRun, MptcpSpecMatchesDirectConfig) {
   net::TopologyConfig topo = net::testbed_baseline();
   topo.hosts_per_leaf = 4;

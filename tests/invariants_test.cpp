@@ -194,6 +194,29 @@ TEST(HookIntegration, SchedulingOnAPassedTicketFires) {
 #endif
 }
 
+TEST(HookIntegration, PostingOnAPassedTicketFires) {
+#if defined(CONGA_CHECK_INVARIANTS) && CONGA_CHECK_INVARIANTS
+  struct Ignore final : sim::Scheduler::Target {
+    void on_event(std::uint32_t) override {}
+  } target;
+  sim::Scheduler sched;
+  const sim::Scheduler::TargetId id = sched.add_target(&target);
+  const sim::Ticket tk = sched.reserve_at(sim::microseconds(1));
+  sched.run_until(sim::microseconds(2));
+  ASSERT_TRUE(sched.passed(tk));
+  ScopedViolationCapture cap;
+  sched.post(tk, id, 0);
+  EXPECT_TRUE(cap.fired("scheduler.ticket-passed"));
+  // A ticket that has not passed is fine.
+  const sim::Ticket later = sched.reserve_at(sim::microseconds(3));
+  sched.post(later, id, 0);
+  EXPECT_EQ(cap.count(), 1u);
+#else
+  GTEST_SKIP() << "invariant hooks are compiled out "
+                  "(build with -DCONGA_CHECK_INVARIANTS=ON)";
+#endif
+}
+
 // End-to-end: a real (small) fabric simulation completes with zero
 // violations. This is the CONGA_CHECK_INVARIANTS=ON integration gate.
 TEST(HookIntegration, SmallSimulationRunsCleanly) {

@@ -1,16 +1,23 @@
 // Tests for the drop-tail queue and link transmission model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "lb/factories.hpp"
+#include "net/fabric.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "net/queue.hpp"
+#include "sim/random.hpp"
 #include "sim/scheduler.hpp"
+#include "tcp/flow.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace conga::net {
@@ -429,13 +436,17 @@ TEST(SharedBufferPool, StaticCapStillApplies) {
   EXPECT_FALSE(q.enqueue(packet_of(400), 0));
 }
 
-/// Records the arrival time of every delivered packet.
+/// Records each delivered packet's arrival time and id.
 class TimedSink : public Node {
  public:
   explicit TimedSink(const sim::Scheduler& sched) : sched_(sched) {}
-  void receive(PacketPtr, int) override { times.push_back(sched_.now()); }
+  void receive(PacketPtr pkt, int) override {
+    times.push_back(sched_.now());
+    ids.push_back(pkt->id);
+  }
   std::string name() const override { return "timed-sink"; }
   std::vector<sim::TimeNs> times;
+  std::vector<std::uint64_t> ids;
 
  private:
   const sim::Scheduler& sched_;
@@ -548,6 +559,177 @@ TEST(Link, SendExactlyAtBusyUntilMatchesWireFreeOrdering) {
   EXPECT_EQ(after.tele, expected);
   EXPECT_EQ(before.tele_digest, after.tele_digest);
 #endif
+}
+
+// A link keeps the packets it has transmitted and not yet delivered in a
+// FIFO, and each arrival event delivers the FIFO's head. That is exact only
+// if packets arrive in the order they started; the tests below hold it to
+// that where it could break: rate changes while packets are on the wire,
+// corrupt packets discarded at the far end, and teardown mid-flight.
+
+TEST(Link, WireDeliversInTransmissionOrderAcrossRateChanges) {
+  // 100-400 B at 1 Gbps is 0.8-3.2 us of serialization (4x that at a
+  // quarter of the rate) against 20 us of propagation, so several packets
+  // share the wire each time the rate changes: first slower then faster,
+  // then the other way round.
+  LinkConfig cfg = test_link_cfg();
+  cfg.propagation_delay = sim::microseconds(20);
+  for (const double first : {0.25, 2.0}) {
+    SCOPED_TRACE(first);
+    sim::Scheduler sched;
+    TimedSink log(sched);
+    Link link(sched, "l", cfg);
+    link.connect_to(&log, 0);
+    std::vector<std::uint64_t> sent;
+    for (int i = 0; i < 200; ++i) {
+      PacketPtr p = packet_of(100 + static_cast<std::uint32_t>(i % 7) * 50);
+      sent.push_back(p->id);
+      sched.schedule_at(sim::nanoseconds(700) * i,
+                        [&link, q = std::move(p)]() mutable {
+                          link.send(std::move(q));
+                        });
+    }
+    std::vector<std::uint64_t> on_wire;
+    for (const auto& [at, scale] :
+         {std::pair{sim::microseconds(20), first},
+          std::pair{sim::microseconds(60), 1.0},
+          std::pair{sim::microseconds(100), 1.0 / first}}) {
+      sched.schedule_at(at, [&link, &on_wire, s = scale] {
+        on_wire.push_back(link.packets_in_flight());
+        link.set_rate_scale(s);
+      });
+    }
+    sched.run();
+    EXPECT_EQ(log.ids, sent);
+    EXPECT_TRUE(std::is_sorted(log.times.begin(), log.times.end()));
+    ASSERT_EQ(on_wire.size(), 3u);
+    for (const std::uint64_t n : on_wire) EXPECT_GE(n, 2u);
+    EXPECT_EQ(link.packets_in_flight(), 0u);
+    EXPECT_TRUE(link.conserves_packets());
+  }
+}
+
+TEST(Link, CorruptPacketIsTheOneDiscardedAtTheFarEnd) {
+  // Equal 1250 B packets back to back: packet i leaves the wire at
+  // 12 + 10 i us whether or not it is corrupt (a corrupt frame still
+  // occupies the wire), and a corrupt one is discarded right there.
+  constexpr double kCorrupt = 0.3;
+  constexpr std::uint64_t kSeed = 77;
+  sim::Scheduler sched;
+  TimedSink log(sched);
+  Link link(sched, "l", test_link_cfg());
+  link.connect_to(&log, 0);
+  link.set_gray_failure(0.0, kCorrupt, kSeed);
+  // With no loss armed, the link draws once per packet, for corruption.
+  sim::Rng draws(kSeed);
+  std::vector<std::uint64_t> want_ids;
+  std::vector<sim::TimeNs> want_times;
+  const int n = 60;
+  for (int i = 0; i < n; ++i) {
+    PacketPtr p = packet_of(1250);
+    if (!draws.chance(kCorrupt)) {
+      want_ids.push_back(p->id);
+      want_times.push_back(sim::microseconds(12 + 10 * i));
+    }
+    link.send(std::move(p));
+  }
+  const std::uint64_t corrupt = n - want_ids.size();
+  ASSERT_GT(corrupt, 5u);
+  sched.run();
+  EXPECT_EQ(log.ids, want_ids);
+  EXPECT_EQ(log.times, want_times);
+  EXPECT_EQ(link.drop_stats().corrupt_pkts, corrupt);
+  EXPECT_EQ(link.drop_stats().corrupt_bytes, corrupt * 1250);
+  EXPECT_TRUE(link.conserves_packets());
+}
+
+TEST(Link, DestructionReturnsPacketsOnTheWireToThePool) {
+  const PacketPoolStats before = packet_pool_stats();
+  sim::Scheduler sched;
+  SinkNode sink;
+  {
+    Link link(sched, "l", test_link_cfg());
+    link.connect_to(&sink, 0);
+    // 250 B is 2 us on the wire: packet i starts at 2i us and arrives at
+    // 2i + 4 us. At 5 us packet 0 has arrived, 1 and 2 are on the wire and
+    // 3-9 are queued.
+    for (int i = 0; i < 10; ++i) link.send(packet_of(250));
+    sched.run_until(sim::microseconds(5));
+    ASSERT_EQ(sink.arrivals.size(), 1u);
+    ASSERT_EQ(link.packets_in_flight(), 2u);
+    ASSERT_EQ(link.queue().packets(), 7u);
+  }
+  const PacketPoolStats after = packet_pool_stats();
+  EXPECT_EQ(after.acquired - before.acquired, 10u);
+  // The sink freed the delivered packet; the link returned the other nine
+  // (wire and queue) while the scheduler, which owns no packet, lives on.
+  EXPECT_EQ(after.released - before.released, 10u);
+}
+
+TEST(Link, DestroyingAFabricReturnsPacketsOnTheWireToThePool) {
+  const PacketPoolStats before = packet_pool_stats();
+  sim::Scheduler sched;
+  std::uint64_t on_wire = 0;
+  {
+    TopologyConfig topo;
+    topo.num_leaves = 2;
+    topo.num_spines = 2;
+    topo.hosts_per_leaf = 2;
+    Fabric fabric(sched, topo, 1);
+    fabric.install_lb(lb::ecmp());
+    std::vector<std::unique_ptr<tcp::TcpFlow>> flows;
+    for (HostId h = 0; h < 2; ++h) {
+      FlowKey key;
+      key.src_host = h;
+      key.dst_host = h + 2;
+      key.src_port = static_cast<std::uint16_t>(1000 + h);
+      key.dst_port = 80;
+      flows.push_back(std::make_unique<tcp::TcpFlow>(
+          sched, fabric.host(h), fabric.host(h + 2), key, 1'000'000,
+          tcp::TcpConfig{}, tcp::FlowCompleteFn{}));
+      flows.back()->start();
+    }
+    sched.run_until(sim::microseconds(40));
+    for (HostId h = 0; h < fabric.num_hosts(); ++h) {
+      on_wire += fabric.host_to_leaf(h)->packets_in_flight() +
+                 fabric.leaf_to_host(h)->packets_in_flight();
+    }
+    for (const Link* l : fabric.fabric_links()) on_wire += l->packets_in_flight();
+  }
+  EXPECT_GT(on_wire, 0u);
+  const PacketPoolStats after = packet_pool_stats();
+  EXPECT_EQ(after.released - before.released,
+            after.acquired - before.acquired);
+}
+
+TEST(Link, ConservesPacketsMidFlightAndAfterDrain) {
+  // Every fate at once: gray loss at admission, corruption on the wire,
+  // queue overflow, and packets still queued or on the wire mid-run.
+  sim::Scheduler sched;
+  SinkNode sink;
+  LinkConfig cfg = test_link_cfg();
+  cfg.queue_capacity_bytes = 20'000;
+  Link link(sched, "l", cfg);
+  link.connect_to(&sink, 0);
+  link.set_gray_failure(0.1, 0.1, 5);
+  for (int i = 0; i < 200; ++i) {
+    sched.schedule_at(sim::nanoseconds(300) * i,
+                      [&link] { link.send(packet_of(1000)); });
+  }
+  for (const sim::TimeNs t : {sim::microseconds(17), sim::microseconds(43)}) {
+    sched.run_until(t);
+    EXPECT_GT(link.packets_in_flight(), 0u);
+    EXPECT_GT(link.queue().packets(), 0u);
+    EXPECT_TRUE(link.conserves_packets());
+  }
+  sched.run();
+  EXPECT_EQ(link.packets_in_flight(), 0u);
+  EXPECT_EQ(link.queue().packets(), 0u);
+  EXPECT_GT(link.drop_stats().gray_pkts, 0u);
+  EXPECT_GT(link.drop_stats().corrupt_pkts, 0u);
+  EXPECT_GT(link.queue().stats().dropped_pkts, 0u);
+  EXPECT_EQ(link.packets_offered(), 200u);
+  EXPECT_TRUE(link.conserves_packets());
 }
 
 TEST(Link, SerializationDelayHelper) {

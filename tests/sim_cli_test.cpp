@@ -102,6 +102,16 @@ TEST(SimCli, RejectsUnknownPolicyAndEmptyWindow) {
                   "--subflows must be >= 1");
 }
 
+TEST(SimCli, RejectsRtoFloorOutsideRange) {
+  // Each used to run: 0 and -5 with a negative RTO granularity, and a floor
+  // above the 60 s RTO ceiling with crossed clamp bounds.
+  expect_rejected("--load 0.3 --min-rto-ms 0", "min_rto must be in (0, 60 s]");
+  expect_rejected("--load 0.3 --min-rto-ms -5",
+                  "min_rto must be in (0, 60 s]");
+  expect_rejected("--load 0.3 --min-rto-ms 60001",
+                  "min_rto must be in (0, 60 s]");
+}
+
 TEST(SimCli, RejectsMalformedNumbers) {
   // Each used to be read as a prefix ("2x" as 2, "abc" as seed 0) and run.
   expect_rejected("--load 0.3 --hosts 2x", "--hosts wants a number");

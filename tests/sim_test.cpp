@@ -1,6 +1,8 @@
 // Tests for the discrete-event scheduler and RNG utilities.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <memory>
 #include <set>
 #include <utility>
@@ -371,18 +373,27 @@ TEST(SchedulerTicket, ScheduledTicketCanBeCancelled) {
 // Differential harness for the scheduler: a seeded random mix of every
 // operation, checked against a std::set model of the pending (time, seq)
 // keys. Each dispatch must be the model's smallest key; pending(), now() and
-// passed() must agree with the model after every step.
+// passed() must agree with the model after every step. Typed events (posted
+// to one of three targets, fresh or on a ticket) mix with callback events
+// and must reach the right target with the right tag.
 class SchedulerChurn {
  public:
   explicit SchedulerChurn(std::uint64_t seed) : rng_(seed) {
     sched_.set_trace_hook(
         [this](TimeNs t, std::uint64_t seq) { on_dispatch({t, seq}); });
+    for (std::uint32_t i = 0; i < kProbes; ++i) {
+      probes_[i].churn = this;
+      probes_[i].index = i;
+      probe_ids_[i] = sched_.add_target(&probes_[i]);
+    }
   }
 
   void step() {
     const double r = rng_.uniform();
-    if (r < 0.30) {
+    if (r < 0.20) {
       schedule_at(pick_time());
+    } else if (r < 0.30) {
+      post_at(pick_time());
     } else if (r < 0.40) {
       tickets_.push_back(sched_.reserve_at(pick_time()));
       ++next_seq_;
@@ -414,6 +425,7 @@ class SchedulerChurn {
   void drain() {
     while (sched_.pending() > 0) run();
     EXPECT_TRUE(model_.empty());
+    EXPECT_TRUE(typed_.empty());
   }
 
   void check_state() {
@@ -424,9 +436,19 @@ class SchedulerChurn {
   }
 
   std::uint64_t dispatched() const { return dispatched_; }
+  std::uint64_t typed_dispatched() const { return typed_dispatched_; }
 
  private:
   using Key = std::pair<TimeNs, std::uint64_t>;
+
+  static constexpr std::uint32_t kProbes = 3;
+
+  /// A typed-event target that reports back to the harness.
+  struct Probe final : Scheduler::Target {
+    void on_event(std::uint32_t tag) override { churn->on_typed(index, tag); }
+    SchedulerChurn* churn = nullptr;
+    std::uint32_t index = 0;
+  };
 
   // Zero, short (a link hop: near) and long (a parked timer: far) delays,
   // on a coarse grid so same-time ties across the two kinds are common. A
@@ -450,6 +472,24 @@ class SchedulerChurn {
     track(sched_.schedule_at(t, callback()), key);
   }
 
+  void post_at(TimeNs t) {
+    const Key key = clamp(t);
+    ++next_seq_;
+    const auto [probe, tag] = pick_typed(key);
+    sched_.post_at(t, probe_ids_[probe], tag);
+  }
+
+  /// A random target and tag for a typed event at `key`, entered in the
+  /// model.
+  std::pair<std::uint32_t, std::uint32_t> pick_typed(const Key& key) {
+    const auto probe = static_cast<std::uint32_t>(rng_.index(kProbes));
+    const auto tag =
+        static_cast<std::uint32_t>(rng_.uniform_int(0, 0xffffffffLL));
+    model_.insert(key);
+    typed_[key] = {probe, tag};
+    return {probe, tag};
+  }
+
   void schedule_ticket() {
     if (tickets_.empty()) return;
     const std::size_t i = rng_.index(tickets_.size());
@@ -459,7 +499,13 @@ class SchedulerChurn {
     const Key key{tk.time, tk.seq};
     const bool passed = key <= cursor_;
     EXPECT_EQ(sched_.passed(tk), passed);
-    if (!passed) track(sched_.schedule(tk, callback()), key);
+    if (passed) return;
+    if (rng_.chance(0.4)) {
+      const auto [probe, tag] = pick_typed(key);
+      sched_.post(tk, probe_ids_[probe], tag);
+    } else {
+      track(sched_.schedule(tk, callback()), key);
+    }
   }
 
   // Any id ever issued, weighted toward recent (likely still live) ones:
@@ -531,7 +577,29 @@ class SchedulerChurn {
   // Events act during dispatch too: some schedule a follow-up (classified
   // against the advanced clock), a few stop the run.
   void on_fire() {
-    if (rng_.chance(0.3)) schedule_at(pick_time());
+    EXPECT_EQ(typed_.count(cursor_), 0u) << "typed event ran a callback";
+    act();
+  }
+
+  void on_typed(std::uint32_t probe, std::uint32_t tag) {
+    const auto it = typed_.find(cursor_);
+    if (it == typed_.end()) {
+      ADD_FAILURE() << "callback event reached target " << probe;
+    } else {
+      EXPECT_EQ(it->second, std::make_pair(probe, tag));
+      typed_.erase(it);
+    }
+    ++typed_dispatched_;
+    act();
+  }
+
+  void act() {
+    const double r = rng_.uniform();
+    if (r < 0.15) {
+      schedule_at(pick_time());
+    } else if (r < 0.3) {
+      post_at(pick_time());
+    }
     if (rng_.chance(0.02)) {
       sched_.stop();
       stopped_ = true;
@@ -540,13 +608,18 @@ class SchedulerChurn {
 
   Scheduler sched_;
   Rng rng_;
+  std::array<Probe, kProbes> probes_;
+  std::array<Scheduler::TargetId, kProbes> probe_ids_{};
   std::set<Key> model_;
+  /// Pending typed events: key -> (probe, tag).
+  std::map<Key, std::pair<std::uint32_t, std::uint32_t>> typed_;
   std::vector<std::pair<EventId, Key>> issued_;
   std::vector<Ticket> tickets_;
   TimeNs now_ = 0;
   std::uint64_t next_seq_ = 1;
   Key cursor_{0, 0};
   std::uint64_t dispatched_ = 0;
+  std::uint64_t typed_dispatched_ = 0;
   std::uint64_t mismatches_ = 0;
   bool stopped_ = false;
 };
@@ -562,7 +635,55 @@ TEST(Scheduler, MatchesReferenceOrderUnderRandomChurn) {
     churn.drain();
     churn.check_state();
     EXPECT_GT(churn.dispatched(), 2'000u);
+    EXPECT_GT(churn.typed_dispatched(), 500u);
   }
+}
+
+/// Records the tags it receives, with the clock at each.
+struct TagLog final : Scheduler::Target {
+  explicit TagLog(const Scheduler& s) : sched(s) {}
+  void on_event(std::uint32_t tag) override {
+    got.emplace_back(sched.now(), tag);
+  }
+  const Scheduler& sched;
+  std::vector<std::pair<TimeNs, std::uint32_t>> got;
+};
+
+TEST(Scheduler, TypedEventsCountAsPendingAndDispatched) {
+  Scheduler sched;
+  TagLog log(sched);
+  const Scheduler::TargetId id = sched.add_target(&log);
+  sched.post_at(20, id, 7);
+  const Ticket tk = sched.reserve_at(10);
+  sched.post(tk, id, 9);
+  sched.schedule_at(15, [] {});
+  EXPECT_EQ(sched.pending(), 3u);
+  sched.run_until(12);
+  EXPECT_EQ(sched.pending(), 2u);
+  EXPECT_EQ(sched.events_dispatched(), 1u);
+  sched.run();
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_EQ(sched.events_dispatched(), 3u);
+  EXPECT_EQ(log.got, (std::vector<std::pair<TimeNs, std::uint32_t>>{
+                         {10, 9}, {20, 7}}));
+}
+
+TEST(Scheduler, TypedEventsTieWithCallbacksBySeqAndClampToNow) {
+  Scheduler sched;
+  TagLog log(sched);
+  const Scheduler::TargetId id = sched.add_target(&log);
+  std::vector<std::uint64_t> seqs;
+  sched.set_trace_hook(
+      [&seqs](TimeNs, std::uint64_t seq) { seqs.push_back(seq); });
+  sched.schedule_at(50, [&] {
+    sched.post_at(10, id, 1);  // in the past: clamps to 50
+    sched.schedule_at(50, [&] { log.got.emplace_back(sched.now(), 99); });
+  });
+  sched.post_at(50, id, 2);
+  sched.run();
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(log.got, (std::vector<std::pair<TimeNs, std::uint32_t>>{
+                         {50, 2}, {50, 1}, {50, 99}}));
 }
 
 TEST(Rng, DeterministicWithSameSeed) {
