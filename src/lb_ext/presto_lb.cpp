@@ -10,15 +10,14 @@ namespace {
 constexpr std::uint64_t kStartSalt = 0x5ca1ab1e0ddba11ULL;
 }  // namespace
 
-PrestoLb::PrestoLb(net::LeafSwitch& leaf, const PrestoConfig& cfg)
-    : leaf_(leaf), cfg_(cfg), cells_(cfg.num_entries) {}
+PrestoLb::PrestoLb(net::LeafSwitch& leaf) : leaf_(leaf), cells_(kNumEntries) {}
 
 int PrestoLb::select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
                             sim::TimeNs now) {
   int viable[16];
   const int n = leaf_.viable_uplinks(dst_leaf, viable);
   const std::uint64_t h = pkt.wire_key().hash();
-  Cell& c = cells_[h % cfg_.num_entries];
+  Cell& c = cells_[h % kNumEntries];
   if (!leaf_.usable_uplink(c.port, dst_leaf)) {
     // Fresh cell: flows start at a hash-chosen offset so simultaneous flows
     // don't march the same round-robin sequence in lockstep.
@@ -27,7 +26,7 @@ int PrestoLb::select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
   }
   const int out = c.port;
   c.bytes += pkt.size_bytes;
-  if (c.bytes >= cfg_.flowcell_bytes) {
+  if (c.bytes >= kFlowcellBytes) {
     // The cell is full: the *next* packet starts a new cell on the next
     // viable uplink, cyclically. This packet still rides the old port.
     int pos = 0;

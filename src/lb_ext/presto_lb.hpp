@@ -21,14 +21,12 @@
 
 namespace conga::lb_ext {
 
-struct PrestoConfig {
-  std::uint64_t flowcell_bytes = 64 * 1024;  ///< cell size (one TSO burst)
-  std::size_t num_entries = 64 * 1024;       ///< flow-state table slots
-};
-
 class PrestoLb final : public lb::LoadBalancer {
  public:
-  PrestoLb(net::LeafSwitch& leaf, const PrestoConfig& cfg = {});
+  static constexpr std::uint64_t kFlowcellBytes = 64 * 1024;  ///< one TSO burst
+  static constexpr std::size_t kNumEntries = 64 * 1024;  ///< flow-state slots
+
+  explicit PrestoLb(net::LeafSwitch& leaf);
 
   int select_uplink(const net::Packet& pkt, net::LeafId dst_leaf,
                     sim::TimeNs now) override;
@@ -46,7 +44,6 @@ class PrestoLb final : public lb::LoadBalancer {
   };
 
   net::LeafSwitch& leaf_;
-  PrestoConfig cfg_;
   std::vector<Cell> cells_;
   std::uint64_t rotations_ = 0;
   telemetry::TraceSink* tele_ = nullptr;

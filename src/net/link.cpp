@@ -55,7 +55,7 @@ void Link::set_gray_failure(double drop_prob, double corrupt_prob,
                             std::uint64_t seed) {
   gray_drop_prob_ = drop_prob;
   gray_corrupt_prob_ = corrupt_prob;
-  gray_rng_ = sim::Rng(seed);
+  gray_rng_ = std::make_unique<sim::Rng>(seed);
 }
 
 void Link::attach_telemetry(telemetry::TraceSink* sink) {
@@ -75,7 +75,7 @@ void Link::send(PacketPtr pkt) {
                     tele_comp_, sched_.now(), pkt->size_bytes);
     return;
   }
-  if (gray_drop_prob_ > 0.0 && gray_rng_.chance(gray_drop_prob_)) {
+  if (gray_drop_prob_ > 0.0 && gray_rng_->chance(gray_drop_prob_)) {
     ++drop_stats_.gray_pkts;
     drop_stats_.gray_bytes += pkt->size_bytes;
     telemetry::emit(
@@ -84,7 +84,7 @@ void Link::send(PacketPtr pkt) {
         static_cast<std::uint64_t>(std::llround(gray_drop_prob_ * 1e6)));
     return;
   }
-  if (gray_corrupt_prob_ > 0.0 && gray_rng_.chance(gray_corrupt_prob_)) {
+  if (gray_corrupt_prob_ > 0.0 && gray_rng_->chance(gray_corrupt_prob_)) {
     // Bit error on the wire: the packet still occupies the link (charges the
     // DRE, accumulates CE) but the far end discards it on receipt.
     pkt->corrupted = true;

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "core/dre.hpp"
@@ -171,7 +172,8 @@ class alignas(64) Link final : private sim::Scheduler::Target {
 
   // Per-hop state comes first: an arrival reads only the first cache line
   // of the link (vptr to dst_port_), a transmission the next few. Names and
-  // the cold fault state follow; the gray-failure RNG alone is 2.5 KB.
+  // the cold fault state follow. The 2.5 KB gray-failure RNG lives on the
+  // heap, made only for a link under a gray fault.
   sim::Scheduler& sched_;
   Node* dst_ = nullptr;
   /// Packets transmitted and not yet arrived, oldest first.
@@ -199,7 +201,11 @@ class alignas(64) Link final : private sim::Scheduler::Target {
   std::uint32_t tele_comp_ = 0;
   LinkDropStats drop_stats_;
   std::string name_;
-  sim::Rng gray_rng_{0};
+  /// Set by set_gray_failure(); null on a link that was never gray.
+  std::unique_ptr<sim::Rng> gray_rng_;
 };
+
+// A fabric holds hundreds of links; keep the RNG (or anything like it) out.
+static_assert(sizeof(Link) <= 1024);
 
 }  // namespace conga::net

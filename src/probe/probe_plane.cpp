@@ -76,7 +76,7 @@ void ProbeAgent::send_request(net::LeafId dst, int uplink, sim::TimeNs now) {
   // probes across parallel downlinks; the table keeps the freshest reply.
   p->flow.src_port = static_cast<std::uint16_t>(round_);
   p->flow.dst_port = static_cast<std::uint16_t>(uplink);
-  p->size_bytes = cfg_.probe_bytes;
+  p->size_bytes = kProbeBytes;
   p->probe.kind = static_cast<std::uint8_t>(ProbeKind::kRequest);
   p->probe.origin_leaf = leaf_.id();
   p->probe.origin_uplink = static_cast<std::uint8_t>(uplink);
@@ -101,7 +101,7 @@ void ProbeAgent::send_reply(const net::Packet& req, sim::TimeNs /*now*/) {
   p->flow.dst_host = static_cast<net::HostId>(origin);
   p->flow.src_port = static_cast<std::uint16_t>(reply_rr_);
   p->flow.dst_port = req.probe.origin_uplink;
-  p->size_bytes = cfg_.probe_bytes;
+  p->size_bytes = kProbeBytes;
   p->probe.kind = static_cast<std::uint8_t>(ProbeKind::kReply);
   p->probe.origin_leaf = origin;
   p->probe.origin_uplink = req.probe.origin_uplink;

@@ -47,8 +47,10 @@ struct ProbeConfig {
   /// so a path whose probes die (gray failure, partition) stops attracting
   /// flowlets even though no one withdrew it.
   sim::TimeNs age_after = sim::microseconds(500);
-  std::uint32_t probe_bytes = 64;  ///< wire size before encapsulation
 };
+
+/// Wire size of a probe request or reply before encapsulation.
+constexpr std::uint32_t kProbeBytes = 64;
 
 /// Per-(destination leaf, uplink) path utilization learned from probe
 /// replies. kUnknown orders never-seen and stale paths after any measured

@@ -10,26 +10,6 @@
 
 namespace conga::sim {
 
-std::uint32_t Scheduler::acquire_slot() {
-  if (free_head_ != kNoSlot) {
-    const std::uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-    slots_[slot].next_free = kNoSlot;
-    return slot;
-  }
-  // Slot indices stay below kTyped, which marks typed nodes.
-  assert(slots_.size() < kTyped);
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void Scheduler::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.gen += 2;  // stays odd; invalidates outstanding ids and stale nodes
-  s.next_free = free_head_;
-  free_head_ = slot;
-}
-
 namespace {
 
 using Key = unsigned __int128;
@@ -49,8 +29,9 @@ unsigned lowest_bit(Key mask) {
 void Scheduler::file(const Node& n) {
   // The bucket is the highest bit in which the key differs from the base.
   // Bucket 0 also takes a key equal to the base: a ticket scheduled again
-  // after a cancel leaves a stale twin that may become the base first (or,
-  // in violation of schedule()'s precondition, a passed ticket).
+  // after a cancel leaves a twin node with the same key, either of which
+  // may become the base first (or, in violation of schedule()'s
+  // precondition, a passed ticket).
   const Key x = n.key() ^ base_;
   const unsigned i =
       high(x) != 0 ? 64U + static_cast<unsigned>(std::bit_width(high(x))) - 1
@@ -98,13 +79,19 @@ bool Scheduler::pop_next(Key limit, Node& out) {
 }
 
 EventId Scheduler::push(TimeNs t, std::uint64_t seq, Callback&& cb) {
-  const std::uint32_t slot = acquire_slot();
-  const std::uint32_t gen = slots_[slot].gen;
-  slots_[slot].cb = std::move(cb);
-  file(Node{t, seq, slot, gen});
+  // Only a ticket scheduled twice while its first callback is live can
+  // find its seq taken; the second callback is then dropped.
+  const bool added = callbacks_.try_emplace(seq, std::move(cb)).second;
+  CONGA_INVARIANT(check_condition(added, "scheduler", now_,
+                                  "scheduler.ticket-one-callback",
+                                  "schedule() on a ticket that holds a live "
+                                  "callback"));
+  assert(added);
+  if (!added) return seq;
+  file(Node{t, seq, kCallback, 0});
   ++nodes_;
   ++live_;
-  return make_id(slot, gen);
+  return seq;
 }
 
 EventId Scheduler::schedule_at(TimeNs t, Callback cb) {
@@ -122,7 +109,7 @@ EventId Scheduler::schedule(const Ticket& tk, Callback cb) {
 }
 
 Scheduler::TargetId Scheduler::add_target(Target* target) {
-  assert(targets_.size() < kTyped);
+  assert(targets_.size() < kCallback);
   targets_.push_back(target);
   return static_cast<TargetId>(targets_.size() - 1);
 }
@@ -135,62 +122,56 @@ void Scheduler::post(const Ticket& tk, TargetId target, std::uint32_t tag) {
 }
 
 void Scheduler::cancel(EventId id) {
-  const std::uint32_t slot = static_cast<std::uint32_t>(id >> 32);
-  const std::uint32_t gen = static_cast<std::uint32_t>(id);
-  // Generations are odd, so kInvalidEventId (gen 0) never matches; a fired
-  // or re-cancelled id fails the generation check below.
-  if ((gen & 1U) == 0 || slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  if (s.gen != gen) return;
-  s.cb = Callback{};  // destroy the payload (e.g. a captured packet) now
-  release_slot(slot);
+  // Erasing destroys the callback (and anything it captured) now.
+  if (callbacks_.erase(id) == 0) return;
   --live_;
   if (nodes_ > 2 * live_ + 64) {
     // Stale nodes outnumber live ones: drop them now rather than carry them
     // until each is the minimum. Buckets are unordered, so dropping nodes
-    // changes no order.
+    // changes no order. A cancelled ticket scheduled again leaves a twin
+    // node that looks live until one of the pair is dispatched, so count
+    // what is left rather than assume it is live_.
+    nodes_ = 0;
     for (unsigned i = 0; i < kBuckets; ++i) {
       std::erase_if(buckets_[i], [this](const Node& n) { return stale(n); });
       if (buckets_[i].empty()) nonempty_ &= ~(Key{1} << i);
+      nodes_ += buckets_[i].size();
     }
-    nodes_ = live_;
   }
   CONGA_INVARIANT(check_condition(nodes_ <= 2 * live_ + 64, "scheduler",
                                   now_, "scheduler.stale-bound",
                                   "queue nodes exceed 2*pending()+64"));
 }
 
-void Scheduler::dispatch(const Node& n, Callback& cb) {
+void Scheduler::dispatch(const Node& n) {
   --live_;
   CONGA_INVARIANT(check_time_monotonic("scheduler", now_, n.time));
   now_ = n.time;
   cursor_ = Ticket{n.time, n.seq};
   ++dispatched_;
   if (trace_) trace_(n.time, n.seq);
-  if ((n.slot & kTyped) != 0) {
-    targets_[n.slot & ~kTyped]->on_event(n.gen);
+  if (n.target != kCallback) {
+    targets_[n.target]->on_event(n.tag);
     return;
   }
-  cb = std::move(slots_[n.slot].cb);
-  release_slot(n.slot);
+  const auto it = callbacks_.find(n.seq);
+  const Callback cb = std::move(it->second);
+  callbacks_.erase(it);
   cb();
-  cb = Callback{};  // release the payload before the next dispatch
 }
 
 void Scheduler::run() {
   stopped_ = false;
-  Callback cb;
   Node n{};
-  while (!stopped_ && pop_next(~Key{0}, n)) dispatch(n, cb);
+  while (!stopped_ && pop_next(~Key{0}, n)) dispatch(n);
 }
 
 void Scheduler::run_until(TimeNs t) {
   stopped_ = false;
-  Callback cb;
   Node n{};
   // Every key at time t is at most (t, max seq); none is at a negative time.
   const Key limit = t < 0 ? Key{0} : key_of(t, ~std::uint64_t{0});
-  while (!stopped_ && pop_next(limit, n)) dispatch(n, cb);
+  while (!stopped_ && pop_next(limit, n)) dispatch(n);
   // A stopped run leaves the clock at its last dispatch: events at or
   // before t may still be pending, and the clock must not pass them.
   if (stopped_) return;

@@ -8,10 +8,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
-#include "sim/unique_function.hpp"
 
 namespace conga::telemetry {
 class TraceSink;
@@ -19,13 +19,14 @@ class TraceSink;
 
 namespace conga::sim {
 
-/// Opaque handle identifying a scheduled event, usable for cancellation.
-/// Internally packs (slot index, generation); only values returned by
-/// schedule_at/schedule_after (and kInvalidEventId) are meaningful.
+/// Handle identifying a scheduled event, usable for cancellation: the
+/// event's schedule-order seq, the same number the trace hook reports. Seqs
+/// start at 1 and are never reused, so an id that has fired or been
+/// cancelled can never name a later event.
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEventId = 0;
 
-/// A reserved position `(time, seq)` in the dispatch order: the slot an event
+/// A reserved position `(time, seq)` in the dispatch order: the place an event
 /// scheduled at that moment would occupy, taken without creating one. A
 /// component can record "something happens here" for free and only pay for a
 /// queue node if it later needs a callback at exactly that position. The
@@ -61,16 +62,17 @@ struct Ticket {
 /// all at least `(base >> (i+1) << (i+1)) | 1 << i`, so run_until(t) rejects
 /// a bucket wholly past t without scanning it, and it never makes a node
 /// past t the base (a later schedule_at at t must still lie above it).
-/// 24-byte POD nodes index into a slot arena that owns the callbacks.
+/// 24-byte POD nodes carry the key and what to run; callbacks live off the
+/// queue in a map keyed by seq.
 ///
-/// Each slot carries a generation counter baked into the EventId, so
-/// cancel() is an O(1) generation bump — no per-dispatch hash-set lookup, and
-/// a stale id (already fired, already cancelled, never valid) can never
-/// corrupt the pending-event accounting. A cancelled event's callback (and
-/// any packet it owns) is destroyed eagerly at cancel(); its node goes stale
-/// and is discarded when it becomes the least key, or earlier: once the
-/// buckets hold more than 2·pending()+64 nodes, cancel() drops every stale
-/// node. Buckets are unordered sets, so neither step can change the order.
+/// cancel() erases the callback from that map, destroying it at once; its
+/// node goes stale (a callback node is live exactly while its seq is in the
+/// map) and is discarded when it becomes the least key, or earlier: once
+/// the buckets hold more than 2·pending()+64 nodes, cancel() drops every
+/// stale node. Buckets are unordered sets and the map is only ever looked
+/// up, never iterated, so neither step can change the order. A fired,
+/// cancelled or never-issued id is simply absent from the map, so a stray
+/// cancel() cannot corrupt the pending-event accounting.
 ///
 /// Tickets (reserve_at / passed / schedule) let a component hold a place in
 /// the dispatch order without a queue node — a link's "wire free" instant, a
@@ -79,13 +81,13 @@ struct Ticket {
 ///
 /// Typed events (add_target / post_at / post) are the callback-free form for
 /// the hot path: a node that names a registered Target and a tag, with no
-/// slot, so it costs no arena round trip and no type-erased call. They take
+/// map entry, so it costs no hash lookup and no type-erased call. They take
 /// their seq exactly as callback events do, so they interleave with them in
 /// the same `(time, seq)` order. A typed event cannot be cancelled; its
 /// target must outlive it.
 class Scheduler {
  public:
-  using Callback = UniqueFunction;
+  using Callback = std::function<void()>;
 
   /// Receiver of typed events. A component whose events only say "this
   /// happened to me" (a link's far-end arrival, its drain) registers once
@@ -134,9 +136,12 @@ class Scheduler {
            (tk.time == cursor_.time && tk.seq <= cursor_.seq);
   }
 
-  /// Schedules `cb` at exactly `tk`'s position. `tk` must not have passed
-  /// (checked as `scheduler.ticket-passed` in invariant builds). Consumes no
-  /// sequence number (the ticket already did).
+  /// Schedules `cb` at exactly `tk`'s position and returns `tk.seq` as its
+  /// id. `tk` must not have passed (checked as `scheduler.ticket-passed` in
+  /// invariant builds) and may hold at most one live callback (checked as
+  /// `scheduler.ticket-one-callback`). Consumes no sequence number (the
+  /// ticket already did). Scheduling again on a ticket whose event was
+  /// cancelled is allowed and gets the same id back.
   EventId schedule(const Ticket& tk, Callback cb);
 
   /// Registers `target` for typed events and returns its id. Targets are
@@ -155,10 +160,11 @@ class Scheduler {
   /// does (same precondition, same invariant). It cannot be cancelled.
   void post(const Ticket& tk, TargetId target, std::uint32_t tag);
 
-  /// Cancels a pending event. Cancelling an already-fired, already-cancelled,
-  /// or invalid id is a harmless no-op (this makes timer management in TCP
-  /// much simpler). Amortized O(1): the slot's generation is bumped so the
-  /// queue node goes stale, and the callback is destroyed immediately.
+  /// Cancels a pending callback event. Cancelling an already-fired,
+  /// already-cancelled or invalid id, a typed event's seq or an unscheduled
+  /// ticket's seq is a harmless no-op (this makes timer management in TCP
+  /// much simpler). Amortized O(1): the callback is destroyed immediately
+  /// and its queue node goes stale.
   void cancel(EventId id);
 
   /// Runs until the event queue is empty or stop() is called.
@@ -205,15 +211,18 @@ class Scheduler {
     return (static_cast<Key>(static_cast<std::uint64_t>(time)) << 64) | seq;
   }
 
+  /// Node::target of a callback event.
+  static constexpr std::uint32_t kCallback = 0xffffffffU;
+
   /// One pending (or stale) entry in a bucket. Trivially copyable and 24
-  /// bytes, so redistribution moves PODs, not callbacks. A typed event sets
-  /// kTyped in `slot`, keeps its target id in the low bits and its tag in
-  /// `gen`; it owns no slot and is never stale.
+  /// bytes, so redistribution moves PODs, not callbacks. A typed event
+  /// carries its target id and tag and is never stale; a callback event
+  /// (target kCallback) is stale once its seq has left callbacks_.
   struct Node {
     TimeNs time;
-    std::uint64_t seq;   ///< schedule-order tie-break; fed to the trace hook
-    std::uint32_t slot;  ///< index into slots_, or kTyped | target id
-    std::uint32_t gen;   ///< slot generation this node refers to, or tag
+    std::uint64_t seq;     ///< schedule-order tie-break; fed to the trace hook
+    std::uint32_t target;  ///< registered target id, or kCallback
+    std::uint32_t tag;     ///< passed to the target's on_event
 
     Key key() const { return key_of(time, seq); }
   };
@@ -221,37 +230,16 @@ class Scheduler {
   /// One bucket per bit of the key.
   static constexpr unsigned kBuckets = 128;
 
-  /// Callback arena entry. `gen` is odd while the slot identifies events
-  /// (so a packed EventId is never 0) and advances by 2 every time the slot
-  /// is released, invalidating outstanding ids and stale queue nodes. A
-  /// generation would have to wrap through 2^31 reuses of one slot while an
-  /// old id is still held for a stale handle to collide — out of reach of
-  /// any realistic run.
-  struct Slot {
-    Callback cb;
-    std::uint32_t gen = 1;
-    std::uint32_t next_free = kNoSlot;
-  };
-
-  static constexpr std::uint32_t kNoSlot = 0xffffffffU;
-  static constexpr std::uint32_t kTyped = 0x80000000U;
-
-  static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
-    return (static_cast<EventId>(slot) << 32) | gen;
-  }
-
   bool stale(const Node& n) const {
-    return (n.slot & kTyped) == 0 && slots_[n.slot].gen != n.gen;
+    return n.target == kCallback && !callbacks_.contains(n.seq);
   }
 
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot);
-  /// Inserts a live event at (t, seq).
+  /// Inserts a live callback event at (t, seq).
   EventId push(TimeNs t, std::uint64_t seq, Callback&& cb);
   /// Inserts a typed event at (t, seq).
   void push_typed(TimeNs t, std::uint64_t seq, TargetId target,
                   std::uint32_t tag) {
-    file(Node{t, seq, kTyped | target, tag});
+    file(Node{t, seq, target, tag});
     ++nodes_;
     ++live_;
   }
@@ -262,7 +250,7 @@ class Scheduler {
   /// returns false. Stale minima on the way are dropped.
   bool pop_next(Key limit, Node& out);
   /// Dispatches `n`, just taken by pop_next().
-  void dispatch(const Node& n, Callback& cb);
+  void dispatch(const Node& n);
 
   TimeNs now_ = 0;
   /// Position of the last dispatch (or, after an unstopped run_until, the
@@ -283,8 +271,8 @@ class Scheduler {
   /// Nodes in the buckets, live and stale.
   std::size_t nodes_ = 0;
   std::array<std::vector<Node>, kBuckets> buckets_;
-  std::vector<Slot> slots_;
-  std::uint32_t free_head_ = kNoSlot;
+  /// Callbacks of pending callback events, by seq.
+  std::unordered_map<std::uint64_t, Callback> callbacks_;
   std::vector<Target*> targets_;
 };
 

@@ -194,6 +194,32 @@ TEST(HookIntegration, SchedulingOnAPassedTicketFires) {
 #endif
 }
 
+// A ticket holds at most one live callback: its seq is the event's id, so a
+// second one could not be told apart. Scheduling again after a cancel is
+// fine. Also an assert, so the check is only observed with NDEBUG.
+TEST(HookIntegration, SchedulingTwiceOnATicketFires) {
+#if defined(CONGA_CHECK_INVARIANTS) && CONGA_CHECK_INVARIANTS && \
+    defined(NDEBUG)
+  sim::Scheduler sched;
+  const sim::Ticket tk = sched.reserve_at(sim::microseconds(1));
+  ScopedViolationCapture cap;
+  const sim::EventId first = sched.schedule(tk, [] {});
+  sched.cancel(first);
+  int fired = 0;
+  sched.schedule(tk, [&] { ++fired; });
+  EXPECT_EQ(cap.count(), 0u) << "a cancelled ticket may be scheduled again";
+  sched.schedule(tk, [&] { fired += 10; });
+  EXPECT_TRUE(cap.fired("scheduler.ticket-one-callback"));
+  EXPECT_EQ(cap.count(), 1u);
+  EXPECT_EQ(sched.pending(), 1u) << "the second callback is dropped";
+  sched.run();
+  EXPECT_EQ(fired, 1);
+#else
+  GTEST_SKIP() << "invariant hooks are compiled out or asserts are on "
+                  "(build with -DCONGA_CHECK_INVARIANTS=ON and NDEBUG)";
+#endif
+}
+
 TEST(HookIntegration, PostingOnAPassedTicketFires) {
 #if defined(CONGA_CHECK_INVARIANTS) && CONGA_CHECK_INVARIANTS
   struct Ignore final : sim::Scheduler::Target {

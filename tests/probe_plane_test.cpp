@@ -79,9 +79,8 @@ TEST(ProbePlane, ProbesAreRealEncapsulatedPackets) {
   ASSERT_TRUE(lb_ext::install_policy(fabric, "hula"));
   sched.run_until(sim::milliseconds(1));
   // No data traffic is running, so everything on the uplinks is probe
-  // packets: probe_bytes (64) + kOverlayHeaderBytes (50) each.
-  const std::uint32_t wire =
-      ProbeConfig{}.probe_bytes + net::kOverlayHeaderBytes;
+  // packets: kProbeBytes (64) + kOverlayHeaderBytes (50) each.
+  const std::uint32_t wire = kProbeBytes + net::kOverlayHeaderBytes;
   for (int leaf = 0; leaf < 2; ++leaf) {
     for (const auto& up : fabric.leaf(leaf).uplinks()) {
       EXPECT_GT(up.link->bytes_sent(), 0u);

@@ -581,13 +581,13 @@ TEST(Link, WireDeliversInTransmissionOrderAcrossRateChanges) {
     Link link(sched, "l", cfg);
     link.connect_to(&log, 0);
     std::vector<std::uint64_t> sent;
+    std::vector<PacketPtr> pkts;
     for (int i = 0; i < 200; ++i) {
-      PacketPtr p = packet_of(100 + static_cast<std::uint32_t>(i % 7) * 50);
-      sent.push_back(p->id);
-      sched.schedule_at(sim::nanoseconds(700) * i,
-                        [&link, q = std::move(p)]() mutable {
-                          link.send(std::move(q));
-                        });
+      pkts.push_back(packet_of(100 + static_cast<std::uint32_t>(i % 7) * 50));
+      sent.push_back(pkts.back()->id);
+      sched.schedule_at(sim::nanoseconds(700) * i, [&link, &pkts, i] {
+        link.send(std::move(pkts[static_cast<std::size_t>(i)]));
+      });
     }
     std::vector<std::uint64_t> on_wire;
     for (const auto& [at, scale] :

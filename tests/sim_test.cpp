@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -158,19 +160,11 @@ TEST(Scheduler, DispatchCountTracksEvents) {
   EXPECT_EQ(sched.events_dispatched(), 7u);
 }
 
-TEST(Scheduler, MoveOnlyCaptureIsSupported) {
-  Scheduler sched;
-  auto payload = std::make_unique<int>(42);
-  int seen = 0;
-  sched.schedule_at(1, [p = std::move(payload), &seen] { seen = *p; });
-  sched.run();
-  EXPECT_EQ(seen, 42);
-}
-
 // Regression: cancel() on an already-fired or never-valid id used to insert
 // into the lazy-cancel set forever, so pending() (heap size minus cancelled
-// size) underflowed and wrapped to a huge size_t. The generation-checked
-// slots make such cancels true no-ops on the accounting.
+// size) underflowed and wrapped to a huge size_t. An id that is not a
+// pending callback's seq is absent from the callback map, so such cancels
+// are true no-ops on the accounting.
 TEST(Scheduler, PendingSurvivesBogusCancels) {
   Scheduler sched;
   const EventId id = sched.schedule_at(1, [] {});
@@ -201,18 +195,56 @@ TEST(Scheduler, DoubleCancelDecrementsPendingOnce) {
   EXPECT_EQ(sched.pending(), 0u);
 }
 
-TEST(Scheduler, StaleIdCannotCancelSlotReuse) {
-  // After an event fires, its slot is recycled for the next event with a
-  // fresh generation; the stale id must not cancel the new occupant.
+TEST(Scheduler, FiredIdCannotCancelALaterEvent) {
+  // An id is its event's seq and seqs are never reused, so the id of an
+  // event that fired must not cancel the next one.
   Scheduler sched;
   const EventId first = sched.schedule_at(1, [] {});
   sched.run();
   bool fired = false;
-  sched.schedule_at(2, [&] { fired = true; });  // reuses the slot
-  sched.cancel(first);                          // stale generation
+  const EventId second = sched.schedule_at(2, [&] { fired = true; });
+  EXPECT_NE(second, first);
+  sched.cancel(first);  // already fired
   EXPECT_EQ(sched.pending(), 1u);
   sched.run();
   EXPECT_TRUE(fired);
+}
+
+TEST(Scheduler, IdIsTheSeqTheTraceHookReports) {
+  Scheduler sched;
+  std::vector<std::uint64_t> seqs;
+  sched.set_trace_hook(
+      [&seqs](TimeNs, std::uint64_t seq) { seqs.push_back(seq); });
+  const EventId a = sched.schedule_at(5, [] {});
+  const Ticket tk = sched.reserve_at(3);
+  const EventId b = sched.schedule(tk, [] {});
+  EXPECT_EQ(b, tk.seq);
+  sched.run();
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{b, a}));
+}
+
+TEST(Scheduler, CancelledTicketScheduledAgainFiresOnce) {
+  // Scheduling again on a ticket whose event was cancelled gets the same id
+  // back; the first event's node is left behind with the same key, and the
+  // event still fires exactly once, at the ticket's place.
+  Scheduler sched;
+  std::vector<std::uint64_t> seqs;
+  sched.set_trace_hook(
+      [&seqs](TimeNs, std::uint64_t seq) { seqs.push_back(seq); });
+  const Ticket tk = sched.reserve_at(4);
+  int first = 0, second = 0;
+  const EventId a = sched.schedule(tk, [&] { ++first; });
+  sched.cancel(a);
+  const EventId b = sched.schedule(tk, [&] { ++second; });
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(sched.pending(), 1u);
+  sched.schedule_at(4, [] {});
+  sched.run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{tk.seq, tk.seq + 1}));
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_EQ(sched.events_dispatched(), 2u);
 }
 
 TEST(Scheduler, HeavyCancelChurnKeepsOrderAndAccounting) {
@@ -520,11 +552,20 @@ class SchedulerChurn {
     model_.erase(issued_[i].second);
   }
 
+  // Ids that name no pending callback: the seq of a pending typed event,
+  // the seq of a reserved but unscheduled ticket, and ids never issued.
   void cancel_bogus() {
-    const EventId forged[] = {
-        kInvalidEventId, 2, (EventId{0x7fffffff} << 32) | 1,
-        issued_.empty() ? 4 : issued_.back().first + 1};
-    sched_.cancel(forged[rng_.index(4)]);
+    const double r = rng_.uniform();
+    if (r < 0.35 && !typed_.empty()) {
+      auto it = typed_.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng_.index(
+                           typed_.size() < 16 ? typed_.size() : 16)));
+      sched_.cancel(it->first.second);
+    } else if (r < 0.7 && !tickets_.empty()) {
+      sched_.cancel(tickets_[rng_.index(tickets_.size())].seq);
+    } else {
+      sched_.cancel(rng_.chance(0.5) ? kInvalidEventId : ~EventId{0});
+    }
   }
 
   // The TCP pattern at scale: many parked timers, almost all cancelled,
@@ -684,6 +725,30 @@ TEST(Scheduler, TypedEventsTieWithCallbacksBySeqAndClampToNow) {
   EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 2, 3, 4}));
   EXPECT_EQ(log.got, (std::vector<std::pair<TimeNs, std::uint32_t>>{
                          {50, 2}, {50, 1}, {50, 99}}));
+}
+
+TEST(Scheduler, CancelIgnoresTypedAndTicketSeqs) {
+  // Only a pending callback's seq cancels anything: a typed event's seq, an
+  // unscheduled ticket's seq and ids never handed out are no-ops.
+  Scheduler sched;
+  TagLog log(sched);
+  const Scheduler::TargetId id = sched.add_target(&log);
+  bool fired = false;
+  sched.schedule_at(10, [&] { fired = true; });  // seq 1
+  sched.post_at(10, id, 7);                      // seq 2
+  const Ticket unscheduled = sched.reserve_at(10);
+  const Ticket posted = sched.reserve_at(10);
+  sched.post(posted, id, 8);
+  for (const EventId bogus :
+       {EventId{2}, unscheduled.seq, posted.seq, EventId{5}, ~EventId{0}}) {
+    sched.cancel(bogus);
+  }
+  EXPECT_EQ(sched.pending(), 3u);
+  sched.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(log.got, (std::vector<std::pair<TimeNs, std::uint32_t>>{
+                         {10, 7}, {10, 8}}));
+  EXPECT_EQ(sched.pending(), 0u);
 }
 
 TEST(Rng, DeterministicWithSameSeed) {
