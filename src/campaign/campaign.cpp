@@ -1,17 +1,14 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "campaign/codec.hpp"
 #include "campaign/fingerprint.hpp"
-#include "campaign/run_phases.hpp"
 #include "runtime/parallel_runner.hpp"
 #include "sim/random.hpp"
 
@@ -120,6 +117,75 @@ void fields(V& v, Report& r) {
   v.field("request", r.request);
   v.field("cells", r.cells, kRequired);
   v.field("failed_cells", r.failed_cells);
+}
+
+template <class V>
+void fields(V& v, RunStats& s) {
+  v.kind("stats");
+  v.schema(kStatsSchema, kRequired);
+  v.field("cells", s.cells);
+  v.field("hits", s.hits);
+  v.field("misses", s.misses);
+  v.field("corrupt", s.corrupt);
+  v.field("failed", s.failed);
+  v.field("retries", s.retries);
+  v.field("timeouts", s.timeouts);
+  v.field("store_writes", s.store_writes);
+  std::string store = store_health_name(s.store);
+  v.field("store", store);
+  for (const StoreHealth h :
+       {StoreHealth::kNone, StoreHealth::kOk, StoreHealth::kDegraded}) {
+    if (store == store_health_name(h) && s.store != h) s.store = h;
+  }
+}
+
+/// One entry of a verdict's "cells".
+struct VerdictCell {
+  std::string coordinate;
+  double avg_norm_fct = 0;
+  double baseline_avg_norm_fct = 0;
+  double rel_delta = 0;
+  bool fct_digest_changed = false;
+  std::uint64_t reorder_segments = 0;
+  std::uint64_t baseline_reorder_segments = 0;
+  std::string status;  ///< "regression" | "improvement" | "ok"
+};
+
+template <class V>
+void fields(V& v, VerdictCell& c) {
+  v.kind("verdict cell");
+  v.field("coordinate", c.coordinate);
+  v.field("avg_norm_fct", c.avg_norm_fct);
+  v.field("baseline_avg_norm_fct", c.baseline_avg_norm_fct);
+  v.field("rel_delta", c.rel_delta);
+  v.field("fct_digest_changed", c.fct_digest_changed);
+  v.field("reorder_segments", c.reorder_segments);
+  v.field("baseline_reorder_segments", c.baseline_reorder_segments);
+  v.field("status", c.status);
+}
+
+/// The conga-campaign-verdict-v1 document.
+struct Verdict {
+  std::string fingerprint;
+  std::string baseline_fingerprint;
+  double rel_fct_tolerance = 0;
+  std::uint64_t regressions = 0;
+  std::uint64_t improvements = 0;
+  std::vector<VerdictCell> cells;
+  std::vector<std::string> missing_baseline;
+};
+
+template <class V>
+void fields(V& v, Verdict& d) {
+  v.kind("verdict");
+  v.schema(kVerdictSchema, kRequired);
+  v.field("fingerprint", d.fingerprint);
+  v.field("baseline_fingerprint", d.baseline_fingerprint);
+  v.field("rel_fct_tolerance", d.rel_fct_tolerance);
+  v.field("regressions", d.regressions, kRequired);
+  v.field("improvements", d.improvements);
+  v.field("cells", d.cells);
+  v.field("missing_baseline", d.missing_baseline);
 }
 
 }  // namespace detail
@@ -241,8 +307,21 @@ std::vector<Cell> expand_campaign(const CampaignSpec& spec,
   return cells;
 }
 
-namespace detail {
+namespace {
 
+/// run_spec for one expanded cell, with the failure named by coordinate.
+workload::ExperimentResult simulate(const Cell& cell) {
+  workload::ExperimentResult r;
+  std::string err;
+  if (!run_spec(cell.spec, r, err)) {
+    throw std::runtime_error("cell " + cell_coordinate(cell) + ": " + err);
+  }
+  return r;
+}
+
+/// Validates the axes, defaults an empty case list to the baseline testbed,
+/// and expands `spec` into a fresh, sized `run` (every cell kComputed so
+/// far).
 bool start_run(const CampaignSpec& spec, CampaignRun& run, std::string& err) {
   if (spec.policies.empty() || spec.loads_pct.empty() || spec.seeds.empty() ||
       spec.faults.empty()) {
@@ -263,6 +342,9 @@ bool start_run(const CampaignSpec& spec, CampaignRun& run, std::string& err) {
   return true;
 }
 
+/// Store lookups on the calling thread. Hits are loaded and marked kCached,
+/// corrupt entries kRecomputed. Returns the cells left to compute, in
+/// canonical order.
 std::vector<std::size_t> look_up_cells(CampaignRun& run, ResultStore* store,
                                        bool verbose) {
   std::vector<std::size_t> misses;
@@ -292,18 +374,63 @@ std::vector<std::size_t> look_up_cells(CampaignRun& run, ResultStore* store,
         break;
     }
   }
-  run.stats.misses = misses.size();
   return misses;
 }
 
-// a: cell index in canonical order, b: FNV-1a of the cell key.
-void emit_cache_events(const CampaignRun& run,
-                       const std::vector<std::uint8_t>& stored,
-                       telemetry::TraceSink* sink) {
+/// The kSupervisor* events of cell `i`, replayed from its attempt log.
+/// b encodings as in telemetry.hpp.
+void emit_attempts(telemetry::TraceSink* sink, telemetry::ComponentId comp,
+                   std::size_t i, const CellOutcome& o) {
+  using telemetry::EventType;
+  for (const AttemptRecord& a : o.attempts) {
+    const auto n = static_cast<std::uint64_t>(a.attempt);
+    telemetry::emit(sink, EventType::kSupervisorSpawn, comp, 0, i, n);
+    if (a.outcome == "timeout") {
+      telemetry::emit(sink, EventType::kSupervisorTimeout, comp, 0, i, n);
+    }
+    const std::uint64_t status =
+        a.outcome == "exit"
+            ? static_cast<std::uint64_t>(a.exit_code)
+            : (0x100ULL | static_cast<std::uint64_t>(a.term_signal));
+    telemetry::emit(sink, EventType::kSupervisorExit, comp, 0, i,
+                    (n << 32) | status);
+    if (&a != &o.attempts.back()) {
+      telemetry::emit(sink, EventType::kSupervisorRetry, comp, 0, i,
+                      (n << 32) | static_cast<std::uint64_t>(a.backoff_ms));
+    }
+  }
+  if (o.status == CellOutcome::Status::kFailed) {
+    telemetry::emit(sink, EventType::kSupervisorQuarantine, comp, 0, i,
+                    o.attempts.size());
+  }
+}
+
+/// Every cell's events in cell order: the supervised attempts first, then
+/// one kCampaignCellHit/kCampaignCellMiss per resolved cell and a
+/// kCampaignStoreWrite for each write that landed. Main thread only (the
+/// sink is thread-confined).
+// kCampaign* a: cell index in canonical order, b: FNV-1a of the cell key.
+void emit_events(const CampaignRun& run,
+                 const std::vector<std::size_t>& misses,
+                 const std::vector<CellOutcome>& outcomes,
+                 telemetry::TraceSink* sink) {
   if (sink == nullptr) return;
+  const bool supervised =
+      std::any_of(outcomes.begin(), outcomes.end(),
+                  [](const CellOutcome& o) { return !o.attempts.empty(); });
+  if (supervised) {
+    const telemetry::ComponentId sup =
+        sink->intern_component("supervisor/" + run.spec.name);
+    for (std::size_t mi = 0; mi < misses.size(); ++mi) {
+      emit_attempts(sink, sup, misses[mi], outcomes[mi]);
+    }
+  }
   const telemetry::ComponentId comp =
       sink->intern_component("campaign/" + run.spec.name);
+  std::size_t mi = 0;
   for (std::size_t i = 0; i < run.cells.size(); ++i) {
+    const bool missed = mi < misses.size() && misses[mi] == i;
+    const bool stored = missed && outcomes[mi++].stored;
     const std::uint64_t key_hash = fnv1a64(run.cells[i].key);
     switch (run.origins[i]) {
       case CellOrigin::kCached:
@@ -319,88 +446,100 @@ void emit_cache_events(const CampaignRun& run,
                         0, i, key_hash | kRecomputedFlag);
         break;
       case CellOrigin::kFailed:
-        break;  // supervised runs report these as kSupervisorQuarantine
+        break;  // reported as kSupervisorQuarantine
     }
-    if (stored[i] != 0) {
+    if (stored) {
       telemetry::emit(sink, telemetry::EventType::kCampaignStoreWrite, comp,
                       0, i, key_hash);
     }
   }
 }
 
-}  // namespace detail
-
-namespace {
-
-/// run_spec for one expanded cell, with the failure named by coordinate.
-workload::ExperimentResult simulate_cell(const Cell& cell) {
-  workload::ExperimentResult r;
-  std::string err;
-  if (!run_spec(cell.spec, r, err)) {
-    throw std::runtime_error("cell " + cell_coordinate(cell) + ": " + err);
-  }
-  return r;
-}
-
 }  // namespace
 
-bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
-                  CampaignRun& out, std::string& err) {
-  CampaignRun run;
-  if (!detail::start_run(spec, run, err)) return false;
-  const std::vector<std::size_t> misses =
-      detail::look_up_cells(run, opts.store, opts.verbose);
-  const std::uint64_t writes_before =
-      opts.store != nullptr ? opts.store->writes() : 0;
+CellOutcome simulate_cell(const CampaignRun& run, std::size_t index,
+                          const RunOptions& opts) {
+  const Cell& cell = run.cells[index];
+  CellOutcome out;
+  out.result = simulate(cell);
+  if (opts.store != nullptr) {
+    out.stored = opts.store->put(cell.key, run.fingerprint,
+                                 canonical_json(cell.spec), out.result,
+                                 out.store_error);
+  }
+  if (opts.verbose) {
+    std::fprintf(stderr, "  [%s: %zu flows, %.0f%% completed]\n",
+                 cell_coordinate(cell).c_str(), out.result.flows,
+                 out.result.completed_fraction * 100);
+  }
+  return out;
+}
 
-  // Phase 2 — misses on the parallel runner; each worker owns its whole
-  // simulation and writes its entry back itself (put() is thread-safe).
-  // A store that stops accepting writes (read-only root, ENOSPC) must not
-  // kill a campaign mid-run: the run degrades to in-memory results, warns
-  // once, and the report still completes in full.
-  std::mutex progress_mu;
-  std::atomic<bool> store_degraded{false};
+bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
+                  CampaignRun& out, std::string& err,
+                  const CellExecutor& execute) {
+  CampaignRun run;
+  if (!start_run(spec, run, err)) return false;
+  const std::vector<std::size_t> misses =
+      look_up_cells(run, opts.store, opts.verbose);
+
+  // Phase 2 — the misses on the parallel runner. An executor reads `run`
+  // and fills only its own outcome slot.
+  std::vector<CellOutcome> outcomes;
   try {
-    runtime::parallel_for(misses.size(), opts.jobs, [&](std::size_t mi) {
-      const std::size_t i = misses[mi];
-      const Cell& cell = run.cells[i];
-      run.results[i] = simulate_cell(cell);
-      if (opts.store != nullptr) {
-        std::string put_err;
-        if (!opts.store->put(cell.key, run.fingerprint,
-                             canonical_json(cell.spec), run.results[i],
-                             put_err)) {
-          if (!store_degraded.exchange(true)) {
-            std::fprintf(stderr,
-                         "campaign: WARNING store degraded, keeping results "
-                         "in memory (%s)\n",
-                         put_err.c_str());
-          }
-        }
-      }
-      if (opts.verbose) {
-        const std::lock_guard<std::mutex> lock(progress_mu);
-        std::fprintf(stderr, "  [%s: %zu flows, %.0f%% completed]\n",
-                     cell_coordinate(cell).c_str(), run.results[i].flows,
-                     run.results[i].completed_fraction * 100);
-      }
-    });
+    outcomes = runtime::parallel_map<CellOutcome>(
+        misses.size(), opts.jobs,
+        [&](std::size_t mi) { return execute(run, misses[mi], opts); });
   } catch (const std::exception& e) {
     err = e.what();
     return false;
   }
-  run.stats.store_writes =
-      opts.store != nullptr ? opts.store->writes() - writes_before : 0;
-  run.stats.store = opts.store == nullptr ? StoreHealth::kNone
-                    : store_degraded.load() ? StoreHealth::kDegraded
-                                            : StoreHealth::kOk;
 
-  // Phase 3 — every computed cell was handed to the store.
-  std::vector<std::uint8_t> stored(run.cells.size(), 0);
-  if (opts.store != nullptr) {
-    for (const std::size_t i : misses) stored[i] = 1;
+  // Phase 3 — one tally in cell order. A store that stops accepting writes
+  // (read-only root, ENOSPC) must not kill a campaign: the run keeps its
+  // results in memory, warns once, and the report still completes.
+  RunStats& st = run.stats;
+  st.misses = misses.size();
+  st.store = opts.store == nullptr ? StoreHealth::kNone : StoreHealth::kOk;
+  for (std::size_t mi = 0; mi < misses.size(); ++mi) {
+    const std::size_t i = misses[mi];
+    CellOutcome& o = outcomes[mi];
+    if (o.status == CellOutcome::Status::kPending) {
+      run.drained = true;
+      continue;
+    }
+    if (!o.attempts.empty()) st.retries += o.attempts.size() - 1;
+    for (const AttemptRecord& a : o.attempts) {
+      if (a.outcome == "timeout") ++st.timeouts;
+    }
+    if (o.status == CellOutcome::Status::kFailed) {
+      const Cell& cell = run.cells[i];
+      const AttemptRecord& last = o.attempts.back();
+      run.origins[i] = CellOrigin::kFailed;
+      run.failed.push_back({i, cell_coordinate(cell), cell.key,
+                            static_cast<int>(o.attempts.size()), last.outcome,
+                            last.exit_code, last.term_signal,
+                            o.quarantine_path});
+      std::fprintf(stderr,
+                   "supervisor: QUARANTINE cell %zu (%s) after %zu "
+                   "attempt(s): %s\n",
+                   i, run.failed.back().coordinate.c_str(),
+                   o.attempts.size(), last.outcome.c_str());
+      continue;
+    }
+    run.results[i] = std::move(o.result);
+    if (o.stored) ++st.store_writes;
+    if (opts.store != nullptr && !o.stored &&
+        st.store != StoreHealth::kDegraded) {
+      st.store = StoreHealth::kDegraded;
+      std::fprintf(stderr,
+                   "campaign: WARNING store degraded, keeping results in "
+                   "memory (%s)\n",
+                   o.store_error.c_str());
+    }
   }
-  detail::emit_cache_events(run, stored, opts.sink);
+  st.failed = run.failed.size();
+  if (!run.drained) emit_events(run, misses, outcomes, opts.sink);
 
   out = std::move(run);
   return true;
@@ -419,20 +558,7 @@ std::string report_json(const CampaignRun& run) {
   return detail::encode(report).dump_pretty() + "\n";
 }
 
-Json stats_json(const RunStats& stats) {
-  Json j = Json::object();
-  j.set("schema", Json::string(kStatsSchema));
-  j.set("cells", Json::uinteger(stats.cells));
-  j.set("hits", Json::uinteger(stats.hits));
-  j.set("misses", Json::uinteger(stats.misses));
-  j.set("corrupt", Json::uinteger(stats.corrupt));
-  j.set("failed", Json::uinteger(stats.failed));
-  j.set("retries", Json::uinteger(stats.retries));
-  j.set("timeouts", Json::uinteger(stats.timeouts));
-  j.set("store_writes", Json::uinteger(stats.store_writes));
-  j.set("store", Json::string(store_health_name(stats.store)));
-  return j;
-}
+Json stats_json(const RunStats& stats) { return detail::encode(stats); }
 
 bool make_verdict(const Json& report, const Json& baseline,
                   const VerdictOptions& opts, Json& out, std::string& err) {
@@ -454,15 +580,13 @@ bool make_verdict(const Json& report, const Json& baseline,
     base_by_coord[coordinate_of(c)] = &c.result;
   }
 
-  Json cells = Json::array();
-  Json missing = Json::array();
-  std::uint64_t regressions = 0;
-  std::uint64_t improvements = 0;
+  detail::Verdict v{cur.fingerprint, base.fingerprint, opts.rel_fct_tolerance,
+                    0, 0, {}, {}};
   for (const detail::ReportCell& cell : cur.cells) {
     const std::string coordinate = coordinate_of(cell);
     const auto it = base_by_coord.find(coordinate);
     if (it == base_by_coord.end()) {
-      missing.push_back(Json::string(coordinate));
+      v.missing_baseline.push_back(coordinate);
       continue;
     }
     const workload::ExperimentResult& now = cell.result;
@@ -479,44 +603,23 @@ bool make_verdict(const Json& report, const Json& baseline,
          static_cast<double>(now.reorder_segments - was.reorder_segments) /
                  static_cast<double>(was.reorder_segments) >
              opts.rel_fct_tolerance);
-    if (fct_regression || reorder_regression) ++regressions;
-    if (fct_improvement && !reorder_regression) ++improvements;
-
-    Json e = Json::object();
-    e.set("coordinate", Json::string(coordinate));
-    e.set("avg_norm_fct", Json::number(now.avg_norm_fct));
-    e.set("baseline_avg_norm_fct", Json::number(was.avg_norm_fct));
-    e.set("rel_delta", Json::number(rel_delta));
-    e.set("fct_digest_changed",
-          Json::boolean(now.fct_digest != was.fct_digest));
-    e.set("reorder_segments", Json::uinteger(now.reorder_segments));
-    e.set("baseline_reorder_segments", Json::uinteger(was.reorder_segments));
-    e.set("status",
-          Json::string(fct_regression || reorder_regression ? "regression"
+    if (fct_regression || reorder_regression) ++v.regressions;
+    if (fct_improvement && !reorder_regression) ++v.improvements;
+    v.cells.push_back({coordinate, now.avg_norm_fct, was.avg_norm_fct,
+                       rel_delta, now.fct_digest != was.fct_digest,
+                       now.reorder_segments, was.reorder_segments,
+                       fct_regression || reorder_regression ? "regression"
                        : fct_improvement                    ? "improvement"
-                                                            : "ok"));
-    cells.push_back(std::move(e));
+                                                            : "ok"});
   }
-
-  Json v = Json::object();
-  v.set("schema", Json::string(kVerdictSchema));
-  v.set("fingerprint", Json::string(cur.fingerprint));
-  v.set("baseline_fingerprint", Json::string(base.fingerprint));
-  v.set("rel_fct_tolerance", Json::number(opts.rel_fct_tolerance));
-  v.set("regressions", Json::uinteger(regressions));
-  v.set("improvements", Json::uinteger(improvements));
-  v.set("cells", std::move(cells));
-  v.set("missing_baseline", std::move(missing));
-  out = std::move(v);
+  out = detail::encode(v);
   return true;
 }
 
 bool verdict_pass(const Json& verdict) {
-  const Json* schema = verdict.find("schema");
-  const Json* regressions = verdict.find("regressions");
-  return verdict.is_object() && schema != nullptr && schema->is_string() &&
-         schema->as_string() == kVerdictSchema && regressions != nullptr &&
-         regressions->is_integer() && regressions->as_uint() == 0;
+  detail::Verdict v;
+  std::string err;
+  return detail::decode(verdict, v, err) && v.regressions == 0;
 }
 
 bool verify_sample(const CampaignRun& run, double fraction, int jobs,
@@ -547,8 +650,7 @@ bool verify_sample(const CampaignRun& run, double fraction, int jobs,
     mismatched = runtime::parallel_map<std::uint8_t>(
         hits.size(), jobs, [&](std::size_t si) -> std::uint8_t {
           const std::size_t i = hits[si];
-          const workload::ExperimentResult fresh =
-              simulate_cell(run.cells[i]);
+          const workload::ExperimentResult fresh = simulate(run.cells[i]);
           return json_of_result(fresh).dump() !=
                          json_of_result(run.results[i]).dump()
                      ? 1

@@ -4,11 +4,14 @@
 // cases), a seed set, and a policy x load x fault grid — expanded into
 // cells in one canonical order. Each cell is an ExperimentSpec keyed by
 // cell_key() (canonical spec bytes + build fingerprint) and looked up in a
-// content-addressed ResultStore; only misses are scheduled onto the
-// parallel experiment runner, and fresh results are written back. The
+// content-addressed ResultStore. run_campaign is the one pipeline: store
+// lookups on the calling thread, then the misses on the parallel
+// experiment runner, each through a CellExecutor (in process by default,
+// or in supervised child processes — supervisor.hpp), then one tally in
+// cell order that fills the results, stats and cache telemetry. The
 // assembled report (conga-campaign-v1) is a pure function of (request,
-// code): byte-identical between a cold run and a 100%-cached warm run, and
-// across --jobs counts.
+// code): byte-identical between a cold run and a 100%-cached warm run,
+// across --jobs counts, and across executors.
 //
 // On top of the report sit two audit primitives:
 //  * verdicts — per-cell FCT / digest / reorder deltas against a named
@@ -19,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -133,7 +137,7 @@ struct FailedCell {
 struct RunOptions {
   int jobs = 1;
   ResultStore* store = nullptr;  ///< null: compute everything, cache nothing
-  telemetry::TraceSink* sink = nullptr;  ///< kCampaign* events land here
+  telemetry::TraceSink* sink = nullptr;  ///< kCampaign*/kSupervisor* events
   bool verbose = false;                  ///< per-cell stderr progress
 };
 
@@ -145,13 +149,49 @@ struct CampaignRun {
   std::vector<CellOrigin> origins;                  ///< cell order
   std::vector<FailedCell> failed;                   ///< quarantined cells
   RunStats stats;
+  /// A supervised run stopped at shutdown with cells still pending: the
+  /// results are incomplete, so no report may be written. A rerun on the
+  /// same store resumes from the cells that were stored.
+  bool drained = false;
 };
 
-/// Expands, looks up, schedules misses on the parallel runner, writes fresh
-/// entries back, and fills `out`. Returns false and sets `err` on invalid
-/// requests, unresolvable specs, or store I/O failure.
+/// What an executor made of one cache miss.
+struct CellOutcome {
+  enum class Status : std::uint8_t {
+    kDone = 0,  ///< `result` holds the cell's result
+    kFailed,    ///< quarantined after `attempts`
+    kPending,   ///< shutdown came first; the cell was not resolved
+  };
+  Status status = Status::kDone;
+  workload::ExperimentResult result;
+  /// The store write landed; when a store was given and it did not,
+  /// `store_error` says why.
+  bool stored = false;
+  std::string store_error;
+  /// Supervised attempts, in order.
+  std::vector<AttemptRecord> attempts;
+  /// The poison record's path; "" when none was written.
+  std::string quarantine_path;
+};
+
+/// Computes cache miss `run.cells[index]` on the worker thread that claimed
+/// it and writes it to `opts.store`. Called concurrently for distinct
+/// cells; reads `run` only. A throw fails the whole run with its message.
+using CellExecutor = std::function<CellOutcome(
+    const CampaignRun& run, std::size_t index, const RunOptions& opts)>;
+
+/// The in-process executor: run_spec on the worker thread, then put().
+CellOutcome simulate_cell(const CampaignRun& run, std::size_t index,
+                          const RunOptions& opts);
+
+/// Expands, looks up, computes the misses with `execute` on the parallel
+/// runner, and tallies into `out` in cell order. Returns false and sets
+/// `err` on invalid requests or unresolvable specs (the in-process
+/// executor throws for those). A supervised run that drained returns true
+/// with `out.drained` set.
 bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
-                  CampaignRun& out, std::string& err);
+                  CampaignRun& out, std::string& err,
+                  const CellExecutor& execute = simulate_cell);
 
 /// The conga-campaign-v1 report: request axes + per-cell results, plus a
 /// `failed_cells` block (empty on clean runs) naming any quarantined cells.

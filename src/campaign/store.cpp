@@ -21,6 +21,8 @@ namespace conga::campaign {
 namespace {
 
 constexpr const char* kEntrySchema = "conga-cell-v1";
+constexpr const char* kQuarantineSchema = "conga-quarantine-v1";
+constexpr const char* kStoreStatSchema = "conga-store-stat-v1";
 
 /// A conga-cell-v1 entry. The result stays a raw document: the payload
 /// digest covers its bytes as stored.
@@ -44,11 +46,72 @@ void fields(V& v, Entry& e) {
   v.field("payload_digest", e.payload_digest, kRequired);
 }
 
+/// `bytes` to `path`, flushed to the disk before the file is closed.
+bool write_file_synced(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool wrote =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  const bool flushed = std::fflush(f) == 0;
+  const bool synced = ::fsync(::fileno(f)) == 0;
+  return (std::fclose(f) == 0) && wrote && flushed && synced;
+}
+
 /// Armed by set_tear_after_tmp_write_for_tests(): the next put() dies in the
 /// write-then-rename window, leaving an orphaned tmp file behind.
 std::atomic<bool> g_tear_after_tmp_write{false};
 
 }  // namespace
+
+namespace detail {
+
+template <class V>
+void fields(V& v, AttemptRecord& a) {
+  v.kind("attempt");
+  v.field("attempt", a.attempt);
+  v.field("outcome", a.outcome);
+  v.field("exit_code", a.exit_code);
+  v.field("signal", a.term_signal);
+  v.field("backoff_ms", a.backoff_ms);
+}
+
+template <class V>
+void fields(V& v, QuarantineRecord& q) {
+  v.kind("quarantine");
+  v.schema(kQuarantineSchema, kRequired);
+  v.field("key", q.key, kRequired);
+  v.field("coordinate", q.coordinate);
+  v.field("cell_index", q.cell_index);
+  v.field("max_attempts", q.max_attempts);
+  v.field("attempts", q.attempts);
+  v.field("spec", q.spec);
+}
+
+template <class V>
+void fields(V& v, ResultStore::StatBucket& b) {
+  v.kind("fingerprint bucket");
+  v.field("fingerprint", b.fingerprint);
+  v.field("entries", b.entries);
+  v.field("bytes", b.bytes);
+}
+
+template <class V>
+void fields(V& v, ResultStore::StoreStat& s) {
+  v.kind("store stat");
+  v.schema(kStoreStatSchema, kRequired);
+  v.field("entries", s.entries);
+  v.field("bytes", s.bytes);
+  v.field("tmp_files", s.tmp_files);
+  v.field("tmp_bytes", s.tmp_bytes);
+  v.field("quarantined", s.quarantined);
+  v.field("by_fingerprint", s.by_fingerprint);
+}
+
+}  // namespace detail
+
+Json store_stat_json(const ResultStore::StoreStat& st) {
+  return detail::encode(st);
+}
 
 bool read_file(const std::string& path, std::string& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -157,8 +220,27 @@ bool ResultStore::put(const std::string& key, const std::string& fingerprint,
     fs::remove(tmp_path, ec);
     return false;
   }
-  writes_.fetch_add(1);
   return true;
+}
+
+std::string ResultStore::quarantine(const QuarantineRecord& rec) const {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(root_) / "quarantine";
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  if (ec) return "";
+  const std::string path = (dir / (rec.key + ".json")).string();
+  const std::string tmp = path + "." + std::to_string(::getpid()) + ".tmp";
+  if (!write_file_synced(tmp, detail::encode(rec).dump_pretty() + "\n")) {
+    fs::remove(tmp, ec);
+    return "";
+  }
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    fs::remove(tmp, ec);
+    return "";
+  }
+  return path;
 }
 
 void ResultStore::set_tear_after_tmp_write_for_tests(bool armed) {

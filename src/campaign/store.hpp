@@ -8,6 +8,8 @@
 // Layout under the root (created lazily):
 //   <root>/<key[0:2]>/<key>.json   one entry (conga-cell-v1)
 //   <root>/tmp/                    in-flight writes
+//   <root>/quarantine/<key>.json   a supervised cell's poison record
+//                                  (conga-quarantine-v1)
 //
 // Entries are written atomically: the payload goes to a uniquely named file
 // under tmp/ and is rename()d into place, so a reader (or a concurrent
@@ -27,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "campaign/experiment_spec.hpp"
+#include "campaign/json.hpp"
 #include "workload/experiment.hpp"
 
 namespace conga::campaign {
@@ -35,6 +39,26 @@ namespace conga::campaign {
 bool read_file(const std::string& path, std::string& out);
 /// Writes `bytes` to `path` (truncating); false on any I/O failure.
 bool write_file(const std::string& path, const std::string& bytes);
+
+/// One attempt of a supervised cell.
+struct AttemptRecord {
+  int attempt = 0;              ///< 1-based
+  std::string outcome;          ///< "exit" | "signal" | "timeout"
+  int exit_code = 0;            ///< valid when outcome == "exit"
+  int term_signal = 0;          ///< "signal" and "timeout"
+  std::int64_t backoff_ms = 0;  ///< delay scheduled after this attempt
+};
+
+/// A cell that exhausted its attempts under supervision (conga-quarantine-v1),
+/// with the full attempt log.
+struct QuarantineRecord {
+  std::string key;
+  std::string coordinate;
+  std::size_t cell_index = 0;
+  int max_attempts = 0;
+  std::vector<AttemptRecord> attempts;
+  ExperimentSpec spec;
+};
 
 class ResultStore {
  public:
@@ -61,11 +85,13 @@ class ResultStore {
            const std::string& spec_canonical,
            const workload::ExperimentResult& result, std::string& err);
 
+  /// Writes `rec` to <root>/quarantine/<key>.json (tmp write, fsync,
+  /// rename). Returns the record's path, or "" when the store cannot take
+  /// it: a failing store must not fail the campaign a second time.
+  std::string quarantine(const QuarantineRecord& rec) const;
+
   /// Entry path for `key` (exists or not).
   std::string entry_path(const std::string& key) const;
-
-  /// Entries written by this instance (atomic; workers write concurrently).
-  std::uint64_t writes() const { return writes_.load(); }
 
   // --- maintenance (conga_serve store gc / store stat) ---------------------
 
@@ -117,8 +143,10 @@ class ResultStore {
 
  private:
   std::string root_;
-  std::atomic<std::uint64_t> writes_{0};
   std::atomic<std::uint64_t> tmp_seq_{0};
 };
+
+/// The conga-store-stat-v1 document of `st`.
+Json store_stat_json(const ResultStore::StoreStat& st);
 
 }  // namespace conga::campaign

@@ -6,6 +6,7 @@
 // on them.
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -16,9 +17,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
-#include <system_error>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -27,7 +27,6 @@
 #include "campaign/experiment_spec.hpp"
 #include "campaign/fingerprint.hpp"
 #include "campaign/json.hpp"
-#include "campaign/run_phases.hpp"
 #include "campaign/store.hpp"
 
 namespace conga::campaign {
@@ -36,45 +35,13 @@ namespace {
 
 constexpr const char* kCellRequestSchema = "conga-cell-request-v1";
 constexpr const char* kCellResponseSchema = "conga-cell-response-v1";
-constexpr const char* kQuarantineSchema = "conga-quarantine-v1";
-
 /// Child exit code meaning "retrying cannot help" (bad request / spec).
 constexpr int kExitPermanent = 3;
 
+/// How often a waiting worker looks at the shutdown flag.
+constexpr auto kShutdownPoll = std::chrono::milliseconds(20);
+
 using Clock = std::chrono::steady_clock;
-
-std::int64_t ms_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(to - from)
-      .count();
-}
-
-/// One finished attempt, as recorded in the quarantine poison file.
-struct AttemptRecord {
-  std::string outcome;  ///< "exit" | "signal" | "timeout"
-  int exit_code = 0;
-  int term_signal = 0;
-  std::int64_t backoff_ms = 0;  ///< delay scheduled after this attempt
-};
-
-/// A cell waiting to run (first time or retry).
-struct PendingCell {
-  std::size_t idx = 0;
-  int attempt = 1;  ///< attempt number the next launch will be
-  Clock::time_point ready_at;  ///< epoch default: ready immediately
-  std::vector<AttemptRecord> attempts;
-};
-
-/// A live child process.
-struct ChildSlot {
-  pid_t pid = -1;
-  int out_fd = -1;      ///< nonblocking read end of the child's stdout
-  std::string buf;      ///< accumulated response bytes
-  PendingCell cell;
-  Clock::time_point started;
-  bool killed = false;
-  bool timed_out = false;      ///< killed by its own deadline
-  bool shutdown_kill = false;  ///< killed by the drain grace; stays pending
-};
 
 /// What the supervisor sends a `conga_serve cell` child on stdin...
 struct CellRequest {
@@ -114,18 +81,51 @@ void fields(V& v, CellResponse& r) {
   v.field("result", r.result, kRequired);
 }
 
-/// Forks and execs `exe cell`, feeding it `request` on stdin. On success
-/// the child's stdout read end (nonblocking) and pid are returned.
+/// A running `conga_serve cell` child and the read end of its stdout.
+struct Child {
+  pid_t pid = -1;
+  int out_fd = -1;
+};
+
+/// Our environment, with CONGA_CELL_FAULT_ACTION set to `action` (removed
+/// when `action` is empty).
+std::vector<std::string> child_env(const char* action) {
+  constexpr std::string_view kVar = "CONGA_CELL_FAULT_ACTION=";
+  std::vector<std::string> env;
+  for (char** e = environ; *e != nullptr; ++e) {
+    if (std::string_view(*e).substr(0, kVar.size()) != kVar) {
+      env.emplace_back(*e);
+    }
+  }
+  if (*action != '\0') env.push_back(std::string(kVar) + action);
+  return env;
+}
+
+/// Forks and execs `exe cell`, feeding it `request` on stdin. The fork
+/// happens on a worker thread while other workers may hold locks (malloc's
+/// among them), so argv, envp and the error message are built first and
+/// the child makes only async-signal-safe calls before execve. Every pipe
+/// end is O_CLOEXEC, so a sibling forked meanwhile cannot keep our
+/// streams open past its exec.
 bool spawn_cell(const std::string& exe, const std::string& request,
-                const char* action, pid_t& pid_out, int& fd_out,
-                std::string& err) {
+                const char* action, Child& out, std::string& err) {
+  std::vector<std::string> env = child_env(action);
+  std::vector<char*> envp;
+  for (std::string& e : env) envp.push_back(e.data());
+  envp.push_back(nullptr);
+  char arg0[] = "conga_serve";
+  char arg1[] = "cell";
+  char* const argv[] = {arg0, arg1, nullptr};
+  const char* path = exe.c_str();
+  const std::string exec_failed = "conga_serve: exec " + exe + " failed\n";
+
   int in_pipe[2] = {-1, -1};
   int out_pipe[2] = {-1, -1};
-  if (::pipe(in_pipe) != 0) {
+  if (::pipe2(in_pipe, O_CLOEXEC) != 0) {
     err = std::string("pipe: ") + std::strerror(errno);
     return false;
   }
-  if (::pipe(out_pipe) != 0) {
+  if (::pipe2(out_pipe, O_CLOEXEC) != 0) {
     err = std::string("pipe: ") + std::strerror(errno);
     ::close(in_pipe[0]);
     ::close(in_pipe[1]);
@@ -140,27 +140,18 @@ bool spawn_cell(const std::string& exe, const std::string& request,
     return false;
   }
   if (pid == 0) {
+    // dup2 leaves the copies without O_CLOEXEC: they survive the exec.
     ::dup2(in_pipe[0], STDIN_FILENO);
     ::dup2(out_pipe[1], STDOUT_FILENO);
-    // Close everything but stdio — inherited pipe ends of sibling children
-    // must not keep their streams open.
-    for (int fd = 3; fd < 256; ++fd) ::close(fd);
-    if (action != nullptr && *action != '\0') {
-      ::setenv("CONGA_CELL_FAULT_ACTION", action, 1);
-    } else {
-      ::unsetenv("CONGA_CELL_FAULT_ACTION");
-    }
-    ::execl(exe.c_str(), "conga_serve", "cell",
-            static_cast<char*>(nullptr));
-    std::fprintf(stderr, "conga_serve: exec %s failed: %s\n", exe.c_str(),
-                 std::strerror(errno));
-    std::_Exit(127);
+    ::execve(path, argv, envp.data());
+    (void)!::write(STDERR_FILENO, exec_failed.data(), exec_failed.size());
+    ::_exit(127);
   }
   ::close(in_pipe[0]);
   ::close(out_pipe[1]);
   // The child reads stdin to EOF before anything else, so a blocking write
-  // completes; if it died already (EPIPE — SIGPIPE is ignored), the reaper
-  // classifies the failure.
+  // completes; if it died already (EPIPE — SIGPIPE is ignored), the attempt
+  // fails on its exit status.
   std::size_t off = 0;
   while (off < request.size()) {
     const ssize_t n =
@@ -172,21 +163,80 @@ bool spawn_cell(const std::string& exe, const std::string& request,
     off += static_cast<std::size_t>(n);
   }
   ::close(in_pipe[1]);
-  ::fcntl(out_pipe[0], F_SETFL, O_NONBLOCK);
-  pid_out = pid;
-  fd_out = out_pipe[0];
+  out = {pid, out_pipe[0]};
   return true;
 }
 
-void drain_pipe(ChildSlot& slot) {
+bool stopping(const std::atomic<bool>* shutdown) {
+  return shutdown != nullptr && shutdown->load(std::memory_order_relaxed);
+}
+
+/// How one child ended.
+struct ChildEnd {
+  int status = 0;          ///< waitpid status
+  bool timed_out = false;  ///< killed at its deadline
+  bool drained = false;    ///< killed at the drain grace; not an attempt
+  std::string out;         ///< everything it wrote to stdout
+};
+
+/// Reads the child's stdout under poll() until EOF, SIGKILLing it at its
+/// deadline or, once shutdown is seen, at min(deadline, drain grace), then
+/// reaps it.
+ChildEnd await_child(const Child& child, const SupervisorOptions& opts,
+                     const std::atomic<bool>* shutdown) {
+  ChildEnd end;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(opts.deadline_ms);
+  Clock::time_point kill_at = deadline;
+  bool draining = false;
+  bool killed = false;
   char buf[4096];
   for (;;) {
-    const ssize_t n = ::read(slot.out_fd, buf, sizeof(buf));
-    if (n > 0) {
-      slot.buf.append(buf, static_cast<std::size_t>(n));
-      continue;
+    const Clock::time_point now = Clock::now();
+    if (!draining && stopping(shutdown)) {
+      draining = true;
+      kill_at = std::min(kill_at,
+                         now + std::chrono::milliseconds(opts.drain_grace_ms));
     }
-    break;  // 0 = EOF, -1 = EAGAIN/err; the reaper does the final drain
+    if (!killed && now >= kill_at) {
+      ::kill(child.pid, SIGKILL);
+      killed = true;
+      end.timed_out = now >= deadline;
+      end.drained = !end.timed_out;
+    }
+    int wait_ms = -1;  // killed: its stdout closes as it dies
+    if (!killed) {
+      auto wait = std::chrono::ceil<std::chrono::milliseconds>(kill_at - now);
+      if (!draining && shutdown != nullptr) {
+        wait = std::min(wait, kShutdownPoll);
+      }
+      wait_ms = static_cast<int>(wait.count());
+    }
+    pollfd p{child.out_fd, POLLIN, 0};
+    const int ready = ::poll(&p, 1, wait_ms);
+    if (ready == 0 || (ready < 0 && errno == EINTR)) continue;
+    if (ready < 0) break;
+    const ssize_t n = ::read(child.out_fd, buf, sizeof(buf));
+    if (n > 0) {
+      end.out.append(buf, static_cast<std::size_t>(n));
+    } else if (n == 0 || errno != EINTR) {
+      break;  // EOF: the child is gone
+    }
+  }
+  ::close(child.out_fd);
+  while (::waitpid(child.pid, &end.status, 0) < 0 && errno == EINTR) {
+  }
+  return end;
+}
+
+/// Sleeps `ms`, waking early once shutdown is set.
+void backoff_sleep(std::int64_t ms, const std::atomic<bool>* shutdown) {
+  const Clock::time_point until = Clock::now() + std::chrono::milliseconds(ms);
+  while (!stopping(shutdown)) {
+    const Clock::time_point now = Clock::now();
+    if (now >= until) return;
+    std::this_thread::sleep_for(
+        std::min<Clock::duration>(until - now, kShutdownPoll));
   }
 }
 
@@ -202,59 +252,101 @@ bool parse_response(const std::string& text, const std::string& key,
   return false;
 }
 
-bool write_file_synced(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  const bool flushed = std::fflush(f) == 0;
-  const bool synced = ::fsync(::fileno(f)) == 0;
-  return (std::fclose(f) == 0) && wrote && flushed && synced;
-}
+/// The supervised executor's body: cell `index`'s attempts, in children
+/// forked from this worker thread.
+CellOutcome supervise_cell(const CampaignRun& run, std::size_t index,
+                           const RunOptions& ropts,
+                           const SupervisorOptions& sopts,
+                           const std::vector<CellFaultDirective>& faults,
+                           const std::atomic<bool>* shutdown) {
+  const Cell& cell = run.cells[index];
+  const std::string request =
+      detail::encode(CellRequest{cell.key, run.fingerprint,
+                                 ropts.store != nullptr ? ropts.store->root()
+                                                        : "",
+                                 cell.spec})
+          .dump() +
+      "\n";
+  CellOutcome out;
+  for (int attempt = 1;; ++attempt) {
+    if (stopping(shutdown)) {
+      out.status = CellOutcome::Status::kPending;
+      return out;
+    }
+    const char* action = fault_action(faults, index, attempt);
+    Child child;
+    std::string spawn_err;
+    ChildEnd end;
+    if (spawn_cell(sopts.exe, request, action, child, spawn_err)) {
+      if (ropts.verbose) {
+        std::fprintf(stderr, "supervisor: spawn cell %zu attempt %d%s%s\n",
+                     index, attempt, *action != '\0' ? " fault=" : "",
+                     action);
+      }
+      end = await_child(child, sopts, shutdown);
+    } else {
+      // fork/pipe exhaustion: a failed attempt, so the backoff gives the
+      // system air instead of spinning.
+      std::fprintf(stderr, "supervisor: spawn failed: %s\n",
+                   spawn_err.c_str());
+      end.status = 127 << 8;  // synthesized "exit 127" status
+    }
+    if (end.drained) {
+      out.status = CellOutcome::Status::kPending;
+      return out;
+    }
 
-/// Writes the quarantine poison record; returns its path or "" on failure
-/// (a store that cannot take the record must not re-kill the campaign).
-std::string write_quarantine(const std::string& store_root, const Cell& cell,
-                             const PendingCell& pc, int max_attempts) {
-  if (store_root.empty()) return "";
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::path(store_root) / "quarantine";
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) return "";
+    const int code = WIFEXITED(end.status) ? WEXITSTATUS(end.status) : 0;
+    const int sig = WIFSIGNALED(end.status) ? WTERMSIG(end.status) : 0;
+    AttemptRecord rec{attempt, "exit", code, 0, 0};
+    if (end.timed_out) {
+      rec = {attempt, "timeout", 0, sig, 0};
+    } else if (sig != 0) {
+      rec = {attempt, "signal", 0, sig, 0};
+    }
+    out.attempts.push_back(rec);
 
-  Json j = Json::object();
-  j.set("schema", Json::string(kQuarantineSchema));
-  j.set("key", Json::string(cell.key));
-  j.set("coordinate", Json::string(cell_coordinate(cell)));
-  j.set("cell_index", Json::uinteger(pc.idx));
-  j.set("max_attempts", Json::integer(max_attempts));
-  Json attempts = Json::array();
-  for (std::size_t a = 0; a < pc.attempts.size(); ++a) {
-    const AttemptRecord& rec = pc.attempts[a];
-    Json e = Json::object();
-    e.set("attempt", Json::uinteger(a + 1));
-    e.set("outcome", Json::string(rec.outcome));
-    e.set("exit_code", Json::integer(rec.exit_code));
-    e.set("signal", Json::integer(rec.term_signal));
-    e.set("backoff_ms", Json::integer(rec.backoff_ms));
-    attempts.push_back(std::move(e));
-  }
-  j.set("attempts", std::move(attempts));
-  j.set("spec", json_of_spec(cell.spec));
+    if (rec.outcome == "exit" && code == 0) {
+      CellResponse resp;
+      std::string perr;
+      if (parse_response(end.out, cell.key, resp, perr)) {
+        out.result = resp.result;
+        out.stored = resp.stored;
+        out.store_error = resp.store_error;
+        if (ropts.verbose) {
+          std::fprintf(stderr, "  [%s: %zu flows, attempt %d]\n",
+                       cell_coordinate(cell).c_str(), resp.result.flows,
+                       attempt);
+        }
+        return out;
+      }
+      if (ropts.verbose) {
+        std::fprintf(stderr, "supervisor: cell %zu attempt %d: %s\n", index,
+                     attempt, perr.c_str());
+      }
+    }
 
-  const std::string path = (dir / (cell.key + ".json")).string();
-  const std::string tmp = path + "." + std::to_string(::getpid()) + ".tmp";
-  if (!write_file_synced(tmp, j.dump_pretty() + "\n")) {
-    fs::remove(tmp, ec);
-    return "";
+    const bool permanent = rec.outcome == "exit" && code == kExitPermanent;
+    if (permanent || attempt >= sopts.max_attempts) {
+      out.status = CellOutcome::Status::kFailed;
+      if (ropts.store != nullptr) {
+        out.quarantine_path = ropts.store->quarantine(
+            {cell.key, cell_coordinate(cell), index, sopts.max_attempts,
+             out.attempts, cell.spec});
+      }
+      return out;
+    }
+    const std::int64_t delay = backoff_delay_ms(cell.key, attempt, sopts);
+    out.attempts.back().backoff_ms = delay;
+    if (ropts.verbose) {
+      std::fprintf(stderr,
+                   "supervisor: cell %zu attempt %d failed (%s); retry in "
+                   "%lld ms\n",
+                   index, attempt, rec.outcome.c_str(),
+                   static_cast<long long>(delay));
+    }
+    backoff_sleep(delay, shutdown);
   }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return "";
-  }
-  return path;
 }
 
 }  // namespace
@@ -359,6 +451,7 @@ std::string self_exe_path(const char* argv0) {
 
 int cell_main(const std::string& request_text, std::string& response_out,
               std::string& diag) {
+  const pid_t parent = ::getppid();
   response_out.clear();
   CellRequest req;
   std::string err;
@@ -373,9 +466,15 @@ int cell_main(const std::string& request_text, std::string& response_out,
   if (action != nullptr) {
     if (std::strcmp(action, "crash") == 0) std::abort();
     if (std::strcmp(action, "hang") == 0) {
-      // Hang until killed — but bail out if orphaned (supervisor was
-      // SIGKILLed and can no longer reap us), so tests never leak sleepers.
-      while (::getppid() != 1) ::usleep(50 * 1000);
+      // Hang until killed — but bail out once orphaned (the supervisor was
+      // SIGKILLed and can no longer reap us), so tests never leak sleepers:
+      // when the parent seen on entry is gone (the new parent is init or
+      // the nearest child subreaper), or when nobody holds the read end of
+      // our stdout any more (POLLERR; this catches a supervisor that died
+      // before we got here).
+      pollfd out{STDOUT_FILENO, 0, 0};
+      while (::getppid() == parent && ::poll(&out, 1, 50) == 0) {
+      }
       std::_Exit(0);
     }
     if (std::strcmp(action, "tear") == 0) {
@@ -397,283 +496,21 @@ int cell_main(const std::string& request_text, std::string& response_out,
   return 0;
 }
 
-bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
-                             const SupervisorOptions& sopts,
-                             const volatile std::sig_atomic_t* shutdown,
-                             CampaignRun& out, SuperviseOutcome& outcome,
-                             std::string& err) {
-  outcome = SuperviseOutcome::kComplete;
-  CampaignRun run;
-  if (!detail::start_run(spec, run, err)) return false;
-  if (sopts.exe.empty() || ::access(sopts.exe.c_str(), X_OK) != 0) {
-    err = "supervisor: cell executable '" + sopts.exe +
-          "' is not executable";
+bool supervised_executor(const SupervisorOptions& opts,
+                         const std::atomic<bool>* shutdown,
+                         CellExecutor& out, std::string& err) {
+  if (opts.exe.empty() || ::access(opts.exe.c_str(), X_OK) != 0) {
+    err = "supervisor: cell executable '" + opts.exe + "' is not executable";
     return false;
   }
   std::vector<CellFaultDirective> faults;
-  if (!parse_cell_fault(sopts.fault_spec, faults, err)) return false;
-
-  // Phase 1 — store lookups on the main thread.
-  const std::size_t n = run.cells.size();
-  std::vector<PendingCell> pending;
-  for (const std::size_t i :
-       detail::look_up_cells(run, ropts.store, ropts.verbose)) {
-    PendingCell pc;
-    pc.idx = i;
-    pending.push_back(std::move(pc));
-  }
-
-  // Phase 2 — the supervision loop. Main thread only: it forks children,
-  // drains their pipes, enforces deadlines, and emits telemetry.
-  std::signal(SIGPIPE, SIG_IGN);  // a dead child's stdin is a failed write
-  telemetry::ComponentId comp = telemetry::kInvalidComponent;
-  if (ropts.sink != nullptr) {
-    comp = ropts.sink->intern_component("supervisor/" + run.spec.name);
-  }
-  const std::size_t jobs =
-      static_cast<std::size_t>(std::max(1, sopts.jobs));
-  std::vector<ChildSlot> running;
-  std::vector<std::uint8_t> stored_flags(n, 0);
-  bool degraded = false;
-  bool degraded_warned = false;
-  bool stop_seen = false;
-  Clock::time_point stop_time;
-  bool drained = false;
-
-  auto handle_exit = [&](ChildSlot& slot, int status) {
-    PendingCell pc = std::move(slot.cell);
-    const std::size_t idx = pc.idx;
-    const Cell& cell = run.cells[idx];
-    if (slot.shutdown_kill) {
-      // In-flight at shutdown: goes back to pending untouched so a resumed
-      // run recomputes it (and only it).
-      pending.push_back(std::move(pc));
-      return;
-    }
-    const bool exited = WIFEXITED(status);
-    const int code = exited ? WEXITSTATUS(status) : 0;
-    const int sig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
-    const std::uint64_t enc =
-        exited ? static_cast<std::uint64_t>(code)
-               : (0x100ULL | static_cast<std::uint64_t>(sig));
-    telemetry::emit(ropts.sink, telemetry::EventType::kSupervisorExit, comp,
-                    0, idx,
-                    (static_cast<std::uint64_t>(pc.attempt) << 32) | enc);
-
-    if (exited && code == 0) {
-      CellResponse resp;
-      std::string perr;
-      if (parse_response(slot.buf, cell.key, resp, perr)) {
-        run.results[idx] = resp.result;  // origin stays as phase 1 set it
-        stored_flags[idx] = resp.stored ? 1 : 0;
-        if (!sopts.store_root.empty() && !resp.stored) {
-          degraded = true;
-          if (!degraded_warned) {
-            degraded_warned = true;
-            std::fprintf(stderr,
-                         "supervisor: WARNING store degraded, keeping "
-                         "results in memory\n");
-          }
-        }
-        if (ropts.verbose) {
-          std::fprintf(stderr, "  [%s: %zu flows, attempt %d]\n",
-                       cell_coordinate(cell).c_str(), resp.result.flows,
-                       pc.attempt);
-        }
-        return;
-      }
-      if (ropts.verbose) {
-        std::fprintf(stderr, "supervisor: cell %zu attempt %d: %s\n", idx,
-                     pc.attempt, perr.c_str());
-      }
-    }
-
-    AttemptRecord rec;
-    if (slot.timed_out) {
-      rec.outcome = "timeout";
-      rec.term_signal = sig;
-      ++run.stats.timeouts;
-    } else if (sig != 0) {
-      rec.outcome = "signal";
-      rec.term_signal = sig;
-    } else {
-      rec.outcome = "exit";
-      rec.exit_code = code;
-    }
-    pc.attempts.push_back(rec);
-
-    const bool permanent = exited && code == kExitPermanent;
-    if (permanent || pc.attempt >= sopts.max_attempts) {
-      FailedCell f;
-      f.index = idx;
-      f.coordinate = cell_coordinate(cell);
-      f.key = cell.key;
-      f.attempts = pc.attempt;
-      f.outcome = pc.attempts.back().outcome;
-      f.exit_code = pc.attempts.back().exit_code;
-      f.term_signal = pc.attempts.back().term_signal;
-      f.quarantine_path =
-          write_quarantine(sopts.store_root, cell, pc, sopts.max_attempts);
-      run.origins[idx] = CellOrigin::kFailed;
-      ++run.stats.failed;
-      telemetry::emit(ropts.sink,
-                      telemetry::EventType::kSupervisorQuarantine, comp, 0,
-                      idx, static_cast<std::uint64_t>(pc.attempt));
-      {
-        std::fprintf(stderr,
-                     "supervisor: QUARANTINE cell %zu (%s) after %d "
-                     "attempt(s): %s\n",
-                     idx, f.coordinate.c_str(), f.attempts,
-                     f.outcome.c_str());
-      }
-      run.failed.push_back(std::move(f));
-      return;
-    }
-
-    const std::int64_t delay = backoff_delay_ms(cell.key, pc.attempt, sopts);
-    pc.attempts.back().backoff_ms = delay;
-    telemetry::emit(
-        ropts.sink, telemetry::EventType::kSupervisorRetry, comp, 0, idx,
-        (static_cast<std::uint64_t>(pc.attempt) << 32) |
-            static_cast<std::uint64_t>(delay));
-    ++run.stats.retries;
-    if (ropts.verbose) {
-      std::fprintf(stderr,
-                   "supervisor: cell %zu attempt %d failed (%s); retry in "
-                   "%lld ms\n",
-                   idx, pc.attempt, rec.outcome.c_str(),
-                   static_cast<long long>(delay));
-    }
-    pc.ready_at = Clock::now() + std::chrono::milliseconds(delay);
-    ++pc.attempt;
-    pending.push_back(std::move(pc));
+  if (!parse_cell_fault(opts.fault_spec, faults, err)) return false;
+  std::signal(SIGPIPE, SIG_IGN);
+  out = [opts, faults = std::move(faults), shutdown](
+            const CampaignRun& run, std::size_t index,
+            const RunOptions& ropts) {
+    return supervise_cell(run, index, ropts, opts, faults, shutdown);
   };
-
-  while (!pending.empty() || !running.empty()) {
-    const bool stopping = shutdown != nullptr && *shutdown != 0;
-    if (stopping && !stop_seen) {
-      stop_seen = true;
-      stop_time = Clock::now();
-    }
-
-    // Launch ready cells into free slots (never after shutdown).
-    if (!stopping) {
-      for (auto it = pending.begin();
-           it != pending.end() && running.size() < jobs;) {
-        if (it->ready_at > Clock::now()) {
-          ++it;
-          continue;
-        }
-        ChildSlot slot;
-        slot.cell = std::move(*it);
-        it = pending.erase(it);
-        const Cell& cell = run.cells[slot.cell.idx];
-        const std::string request =
-            detail::encode(CellRequest{cell.key, run.fingerprint,
-                                       sopts.store_root, cell.spec})
-                .dump() +
-            "\n";
-        const char* action =
-            fault_action(faults, slot.cell.idx, slot.cell.attempt);
-        std::string spawn_err;
-        if (!spawn_cell(sopts.exe, request, action, slot.pid, slot.out_fd,
-                        spawn_err)) {
-          // fork/pipe exhaustion: treat as a failed attempt so the backoff
-          // gives the system air instead of spinning.
-          ChildSlot failed = std::move(slot);
-          failed.buf.clear();
-          std::fprintf(stderr, "supervisor: spawn failed: %s\n",
-                       spawn_err.c_str());
-          handle_exit(failed, 127 << 8);  // synthesized "exit 127" status
-          continue;
-        }
-        slot.started = Clock::now();
-        telemetry::emit(ropts.sink, telemetry::EventType::kSupervisorSpawn,
-                        comp, 0, slot.cell.idx,
-                        static_cast<std::uint64_t>(slot.cell.attempt));
-        if (ropts.verbose) {
-          std::fprintf(stderr, "supervisor: spawn cell %zu attempt %d%s%s\n",
-                       slot.cell.idx, slot.cell.attempt,
-                       *action != '\0' ? " fault=" : "", action);
-        }
-        running.push_back(std::move(slot));
-      }
-    }
-
-    // Drain child stdout so a chatty child never blocks on a full pipe.
-    for (ChildSlot& slot : running) drain_pipe(slot);
-
-    // Reap.
-    for (std::size_t si = 0; si < running.size();) {
-      int status = 0;
-      const pid_t r = ::waitpid(running[si].pid, &status, WNOHANG);
-      if (r == running[si].pid) {
-        drain_pipe(running[si]);  // final bytes between last drain and exit
-        ::close(running[si].out_fd);
-        handle_exit(running[si], status);
-        running.erase(running.begin() + static_cast<std::ptrdiff_t>(si));
-      } else {
-        ++si;
-      }
-    }
-
-    // Deadlines — and, during shutdown, the drain grace.
-    for (ChildSlot& slot : running) {
-      if (slot.killed) continue;
-      const std::int64_t elapsed = ms_between(slot.started, Clock::now());
-      const bool over_deadline = elapsed > sopts.deadline_ms;
-      const bool over_grace =
-          stop_seen &&
-          ms_between(stop_time, Clock::now()) > sopts.drain_grace_ms;
-      if (!over_deadline && !over_grace) continue;
-      ::kill(slot.pid, SIGKILL);
-      slot.killed = true;
-      if (over_deadline) {
-        slot.timed_out = true;
-        telemetry::emit(ropts.sink, telemetry::EventType::kSupervisorTimeout,
-                        comp, 0, slot.cell.idx,
-                        static_cast<std::uint64_t>(slot.cell.attempt));
-        if (ropts.verbose) {
-          std::fprintf(stderr,
-                       "supervisor: cell %zu attempt %d hit the %lld ms "
-                       "deadline\n",
-                       slot.cell.idx, slot.cell.attempt,
-                       static_cast<long long>(sopts.deadline_ms));
-        }
-      } else {
-        slot.shutdown_kill = true;
-      }
-    }
-
-    if (stopping && running.empty()) {
-      drained = !pending.empty();
-      break;
-    }
-    if (!running.empty() || !pending.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
-
-  // Deterministic report order regardless of completion interleaving.
-  std::sort(run.failed.begin(), run.failed.end(),
-            [](const FailedCell& a, const FailedCell& b) {
-              return a.index < b.index;
-            });
-
-  run.stats.store = sopts.store_root.empty() && ropts.store == nullptr
-                        ? StoreHealth::kNone
-                        : (degraded ? StoreHealth::kDegraded
-                                    : StoreHealth::kOk);
-  std::uint64_t writes = 0;
-  for (const std::uint8_t s : stored_flags) writes += s;
-  run.stats.store_writes = writes;
-
-  // Phase 3 — campaign cache telemetry, the same events run_campaign()
-  // emits; a store write counts only when the child reports it landed.
-  if (!drained) detail::emit_cache_events(run, stored_flags, ropts.sink);
-
-  outcome = drained ? SuperviseOutcome::kDrained : SuperviseOutcome::kComplete;
-  out = std::move(run);
   return true;
 }
 

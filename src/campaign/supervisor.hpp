@@ -1,44 +1,48 @@
 // Crash-safe campaign supervisor: per-cell child processes, deadlines,
 // retry/backoff, quarantine.
 //
-// The campaign runner in campaign.cpp executes cells on in-process worker
-// threads — fast, but one aborting cell (an invariant violation, a sanitizer
-// kill, a plain crash) takes the whole sweep down with it, and one stuck
-// cell hangs it forever. The supervisor trades a fork+exec per cache miss
-// for containment: each miss runs in an isolated child process (a hidden
+// run_campaign (campaign.hpp) computes its cache misses on worker threads
+// through a CellExecutor. The in-process one is fast, but one aborting cell
+// (an invariant violation, a sanitizer kill, a plain crash) takes the whole
+// sweep down with it, and one stuck cell hangs it forever. The supervised
+// executor trades a fork+exec per cache miss for containment: the worker
+// thread that claimed a miss runs it in an isolated child process (a hidden
 // `conga_serve cell` subcommand that reads a conga-cell-request-v1 document
 // on stdin, simulates, writes its result entry into the content-addressed
-// store itself, and echoes the result on stdout), so the failure domain of a
-// cell is exactly that cell.
+// store itself, and echoes the result on stdout), so the failure domain of
+// a cell is exactly that cell.
 //
-// Supervision policy (DESIGN.md §15):
+// Supervision policy (DESIGN.md §15), per cell, on its worker thread:
 //  * deadline   — a child that outlives its per-cell wall-clock deadline is
 //                 SIGKILLed and the attempt counts as a timeout;
 //  * retry      — failed attempts are re-run on a deterministic, capped
 //                 exponential backoff schedule keyed by the cell key (no
 //                 ambient randomness: the same cell retries on the same
-//                 schedule in every run);
+//                 schedule in every run); the cell holds its worker while
+//                 it waits;
 //  * quarantine — a cell that exhausts max_attempts (or fails permanently:
 //                 child exit code 3 means "retrying cannot help") is written
 //                 to <store>/quarantine/<key>.json as a poison record
 //                 embedding the full attempt log, and the campaign completes
 //                 with an explicit failed_cells block instead of dying;
-//  * drain      — when the caller's shutdown flag goes up (SIGTERM/SIGINT),
-//                 no new children launch, in-flight children get
-//                 min(remaining deadline, drain grace) to finish, stragglers
-//                 are killed back to pending, and the run returns kDrained
-//                 (the CLI then exits 2 without a report). Completed cells
-//                 are already in the store — a rerun re-reads them as hits
-//                 and reproduces the report byte-for-byte.
+//  * drain      — once the caller's shutdown flag goes up (SIGTERM/SIGINT),
+//                 no new cell or attempt starts, a backoff wait ends early,
+//                 an in-flight child gets min(remaining deadline, drain
+//                 grace) to finish and is then killed back to pending, and
+//                 the run comes back with CampaignRun::drained set (the CLI
+//                 then exits 2 without a report). Completed cells are
+//                 already in the store — a rerun re-reads them as hits and
+//                 reproduces the report byte-for-byte.
 //
-// Every decision is observable: kSupervisor telemetry events
-// (spawn/exit/timeout/retry/quarantine) fire on the main thread as the loop
-// takes them, and the CONGA_CELL_FAULT env knob (parsed by the CLI into
+// Every decision is observable: each cell's attempt log comes back to the
+// main thread, which replays it as kSupervisor telemetry events
+// (spawn/exit/timeout/retry/quarantine) in cell order after the parallel
+// section. The CONGA_CELL_FAULT env knob (parsed by the CLI into
 // SupervisorOptions::fault_spec) injects deterministic crashes, hangs, and
 // torn store writes for tests and the crash-resilience CI lane.
 #pragma once
 
-#include <csignal>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -49,12 +53,10 @@ namespace conga::campaign {
 
 struct SupervisorOptions {
   /// Path to the conga_serve binary to exec for `cell` children (resolve
-  /// with self_exe_path()). Required.
+  /// with self_exe_path()). Required. Children write their entries into
+  /// RunOptions::store, and the run's --jobs workers each supervise one
+  /// child at a time.
   std::string exe;
-  /// Store root children write their entries into; "" runs storeless (the
-  /// parent keeps results from the child's stdout echo only).
-  std::string store_root;
-  int jobs = 1;               ///< concurrent children
   int max_attempts = 3;       ///< attempts per cell before quarantine
   std::int64_t deadline_ms = 120000;     ///< per-attempt wall-clock budget
   std::int64_t backoff_base_ms = 250;    ///< first retry delay
@@ -98,24 +100,16 @@ const char* fault_action(const std::vector<CellFaultDirective>& directives,
 /// argv0) for SupervisorOptions::exe.
 std::string self_exe_path(const char* argv0);
 
-enum class SuperviseOutcome : std::uint8_t {
-  kComplete = 0,  ///< every cell resolved (result or quarantine)
-  kDrained,       ///< shutdown observed; unfinished cells left pending
-};
-
-/// Supervised counterpart of run_campaign(): store lookups on the main
-/// thread, then every miss in an isolated child process under the
-/// deadline/retry/quarantine policy. `shutdown` (may be null) is polled
-/// between supervision steps; when it goes nonzero the run drains and
-/// `outcome` reports kDrained (out's results are then incomplete — write no
-/// report; a rerun on the same store resumes from the stored cells).
-/// Returns false and sets `err` on invalid requests or when the supervisor
-/// cannot spawn at all (bad exe path).
-bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
-                             const SupervisorOptions& sopts,
-                             const volatile std::sig_atomic_t* shutdown,
-                             CampaignRun& out, SuperviseOutcome& outcome,
-                             std::string& err);
+/// The supervised CellExecutor for run_campaign(): each miss runs in
+/// `opts.exe cell` children under the deadline/retry/quarantine policy.
+/// `shutdown` (may be null) is read between and during attempts; once it
+/// is set, cells come back pending and the run drains. Returns false and
+/// sets `err` when the executable is not executable or fault_spec is
+/// malformed. Ignores SIGPIPE for the process (a dead child's stdin is a
+/// failed write, not a reason to die).
+bool supervised_executor(const SupervisorOptions& opts,
+                         const std::atomic<bool>* shutdown,
+                         CellExecutor& out, std::string& err);
 
 /// Child-side body of the hidden `conga_serve cell` subcommand: parses a
 /// conga-cell-request-v1 document, applies the CONGA_CELL_FAULT_ACTION env

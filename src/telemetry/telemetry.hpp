@@ -124,8 +124,9 @@ enum class EventType : std::uint8_t {
   kCampaignCellMiss,
   kCampaignStoreWrite,
   kCampaignVerifyRecompute,
-  // kSupervisor — child-process supervision decisions, emitted by the
-  // campaign supervisor on the main thread as they happen. a: cell index in
+  // kSupervisor — child-process supervision decisions, replayed on the main
+  // thread from each cell's attempt log after the parallel section, in cell
+  // order (attempts in order within a cell). a: cell index in
   // canonical expansion order. b: spawn: attempt number (1-based);
   // exit: (attempt << 32) | wait status encoding (exit code, or 0x100|signal
   // for signal deaths); timeout: attempt; retry: (attempt << 32) | backoff

@@ -88,7 +88,6 @@ TEST(ResultStore, PutThenLoadRoundTrips) {
   std::string err;
   ASSERT_TRUE(store.put(key, "fp", canonical_json(spec), written, err))
       << err;
-  EXPECT_EQ(store.writes(), 1U);
 
   workload::ExperimentResult loaded;
   ASSERT_EQ(store.load(key, loaded, err), ResultStore::LoadStatus::kHit)
@@ -305,7 +304,6 @@ TEST(ResultStore, ConcurrentWritersNeverTearEntries) {
 
   EXPECT_EQ(failures.load(), 0U);
   EXPECT_EQ(corrupt_seen.load(), 0U);
-  EXPECT_EQ(store.writes(), writers * kRoundsPerWriter);
   // Final state: every key verifies.
   for (int k = 0; k < kKeys; ++k) {
     workload::ExperimentResult out;

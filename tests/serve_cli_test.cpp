@@ -1,14 +1,17 @@
 // End-to-end CLI tests for conga_serve, driving the real binary
 // (CONGA_SERVE_BIN): supervised containment of crashing and hanging cells,
-// SIGTERM drain and SIGKILL followed by a resuming rerun, store gc/stat
-// maintenance, graceful store degradation, the documented 0/1/2 exit
-// codes, the in-process and supervised runners agreeing cell for cell, and
-// the pinned request in tests/data expanding to its pinned cell keys.
+// SIGTERM drain and SIGKILL followed by a resuming rerun, a hanging child
+// orphaned under a subreaper, store gc/stat maintenance, graceful store
+// degradation, the documented 0/1/2 exit codes, the in-process and
+// supervised executors agreeing cell for cell, the supervisor's events in
+// cell order, and the pinned request in tests/data expanding to its pinned
+// cell keys.
 //
 // Every scenario that needs a child failure injects it deterministically
 // through CONGA_CELL_FAULT; nothing here depends on timing beyond "a
 // hanging child does not finish on its own".
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "campaign/fingerprint.hpp"
 #include "campaign/json.hpp"
 #include "campaign/store.hpp"
 #include "campaign/supervisor.hpp"
@@ -160,12 +164,12 @@ TEST(ServeCli, ExitCodesAndErrorReporting) {
             std::string::npos)
       << err_text;
 
-  // 2: unknown flag, quoted in the error.
+  // 2: unknown flag, named in the error.
   EXPECT_EQ(run_cmd(std::string(kBin) + " run --bogus >/dev/null 2>" +
                     err_path),
             2);
   ASSERT_TRUE(read_file(err_path, err_text));
-  EXPECT_NE(err_text.find("unknown flag '--bogus'"), std::string::npos)
+  EXPECT_NE(err_text.find("unknown flag: --bogus"), std::string::npos)
       << err_text;
 
   // 2: a numeric flag that is not one whole number (this one used to be
@@ -174,7 +178,8 @@ TEST(ServeCli, ExitCodesAndErrorReporting) {
                     err_path),
             2);
   ASSERT_TRUE(read_file(err_path, err_text));
-  EXPECT_NE(err_text.find("--jobs must be positive"), std::string::npos)
+  EXPECT_NE(err_text.find("--jobs wants a number, got '4x'"),
+            std::string::npos)
       << err_text;
 
   // 2: missing required value / bad subcommand of store.
@@ -392,6 +397,53 @@ TEST(ServeCli, SigkillLeavesNoTornStateAndResumes) {
   run.expect_rerun_matches_reference();
 }
 
+// A hanging cell child must notice that it was orphaned even when the
+// orphan goes to a child subreaper rather than to init. A forked helper
+// makes itself a subreaper (prctl acts on the helper only), starts a
+// supervised run whose cell 0 hangs, SIGKILLs conga_serve once the child is
+// up, and must then reap the orphan within 5 s. If it cannot, it kills its
+// own process group (the orphan with it) and dies, failing the test.
+TEST(ServeCli, HangingCellExitsWhenOrphanedUnderASubreaper) {
+  TempDir tmp("subreaper");
+  const std::string req = tmp.sub("req.json");
+  const std::string errlog = tmp.sub("run.err");
+  write_tiny_request(req, {"ecmp"});
+  const std::string cmd =
+      "env CONGA_CELL_FAULT=hang:0 " + std::string(kBin) + " run --campaign " +
+      req + " --supervise --verbose --deadline-ms 60000 2>" + errlog;
+
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    ::setpgid(0, 0);
+    if (::prctl(PR_SET_CHILD_SUBREAPER, 1) != 0) std::_Exit(10);
+    const pid_t serve = spawn_cmd(cmd);
+    const bool spawned = wait_until(
+        [&] {
+          std::string text;
+          return read_file(errlog, text) &&
+                 text.find("spawn cell 0") != std::string::npos;
+        },
+        30000);
+    ::usleep(1000 * 1000);  // let the child reach its hang loop
+    ::kill(serve, SIGKILL);
+    ::waitpid(serve, nullptr, 0);
+    if (!spawned) std::_Exit(11);
+    for (int waited = 0; waited <= 5000; waited += 50) {
+      const pid_t reaped = ::waitpid(-1, nullptr, WNOHANG);
+      if (reaped > 0) std::_Exit(0);
+      if (reaped < 0) std::_Exit(12);  // the orphan did not come to us
+      ::usleep(50 * 1000);
+    }
+    ::kill(0, SIGKILL);
+    std::_Exit(13);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+  ASSERT_TRUE(WIFEXITED(status)) << "the orphaned cell child kept hanging";
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
 TEST(ServeCli, StoreGcAndStat) {
   TempDir tmp("gc");
   const std::string req = tmp.sub("req.json");
@@ -503,9 +555,19 @@ TEST(ServeCli, UnwritableStoreDegradesGracefully) {
 }
 
 #ifdef CONGA_TELEMETRY
-// run_campaign and run_campaign_supervised share their lookup and cache
-// telemetry phases: on the same request, cold on a fresh store and then
-// warm, both emit the same kCampaign* events and byte-identical reports.
+/// The supervised executor running `exe cell` children of this test's
+/// conga_serve under `fault_spec`.
+CellExecutor supervised(SupervisorOptions sopts) {
+  sopts.exe = kBin;
+  CellExecutor exec;
+  std::string err;
+  EXPECT_TRUE(supervised_executor(sopts, nullptr, exec, err)) << err;
+  return exec;
+}
+
+// run_campaign with the in-process and the supervised executor: on the
+// same request, cold on a fresh store and then warm, both emit the same
+// kCampaign* events and byte-identical reports.
 TEST(ServeCli, SupervisedAndInProcessRunsAgree) {
   using Triple = std::tuple<telemetry::EventType, std::uint64_t, std::uint64_t>;
   struct Pass {
@@ -515,7 +577,8 @@ TEST(ServeCli, SupervisedAndInProcessRunsAgree) {
   TempDir tmp("pairing");
   const CampaignSpec spec = make_smoke_campaign();
 
-  auto run_pass = [&](bool supervised, const std::string& store_dir) {
+  auto run_pass = [&](const CellExecutor& execute,
+                      const std::string& store_dir) {
     ResultStore store(store_dir);
     telemetry::TraceSink sink;
     RunOptions opts;
@@ -524,20 +587,8 @@ TEST(ServeCli, SupervisedAndInProcessRunsAgree) {
     opts.sink = &sink;
     CampaignRun run;
     std::string err;
-    bool ok = false;
-    if (supervised) {
-      SupervisorOptions sopts;
-      sopts.exe = kBin;
-      sopts.store_root = store_dir;
-      sopts.jobs = 2;
-      SuperviseOutcome outcome = SuperviseOutcome::kComplete;
-      ok = run_campaign_supervised(spec, opts, sopts, nullptr, run, outcome,
-                                   err);
-      EXPECT_EQ(outcome, SuperviseOutcome::kComplete);
-    } else {
-      ok = run_campaign(spec, opts, run, err);
-    }
-    EXPECT_TRUE(ok) << err;
+    EXPECT_TRUE(run_campaign(spec, opts, run, err, execute)) << err;
+    EXPECT_FALSE(run.drained);
     Pass pass;
     for (const telemetry::Event& e : sink.all_events()) {
       if (e.type == telemetry::EventType::kCampaignCellMiss ||
@@ -550,12 +601,13 @@ TEST(ServeCli, SupervisedAndInProcessRunsAgree) {
     return pass;
   };
 
+  const CellExecutor sup = supervised({});
   const std::string in_store = tmp.sub("inproc");
   const std::string sup_store = tmp.sub("supervised");
-  const Pass in_cold = run_pass(false, in_store);
-  const Pass in_warm = run_pass(false, in_store);
-  const Pass sup_cold = run_pass(true, sup_store);
-  const Pass sup_warm = run_pass(true, sup_store);
+  const Pass in_cold = run_pass(simulate_cell, in_store);
+  const Pass in_warm = run_pass(simulate_cell, in_store);
+  const Pass sup_cold = run_pass(sup, sup_store);
+  const Pass sup_warm = run_pass(sup, sup_store);
 
   // Cold: a miss and a store write per cell; warm: a hit per cell.
   ASSERT_EQ(in_cold.events.size(), 4U);
@@ -572,6 +624,84 @@ TEST(ServeCli, SupervisedAndInProcessRunsAgree) {
   EXPECT_EQ(in_warm.report, in_cold.report);
   EXPECT_EQ(sup_cold.report, in_cold.report);
   EXPECT_EQ(sup_warm.report, in_cold.report);
+}
+
+// The kSupervisor* events are replayed from each cell's attempt log after
+// the parallel section: in cell order, whichever worker finished first, and
+// identical from run to run. Cell 0 aborts and cell 1 hangs on every
+// attempt; cell 2 succeeds.
+TEST(ServeCli, SupervisorEventsComeOutInCellOrder) {
+  using telemetry::EventType;
+  using Event = std::tuple<EventType, std::uint64_t, std::uint64_t>;
+  TempDir tmp("supevents");
+  CampaignSpec spec;
+  spec.name = "tiny";
+  spec.policies = {"ecmp", "conga", "letflow"};
+  spec.loads_pct = {30};
+  net::TopologyConfig topo = net::testbed_baseline();
+  topo.hosts_per_leaf = 4;
+  spec.cases.push_back({"t", topo});
+  spec.warmup_ns = sim::milliseconds(1);
+  spec.measure_ns = sim::milliseconds(2);
+  spec.max_drain_ns = sim::milliseconds(300);
+
+  SupervisorOptions sopts;
+  sopts.fault_spec = "crash:0,hang:1";
+  sopts.deadline_ms = 1500;
+  sopts.max_attempts = 2;
+  sopts.backoff_base_ms = 20;
+  sopts.backoff_cap_ms = 100;
+  const CellExecutor exec = supervised(sopts);
+
+  auto run_once = [&](const std::string& store_dir) {
+    ResultStore store(store_dir);
+    telemetry::TraceSink sink;
+    RunOptions opts;
+    opts.jobs = 2;
+    opts.store = &store;
+    opts.sink = &sink;
+    CampaignRun run;
+    std::string err;
+    EXPECT_TRUE(run_campaign(spec, opts, run, err, exec)) << err;
+    EXPECT_EQ(run.failed.size(), 2U);
+    std::vector<Event> events;
+    for (const telemetry::Event& e : sink.all_events()) {
+      if (telemetry::category_of(e.type) == telemetry::Category::kSupervisor) {
+        events.emplace_back(e.type, e.a, e.b);
+      }
+    }
+    return events;
+  };
+  const auto first = run_once(tmp.sub("a"));
+  const auto second = run_once(tmp.sub("b"));
+
+  const std::vector<Cell> cells = expand_campaign(spec, code_fingerprint());
+  auto backoff = [&](std::size_t cell) {
+    return static_cast<std::uint64_t>(
+        backoff_delay_ms(cells[cell].key, 1, sopts));
+  };
+  constexpr std::uint64_t kAbort = 0x100 | SIGABRT;
+  constexpr std::uint64_t kKill = 0x100 | SIGKILL;
+  const std::vector<Event> want = {
+      {EventType::kSupervisorSpawn, 0, 1},
+      {EventType::kSupervisorExit, 0, (1ULL << 32) | kAbort},
+      {EventType::kSupervisorRetry, 0, (1ULL << 32) | backoff(0)},
+      {EventType::kSupervisorSpawn, 0, 2},
+      {EventType::kSupervisorExit, 0, (2ULL << 32) | kAbort},
+      {EventType::kSupervisorQuarantine, 0, 2},
+      {EventType::kSupervisorSpawn, 1, 1},
+      {EventType::kSupervisorTimeout, 1, 1},
+      {EventType::kSupervisorExit, 1, (1ULL << 32) | kKill},
+      {EventType::kSupervisorRetry, 1, (1ULL << 32) | backoff(1)},
+      {EventType::kSupervisorSpawn, 1, 2},
+      {EventType::kSupervisorTimeout, 1, 2},
+      {EventType::kSupervisorExit, 1, (2ULL << 32) | kKill},
+      {EventType::kSupervisorQuarantine, 1, 2},
+      {EventType::kSupervisorSpawn, 2, 1},
+      {EventType::kSupervisorExit, 2, 1ULL << 32},
+  };
+  EXPECT_EQ(first, want);
+  EXPECT_EQ(second, first);
 }
 #endif  // CONGA_TELEMETRY
 

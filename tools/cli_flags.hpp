@@ -3,8 +3,8 @@
 // an integer flag or "-1" for an unsigned one are errors instead of being
 // read as 2, 0, 2 or 2^64 - 1.
 //
-// FlagReader is the one parse loop of the spec-driven tools (conga_sim,
-// determinism_audit, chaos_audit, conga_trace).
+// FlagReader is the one parse loop of the command-line tools (conga_sim,
+// determinism_audit, chaos_audit, conga_trace, conga_serve).
 #pragma once
 
 #include <charconv>

@@ -54,10 +54,10 @@
 // Exit status: 0 success; 1 regression verdict, store poisoning, or
 // quarantined cells; 2 usage or I/O error, or a supervised run interrupted
 // by SIGTERM/SIGINT.
+#include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <csignal>
 #include <string>
 #include <vector>
 
@@ -66,17 +66,19 @@
 #include "campaign/store.hpp"
 #include "campaign/supervisor.hpp"
 #include "cli_flags.hpp"
-#include "telemetry/telemetry.hpp"
 
 using namespace conga;
 
 namespace {
 
-volatile std::sig_atomic_t g_shutdown = 0;
+std::atomic<bool> g_shutdown{false};
+static_assert(std::atomic<bool>::is_always_lock_free);  // signal-safe store
 
-void on_shutdown_signal(int) { g_shutdown = 1; }
+void on_shutdown_signal(int) { g_shutdown.store(true); }
 
-int usage() {
+/// Prints `msg` (when given) and the usage text, then exits 2.
+[[noreturn]] void usage(const char* msg = nullptr) {
+  if (msg != nullptr) std::fprintf(stderr, "conga_serve: %s\n", msg);
   std::fprintf(
       stderr,
       "usage: conga_serve run    [--campaign FILE | --builtin NAME] "
@@ -95,7 +97,7 @@ int usage() {
       "       conga_serve expand [--campaign FILE | --builtin NAME]\n"
       "       conga_serve verdict --report FILE --baseline FILE "
       "[--out FILE] [--tolerance X]\n");
-  return 2;
+  std::exit(2);
 }
 
 /// Resolves --campaign / --builtin into a request; defaults to the built-in
@@ -125,7 +127,7 @@ bool load_campaign(const std::string& campaign_path,
 }
 
 struct Args {
-  std::string self_exe;  ///< resolved binary path, for supervised children
+  campaign::SupervisorOptions sup;  ///< the --supervise policy
   std::string campaign_path;
   std::string builtin;
   std::string store_dir;
@@ -138,134 +140,73 @@ struct Args {
   double tolerance = 0.01;
   double verify_sample = 0.0;  ///< fraction, from --verify-sample percent
   int jobs = 1;
-  int max_attempts = 3;
-  std::int64_t deadline_ms = 120000;
-  std::int64_t backoff_base_ms = 250;
-  std::int64_t backoff_cap_ms = 5000;
-  std::int64_t drain_grace_ms = 5000;
   std::int64_t tmp_age_seconds = 3600;
   bool supervise = false;
   bool verbose = false;
 };
 
-bool parse_args(int argc, char** argv, int start, Args& a, std::string& err) {
-  for (int i = start; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto value = [&](std::string& out) {
-      if (i + 1 >= argc) {
-        err = std::string(arg) + " needs a value";
-        return false;
-      }
-      out = argv[++i];
-      return true;
-    };
-    std::string v;
-    if (std::strcmp(arg, "--campaign") == 0) {
-      if (!value(a.campaign_path)) return false;
-    } else if (std::strcmp(arg, "--builtin") == 0) {
-      if (!value(a.builtin)) return false;
-    } else if (std::strcmp(arg, "--store") == 0) {
-      if (!value(a.store_dir)) return false;
-    } else if (std::strcmp(arg, "--out") == 0) {
-      if (!value(a.out_path)) return false;
-    } else if (std::strcmp(arg, "--stats-out") == 0) {
-      if (!value(a.stats_path)) return false;
-    } else if (std::strcmp(arg, "--baseline") == 0) {
-      if (!value(a.baseline_path)) return false;
-    } else if (std::strcmp(arg, "--verdict-out") == 0) {
-      if (!value(a.verdict_path)) return false;
-    } else if (std::strcmp(arg, "--report") == 0) {
-      if (!value(a.report_path)) return false;
-    } else if (std::strcmp(arg, "--keep-fingerprints") == 0) {
-      if (!value(v)) return false;
-      std::size_t pos = 0;
-      while (pos <= v.size()) {
-        std::size_t end = v.find(',', pos);
-        if (end == std::string::npos) end = v.size();
-        std::string token = v.substr(pos, end - pos);
-        pos = end + 1;
+/// Reads the flags after argv[0] into `a`; a usage error exits 2.
+Args parse_args(int argc, char** argv) {
+  Args a;
+  tools::FlagReader args(argc, argv, usage);
+  args.each([&](const std::string& flag) {
+    if (flag == "--campaign") {
+      a.campaign_path = args.text();
+    } else if (flag == "--builtin") {
+      a.builtin = args.text();
+    } else if (flag == "--store") {
+      a.store_dir = args.text();
+    } else if (flag == "--out") {
+      a.out_path = args.text();
+    } else if (flag == "--stats-out") {
+      a.stats_path = args.text();
+    } else if (flag == "--baseline") {
+      a.baseline_path = args.text();
+    } else if (flag == "--verdict-out") {
+      a.verdict_path = args.text();
+    } else if (flag == "--report") {
+      a.report_path = args.text();
+    } else if (flag == "--keep-fingerprints") {
+      for (std::string& token : args.list()) {
         if (token.empty()) continue;
         if (token == "current") token = campaign::code_fingerprint();
         a.keep_fingerprints.push_back(std::move(token));
       }
       if (a.keep_fingerprints.empty()) {
-        err = "--keep-fingerprints wants a comma list of fingerprints";
-        return false;
+        usage("--keep-fingerprints wants a comma list of fingerprints");
       }
-    } else if (std::strcmp(arg, "--tolerance") == 0) {
-      if (!value(v) || !tools::parse_double_flag(v, a.tolerance) ||
-          !(a.tolerance >= 0.0)) {
-        if (err.empty()) err = "--tolerance must be >= 0";
-        return false;
-      }
-    } else if (std::strcmp(arg, "--verify-sample") == 0) {
-      if (!value(v)) return false;
-      double pct = 0.0;
-      if (!tools::parse_double_flag(v, pct) || !(pct > 0.0) || pct > 100.0) {
-        err = "--verify-sample wants a percentage in (0, 100]";
-        return false;
+    } else if (flag == "--tolerance") {
+      a.tolerance = args.number<double>(0.0);
+    } else if (flag == "--verify-sample") {
+      const double pct = args.number<double>();
+      if (!(pct > 0.0) || pct > 100.0) {
+        usage("--verify-sample wants a percentage in (0, 100]");
       }
       a.verify_sample = pct / 100.0;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      if (!value(v) || !tools::parse_int_flag(v, 1, a.jobs)) {
-        if (err.empty()) err = "--jobs must be positive";
-        return false;
-      }
-    } else if (std::strcmp(arg, "--max-attempts") == 0) {
-      if (!value(v) || !tools::parse_int_flag(v, 1, a.max_attempts)) {
-        if (err.empty()) err = "--max-attempts must be >= 1";
-        return false;
-      }
-    } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if (!value(v) || !tools::parse_int_flag(v, 1, a.deadline_ms)) {
-        if (err.empty()) err = "--deadline-ms must be >= 1";
-        return false;
-      }
-    } else if (std::strcmp(arg, "--backoff-base-ms") == 0) {
-      if (!value(v) || !tools::parse_int_flag(v, 1, a.backoff_base_ms)) {
-        if (err.empty()) err = "--backoff-base-ms must be >= 1";
-        return false;
-      }
-    } else if (std::strcmp(arg, "--backoff-cap-ms") == 0) {
-      if (!value(v) || !tools::parse_int_flag(v, 1, a.backoff_cap_ms)) {
-        if (err.empty()) err = "--backoff-cap-ms must be >= 1";
-        return false;
-      }
-    } else if (std::strcmp(arg, "--drain-grace-ms") == 0) {
-      if (!value(v) || !tools::parse_int_flag(v, 0, a.drain_grace_ms)) {
-        if (err.empty()) err = "--drain-grace-ms must be >= 0";
-        return false;
-      }
-    } else if (std::strcmp(arg, "--tmp-age-seconds") == 0) {
-      if (!value(v) || !tools::parse_int_flag(v, 0, a.tmp_age_seconds)) {
-        if (err.empty()) err = "--tmp-age-seconds must be >= 0";
-        return false;
-      }
-    } else if (std::strcmp(arg, "--supervise") == 0) {
+    } else if (flag == "--jobs") {
+      a.jobs = args.number<int>(1);
+    } else if (flag == "--max-attempts") {
+      a.sup.max_attempts = args.number<int>(1);
+    } else if (flag == "--deadline-ms") {
+      a.sup.deadline_ms = args.number<std::int64_t>(1);
+    } else if (flag == "--backoff-base-ms") {
+      a.sup.backoff_base_ms = args.number<std::int64_t>(1);
+    } else if (flag == "--backoff-cap-ms") {
+      a.sup.backoff_cap_ms = args.number<std::int64_t>(1);
+    } else if (flag == "--drain-grace-ms") {
+      a.sup.drain_grace_ms = args.number<std::int64_t>(0);
+    } else if (flag == "--tmp-age-seconds") {
+      a.tmp_age_seconds = args.number<std::int64_t>(0);
+    } else if (flag == "--supervise") {
       a.supervise = true;
-    } else if (std::strcmp(arg, "--verbose") == 0) {
+    } else if (flag == "--verbose") {
       a.verbose = true;
     } else {
-      err = std::string("unknown flag '") + arg + "'";
       return false;
     }
-  }
-  return true;
-}
-
-campaign::SupervisorOptions supervisor_options(const Args& a) {
-  campaign::SupervisorOptions s;
-  s.exe = a.self_exe;
-  s.store_root = a.store_dir;
-  s.jobs = a.jobs;
-  s.max_attempts = a.max_attempts;
-  s.deadline_ms = a.deadline_ms;
-  s.backoff_base_ms = a.backoff_base_ms;
-  s.backoff_cap_ms = a.backoff_cap_ms;
-  s.drain_grace_ms = a.drain_grace_ms;
-  const char* fault = std::getenv("CONGA_CELL_FAULT");
-  if (fault != nullptr) s.fault_spec = fault;
-  return s;
+    return true;
+  });
+  return a;
 }
 
 int cmd_expand(const Args& a) {
@@ -346,31 +287,29 @@ int cmd_run(const Args& a) {
   }
 
   campaign::ResultStore store(a.store_dir);
-  telemetry::TraceSink sink;
   campaign::RunOptions opts;
   opts.jobs = a.jobs;
   opts.store = a.store_dir.empty() ? nullptr : &store;
-  opts.sink = &sink;
   opts.verbose = a.verbose;
 
-  campaign::CampaignRun run;
+  campaign::CellExecutor execute = campaign::simulate_cell;
   if (a.supervise) {
-    std::signal(SIGTERM, on_shutdown_signal);
-    std::signal(SIGINT, on_shutdown_signal);
-    campaign::SuperviseOutcome outcome = campaign::SuperviseOutcome::kComplete;
-    if (!campaign::run_campaign_supervised(spec, opts, supervisor_options(a),
-                                           &g_shutdown, run, outcome, err)) {
+    if (!campaign::supervised_executor(a.sup, &g_shutdown, execute, err)) {
       std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
       return 2;
     }
-    if (outcome == campaign::SuperviseOutcome::kDrained) {
-      std::fprintf(stderr,
-                   "conga_serve: interrupted; completed cells are in the "
-                   "store, no report written\n");
-      return 2;
-    }
-  } else if (!campaign::run_campaign(spec, opts, run, err)) {
+    std::signal(SIGTERM, on_shutdown_signal);
+    std::signal(SIGINT, on_shutdown_signal);
+  }
+  campaign::CampaignRun run;
+  if (!campaign::run_campaign(spec, opts, run, err, execute)) {
     std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
+    return 2;
+  }
+  if (run.drained) {
+    std::fprintf(stderr,
+                 "conga_serve: interrupted; completed cells are in the "
+                 "store, no report written\n");
     return 2;
   }
 
@@ -405,7 +344,7 @@ int cmd_run(const Args& a) {
   }
   if (a.verify_sample > 0.0) {
     campaign::VerifyOutcome outcome;
-    if (!campaign::verify_sample(run, a.verify_sample, a.jobs, opts.sink,
+    if (!campaign::verify_sample(run, a.verify_sample, a.jobs, nullptr,
                                  outcome, err)) {
       std::fprintf(stderr, "conga_serve: verify-sample: %s\n", err.c_str());
       return 2;
@@ -515,64 +454,36 @@ int cmd_store_stat(const Args& a) {
     std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
     return 2;
   }
-  campaign::Json doc = campaign::Json::object();
-  doc.set("schema", campaign::Json::string("conga-store-stat-v1"));
-  doc.set("entries", campaign::Json::uinteger(st.entries));
-  doc.set("bytes", campaign::Json::uinteger(st.bytes));
-  doc.set("tmp_files", campaign::Json::uinteger(st.tmp_files));
-  doc.set("tmp_bytes", campaign::Json::uinteger(st.tmp_bytes));
-  doc.set("quarantined", campaign::Json::uinteger(st.quarantined));
-  campaign::Json buckets = campaign::Json::array();
-  for (const campaign::ResultStore::StatBucket& b : st.by_fingerprint) {
-    campaign::Json e = campaign::Json::object();
-    e.set("fingerprint", campaign::Json::string(b.fingerprint));
-    e.set("entries", campaign::Json::uinteger(b.entries));
-    e.set("bytes", campaign::Json::uinteger(b.bytes));
-    buckets.push_back(std::move(e));
-  }
-  doc.set("by_fingerprint", std::move(buckets));
-  std::printf("%s\n", doc.dump_pretty().c_str());
+  std::printf("%s\n", campaign::store_stat_json(st).dump_pretty().c_str());
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
+  if (argc < 2) usage();
   const std::string cmd = argv[1];
 
   if (cmd == "cell") return cmd_cell();
 
-  Args a;
-  a.self_exe = campaign::self_exe_path(argv[0]);
-  std::string err;
-
   if (cmd == "store") {
-    if (argc < 3) {
-      std::fprintf(stderr,
-                   "conga_serve: store needs a subcommand (gc, stat)\n");
-      return usage();
-    }
+    if (argc < 3) usage("store needs a subcommand (gc, stat)");
     const std::string sub = argv[2];
-    if (!parse_args(argc, argv, 3, a, err)) {
-      std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
-      return usage();
-    }
+    const Args a = parse_args(argc - 2, argv + 2);
     if (sub == "gc") return cmd_store_gc(a);
     if (sub == "stat") return cmd_store_stat(a);
-    std::fprintf(stderr, "conga_serve: unknown store subcommand '%s'\n",
-                 sub.c_str());
-    return usage();
+    usage(("unknown store subcommand '" + sub + "'").c_str());
   }
 
-  if (!parse_args(argc, argv, 2, a, err)) {
-    std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
-    return usage();
+  Args a = parse_args(argc - 1, argv + 1);
+  if (cmd == "run") {
+    a.sup.exe = campaign::self_exe_path(argv[0]);
+    if (const char* fault = std::getenv("CONGA_CELL_FAULT")) {
+      a.sup.fault_spec = fault;
+    }
+    return cmd_run(a);
   }
-  if (cmd == "run") return cmd_run(a);
   if (cmd == "expand") return cmd_expand(a);
   if (cmd == "verdict") return cmd_verdict(a);
-  std::fprintf(stderr, "conga_serve: unknown subcommand '%s'\n",
-               argv[1]);
-  return usage();
+  usage(("unknown subcommand '" + cmd + "'").c_str());
 }
