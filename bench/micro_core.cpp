@@ -181,10 +181,10 @@ void BM_SchedulerScheduleDispatchTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerScheduleDispatchTraced);
 
-// TCP-timer re-arm pattern: schedule then cancel without dispatching. With
-// the generation-checked slots this is two O(1) slot ops plus one lazy queue
-// node; with the old unordered_set lazy cancel it was a rehashing insert on
-// every cancel.
+// TCP-timer re-arm pattern: schedule then cancel without dispatching. Each
+// cycle is one callback-map insert and erase plus one queue node that goes
+// stale; every ~64 cancels, compaction walks the occupied slots and drops
+// them.
 void BM_ScheduleCancelChurn(benchmark::State& state) {
   sim::Scheduler sched;
   sim::TimeNs t = 0;
@@ -197,7 +197,9 @@ void BM_ScheduleCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleCancelChurn);
 
-// Dispatch against a standing backlog so sift operations have real depth.
+// Dispatch beside a standing backlog of 1000 events 1 s out. They wait in
+// the far heap, untouched, so each cycle costs what it would alone: the
+// backlog must not be rescanned on every dispatch.
 void BM_SchedulerDispatchDepth1k(benchmark::State& state) {
   sim::Scheduler sched;
   for (int i = 0; i < 1000; ++i) {
@@ -214,9 +216,9 @@ BENCHMARK(BM_SchedulerDispatchDepth1k);
 // The TCP timer pattern beside a packet stream: 500 parked 1 ms timers, one
 // re-armed (cancel + reschedule) per iteration, while ~50 near events (5 us
 // out, one dispatched per 100 ns step) churn. No timer ever fires. The
-// parked timers sit untouched in high radix buckets while the near events
-// move down the low ones, and the cancelled nodes are compacted away
-// instead of piling up.
+// parked timers wait in the far heap past the calendar's window while the
+// near events are filed straight into its slots, and the cancelled nodes
+// are compacted away instead of piling up.
 void BM_SchedulerDispatchWithParkedTimers(benchmark::State& state) {
   sim::Scheduler sched;
   std::vector<sim::EventId> timers(500);
@@ -237,6 +239,49 @@ void BM_SchedulerDispatchWithParkedTimers(benchmark::State& state) {
   state.counters["pending"] = static_cast<double>(sched.pending());
 }
 BENCHMARK(BM_SchedulerDispatchWithParkedTimers);
+
+// The pending set of a fabric: 256 links whose hop events each re-post 1.2
+// to 2.2 us out when they fire (a frame's serialization at 10G plus 1 us of
+// propagation), beside 500 parked TCP timers, spread over 1 ms, that each
+// re-arm 1 ms out when they fire. Every event stops the run, so one
+// iteration dispatches exactly one event.
+void BM_SchedulerHopPattern(benchmark::State& state) {
+  struct Link final : sim::Scheduler::Target {
+    void on_event(std::uint32_t tag) override {
+      rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+      const auto jitter = static_cast<sim::TimeNs>((rng >> 33) % 1001);
+      sched->post_at(sched->now() + 1200 + jitter, id, tag);
+      sched->stop();
+    }
+    sim::Scheduler* sched = nullptr;
+    sim::Scheduler::TargetId id = 0;
+    std::uint64_t rng = 0;
+  };
+  struct Timers {
+    void arm(sim::TimeNs at) {
+      sched.schedule_at(at, [this] {
+        arm(sched.now() + sim::milliseconds(1));
+        sched.stop();
+      });
+    }
+    sim::Scheduler& sched;
+  };
+  sim::Scheduler sched;
+  std::vector<Link> links(256);
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    links[i].sched = &sched;
+    links[i].id = sched.add_target(&links[i]);
+    links[i].rng = i + 1;
+    sched.post_at(static_cast<sim::TimeNs>(1200 + i * 4), links[i].id, 0);
+  }
+  Timers timers{sched};
+  for (int i = 0; i < 500; ++i) {
+    timers.arm(sim::milliseconds(1) + sim::microseconds(2) * i);
+  }
+  for (auto _ : state) sched.run();
+  state.counters["pending"] = static_cast<double>(sched.pending());
+}
+BENCHMARK(BM_SchedulerHopPattern);
 
 // A NIC backlog 10k packets deep (an incast burst on a host port): each
 // iteration enqueues 10k packets, then dequeues them all. The dequeues walk

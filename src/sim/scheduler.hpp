@@ -48,31 +48,32 @@ struct Ticket {
 /// singleton, so multiple independent simulations can coexist (which the
 /// tests and the parallel experiment runner exploit heavily).
 ///
-/// Implementation: an exact monotone radix queue over the 128-bit key
-/// `(time << 64 | seq)`. Keys are unique, and every key scheduled is above
-/// the last one dispatched (schedule_at clamps to now() and takes a fresh
-/// seq; a ticket is scheduled only before it passes), so the queue needs
-/// only to be right for keys at or above its base, the last dispatched key.
-/// A node sits in bucket i, where bit i is the highest bit in which its key
-/// differs from the base. Dispatch scans the lowest non-empty bucket for its
-/// least key, makes that the base and redistributes the rest into lower
-/// buckets; a node moves down at most once per bucket, so a packet hop a few
-/// microseconds out costs a few cheap moves, and a timer parked far out sits
-/// untouched in a high bucket until the clock nears it. Bucket i's keys are
-/// all at least `(base >> (i+1) << (i+1)) | 1 << i`, so run_until(t) rejects
-/// a bucket wholly past t without scanning it, and it never makes a node
-/// past t the base (a later schedule_at at t must still lie above it).
-/// 24-byte POD nodes carry the key and what to run; callbacks live off the
-/// queue in a map keyed by seq.
+/// Implementation: a calendar queue (Brown, CACM 1988) over the unique key
+/// `(time, seq)`. Every key scheduled is above the last one removed
+/// (schedule_at clamps to now() and takes a fresh seq; a ticket is
+/// scheduled only before it passes). The near part is kSlots slots of 8 ns
+/// each, covering the window `[cur << 3, (cur + kSlots) << 3)` (about
+/// 16.4 us), where `cur` is the slot of the last node removed; a slot is an unordered list
+/// of pooled entries, and a two-level occupancy bitmap finds the first
+/// non-empty slot circularly from `cur`. A node past the window waits in a
+/// far binary min-heap and migrates into its slot once the window reaches
+/// it. Pop takes the least key of the first non-empty slot (about one node
+/// at fabric density), so a packet hop is filed once and removed once, and
+/// a parked timer is moved once. run_until(t) moves `cur` only by removing
+/// a key at or before t, and a queue found empty rests `cur` on now()'s
+/// slot: a stale pop may have left it past now(), where a later key would
+/// land in the wrong lap of the calendar. 24-byte POD nodes carry the key
+/// and what to run; callbacks live off the queue in a map keyed by seq.
 ///
 /// cancel() erases the callback from that map, destroying it at once; its
 /// node goes stale (a callback node is live exactly while its seq is in the
 /// map) and is discarded when it becomes the least key, or earlier: once
-/// the buckets hold more than 2·pending()+64 nodes, cancel() drops every
-/// stale node. Buckets are unordered sets and the map is only ever looked
-/// up, never iterated, so neither step can change the order. A fired,
-/// cancelled or never-issued id is simply absent from the map, so a stray
-/// cancel() cannot corrupt the pending-event accounting.
+/// the queue holds more than 2·pending()+64 nodes, cancel() drops every
+/// stale node. Slots are unordered lists and the far heap is rebuilt, and
+/// the map is only ever looked up, never iterated, so neither step can
+/// change the order. A fired, cancelled or never-issued id is simply absent
+/// from the map, so a stray cancel() cannot corrupt the pending-event
+/// accounting.
 ///
 /// Tickets (reserve_at / passed / schedule) let a component hold a place in
 /// the dispatch order without a queue node — a link's "wire free" instant, a
@@ -102,7 +103,7 @@ class Scheduler {
   /// Index of a registered Target, returned by add_target.
   using TargetId = std::uint32_t;
 
-  Scheduler() = default;
+  Scheduler() { heads_.fill(kNil); }
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -203,36 +204,53 @@ class Scheduler {
   void set_telemetry(telemetry::TraceSink* sink) { telemetry_ = sink; }
 
  private:
-  /// Dispatch-order key: time in the high word, schedule sequence in the
-  /// low. Times are never negative (they clamp to now() >= 0), so unsigned
-  /// order is (time, seq) order.
-  using Key = unsigned __int128;
-  static Key key_of(TimeNs time, std::uint64_t seq) {
-    return (static_cast<Key>(static_cast<std::uint64_t>(time)) << 64) | seq;
-  }
-
   /// Node::target of a callback event.
   static constexpr std::uint32_t kCallback = 0xffffffffU;
 
-  /// One pending (or stale) entry in a bucket. Trivially copyable and 24
-  /// bytes, so redistribution moves PODs, not callbacks. A typed event
-  /// carries its target id and tag and is never stale; a callback event
-  /// (target kCallback) is stale once its seq has left callbacks_.
+  /// One pending (or stale) event. Trivially copyable and 24 bytes, so
+  /// filing and migration move PODs, not callbacks. A typed event carries
+  /// its target id and tag and is never stale; a callback event (target
+  /// kCallback) is stale once its seq has left callbacks_.
   struct Node {
     TimeNs time;
     std::uint64_t seq;     ///< schedule-order tie-break; fed to the trace hook
     std::uint32_t target;  ///< registered target id, or kCallback
     std::uint32_t tag;     ///< passed to the target's on_event
+  };
+  static_assert(sizeof(Node) == 24);
 
-    Key key() const { return key_of(time, seq); }
+  /// A near node in the entry pool, linked into its slot's list (or, when
+  /// free, into the free list).
+  struct Entry {
+    Node node;
+    std::uint32_t next;
   };
 
-  /// One bucket per bit of the key.
-  static constexpr unsigned kBuckets = 128;
+  using Callbacks = std::unordered_map<std::uint64_t, Callback>;
 
-  bool stale(const Node& n) const {
-    return n.target == kCallback && !callbacks_.contains(n.seq);
+  /// Calendar geometry. A 1500 B frame serializes in 1.2 us at 10G and
+  /// propagation is 1 us, so every hop event (arrival or drain, at most
+  /// ~2.2 us out) lands inside the ~16.4 us window and only timers go far.
+  /// The Fig 9 testbed peaks at about 240 pending events, most of them
+  /// within those 2.2 us, so an 8 ns slot holds about one node and a pop
+  /// scans about one.
+  static constexpr unsigned kSlotShift = 3;  ///< 8 ns slots
+  static constexpr std::uint64_t kSlots = 2048;
+  static constexpr std::uint64_t kMask = kSlots - 1;
+  static constexpr unsigned kWords = kSlots / 64;
+  static_assert(kWords <= 32, "the summary word covers 32 bitmap words");
+  /// End of a slot list or of the free list.
+  static constexpr std::uint32_t kNil = 0xffffffffU;
+
+  static std::uint64_t slot(TimeNs t) {
+    return static_cast<std::uint64_t>(t) >> kSlotShift;
   }
+  /// Dispatch order: (time, seq).
+  static bool before(const Node& a, const Node& b) {
+    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+  }
+  /// Min-heap order for the far heap.
+  static bool after(const Node& a, const Node& b) { return before(b, a); }
 
   /// Inserts a live callback event at (t, seq).
   EventId push(TimeNs t, std::uint64_t seq, Callback&& cb);
@@ -243,14 +261,28 @@ class Scheduler {
     ++nodes_;
     ++live_;
   }
-  /// Files `n` in the bucket of its highest bit differing from base_.
+  /// Files `n` in its slot if that lies in the window, else in the far heap.
   void file(const Node& n);
-  /// Removes the earliest live node if its key is at most `limit`, making
-  /// it the base, and returns true; otherwise changes no live node and
-  /// returns false. Stale minima on the way are dropped.
-  bool pop_next(Key limit, Node& out);
-  /// Dispatches `n`, just taken by pop_next().
-  void dispatch(const Node& n);
+  /// Links `n` into slot list `i` (an index into heads_).
+  void file_near(const Node& n, std::uint64_t i);
+  /// True when the window covers the far minimum's slot.
+  bool far_due() const {
+    return !far_.empty() && slot(far_.front().time) < cur_ + kSlots;
+  }
+  /// Moves every far node whose slot the window now covers into it.
+  void migrate();
+  /// Index of the first non-empty slot circularly from cur_'s. The near part
+  /// must not be empty.
+  std::uint64_t first_slot() const;
+  /// Removes the earliest live node if its time is at most `limit` and
+  /// returns true, with `cb` at its callback for a callback event; otherwise
+  /// changes no live node and returns false. Stale minima on the way are
+  /// dropped.
+  bool pop_next(TimeNs limit, Node& out, Callbacks::iterator& cb);
+  /// Dispatches `n`, just taken by pop_next() with callback `cb`.
+  void dispatch(const Node& n, Callbacks::iterator cb);
+  /// Drops every stale node, near and far.
+  void compact();
 
   TimeNs now_ = 0;
   /// Position of the last dispatch (or, after an unstopped run_until, the
@@ -262,17 +294,25 @@ class Scheduler {
   std::uint64_t dispatched_ = 0;
   std::size_t live_ = 0;
   bool stopped_ = false;
-  /// Key of the last node pop_next() removed (or of the last dispatch once
-  /// the queue is empty): every node in a bucket is at or above it, and
-  /// every key scheduled from now on is above it.
-  Key base_ = 0;
-  /// Bit i set exactly when buckets_[i] holds nodes.
-  Key nonempty_ = 0;
-  /// Nodes in the buckets, live and stale.
+  /// Slot of the last node removed (or of now() once the queue is found
+  /// empty): no node lies below it, and every near node lies in
+  /// `[cur_, cur_ + kSlots)`.
+  std::uint64_t cur_ = 0;
+  /// Nodes in the queue, near and far, live and stale.
   std::size_t nodes_ = 0;
-  std::array<std::vector<Node>, kBuckets> buckets_;
+  /// Head entry of each slot's list, or kNil.
+  std::array<std::uint32_t, kSlots> heads_;
+  /// Bit i of words_[w] set exactly when slot 64w+i holds nodes; bit w of
+  /// summary_ set exactly when words_[w] is non-zero.
+  std::array<std::uint64_t, kWords> words_{};
+  std::uint32_t summary_ = 0;
+  /// Near nodes, and the head of the list of free entries.
+  std::vector<Entry> pool_;
+  std::uint32_t free_ = kNil;
+  /// Nodes past the window, a binary min-heap in (time, seq) order.
+  std::vector<Node> far_;
   /// Callbacks of pending callback events, by seq.
-  std::unordered_map<std::uint64_t, Callback> callbacks_;
+  Callbacks callbacks_;
   std::vector<Target*> targets_;
 };
 

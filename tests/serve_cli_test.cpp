@@ -182,6 +182,33 @@ TEST(ServeCli, ExitCodesAndErrorReporting) {
             std::string::npos)
       << err_text;
 
+  // 2: a flag the subcommand does not read (these used to exit 0 and
+  // silently ignore it), named in the error.
+  EXPECT_EQ(run_cmd(std::string(kBin) +
+                    " expand --builtin smoke --supervise --jobs 4"
+                    " --deadline-ms 5 >/dev/null 2>" + err_path),
+            2);
+  ASSERT_TRUE(read_file(err_path, err_text));
+  EXPECT_NE(err_text.find("expand does not take --supervise"),
+            std::string::npos)
+      << err_text;
+  EXPECT_EQ(run_cmd(std::string(kBin) + " store stat --store " +
+                    tmp.sub("store") + " --verify-sample 50 >/dev/null 2>" +
+                    err_path),
+            2);
+  ASSERT_TRUE(read_file(err_path, err_text));
+  EXPECT_NE(err_text.find("store stat does not take --verify-sample"),
+            std::string::npos)
+      << err_text;
+
+  // 2: a bound on a real-valued flag reads as typed, not "0.000000".
+  EXPECT_EQ(run_cmd(std::string(kBin) + " run --tolerance -1 >/dev/null 2>" +
+                    err_path),
+            2);
+  ASSERT_TRUE(read_file(err_path, err_text));
+  EXPECT_NE(err_text.find("--tolerance must be >= 0\n"), std::string::npos)
+      << err_text;
+
   // 2: missing required value / bad subcommand of store.
   EXPECT_EQ(run_cmd(std::string(kBin) +
                     " store frobnicate >/dev/null 2>" + err_path),

@@ -1,8 +1,10 @@
 // Tests for the discrete-event scheduler and RNG utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -407,10 +409,13 @@ TEST(SchedulerTicket, ScheduledTicketCanBeCancelled) {
 // keys. Each dispatch must be the model's smallest key; pending(), now() and
 // passed() must agree with the model after every step. Typed events (posted
 // to one of three targets, fresh or on a ticket) mix with callback events
-// and must reach the right target with the right tag.
+// and must reach the right target with the right tag. With `window_bands`,
+// times and run_until horizons also probe the calendar's window edge (see
+// pick_time() and step()); without it the random stream is unchanged.
 class SchedulerChurn {
  public:
-  explicit SchedulerChurn(std::uint64_t seed) : rng_(seed) {
+  explicit SchedulerChurn(std::uint64_t seed, bool window_bands = false)
+      : rng_(seed), window_bands_(window_bands) {
     sched_.set_trace_hook(
         [this](TimeNs t, std::uint64_t seq) { on_dispatch({t, seq}); });
     for (std::uint32_t i = 0; i < kProbes; ++i) {
@@ -438,7 +443,11 @@ class SchedulerChurn {
     } else if (r < 0.77) {
       park_and_cancel_burst();
     } else if (r < 0.97) {
-      run_until(now_ + rng_.uniform_int(-1'000, 400'000));
+      // With window_bands, half the horizons jump 1 to 6 windows (16.4 us
+      // each) at nanosecond grain.
+      run_until(window_bands_ && rng_.chance(0.5)
+                    ? now_ + rng_.uniform_int(16'000, 100'000)
+                    : now_ + rng_.uniform_int(-1'000, 400'000));
     } else {
       run();
     }
@@ -484,7 +493,9 @@ class SchedulerChurn {
 
   // Zero, short (a link hop: near) and long (a parked timer: far) delays,
   // on a coarse grid so same-time ties across the two kinds are common. A
-  // grid point below now() exercises the clamp.
+  // grid point below now() exercises the clamp. With window_bands, half the
+  // zero delays instead straddle the calendar's window edge (15 to 18 us,
+  // at nanosecond grain), so keys land just inside and just past it.
   TimeNs pick_time() {
     const double r = rng_.uniform();
     TimeNs d = 0;
@@ -492,6 +503,8 @@ class SchedulerChurn {
       d = rng_.uniform_int(1, 7'000);
     } else if (r < 0.8) {
       d = rng_.uniform_int(100'000, 3'000'000);
+    } else if (window_bands_ && r < 0.9) {
+      return now_ + rng_.uniform_int(15'000, 18'000);
     }
     return (now_ + d) / 500 * 500;
   }
@@ -649,6 +662,7 @@ class SchedulerChurn {
 
   Scheduler sched_;
   Rng rng_;
+  bool window_bands_;
   std::array<Probe, kProbes> probes_;
   std::array<Scheduler::TargetId, kProbes> probe_ids_{};
   std::set<Key> model_;
@@ -678,6 +692,165 @@ TEST(Scheduler, MatchesReferenceOrderUnderRandomChurn) {
     EXPECT_GT(churn.dispatched(), 2'000u);
     EXPECT_GT(churn.typed_dispatched(), 500u);
   }
+}
+
+TEST(Scheduler, MatchesReferenceOrderAcrossTheCalendarWindowEdge) {
+  for (std::uint64_t seed = 11; seed <= 14; ++seed) {
+    SCOPED_TRACE(seed);
+    SchedulerChurn churn(seed, /*window_bands=*/true);
+    for (int i = 0; i < 5'000; ++i) {
+      churn.step();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    churn.drain();
+    churn.check_state();
+    EXPECT_GT(churn.dispatched(), 2'000u);
+    EXPECT_GT(churn.typed_dispatched(), 500u);
+  }
+}
+
+// A stale pop moves the calendar's window: here the cancelled event at
+// 10 us is removed after the one at 100 ns fires, and then the queue is
+// empty. The window must come back to now() (100 ns); left at 10 us, the
+// events at 200 ns and 5 us would be filed a lap late and fire after the
+// one at 12 us.
+TEST(SchedulerCalendar, StalePopRestsTheWindowOnNow) {
+  Scheduler sched;
+  std::vector<TimeNs> fired;
+  const auto log = [&] { fired.push_back(sched.now()); };
+  sched.schedule_at(100, log);
+  sched.cancel(sched.schedule_at(10'000, log));
+  sched.run();
+  ASSERT_EQ(fired, std::vector<TimeNs>{100});
+  for (const TimeNs t : {12'000, 200, 5'000}) sched.schedule_at(t, log);
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<TimeNs>{100, 200, 5'000, 12'000}));
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
+// With 8 ns slots and a 2048-slot window, an event up to 2047 slots after
+// the last dispatch is filed in the window, where it may land in the same
+// bitmap word as the window's start, below it: the search for the next
+// slot must wrap around to it. Two slots later it waits far instead. Each
+// case is a chain of lone events, each `ahead` slots after the last and
+// in its last nanosecond, starting from slots with different offsets in
+// their word.
+TEST(SchedulerCalendar, LoneEventAtTheWindowsFarEndFires) {
+  for (const TimeNs start : {0, 1, 10, 62, 63}) {
+    for (const TimeNs ahead : {1, 1984, 2040, 2047, 2048, 2049, 4100}) {
+      SCOPED_TRACE(testing::Message() << start << " " << ahead);
+      Scheduler sched;
+      std::vector<TimeNs> fired;
+      std::function<void()> hop = [&] {
+        fired.push_back(sched.now());
+        if (fired.size() < 8) {
+          sched.schedule_at(sched.now() / 8 * 8 + 8 * ahead + 7, hop);
+        }
+      };
+      const TimeNs first = 8 * (64 * 5 + start);
+      sched.schedule_at(first, hop);
+      sched.run();
+      std::vector<TimeNs> expected{first};
+      while (expected.size() < 8) {
+        expected.push_back(expected.back() / 8 * 8 + 8 * ahead + 7);
+      }
+      EXPECT_EQ(fired, expected);
+      EXPECT_EQ(sched.pending(), 0u);
+    }
+  }
+}
+
+// A timer 50 us out starts past the window and migrates in while a 1 us
+// ticker walks the window forward. At its nanosecond two events are filed
+// straight into the window: one on a ticket reserved before the timer
+// (lower seq) and one scheduled fresh (higher seq). All three fire in seq
+// order, and the whole run in (time, seq) order.
+TEST(SchedulerCalendar, MigratedTimerTiesWithNearEventsBySeq) {
+  Scheduler sched;
+  std::vector<std::pair<TimeNs, std::uint64_t>> keys;
+  sched.set_trace_hook(
+      [&keys](TimeNs t, std::uint64_t seq) { keys.emplace_back(t, seq); });
+  std::vector<int> order;
+  const Ticket early = sched.reserve_at(50'000);
+  const EventId timer =
+      sched.schedule_at(50'000, [&] { order.push_back(1); });
+  ASSERT_GT(timer, early.seq);
+  std::function<void()> tick = [&] {
+    if (sched.now() < 60'000) sched.schedule_after(1'000, tick);
+  };
+  sched.schedule_at(1'000, tick);
+  sched.schedule_at(45'000, [&] {
+    sched.schedule(early, [&] { order.push_back(0); });
+    sched.schedule_at(50'000, [&] { order.push_back(2); });
+  });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  EXPECT_EQ(keys.size(), 60u + 1u + 3u);
+}
+
+// Compaction drops stale nodes from the window's slots and from the far
+// heap alike: survivors on both sides, and events scheduled afterwards at
+// their times, still fire in (time, seq) order with pending() exact. One
+// group of near events is cancelled whole, so compaction empties the
+// bitmap words that held it.
+TEST(SchedulerCalendar, CompactionNearAndFarKeepsOrderAndPending) {
+  Scheduler sched;
+  std::vector<std::pair<TimeNs, std::uint64_t>> keys;
+  sched.set_trace_hook(
+      [&keys](TimeNs t, std::uint64_t seq) { keys.emplace_back(t, seq); });
+  // Group 0: near, 100 to 290 ns (the window's first bitmap word). Group 1:
+  // near, 1.0 to 1.39 us (its next two words), all cancelled. Group 2: far,
+  // 1 to 2 ms out.
+  const auto time_of = [](int i) -> TimeNs {
+    switch (i % 3) {
+      case 0: return 100 + 10 * (i % 20);
+      case 1: return 1'000 + 10 * (i % 40);
+      default: return 1'000'000 + 5'000 * (i % 20);
+    }
+  };
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  std::vector<TimeNs> times;
+  for (int i = 0; i < 240; ++i) {
+    times.push_back(time_of(i));
+    ids.push_back(
+        sched.schedule_at(times.back(), [&fired, i] { fired.push_back(i); }));
+  }
+  std::size_t live = 240;
+  for (int i = 1; i < 240; i += 3) {
+    sched.cancel(ids[static_cast<std::size_t>(i)]);
+    ASSERT_EQ(sched.pending(), --live);
+  }
+  std::vector<int> survivors;
+  for (int i = 0; i < 240; ++i) {
+    if (i % 3 == 1) continue;
+    if (i % 10 == 3 || i % 10 == 4) {
+      survivors.push_back(i);
+      continue;
+    }
+    sched.cancel(ids[static_cast<std::size_t>(i)]);
+    ASSERT_EQ(sched.pending(), --live);
+  }
+  // 32 live of 240 nodes: the bound 2*pending()+64 was crossed after the
+  // whole of group 1 was cancelled, so the queue compacted. Ties scheduled
+  // now come after the survivors at their times.
+  const std::size_t old_survivors = survivors.size();
+  for (std::size_t k = 0; k < old_survivors; ++k) {
+    const int i = 240 + static_cast<int>(k);
+    times.push_back(times[static_cast<std::size_t>(survivors[k])]);
+    sched.schedule_at(times.back(), [&fired, i] { fired.push_back(i); });
+    survivors.push_back(i);
+  }
+  EXPECT_EQ(sched.pending(), survivors.size());
+  sched.run();
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  std::stable_sort(survivors.begin(), survivors.end(), [&](int a, int b) {
+    return times[static_cast<std::size_t>(a)] <
+           times[static_cast<std::size_t>(b)];
+  });
+  EXPECT_EQ(fired, survivors);
 }
 
 /// Records the tags it receives, with the clock at each.

@@ -10,6 +10,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -99,7 +100,7 @@ class FlagReader {
       ok = parse_int_flag(value, std::numeric_limits<T>::min(), out);
     }
     if (!ok) fail(flag_ + " wants a number, got '" + value + "'");
-    if (out < min) fail(flag_ + " must be >= " + std::to_string(min));
+    if (out < min) fail(flag_ + " must be >= " + bound_text(min));
     return out;
   }
 
@@ -107,6 +108,18 @@ class FlagReader {
   std::vector<std::string> list() { return split(text(), ','); }
 
  private:
+  /// A bound as the user would type it: "0", not "0.000000".
+  template <class T>
+  static std::string bound_text(T bound) {
+    if constexpr (std::is_floating_point_v<T>) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%g", static_cast<double>(bound));
+      return buf;
+    } else {
+      return std::to_string(bound);
+    }
+  }
+
   [[noreturn]] void fail(const std::string& msg) const {
     usage_(msg.c_str());
     std::abort();

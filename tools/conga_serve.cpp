@@ -51,6 +51,10 @@
 // The CONGA_CELL_FAULT env knob ("crash:0,hang:2@1,tear:3") injects
 // deterministic child failures under --supervise — test-only.
 //
+// Each subcommand takes only the flags listed for it above (verdict also
+// takes --verdict-out as a synonym of --out); any other flag is a usage
+// error.
+//
 // Exit status: 0 success; 1 regression verdict, store poisoning, or
 // quarantined cells; 2 usage or I/O error, or a supervised run interrupted
 // by SIGTERM/SIGINT.
@@ -145,28 +149,54 @@ struct Args {
   bool verbose = false;
 };
 
-/// Reads the flags after argv[0] into `a`; a usage error exits 2.
-Args parse_args(int argc, char** argv) {
+/// The subcommands, as bits: each flag names the ones that read it.
+enum Command : unsigned {
+  kRun = 1,
+  kExpand = 2,
+  kVerdict = 4,
+  kStoreGc = 8,
+  kStoreStat = 16,
+};
+
+/// Reads the flags after argv[0] into `a` for subcommand `cmd` (named
+/// `name`); a usage error, including a flag that `cmd` does not read,
+/// exits 2.
+Args parse_args(int argc, char** argv, Command cmd, const std::string& name) {
   Args a;
   tools::FlagReader args(argc, argv, usage);
   args.each([&](const std::string& flag) {
+    // Called first in each branch below with the subcommands that read it.
+    const auto read_by = [&](unsigned cmds) {
+      if ((cmds & cmd) == 0) {
+        usage((name + " does not take " + flag).c_str());
+      }
+    };
     if (flag == "--campaign") {
+      read_by(kRun | kExpand);
       a.campaign_path = args.text();
     } else if (flag == "--builtin") {
+      read_by(kRun | kExpand);
       a.builtin = args.text();
     } else if (flag == "--store") {
+      read_by(kRun | kStoreGc | kStoreStat);
       a.store_dir = args.text();
     } else if (flag == "--out") {
+      read_by(kRun | kVerdict);
       a.out_path = args.text();
     } else if (flag == "--stats-out") {
+      read_by(kRun);
       a.stats_path = args.text();
     } else if (flag == "--baseline") {
+      read_by(kRun | kVerdict);
       a.baseline_path = args.text();
     } else if (flag == "--verdict-out") {
+      read_by(kRun | kVerdict);
       a.verdict_path = args.text();
     } else if (flag == "--report") {
+      read_by(kVerdict);
       a.report_path = args.text();
     } else if (flag == "--keep-fingerprints") {
+      read_by(kStoreGc);
       for (std::string& token : args.list()) {
         if (token.empty()) continue;
         if (token == "current") token = campaign::code_fingerprint();
@@ -176,30 +206,41 @@ Args parse_args(int argc, char** argv) {
         usage("--keep-fingerprints wants a comma list of fingerprints");
       }
     } else if (flag == "--tolerance") {
+      read_by(kRun | kVerdict);
       a.tolerance = args.number<double>(0.0);
     } else if (flag == "--verify-sample") {
+      read_by(kRun);
       const double pct = args.number<double>();
       if (!(pct > 0.0) || pct > 100.0) {
         usage("--verify-sample wants a percentage in (0, 100]");
       }
       a.verify_sample = pct / 100.0;
     } else if (flag == "--jobs") {
+      read_by(kRun);
       a.jobs = args.number<int>(1);
     } else if (flag == "--max-attempts") {
+      read_by(kRun);
       a.sup.max_attempts = args.number<int>(1);
     } else if (flag == "--deadline-ms") {
+      read_by(kRun);
       a.sup.deadline_ms = args.number<std::int64_t>(1);
     } else if (flag == "--backoff-base-ms") {
+      read_by(kRun);
       a.sup.backoff_base_ms = args.number<std::int64_t>(1);
     } else if (flag == "--backoff-cap-ms") {
+      read_by(kRun);
       a.sup.backoff_cap_ms = args.number<std::int64_t>(1);
     } else if (flag == "--drain-grace-ms") {
+      read_by(kRun);
       a.sup.drain_grace_ms = args.number<std::int64_t>(0);
     } else if (flag == "--tmp-age-seconds") {
+      read_by(kStoreGc);
       a.tmp_age_seconds = args.number<std::int64_t>(0);
     } else if (flag == "--supervise") {
+      read_by(kRun);
       a.supervise = true;
     } else if (flag == "--verbose") {
+      read_by(kRun);
       a.verbose = true;
     } else {
       return false;
@@ -469,21 +510,29 @@ int main(int argc, char** argv) {
   if (cmd == "store") {
     if (argc < 3) usage("store needs a subcommand (gc, stat)");
     const std::string sub = argv[2];
-    const Args a = parse_args(argc - 2, argv + 2);
-    if (sub == "gc") return cmd_store_gc(a);
-    if (sub == "stat") return cmd_store_stat(a);
+    const std::string name = "store " + sub;
+    if (sub == "gc") {
+      return cmd_store_gc(parse_args(argc - 2, argv + 2, kStoreGc, name));
+    }
+    if (sub == "stat") {
+      return cmd_store_stat(parse_args(argc - 2, argv + 2, kStoreStat, name));
+    }
     usage(("unknown store subcommand '" + sub + "'").c_str());
   }
 
-  Args a = parse_args(argc - 1, argv + 1);
   if (cmd == "run") {
+    Args a = parse_args(argc - 1, argv + 1, kRun, cmd);
     a.sup.exe = campaign::self_exe_path(argv[0]);
     if (const char* fault = std::getenv("CONGA_CELL_FAULT")) {
       a.sup.fault_spec = fault;
     }
     return cmd_run(a);
   }
-  if (cmd == "expand") return cmd_expand(a);
-  if (cmd == "verdict") return cmd_verdict(a);
+  if (cmd == "expand") {
+    return cmd_expand(parse_args(argc - 1, argv + 1, kExpand, cmd));
+  }
+  if (cmd == "verdict") {
+    return cmd_verdict(parse_args(argc - 1, argv + 1, kVerdict, cmd));
+  }
   usage(("unknown subcommand '" + cmd + "'").c_str());
 }
