@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <variant>
 
 #include "telemetry/probes.hpp"
 
@@ -29,6 +31,47 @@ sim::TimeNs dwell(sim::Rng& rng, sim::TimeNs mean) {
   return std::max<sim::TimeNs>(1, static_cast<sim::TimeNs>(d));
 }
 
+/// Fails (down = true) or restores one leaf-spine link pair.
+void set_link(net::Fabric& fabric, int leaf, int spine, int parallel,
+              bool down, sim::TimeNs detection_delay) {
+  if (down) {
+    fabric.fail_fabric_link(leaf, spine, parallel, detection_delay);
+  } else {
+    fabric.restore_fabric_link(leaf, spine, parallel, detection_delay);
+  }
+}
+
+/// Calls `f(link, is_up)` on the up link of the spec's (leaf, spine,
+/// parallel) pair, then on its down link when `both_directions`; a link
+/// absent at build time is skipped.
+template <class Spec, class F>
+void for_pair(net::Fabric& fabric, const Spec& s, bool both_directions,
+              F f) {
+  if (net::Link* up = fabric.up_link(s.leaf, s.spine, s.parallel)) {
+    f(*up, true);
+  }
+  if (!both_directions) return;
+  if (net::Link* dn = fabric.down_link(s.spine, s.leaf, s.parallel)) {
+    f(*dn, false);
+  }
+}
+
+/// Fails (down = true) or restores every leaf-spine link pair attached to
+/// the switch named by `s`.
+void set_switch_links(net::Fabric& fabric, const SwitchRebootSpec& s,
+                      bool down) {
+  const net::TopologyConfig& topo = fabric.config();
+  const bool leaf = s.kind == SwitchRebootSpec::Kind::kLeaf;
+  for (int i = 0; i < (leaf ? topo.num_spines : topo.num_leaves); ++i) {
+    const int l = leaf ? s.index : i;
+    const int sp = leaf ? i : s.index;
+    for (int p = 0; p < topo.links_per_spine; ++p) {
+      if (fabric.up_link(l, sp, p) == nullptr) continue;
+      set_link(fabric, l, sp, p, down, s.detection_delay);
+    }
+  }
+}
+
 }  // namespace
 
 FaultInjector::FaultInjector(net::Fabric& fabric, std::uint64_t seed)
@@ -37,18 +80,7 @@ FaultInjector::FaultInjector(net::Fabric& fabric, std::uint64_t seed)
 void FaultInjector::arm(const FaultPlan& plan) {
   if (plan.empty()) return;
   for (std::size_t i = 0; i < plan.faults.size(); ++i) {
-    const FaultSpec& spec = plan.faults[i];
-    if (const auto* f = std::get_if<LinkFlapSpec>(&spec)) {
-      arm_flap(*f, i);
-    } else if (const auto* d = std::get_if<DegradeSpec>(&spec)) {
-      arm_degrade(*d);
-    } else if (const auto* g = std::get_if<GrayFailureSpec>(&spec)) {
-      arm_gray(*g, i);
-    } else if (const auto* r = std::get_if<SwitchRebootSpec>(&spec)) {
-      arm_reboot(*r);
-    } else if (const auto* sf = std::get_if<StaleFeedbackSpec>(&spec)) {
-      arm_stale(*sf);
-    }
+    std::visit([&](const auto& spec) { arm_spec(spec, i); }, plan.faults[i]);
   }
   if (telemetry::TraceSink* sink = fabric_.telemetry()) {
     sink->probes().add_counter("fault/transitions",
@@ -56,18 +88,19 @@ void FaultInjector::arm(const FaultPlan& plan) {
   }
 }
 
-void FaultInjector::emit(telemetry::EventType type, std::uint64_t a,
-                         std::uint64_t b) {
+void FaultInjector::edge(telemetry::EventType type, bool on,
+                         std::uint64_t detail) {
+  ++transitions_;
   telemetry::TraceSink* sink = fabric_.telemetry();
   if (sink == nullptr) return;
   if (!comp_interned_) {
     comp_ = sink->intern_component("fault_injector");
     comp_interned_ = true;
   }
-  telemetry::emit(sink, type, comp_, sched_.now(), a, b);
+  telemetry::emit(sink, type, comp_, sched_.now(), on ? 1 : 0, detail);
 }
 
-void FaultInjector::arm_flap(const LinkFlapSpec& s, std::size_t index) {
+void FaultInjector::arm_spec(const LinkFlapSpec& s, std::size_t index) {
   auto st = std::make_unique<FlapState>();
   st->spec = s;
   st->rng = sim::Rng(rng_.stream_seed(kFlapStream | index));
@@ -79,148 +112,88 @@ void FaultInjector::arm_flap(const LinkFlapSpec& s, std::size_t index) {
 void FaultInjector::flap_toggle(FlapState* st) {
   const LinkFlapSpec& s = st->spec;
   const sim::TimeNs now = sched_.now();
-  if (!st->down) {
-    if (now >= s.stop) return;  // window over while up: flap is done
-    fabric_.fail_fabric_link(s.leaf, s.spine, s.parallel, s.detection_delay);
-    st->down = true;
-    ++transitions_;
-    emit(telemetry::EventType::kFaultLinkFlap, 1,
-         pack_triple(s.leaf, s.spine, s.parallel));
-    sched_.schedule_after(dwell(st->rng, s.mean_down_dwell),
-                          [this, st] { flap_toggle(st); });
-  } else {
-    // Always leave the link up: the down->up edge runs even past `stop`.
-    fabric_.restore_fabric_link(s.leaf, s.spine, s.parallel,
-                                s.detection_delay);
-    st->down = false;
-    ++transitions_;
-    emit(telemetry::EventType::kFaultLinkFlap, 0,
-         pack_triple(s.leaf, s.spine, s.parallel));
-    if (now >= s.stop) return;
-    sched_.schedule_after(dwell(st->rng, s.mean_up_dwell),
-                          [this, st] { flap_toggle(st); });
-  }
+  if (!st->down && now >= s.stop) return;  // window over while up: done
+  // Always leave the link up: the down->up edge runs even past `stop`.
+  st->down = !st->down;
+  set_link(fabric_, s.leaf, s.spine, s.parallel, st->down,
+           s.detection_delay);
+  edge(telemetry::EventType::kFaultLinkFlap, st->down,
+       pack_triple(s.leaf, s.spine, s.parallel));
+  if (now >= s.stop) return;
+  sched_.schedule_after(
+      dwell(st->rng, st->down ? s.mean_down_dwell : s.mean_up_dwell),
+      [this, st] { flap_toggle(st); });
 }
 
-void FaultInjector::arm_degrade(const DegradeSpec& s) {
-  auto apply = [this, s](double scale) {
-    if (net::Link* up = fabric_.up_link(s.leaf, s.spine, s.parallel)) {
-      up->set_rate_scale(scale);
-    }
-    if (s.both_directions) {
-      if (net::Link* dn = fabric_.down_link(s.spine, s.leaf, s.parallel)) {
-        dn->set_rate_scale(scale);
-      }
-    }
+void FaultInjector::arm_window(sim::TimeNs start, sim::TimeNs stop,
+                               bool clears, telemetry::EventType type,
+                               std::uint64_t detail,
+                               std::function<void(bool)> apply) {
+  auto toggle = [this, type, detail, apply = std::move(apply)](bool on) {
+    apply(on);
+    edge(type, on, detail);
   };
+  sched_.schedule_at(start, [toggle] { toggle(true); });
+  if (clears) sched_.schedule_at(stop, [toggle] { toggle(false); });
+}
+
+void FaultInjector::arm_spec(const DegradeSpec& s, std::size_t /*index*/) {
   const auto permille =
       static_cast<std::uint64_t>(std::llround(s.rate_scale * 1000.0));
-  sched_.schedule_at(s.start, [this, apply, s, permille] {
-    apply(s.rate_scale);
-    ++transitions_;
-    emit(telemetry::EventType::kFaultDegrade, 1, permille);
-  });
-  if (s.stop > s.start) {
-    sched_.schedule_at(s.stop, [this, apply, permille] {
-      apply(1.0);
-      ++transitions_;
-      emit(telemetry::EventType::kFaultDegrade, 0, permille);
-    });
-  }
+  arm_window(s.start, s.stop, s.stop > s.start,
+             telemetry::EventType::kFaultDegrade, permille,
+             [this, s](bool on) {
+               for_pair(fabric_, s, s.both_directions,
+                        [&](net::Link& link, bool) {
+                          link.set_rate_scale(on ? s.rate_scale : 1.0);
+                        });
+             });
 }
 
-void FaultInjector::arm_gray(const GrayFailureSpec& s, std::size_t index) {
+void FaultInjector::arm_spec(const GrayFailureSpec& s, std::size_t index) {
   // Distinct streams for the two directions, so enabling the reverse
   // direction does not perturb the forward loss pattern.
   const std::uint64_t up_seed = rng_.stream_seed(kGrayStream | (index << 1));
   const std::uint64_t dn_seed =
       rng_.stream_seed(kGrayStream | (index << 1) | 1);
   const std::uint64_t detail = (ppm(s.drop_prob) << 32) | ppm(s.corrupt_prob);
-  sched_.schedule_at(s.start, [this, s, up_seed, dn_seed, detail] {
-    if (net::Link* up = fabric_.up_link(s.leaf, s.spine, s.parallel)) {
-      up->set_gray_failure(s.drop_prob, s.corrupt_prob, up_seed);
-    }
-    if (s.both_directions) {
-      if (net::Link* dn = fabric_.down_link(s.spine, s.leaf, s.parallel)) {
-        dn->set_gray_failure(s.drop_prob, s.corrupt_prob, dn_seed);
-      }
-    }
-    ++transitions_;
-    emit(telemetry::EventType::kFaultGray, 1, detail);
-  });
-  if (s.stop > s.start) {
-    sched_.schedule_at(s.stop, [this, s, detail] {
-      if (net::Link* up = fabric_.up_link(s.leaf, s.spine, s.parallel)) {
-        up->clear_gray_failure();
-      }
-      if (s.both_directions) {
-        if (net::Link* dn = fabric_.down_link(s.spine, s.leaf, s.parallel)) {
-          dn->clear_gray_failure();
-        }
-      }
-      ++transitions_;
-      emit(telemetry::EventType::kFaultGray, 0, detail);
-    });
-  }
+  arm_window(s.start, s.stop, s.stop > s.start,
+             telemetry::EventType::kFaultGray, detail,
+             [this, s, up_seed, dn_seed](bool on) {
+               for_pair(fabric_, s, s.both_directions,
+                        [&](net::Link& link, bool up) {
+                          if (on) {
+                            link.set_gray_failure(s.drop_prob, s.corrupt_prob,
+                                                  up ? up_seed : dn_seed);
+                          } else {
+                            link.clear_gray_failure();
+                          }
+                        });
+             });
 }
 
-void FaultInjector::set_switch_links(const SwitchRebootSpec& s, bool down) {
-  const net::TopologyConfig& topo = fabric_.config();
-  auto toggle = [this, &s, down](int leaf, int spine, int parallel) {
-    if (fabric_.up_link(leaf, spine, parallel) == nullptr) return;
-    if (down) {
-      fabric_.fail_fabric_link(leaf, spine, parallel, s.detection_delay);
-    } else {
-      fabric_.restore_fabric_link(leaf, spine, parallel, s.detection_delay);
-    }
-  };
-  if (s.kind == SwitchRebootSpec::Kind::kLeaf) {
-    for (int sp = 0; sp < topo.num_spines; ++sp) {
-      for (int p = 0; p < topo.links_per_spine; ++p) toggle(s.index, sp, p);
-    }
-  } else {
-    for (int l = 0; l < topo.num_leaves; ++l) {
-      for (int p = 0; p < topo.links_per_spine; ++p) toggle(l, s.index, p);
-    }
-  }
-}
-
-void FaultInjector::arm_reboot(const SwitchRebootSpec& s) {
+void FaultInjector::arm_spec(const SwitchRebootSpec& s,
+                             std::size_t /*index*/) {
   const std::uint64_t detail =
       (static_cast<std::uint64_t>(s.kind) << 16) |
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.index) &
                                  0xffffU);
-  sched_.schedule_at(s.at, [this, s, detail] {
-    set_switch_links(s, true);
-    ++transitions_;
-    emit(telemetry::EventType::kFaultSwitchReboot, 1, detail);
-  });
-  sched_.schedule_at(s.at + s.outage, [this, s, detail] {
-    set_switch_links(s, false);
-    ++transitions_;
-    emit(telemetry::EventType::kFaultSwitchReboot, 0, detail);
-  });
+  // The end is always scheduled, even for an outage <= 0.
+  arm_window(s.at, s.at + s.outage, /*clears=*/true,
+             telemetry::EventType::kFaultSwitchReboot, detail,
+             [this, s](bool on) { set_switch_links(fabric_, s, on); });
 }
 
-void FaultInjector::arm_stale(const StaleFeedbackSpec& s) {
-  sched_.schedule_at(s.start, [this, s] {
-    if (net::Link* up = fabric_.up_link(s.leaf, s.spine, s.parallel)) {
-      up->set_ce_suppressed(true);
-    }
-    ++transitions_;
-    emit(telemetry::EventType::kFaultStaleFeedback, 1,
-         pack_triple(s.leaf, s.spine, s.parallel));
-  });
-  if (s.stop > s.start) {
-    sched_.schedule_at(s.stop, [this, s] {
-      if (net::Link* up = fabric_.up_link(s.leaf, s.spine, s.parallel)) {
-        up->set_ce_suppressed(false);
-      }
-      ++transitions_;
-      emit(telemetry::EventType::kFaultStaleFeedback, 0,
-           pack_triple(s.leaf, s.spine, s.parallel));
-    });
-  }
+void FaultInjector::arm_spec(const StaleFeedbackSpec& s,
+                             std::size_t /*index*/) {
+  arm_window(s.start, s.stop, s.stop > s.start,
+             telemetry::EventType::kFaultStaleFeedback,
+             pack_triple(s.leaf, s.spine, s.parallel), [this, s](bool on) {
+               for_pair(fabric_, s, /*both_directions=*/false,
+                        [on](net::Link& link, bool) {
+                          link.set_ce_suppressed(on);
+                        });
+             });
 }
 
 std::function<void(net::Fabric&)> arming_hook(FaultPlan plan,

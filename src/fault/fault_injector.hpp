@@ -54,18 +54,23 @@ class FaultInjector {
     bool down = false;
   };
 
-  void arm_flap(const LinkFlapSpec& s, std::size_t index);
+  /// Schedules plan.faults[index]; flaps and gray failures key their RNG
+  /// streams off the index.
+  void arm_spec(const LinkFlapSpec& s, std::size_t index);
+  void arm_spec(const DegradeSpec& s, std::size_t index);
+  void arm_spec(const GrayFailureSpec& s, std::size_t index);
+  void arm_spec(const SwitchRebootSpec& s, std::size_t index);
+  void arm_spec(const StaleFeedbackSpec& s, std::size_t index);
   void flap_toggle(FlapState* st);
-  void arm_degrade(const DegradeSpec& s);
-  void arm_gray(const GrayFailureSpec& s, std::size_t index);
-  void arm_reboot(const SwitchRebootSpec& s);
-  void arm_stale(const StaleFeedbackSpec& s);
 
-  /// Fails (down = true) or restores every fabric link pair attached to the
-  /// switch named by `s`.
-  void set_switch_links(const SwitchRebootSpec& s, bool down);
-
-  void emit(telemetry::EventType type, std::uint64_t a, std::uint64_t b);
+  /// One fault window: `apply(true)` at `start` and, when `clears`,
+  /// `apply(false)` at `stop`, each followed by its edge().
+  void arm_window(sim::TimeNs start, sim::TimeNs stop, bool clears,
+                  telemetry::EventType type, std::uint64_t detail,
+                  std::function<void(bool)> apply);
+  /// Counts one transition and emits `type` with a = 1 (applied) or 0
+  /// (lifted) and b = `detail`.
+  void edge(telemetry::EventType type, bool on, std::uint64_t detail);
 
   net::Fabric& fabric_;
   sim::Scheduler& sched_;

@@ -1,9 +1,11 @@
 #include "net/fabric.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "telemetry/probes.hpp"
 #include "telemetry/telemetry.hpp"
@@ -11,22 +13,20 @@
 namespace conga::net {
 
 namespace {
-/// Finds the override for a (leaf, spine, parallel) triple, if any.
-const LinkOverride* find_override(const TopologyConfig& cfg, int leaf,
-                                  int spine, int parallel) {
-  for (const LinkOverride& o : cfg.overrides) {
-    if (o.leaf == leaf && o.spine == spine && o.parallel == parallel) return &o;
-  }
-  return nullptr;
+/// The rate factor of the first override that `match` accepts: 1 when none
+/// does, 0 for a link failed at build time.
+template <class Override, class Match>
+double rate_factor(const std::vector<Override>& overrides, Match match) {
+  const auto it = std::find_if(overrides.begin(), overrides.end(), match);
+  return it == overrides.end() ? 1.0 : it->rate_factor;
 }
 
-/// Finds the override for a (spine, core) pair, if any.
-const CoreLinkOverride* find_core_override(const TopologyConfig& cfg,
-                                           int spine, int core) {
-  for (const CoreLinkOverride& o : cfg.core_overrides) {
-    if (o.spine == spine && o.core == core) return &o;
-  }
-  return nullptr;
+/// A link name from a printf format; every name fits in 48 bytes.
+template <class... Args>
+std::string link_name(const char* fmt, Args... args) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, fmt, args...);
+  return buf;
 }
 }  // namespace
 
@@ -52,6 +52,16 @@ void Fabric::build() {
     directory_[static_cast<std::size_t>(h)] = h / H;
   }
 
+  // Per-switch shared buffer pools (null when static buffering is used).
+  auto new_pool = [&]() -> SharedBufferPool* {
+    if (cfg_.shared_buffer_bytes == 0) return nullptr;
+    pools_.push_back(std::make_unique<SharedBufferPool>(
+        cfg_.shared_buffer_bytes, cfg_.shared_buffer_alpha));
+    return pools_.back().get();
+  };
+  std::vector<SharedBufferPool*> leaf_pool;
+  std::vector<SharedBufferPool*> spine_pool;
+
   // Per-component seeds are keyed streams (component class in the high byte,
   // index below), not sequential engine draws: adding or reordering
   // components never perturbs another component's stream.
@@ -59,10 +69,7 @@ void Fabric::build() {
     leaves_.push_back(std::make_unique<LeafSwitch>(
         sched_, l, &directory_,
         rng_.stream_seed((1ULL << 56) | static_cast<std::uint64_t>(l))));
-    if (cfg_.shared_buffer_bytes > 0) {
-      leaf_pools_.push_back(std::make_unique<SharedBufferPool>(
-          cfg_.shared_buffer_bytes, cfg_.shared_buffer_alpha));
-    }
+    leaf_pool.push_back(new_pool());
   }
   std::vector<int> leaf_to_pod;  // empty on 2 tiers
   if (C > 0) {
@@ -74,27 +81,16 @@ void Fabric::build() {
     if (C > 0) {
       spines_.back()->set_pod_membership(leaf_to_pod, cfg_.pod_of_spine(s));
     }
-    if (cfg_.shared_buffer_bytes > 0) {
-      spine_pools_.push_back(std::make_unique<SharedBufferPool>(
-          cfg_.shared_buffer_bytes, cfg_.shared_buffer_alpha));
-    }
+    spine_pool.push_back(new_pool());
   }
   for (int c = 0; c < C; ++c) {
     cores_.push_back(std::make_unique<SpineSwitch>(
         c, L, rng_.stream_seed((4ULL << 56) | static_cast<std::uint64_t>(c)),
         /*core=*/true));
   }
-  auto leaf_pool = [&](int l) -> SharedBufferPool* {
-    return leaf_pools_.empty() ? nullptr
-                               : leaf_pools_[static_cast<std::size_t>(l)].get();
-  };
-  auto spine_pool = [&](int s) -> SharedBufferPool* {
-    return spine_pools_.empty()
-               ? nullptr
-               : spine_pools_[static_cast<std::size_t>(s)].get();
-  };
 
-  // Hosts and access links.
+  // Hosts and access links. Every link queues in the buffer of the switch it
+  // leaves; hosts and cores have none.
   LinkConfig edge;
   edge.rate_bps = cfg_.host_link_bps;
   edge.propagation_delay = cfg_.host_link_delay;
@@ -102,37 +98,29 @@ void Fabric::build() {
   edge.ecn_threshold_bytes = cfg_.ecn_threshold_bytes;
   edge.marks_ce = false;
   edge.dre = cfg_.dre;
+  LinkConfig nic = edge;
+  nic.queue_capacity_bytes = cfg_.nic_queue_bytes;
+  nic.ecn_threshold_bytes = 0;  // hosts don't CE-mark their own qdisc
+  host_pairs_.resize(directory_.size());
   for (int h = 0; h < L * H; ++h) {
     const LeafId l = directory_[static_cast<std::size_t>(h)];
+    LeafSwitch& leaf = *leaves_[static_cast<std::size_t>(l)];
     auto host = std::make_unique<Host>(h, l);
-
-    LinkConfig nic = edge;
-    nic.queue_capacity_bytes = cfg_.nic_queue_bytes;
-    nic.ecn_threshold_bytes = 0;  // hosts don't CE-mark their own qdisc
-    char up_name[48];
-    std::snprintf(up_name, sizeof up_name, "host%d->leaf%d", h, l);
-    auto up = std::make_unique<Link>(sched_, up_name, nic);
-    up->connect_to(leaves_[static_cast<std::size_t>(l)].get(), h);
-    host->attach_uplink(up.get());
-    host_up_.push_back(up.get());
-
+    LinkPair& pair = host_pairs_[static_cast<std::size_t>(h)];
+    pair.up = add_link(link_name("host%d->leaf%d", h, l), nic, &leaf, h);
+    host->attach_uplink(pair.up);
     LinkConfig down_cfg = edge;
-    down_cfg.shared_pool = leaf_pool(l);  // a leaf egress port
-    char down_name[48];
-    std::snprintf(down_name, sizeof down_name, "leaf%d->host%d", l, h);
-    auto down = std::make_unique<Link>(sched_, down_name, down_cfg);
-    down->connect_to(host.get(), 0);
-    leaves_[static_cast<std::size_t>(l)]->add_host_port(h, down.get());
-    host_down_.push_back(down.get());
-
+    down_cfg.shared_pool = leaf_pool[static_cast<std::size_t>(l)];
+    pair.down =
+        add_link(link_name("leaf%d->host%d", l, h), down_cfg, host.get(), 0);
+    leaf.add_host_port(h, pair.down);
+    pair.live = true;
     hosts_.push_back(std::move(host));
-    links_.push_back(std::move(up));
-    links_.push_back(std::move(down));
   }
 
   // Leaf<->spine and spine<->core links share one config, scaled by their
   // override's rate factor.
-  auto fabric_link = [&](double rate_factor) {
+  auto fabric_link = [&](double rate_factor, SharedBufferPool* egress) {
     LinkConfig fab;
     fab.rate_bps = cfg_.fabric_link_bps * rate_factor;
     fab.propagation_delay = cfg_.fabric_link_delay;
@@ -141,142 +129,100 @@ void Fabric::build() {
     fab.marks_ce = true;
     fab.ce_sum = cfg_.ce_sum;
     fab.dre = cfg_.dre;
+    fab.shared_pool = egress;
     return fab;
   };
 
   // Fabric links: for each (leaf, spine, parallel) pair in a pod, one link
   // each way.
-  down_live_.assign(static_cast<std::size_t>(S) * static_cast<std::size_t>(L) *
-                        static_cast<std::size_t>(P),
-                    0);
-  fault_epoch_.assign(down_live_.size(), 0);
-  down_links_.assign(static_cast<std::size_t>(S),
-                     std::vector<std::vector<Link*>>(
-                         static_cast<std::size_t>(L),
-                         std::vector<Link*>(static_cast<std::size_t>(P),
-                                            nullptr)));
-  up_links_.assign(static_cast<std::size_t>(L),
-                   std::vector<std::vector<Link*>>(
-                       static_cast<std::size_t>(S),
-                       std::vector<Link*>(static_cast<std::size_t>(P),
-                                          nullptr)));
+  spine_pairs_.resize(static_cast<std::size_t>(L * S * P));
   for (int l = 0; l < L; ++l) {
+    LeafSwitch& leaf = *leaves_[static_cast<std::size_t>(l)];
+    SharedBufferPool* leaf_buf = leaf_pool[static_cast<std::size_t>(l)];
     const int first_spine = cfg_.pod_of_leaf(l) * Sp;
     for (int s = first_spine; s < first_spine + Sp; ++s) {
+      SpineSwitch& spine = *spines_[static_cast<std::size_t>(s)];
+      SharedBufferPool* spine_buf = spine_pool[static_cast<std::size_t>(s)];
       for (int p = 0; p < P; ++p) {
-        const LinkOverride* o = find_override(cfg_, l, s, p);
-        if (o != nullptr && o->rate_factor == 0.0) continue;  // failed
+        const double rate =
+            rate_factor(cfg_.overrides, [&](const LinkOverride& o) {
+              return o.leaf == l && o.spine == s && o.parallel == p;
+            });
+        if (rate == 0.0) continue;  // failed
 
-        LinkConfig fab = fabric_link(o != nullptr ? o->rate_factor : 1.0);
-        char up_name[48];
-        std::snprintf(up_name, sizeof up_name, "up:l%ds%dp%d", l, s, p);
-        char down_name[48];
-        std::snprintf(down_name, sizeof down_name, "down:l%ds%dp%d", l, s, p);
-        LinkConfig up_cfg = fab;
-        up_cfg.shared_pool = leaf_pool(l);  // leaf egress toward the spine
-        auto up = std::make_unique<Link>(sched_, up_name, up_cfg);
-        up->connect_to(spines_[static_cast<std::size_t>(s)].get(), l);
-        leaves_[static_cast<std::size_t>(l)]->add_uplink(up.get(), s);
-        up_links_[static_cast<std::size_t>(l)][static_cast<std::size_t>(s)]
-                 [static_cast<std::size_t>(p)] = up.get();
-        fabric_links_.push_back(up.get());
-
-        fab.shared_pool = spine_pool(s);  // spine egress toward the leaf
-        auto down = std::make_unique<Link>(sched_, down_name, fab);
-        down->connect_to(leaves_[static_cast<std::size_t>(l)].get(),
-                         1000 + s * P + p);
-        spines_[static_cast<std::size_t>(s)]->add_downlink(l, down.get());
-        down_links_[static_cast<std::size_t>(s)][static_cast<std::size_t>(l)]
-                   [static_cast<std::size_t>(p)] = down.get();
-        down_live_[live_index(s, l, p)] = 1;
-        fabric_links_.push_back(down.get());
-
-        links_.push_back(std::move(up));
-        links_.push_back(std::move(down));
+        LinkPair& pair = spine_pair(l, s, p);
+        pair.up = add_link(link_name("up:l%ds%dp%d", l, s, p),
+                           fabric_link(rate, leaf_buf), &spine, l);
+        pair.uplink = leaf.add_uplink(pair.up, s);
+        pair.down = add_link(link_name("down:l%ds%dp%d", l, s, p),
+                             fabric_link(rate, spine_buf), &leaf,
+                             1000 + s * P + p);
+        spine.add_downlink(l, pair.down);
+        pair.live = true;
+        fabric_links_.push_back(pair.up);
+        fabric_links_.push_back(pair.down);
       }
     }
   }
 
   // Core links: every spine to every core, one link each way. The cores'
-  // per-leaf tables are filled by route_cores().
-  spine_to_core_.assign(
-      static_cast<std::size_t>(S) * static_cast<std::size_t>(C), nullptr);
-  core_to_spine_.assign(spine_to_core_.size(), nullptr);
+  // per-leaf tables are filled by recompute_reachability().
+  core_pairs_.resize(static_cast<std::size_t>(S * C));
   for (int s = 0; s < S; ++s) {
+    SpineSwitch& spine = *spines_[static_cast<std::size_t>(s)];
+    SharedBufferPool* spine_buf = spine_pool[static_cast<std::size_t>(s)];
     for (int c = 0; c < C; ++c) {
-      const CoreLinkOverride* o = find_core_override(cfg_, s, c);
-      if (o != nullptr && o->rate_factor == 0.0) continue;  // failed
+      const double rate =
+          rate_factor(cfg_.core_overrides, [&](const CoreLinkOverride& o) {
+            return o.spine == s && o.core == c;
+          });
+      if (rate == 0.0) continue;  // failed
 
-      const LinkConfig core_cfg =
-          fabric_link(o != nullptr ? o->rate_factor : 1.0);
-      char up_name[48];
-      std::snprintf(up_name, sizeof up_name, "core-up:s%dc%d", s, c);
-      char down_name[48];
-      std::snprintf(down_name, sizeof down_name, "core-down:s%dc%d", s, c);
-      LinkConfig up_cfg = core_cfg;
-      up_cfg.shared_pool = spine_pool(s);  // spine egress toward the core
-      auto up = std::make_unique<Link>(sched_, up_name, up_cfg);
-      up->connect_to(cores_[static_cast<std::size_t>(c)].get(), s);
-      spines_[static_cast<std::size_t>(s)]->add_core_uplink(up.get());
-      spine_to_core_[static_cast<std::size_t>(s * C + c)] = up.get();
-      fabric_links_.push_back(up.get());
-
-      auto down = std::make_unique<Link>(sched_, down_name, core_cfg);
-      down->connect_to(spines_[static_cast<std::size_t>(s)].get(), 2000 + c);
-      core_to_spine_[static_cast<std::size_t>(c * S + s)] = down.get();
-      fabric_links_.push_back(down.get());
-
-      links_.push_back(std::move(up));
-      links_.push_back(std::move(down));
+      LinkPair& pair = core_pair(s, c);
+      pair.up = add_link(link_name("core-up:s%dc%d", s, c),
+                         fabric_link(rate, spine_buf),
+                         cores_[static_cast<std::size_t>(c)].get(), s);
+      spine.add_core_uplink(pair.up);
+      pair.down = add_link(link_name("core-down:s%dc%d", s, c),
+                           fabric_link(rate, nullptr), &spine, 2000 + c);
+      pair.live = true;
+      fabric_links_.push_back(pair.up);
+      fabric_links_.push_back(pair.down);
     }
   }
 
   recompute_reachability();
 }
 
-void Fabric::route_cores() {
-  const int L = cfg_.num_leaves;
-  const int S = cfg_.num_spines;
-  const int Sp = cfg_.spines_per_pod();
-  const int P = cfg_.links_per_spine;
-  for (int d = 0; d < L; ++d) {
-    const int first_spine = cfg_.pod_of_leaf(d) * Sp;
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-      SpineSwitch& core = *cores_[c];
-      core.clear_downlinks(d);
-      for (int s = first_spine; s < first_spine + Sp; ++s) {
-        Link* down = core_to_spine_[c * static_cast<std::size_t>(S) +
-                                    static_cast<std::size_t>(s)];
-        if (down == nullptr) continue;
-        for (int p = 0; p < P; ++p) {
-          if (down_live_[live_index(s, d, p)] != 0) {
-            core.add_downlink(d, down);
-            break;
-          }
-        }
-      }
-    }
-  }
-}
-
 void Fabric::recompute_reachability() {
   // Routing reachability: an uplink to spine s is a valid next hop for
   // destination leaf d iff s currently has at least one live downlink to d.
-  // down_live_ caches control-plane liveness per (spine, leaf, parallel),
-  // maintained by the fail/restore detection handlers, so this is a flat
-  // flag read rather than a scan over the failed-link list. On a pod
-  // fabric, a leaf in another pod is reachable through spine s iff some
-  // core that s links to has a route to it (the tables route_cores()
-  // rebuilds first).
+  // Each leaf-spine pair caches its control-plane liveness, maintained by
+  // the fail/restore detection handlers, so this is a flag read rather
+  // than a scan over the failed-link list. On a pod fabric, a leaf in
+  // another pod is reachable through spine s iff some core that s links to
+  // has a route to it, in the core tables rebuilt first.
   const int L = cfg_.num_leaves;
-  const int P = cfg_.links_per_spine;
-  const std::size_t C = cores_.size();
-  if (C > 0) route_cores();
+  const int C = cfg_.num_cores;
+  const int Sp = cfg_.spines_per_pod();
+  // A core's table for leaf d: its links to the spines of d's pod that
+  // still have a live downlink to d, in the pod's spine order.
+  for (int d = 0; d < L && C > 0; ++d) {
+    const int first_spine = cfg_.pod_of_leaf(d) * Sp;
+    for (int c = 0; c < C; ++c) {
+      SpineSwitch& core = *cores_[static_cast<std::size_t>(c)];
+      core.clear_downlinks(d);
+      for (int s = first_spine; s < first_spine + Sp; ++s) {
+        Link* down = core_to_spine(c, s);
+        if (down != nullptr && spine_reaches(s, d)) core.add_downlink(d, down);
+      }
+    }
+  }
   auto via_core = [&](int s, int d) {
     if (cfg_.pod_of_leaf(d) == cfg_.pod_of_spine(s)) return false;
-    for (std::size_t c = 0; c < C; ++c) {
-      if (spine_to_core_[static_cast<std::size_t>(s) * C + c] != nullptr &&
-          cores_[c]->downlink_count(d) > 0) {
+    for (int c = 0; c < C; ++c) {
+      if (spine_to_core(s, c) != nullptr &&
+          cores_[static_cast<std::size_t>(c)]->downlink_count(d) > 0) {
         return true;
       }
     }
@@ -290,97 +236,64 @@ void Fabric::recompute_reachability() {
     for (std::size_t u = 0; u < lf.uplinks().size(); ++u) {
       const int s = lf.uplinks()[u].spine;
       for (int d = 0; d < L; ++d) {
-        bool ok = false;
-        for (int p = 0; p < P && !ok; ++p) {
-          ok = down_live_[live_index(s, d, p)] != 0;
-        }
         reaches[u][static_cast<std::size_t>(d)] =
-            ok || (C > 0 && via_core(s, d));
+            spine_reaches(s, d) || (C > 0 && via_core(s, d));
       }
     }
     lf.set_uplink_reachability(std::move(reaches));
   }
 }
 
-int Fabric::uplink_index(int leaf, Link* link) const {
-  const auto& ups = leaves_[static_cast<std::size_t>(leaf)]->uplinks();
-  for (std::size_t i = 0; i < ups.size(); ++i) {
-    if (ups[i].link == link) return static_cast<int>(i);
+bool Fabric::spine_reaches(int spine, int leaf) {
+  for (int p = 0; p < cfg_.links_per_spine; ++p) {
+    if (spine_pair(leaf, spine, p).live) return true;
   }
-  return -1;
+  return false;
 }
 
-Link* Fabric::up_link(int leaf, int spine, int parallel) {
-  return up_links_[static_cast<std::size_t>(leaf)]
-                  [static_cast<std::size_t>(spine)]
-                  [static_cast<std::size_t>(parallel)];
+Link* Fabric::add_link(std::string name, const LinkConfig& cfg, Node* to,
+                       int port) {
+  links_.push_back(std::make_unique<Link>(sched_, std::move(name), cfg));
+  links_.back()->connect_to(to, port);
+  return links_.back().get();
 }
 
-void Fabric::fail_fabric_link(int leaf, int spine, int parallel,
-                              sim::TimeNs detection_delay) {
-  Link* up = up_link(leaf, spine, parallel);
-  Link* down = down_link(spine, leaf, parallel);
-  assert(up != nullptr && down != nullptr && "link absent at build time");
-  // Dataplane dies immediately...
-  up->set_up(false);
-  down->set_up(false);
+void Fabric::set_link_state(int leaf, int spine, int parallel, bool live,
+                            sim::TimeNs detection_delay) {
+  LinkPair& pair = spine_pair(leaf, spine, parallel);
+  assert(pair.up != nullptr && "link absent at build time");
+  // Dataplane changes immediately...
+  pair.up->set_up(live);
+  pair.down->set_up(live);
   // ...the control plane notices after the detection window. Only the most
   // recent fail/restore call for this triple gets to apply: a flap faster
-  // than the detection window supersedes the earlier handler.
-  const std::uint64_t epoch = ++fault_epoch_[live_index(spine, leaf, parallel)];
-  sched_.schedule_after(detection_delay, [this, leaf, spine, parallel, up,
-                                          down, epoch] {
-    const std::size_t idx = live_index(spine, leaf, parallel);
-    if (fault_epoch_[idx] != epoch) return;  // superseded by a later call
-    if (down_live_[idx] == 0) return;        // already withdrawn
-    down_live_[idx] = 0;
-    leaves_[static_cast<std::size_t>(leaf)]->set_uplink_live(
-        uplink_index(leaf, up), false);
-    spines_[static_cast<std::size_t>(spine)]->remove_downlink(leaf, down);
-    recompute_reachability();
-    if (tele_ != nullptr) {
-      const sim::TimeNs now = sched_.now();
-      telemetry::emit(tele_, telemetry::EventType::kLinkWithdrawn,
-                      tele_->intern_component(up->name()), now,
-                      static_cast<std::uint64_t>(spine),
-                      static_cast<std::uint64_t>(leaf));
-      telemetry::emit(tele_, telemetry::EventType::kLinkWithdrawn,
-                      tele_->intern_component(down->name()), now,
-                      static_cast<std::uint64_t>(spine),
-                      static_cast<std::uint64_t>(leaf));
+  // than the detection window supersedes the earlier handler, and one whose
+  // target state is already in place (a fail superseded before it applied,
+  // then a restore) does nothing.
+  const std::uint64_t epoch = ++pair.epoch;
+  sched_.schedule_after(detection_delay, [this, p = &pair, leaf, spine, live,
+                                          epoch] {
+    if (p->epoch != epoch || p->live == live) return;
+    p->live = live;
+    leaves_[static_cast<std::size_t>(leaf)]->set_uplink_live(p->uplink,
+                                                             live);
+    // A restore appends the downlink to the spine's per-leaf list and a fail
+    // removes it in place: the ECMP index after a flap depends on that.
+    SpineSwitch& sp = *spines_[static_cast<std::size_t>(spine)];
+    if (live) {
+      sp.add_downlink(leaf, p->down);
+    } else {
+      sp.remove_downlink(leaf, p->down);
     }
-  });
-}
-
-void Fabric::restore_fabric_link(int leaf, int spine, int parallel,
-                                 sim::TimeNs detection_delay) {
-  Link* up = up_link(leaf, spine, parallel);
-  Link* down = down_link(spine, leaf, parallel);
-  assert(up != nullptr && down != nullptr);
-  up->set_up(true);
-  down->set_up(true);
-  const std::uint64_t epoch = ++fault_epoch_[live_index(spine, leaf, parallel)];
-  sched_.schedule_after(detection_delay, [this, leaf, spine, parallel, up,
-                                          down, epoch] {
-    const std::size_t idx = live_index(spine, leaf, parallel);
-    if (fault_epoch_[idx] != epoch) return;  // superseded by a later call
-    if (down_live_[idx] != 0) return;        // already live (fail was
-                                             // superseded before applying)
-    down_live_[idx] = 1;
-    leaves_[static_cast<std::size_t>(leaf)]->set_uplink_live(
-        uplink_index(leaf, up), true);
-    spines_[static_cast<std::size_t>(spine)]->add_downlink(leaf, down);
     recompute_reachability();
     if (tele_ != nullptr) {
-      const sim::TimeNs now = sched_.now();
-      telemetry::emit(tele_, telemetry::EventType::kLinkRestored,
-                      tele_->intern_component(up->name()), now,
-                      static_cast<std::uint64_t>(spine),
-                      static_cast<std::uint64_t>(leaf));
-      telemetry::emit(tele_, telemetry::EventType::kLinkRestored,
-                      tele_->intern_component(down->name()), now,
-                      static_cast<std::uint64_t>(spine),
-                      static_cast<std::uint64_t>(leaf));
+      const auto type = live ? telemetry::EventType::kLinkRestored
+                             : telemetry::EventType::kLinkWithdrawn;
+      for (const Link* link : {p->up, p->down}) {
+        telemetry::emit(tele_, type, tele_->intern_component(link->name()),
+                        sched_.now(), static_cast<std::uint64_t>(spine),
+                        static_cast<std::uint64_t>(leaf));
+      }
     }
   });
 }
@@ -422,21 +335,18 @@ void Fabric::attach_telemetry(telemetry::TraceSink* sink) {
   if (sink == nullptr) return;
   // Build-time degradations are part of the fabric's history too: record
   // them once at attach so a trace is self-describing.
+  auto degraded = [&](const Link* up, double rate) {
+    if (up == nullptr || rate <= 0.0 || rate >= 1.0) return;
+    telemetry::emit(sink, telemetry::EventType::kLinkDegraded,
+                    sink->intern_component(up->name()), sched_.now(),
+                    static_cast<std::uint64_t>(rate * 1000.0));
+  };
   for (const LinkOverride& o : cfg_.overrides) {
-    if (o.rate_factor <= 0.0 || o.rate_factor >= 1.0) continue;
-    Link* up = up_link(o.leaf, o.spine, o.parallel);
-    if (up == nullptr) continue;
-    telemetry::emit(sink, telemetry::EventType::kLinkDegraded,
-                    sink->intern_component(up->name()), sched_.now(),
-                    static_cast<std::uint64_t>(o.rate_factor * 1000.0));
+    degraded(up_link(o.leaf, o.spine, o.parallel), o.rate_factor);
   }
+  // A pair that an earlier override failed has no link to report.
   for (const CoreLinkOverride& o : cfg_.core_overrides) {
-    if (o.rate_factor <= 0.0 || o.rate_factor >= 1.0) continue;
-    const Link* up = spine_to_core(o.spine, o.core);
-    if (up == nullptr) continue;  // an earlier override failed the pair
-    telemetry::emit(sink, telemetry::EventType::kLinkDegraded,
-                    sink->intern_component(up->name()), sched_.now(),
-                    static_cast<std::uint64_t>(o.rate_factor * 1000.0));
+    degraded(spine_to_core(o.spine, o.core), o.rate_factor);
   }
   register_probes();
 }
@@ -470,27 +380,25 @@ void Fabric::register_probes() {
   }
   // Fabric-wide drop accounting, split by cause. Queue overflow is counted
   // by the queues; the other causes by the links' fault hooks.
+  using DropCount = std::uint64_t (*)(const Link&);
+  const std::pair<const char*, DropCount> drop_causes[] = {
+      {"fabric/drops_queue",
+       [](const Link& l) { return l.queue().stats().dropped_pkts; }},
+      {"fabric/drops_admin_down",
+       [](const Link& l) { return l.drop_stats().admin_down_pkts; }},
+      {"fabric/drops_gray",
+       [](const Link& l) { return l.drop_stats().gray_pkts; }},
+      {"fabric/drops_corrupt",
+       [](const Link& l) { return l.drop_stats().corrupt_pkts; }},
+  };
   const std::vector<Link*>* fab = &fabric_links_;
-  reg.add_counter("fabric/drops_queue", [fab] {
-    std::uint64_t n = 0;
-    for (const Link* l : *fab) n += l->queue().stats().dropped_pkts;
-    return n;
-  });
-  reg.add_counter("fabric/drops_admin_down", [fab] {
-    std::uint64_t n = 0;
-    for (const Link* l : *fab) n += l->drop_stats().admin_down_pkts;
-    return n;
-  });
-  reg.add_counter("fabric/drops_gray", [fab] {
-    std::uint64_t n = 0;
-    for (const Link* l : *fab) n += l->drop_stats().gray_pkts;
-    return n;
-  });
-  reg.add_counter("fabric/drops_corrupt", [fab] {
-    std::uint64_t n = 0;
-    for (const Link* l : *fab) n += l->drop_stats().corrupt_pkts;
-    return n;
-  });
+  for (const auto& [name, count] : drop_causes) {
+    reg.add_counter(name, [fab, count] {
+      std::uint64_t n = 0;
+      for (const Link* l : *fab) n += count(*l);
+      return n;
+    });
+  }
   // No-route drops at the switches (all candidate ports withdrawn): the one
   // drop cause that lives above the links.
   reg.add_counter("fabric/drops_no_route", [this] {
@@ -505,12 +413,6 @@ void Fabric::register_probes() {
                   [sched] { return sched->events_dispatched(); });
   reg.add_gauge("sched/pending",
                 [sched] { return static_cast<double>(sched->pending()); });
-}
-
-Link* Fabric::down_link(int spine, int leaf, int parallel) {
-  return down_links_[static_cast<std::size_t>(spine)]
-                    [static_cast<std::size_t>(leaf)]
-                    [static_cast<std::size_t>(parallel)];
 }
 
 sim::TimeNs Fabric::one_way_latency(std::uint32_t bytes) const {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "lb/load_balancer.hpp"
@@ -76,24 +77,28 @@ class Fabric {
 
   /// The spine -> leaf link for (spine, leaf, parallel); nullptr if failed
   /// or if the two are in different pods.
-  Link* down_link(int spine, int leaf, int parallel);
+  Link* down_link(int spine, int leaf, int parallel) {
+    return spine_pair(leaf, spine, parallel).down;
+  }
   /// The leaf -> spine link for (leaf, spine, parallel); nullptr if it was
   /// removed at build time or the two are in different pods. The fault
   /// injector drives per-link hooks (rate scale, gray failure, CE
   /// suppression) through this.
-  Link* up_link(int leaf, int spine, int parallel);
-  /// The spine -> core and core -> spine links; nullptr if failed at build.
-  Link* spine_to_core(int spine, int core) {
-    return spine_to_core_[static_cast<std::size_t>(spine) * cores_.size() +
-                          static_cast<std::size_t>(core)];
+  Link* up_link(int leaf, int spine, int parallel) {
+    return spine_pair(leaf, spine, parallel).up;
   }
+  /// The spine -> core and core -> spine links; nullptr if failed at build.
+  Link* spine_to_core(int spine, int core) { return core_pair(spine, core).up; }
   Link* core_to_spine(int core, int spine) {
-    return core_to_spine_[static_cast<std::size_t>(core) * spines_.size() +
-                          static_cast<std::size_t>(spine)];
+    return core_pair(spine, core).down;
   }
   /// The host's access links.
-  Link* host_to_leaf(HostId h) { return host_up_[static_cast<std::size_t>(h)]; }
-  Link* leaf_to_host(HostId h) { return host_down_[static_cast<std::size_t>(h)]; }
+  Link* host_to_leaf(HostId h) {
+    return host_pairs_[static_cast<std::size_t>(h)].up;
+  }
+  Link* leaf_to_host(HostId h) {
+    return host_pairs_[static_cast<std::size_t>(h)].down;
+  }
 
   /// All fabric (leaf<->spine, then spine<->core) links that exist, for
   /// fleet-wide stats (Fig 16 reports queue lengths at every fabric port).
@@ -112,13 +117,17 @@ class Fabric {
   /// no-op, and a handler whose target state is already in place (e.g.
   /// fail→fail) does nothing, so forwarding state is never double-flipped.
   void fail_fabric_link(int leaf, int spine, int parallel,
-                        sim::TimeNs detection_delay = 0);
+                        sim::TimeNs detection_delay = 0) {
+    set_link_state(leaf, spine, parallel, false, detection_delay);
+  }
 
   /// Restores a previously failed link pair (forwarding state is reinstated
   /// after `detection_delay`). Same last-call-wins epoch semantics as
   /// fail_fabric_link().
   void restore_fabric_link(int leaf, int spine, int parallel,
-                           sim::TimeNs detection_delay = 0);
+                           sim::TimeNs detection_delay = 0) {
+    set_link_state(leaf, spine, parallel, true, detection_delay);
+  }
 
   /// One-way host-to-host latency across the spine for a single packet of
   /// `bytes` on an idle fabric (store-and-forward serialization at each of
@@ -132,23 +141,47 @@ class Fabric {
   sim::TimeNs base_rtt(std::uint32_t bytes) const;
 
  private:
+  /// One link each way between two tiers: `up` toward the upper tier
+  /// (host->leaf, leaf->spine, spine->core), `down` back. Both are null for
+  /// a pair that does not exist (failed at build time, or a leaf and a
+  /// spine in different pods).
+  struct LinkPair {
+    Link* up = nullptr;
+    Link* down = nullptr;
+    /// The leaf's index of `up` in LeafSwitch::uplinks() (leaf-spine tier).
+    int uplink = -1;
+    /// Control-plane liveness: true iff the pair exists and is not
+    /// runtime-failed (post-detection). Flipped by the detection handler of
+    /// set_link_state(), so recompute_reachability() reads a flag instead
+    /// of scanning a list of failed triples.
+    bool live = false;
+    /// Bumped by every fail/restore call. A detection handler captures the
+    /// epoch of its call and no-ops if a later call superseded it, so
+    /// overlapping fail/restore sequences (link flaps faster than the
+    /// detection window) resolve to the last call's state.
+    std::uint64_t epoch = 0;
+  };
+
   void build();
+  /// Builds one link into links_ (whose order is the telemetry interning
+  /// order) and connects it to port `port` of `to`.
+  Link* add_link(std::string name, const LinkConfig& cfg, Node* to, int port);
+  /// The one fail (live = false) / restore (true) transition.
+  void set_link_state(int leaf, int spine, int parallel, bool live,
+                      sim::TimeNs detection_delay);
   /// Recomputes every leaf's per-destination reachability from the spines'
   /// current downlink state (runtime failures change it). On a pod fabric it
   /// first rebuilds the cores' per-leaf tables from the same state.
   void recompute_reachability();
-  /// Points every core's table for each leaf at the leaf's pod spines that
-  /// still have a live downlink to it, in the pod's spine order.
-  void route_cores();
-  int uplink_index(int leaf, Link* link) const;
-  /// Flat index into down_live_ for (spine, leaf, parallel).
-  std::size_t live_index(int spine, int leaf, int parallel) const {
-    return (static_cast<std::size_t>(spine) *
-                static_cast<std::size_t>(cfg_.num_leaves) +
-            static_cast<std::size_t>(leaf)) *
-               static_cast<std::size_t>(cfg_.links_per_spine) +
-           static_cast<std::size_t>(parallel);
+  LinkPair& spine_pair(int leaf, int spine, int parallel) {
+    return spine_pairs_[static_cast<std::size_t>(
+        (leaf * cfg_.num_spines + spine) * cfg_.links_per_spine + parallel)];
   }
+  LinkPair& core_pair(int spine, int core) {
+    return core_pairs_[static_cast<std::size_t>(spine * cfg_.num_cores + core)];
+  }
+  /// True iff `spine` has a live downlink to `leaf`.
+  bool spine_reaches(int spine, int leaf);
   /// Registers the standard probe set with the attached sink.
   void register_probes();
 
@@ -157,35 +190,18 @@ class Fabric {
   sim::Rng rng_;
   std::vector<LeafId> directory_;
   // Per-switch shared buffer pools (empty when static buffering is used).
-  std::vector<std::unique_ptr<SharedBufferPool>> leaf_pools_;
-  std::vector<std::unique_ptr<SharedBufferPool>> spine_pools_;
+  std::vector<std::unique_ptr<SharedBufferPool>> pools_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<LeafSwitch>> leaves_;
   std::vector<std::unique_ptr<SpineSwitch>> spines_;
   std::vector<std::unique_ptr<SpineSwitch>> cores_;  // empty on 2 tiers
   std::vector<std::unique_ptr<Link>> links_;  // owns every link
-  std::vector<Link*> host_up_;
-  std::vector<Link*> host_down_;
   std::vector<Link*> fabric_links_;
-  // [spine][leaf][parallel] -> link or nullptr
-  std::vector<std::vector<std::vector<Link*>>> down_links_;
-  // [leaf][spine][parallel] -> link or nullptr
-  std::vector<std::vector<std::vector<Link*>>> up_links_;
-  // Flat [spine * cores + core] and [core * spines + spine] -> link or
-  // nullptr (empty on 2 tiers).
-  std::vector<Link*> spine_to_core_;
-  std::vector<Link*> core_to_spine_;
-  // Control-plane liveness of spine->leaf downlinks, flat-indexed by
-  // live_index(): 1 iff the link exists and is not runtime-failed
-  // (post-detection). Flipped by the fail/restore detection handlers, so
-  // recompute_reachability() reads a flag instead of scanning a list of
-  // failed triples for every (spine, leaf, parallel) combination.
-  std::vector<std::uint8_t> down_live_;
-  // Per-triple epoch counter, bumped by every fail/restore call. Detection
-  // handlers capture the epoch of their call and no-op if a later call
-  // superseded them, so overlapping fail/restore sequences (link flaps
-  // faster than the detection window) resolve to the last call's state.
-  std::vector<std::uint64_t> fault_epoch_;
+  // One table per tier: [host], [leaf][spine][parallel] and [spine][core]
+  // (empty on 2 tiers).
+  std::vector<LinkPair> host_pairs_;
+  std::vector<LinkPair> spine_pairs_;
+  std::vector<LinkPair> core_pairs_;
   telemetry::TraceSink* tele_ = nullptr;
 };
 

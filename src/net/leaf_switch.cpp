@@ -1,6 +1,5 @@
 #include "net/leaf_switch.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -14,7 +13,10 @@ LeafSwitch::LeafSwitch(sim::Scheduler& sched, LeafId id,
     : sched_(sched), id_(id), directory_(directory), rng_(rng_seed) {}
 
 void LeafSwitch::add_host_port(HostId host, Link* down_link) {
-  down_links_.emplace_back(host, down_link);
+  if (host_ports_.empty()) first_host_ = host;
+  assert(host == first_host_ + static_cast<HostId>(host_ports_.size()) &&
+         "a leaf's hosts are added in order, with no gaps");
+  host_ports_.push_back(down_link);
 }
 
 int LeafSwitch::add_uplink(Link* up_link, int spine) {
@@ -26,13 +28,19 @@ void LeafSwitch::set_load_balancer(std::unique_ptr<lb::LoadBalancer> lb) {
   lb_ = std::move(lb);
 }
 
+void LeafSwitch::encapsulate(Packet& pkt, LeafId dst_leaf) const {
+  pkt.overlay.valid = true;
+  pkt.overlay.src_leaf = id_;
+  pkt.overlay.dst_leaf = dst_leaf;
+  pkt.overlay.ce = 0;
+  pkt.overlay.fb_valid = false;
+  pkt.size_bytes += kOverlayHeaderBytes;
+}
+
 void LeafSwitch::forward_down(PacketPtr pkt) {
-  const HostId dst = wire_dst_host(*pkt);
-  const auto it =
-      std::find_if(down_links_.begin(), down_links_.end(),
-                   [dst](const auto& p) { return p.first == dst; });
-  assert(it != down_links_.end() && "destination host not on this leaf");
-  it->second->send(std::move(pkt));
+  const auto port = static_cast<std::size_t>(wire_dst_host(*pkt) - first_host_);
+  assert(port < host_ports_.size() && "destination host not on this leaf");
+  host_ports_[port]->send(std::move(pkt));
 }
 
 void LeafSwitch::send_to_fabric(PacketPtr pkt, LeafId dst_leaf) {
@@ -52,13 +60,7 @@ void LeafSwitch::send_to_fabric(PacketPtr pkt, LeafId dst_leaf) {
     return;
   }
 
-  pkt->overlay.valid = true;
-  pkt->overlay.src_leaf = id_;
-  pkt->overlay.dst_leaf = dst_leaf;
-  pkt->overlay.ce = 0;
-  pkt->overlay.fb_valid = false;
-  pkt->size_bytes += kOverlayHeaderBytes;
-
+  encapsulate(*pkt, dst_leaf);
   const sim::TimeNs now = sched_.now();
   int up = lb_->select_uplink(*pkt, dst_leaf, now);
   assert(up >= 0 && up < static_cast<int>(uplinks_.size()));
@@ -76,13 +78,8 @@ void LeafSwitch::send_to_fabric(PacketPtr pkt, LeafId dst_leaf) {
 void LeafSwitch::send_probe(PacketPtr pkt, int uplink, LeafId dst_leaf) {
   assert(pkt->probe.kind != 0 && "send_probe is for probe-plane packets");
   assert(uplink >= 0 && uplink < static_cast<int>(uplinks_.size()));
-  pkt->overlay.valid = true;
-  pkt->overlay.src_leaf = id_;
-  pkt->overlay.dst_leaf = dst_leaf;
-  pkt->overlay.ce = 0;
-  pkt->overlay.fb_valid = false;
+  encapsulate(*pkt, dst_leaf);
   pkt->overlay.lbtag = static_cast<std::uint8_t>(uplink);
-  pkt->size_bytes += kOverlayHeaderBytes;
   ++probes_to_fabric_;
   uplinks_[static_cast<std::size_t>(uplink)].link->send(std::move(pkt));
 }

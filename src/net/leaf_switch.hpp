@@ -123,6 +123,8 @@ class LeafSwitch : public Node {
 
  private:
   void forward_down(PacketPtr pkt);
+  /// Adds the overlay header toward `dst_leaf` (the LBTag is the caller's).
+  void encapsulate(Packet& pkt, LeafId dst_leaf) const;
   void send_to_fabric(PacketPtr pkt, LeafId dst_leaf);
   HostId wire_dst_host(const Packet& pkt) const {
     return pkt.tcp.is_ack ? pkt.flow.src_host : pkt.flow.dst_host;
@@ -136,8 +138,10 @@ class LeafSwitch : public Node {
   std::vector<Uplink> uplinks_;
   std::vector<std::vector<bool>> uplink_reaches_;
   std::vector<bool> uplink_live_;  ///< empty == all live
-  // host -> downlink; sparse map over global host ids
-  std::vector<std::pair<HostId, Link*>> down_links_;
+  // Downlink to host first_host_ + i at index i: Fabric::build adds a
+  // leaf's hosts in order, with no gaps.
+  HostId first_host_ = 0;
+  std::vector<Link*> host_ports_;
   std::uint64_t packets_to_fabric_ = 0;
   std::uint64_t packets_from_fabric_ = 0;
   std::uint64_t dropped_no_route_ = 0;

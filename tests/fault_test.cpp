@@ -15,6 +15,7 @@
 #include "lb/factories.hpp"
 #include "net/fabric.hpp"
 #include "tcp/flow.hpp"
+#include "telemetry/probes.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/flow_size_dist.hpp"
 
@@ -311,6 +312,143 @@ TEST(FaultInjector, StaleFeedbackTogglesCeSuppression) {
   sched.run_until(sim::microseconds(2500));
   EXPECT_FALSE(fabric.up_link(0, 1, 0)->ce_suppressed());
   EXPECT_EQ(injector.transitions(), 2u);
+}
+
+// A degrade, gray or stale-feedback window whose stop is at or before its
+// start never clears: the fault persists through the drain, and only its
+// onset counts as a transition.
+TEST(FaultInjector, WindowsThatNeverStopStayInForce) {
+  for (const sim::TimeNs stop :
+       {sim::microseconds(500), sim::milliseconds(1)}) {
+    sim::Scheduler sched;
+    net::Fabric fabric(sched, topo2x2(), 1);
+    fabric.install_lb(core::conga());
+
+    fault::DegradeSpec d;
+    d.leaf = 0;
+    d.spine = 1;
+    d.rate_scale = 0.5;
+    d.start = sim::milliseconds(1);
+    d.stop = stop;
+    fault::GrayFailureSpec g;
+    g.leaf = 1;
+    g.spine = 0;
+    g.start = sim::milliseconds(1);
+    g.stop = stop;
+    fault::StaleFeedbackSpec sf;
+    sf.leaf = 1;
+    sf.spine = 1;
+    sf.start = sim::milliseconds(1);
+    sf.stop = stop;
+    fault::FaultInjector degrade(fabric, 1);
+    degrade.arm(fault::FaultPlan{}.add(d));
+    fault::FaultInjector gray(fabric, 2);
+    gray.arm(fault::FaultPlan{}.add(g));
+    fault::FaultInjector stale(fabric, 3);
+    stale.arm(fault::FaultPlan{}.add(sf));
+
+    sched.run();
+    EXPECT_DOUBLE_EQ(fabric.up_link(0, 1, 0)->rate_scale(), 0.5);
+    EXPECT_DOUBLE_EQ(fabric.down_link(1, 0, 0)->rate_scale(), 0.5);
+    EXPECT_TRUE(fabric.up_link(1, 0, 0)->gray_failure_active());
+    EXPECT_TRUE(fabric.down_link(0, 1, 0)->gray_failure_active());
+    EXPECT_TRUE(fabric.up_link(1, 1, 0)->ce_suppressed());
+    EXPECT_EQ(degrade.transitions(), 1u);
+    EXPECT_EQ(gray.transitions(), 1u);
+    EXPECT_EQ(stale.transitions(), 1u);
+  }
+}
+
+// A reboot restores every link it failed at exactly `at + outage` (the
+// control plane follows a detection window later), whatever the outage.
+TEST(FaultInjector, RebootRestoresEveryLinkAtAtPlusOutage) {
+  net::TopologyConfig topo = topo2x2();
+  topo.num_leaves = 3;
+  topo.links_per_spine = 2;
+  for (const sim::TimeNs outage : {sim::milliseconds(1), sim::TimeNs{0}}) {
+    sim::Scheduler sched;
+    net::Fabric fabric(sched, topo, 1);
+    fabric.install_lb(core::conga());
+
+    fault::SwitchRebootSpec r;
+    r.kind = fault::SwitchRebootSpec::Kind::kSpine;
+    r.index = 1;
+    r.at = sim::milliseconds(1);
+    r.outage = outage;
+    r.detection_delay = sim::microseconds(100);
+    fault::FaultInjector injector(fabric, 5);
+    injector.arm(fault::FaultPlan{}.add(r));
+
+    std::vector<net::Link*> rebooted;
+    for (int l = 0; l < topo.num_leaves; ++l) {
+      for (int p = 0; p < topo.links_per_spine; ++p) {
+        rebooted.push_back(fabric.up_link(l, 1, p));
+        rebooted.push_back(fabric.down_link(1, l, p));
+      }
+    }
+    if (outage > 0) {
+      sched.run_until(r.at + outage - 1);
+      for (const net::Link* link : rebooted) {
+        EXPECT_FALSE(link->is_up()) << link->name();
+      }
+    }
+    sched.run_until(r.at + outage);
+    for (const net::Link* link : rebooted) {
+      EXPECT_TRUE(link->is_up()) << link->name();
+    }
+    EXPECT_EQ(injector.transitions(), 2u);
+
+    sched.run();
+    for (int l = 0; l < topo.num_leaves; ++l) {
+      EXPECT_EQ(fabric.spine(1).downlink_count(l), 2u) << "leaf " << l;
+      for (int u = 0; u < 4; ++u) {
+        EXPECT_TRUE(fabric.leaf(l).uplink_live(u)) << "leaf " << l;
+      }
+    }
+  }
+}
+
+// The fault/transitions probe counts every edge the injector applied: here
+// two per cleared window and one for the gray window that never clears.
+TEST(FaultInjector, TransitionsProbeCountsEveryEdge) {
+  sim::Scheduler sched;
+  net::Fabric fabric(sched, topo2x2(), 1);
+  fabric.install_lb(core::conga());
+  telemetry::TraceSink sink;
+  fabric.attach_telemetry(&sink);
+
+  fault::DegradeSpec d;
+  d.start = sim::milliseconds(1);
+  d.stop = sim::milliseconds(2);
+  fault::GrayFailureSpec g;
+  g.spine = 1;
+  g.start = sim::milliseconds(1);
+  fault::StaleFeedbackSpec sf;
+  sf.leaf = 1;
+  sf.start = sim::milliseconds(1);
+  sf.stop = sim::milliseconds(3);
+  fault::SwitchRebootSpec r;
+  r.kind = fault::SwitchRebootSpec::Kind::kLeaf;
+  r.index = 1;
+  r.at = sim::milliseconds(2);
+  fault::FaultPlan plan;
+  plan.add(d).add(g).add(sf).add(r);
+  fault::FaultInjector injector(fabric, 9);
+  injector.arm(plan);
+  sched.run();
+
+  const int probe = sink.probes().find("fault/transitions");
+  ASSERT_GE(probe, 0);
+  EXPECT_EQ(sink.probes().probe(probe).counter(), 7u);
+  EXPECT_EQ(injector.transitions(), 7u);
+  if (telemetry::compiled_in()) {
+    const telemetry::ComponentId comp = sink.find_component("fault_injector");
+    std::uint64_t edges = 0;
+    for (const telemetry::Event& e : sink.all_events()) {
+      if (e.comp == comp) ++edges;
+    }
+    EXPECT_EQ(edges, 7u);
+  }
 }
 
 // Flattens a plan to a comparable fingerprint (variant index + every field).

@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -214,6 +215,11 @@ TEST(ChaosAuditCli, RejectsFlagsTheSpecRejects) {
                        "windows must be");
   expect_tool_rejected(kChaos, kSmallAudit + "--hosts 2x",
                        "--hosts wants a number");
+  // Both used to run, printing jobs=-5 and jobs=0.
+  expect_tool_rejected(kChaos, kSmallAudit + "--jobs -5",
+                       "--jobs must be >= 1");
+  expect_tool_rejected(kChaos, kSmallAudit + "--jobs 0",
+                       "--jobs must be >= 1");
 }
 
 TEST(ChaosAuditCli, SmallAuditPasses) {
@@ -233,6 +239,80 @@ TEST(TraceCli, RecordRejectsRunsTooShortToMeasure) {
 TEST(TraceCli, RecordRejectsMalformedNumbers) {
   expect_tool_rejected(kTrace, "record --stop-ms 20x --out /dev/null",
                        "--stop-ms wants a number");
+}
+
+/// The count after `label` in `text` (e.g. "recorded=" -> 549422), or -1.
+long long count_after(const std::string& text, const std::string& label) {
+  const std::size_t at = text.find(label);
+  if (at == std::string::npos) return -1;
+  return std::atoll(text.c_str() + at + label.size());
+}
+
+/// The sum of the counts in summary's "by <what>:" block.
+long long block_total(const std::string& summary, const std::string& what) {
+  std::size_t at = summary.find("by " + what + ":\n");
+  if (at == std::string::npos) return -1;
+  at = summary.find('\n', at) + 1;
+  long long total = 0;
+  while (at < summary.size() && summary.compare(at, 2, "  ") == 0) {
+    const std::size_t end = summary.find('\n', at);
+    total += std::atoll(summary.c_str() + summary.rfind(' ', end) + 1);
+    at = end + 1;
+  }
+  return total;
+}
+
+TEST(TraceCli, OfflineAnalysesAgreeWithTheRecordedTrace) {
+  const fs::path trace =
+      fs::temp_directory_path() /
+      ("conga_trace_cli_test." + std::to_string(::getpid()) + ".jsonl");
+  const Outcome rec = run_tool(
+      kTrace, "record --stop-ms 15 --ring 64 --out " + trace.string());
+  ASSERT_EQ(rec.exit_code, 0) << rec.err;
+  const bool events_on =
+      rec.out.find("CONGA_TELEMETRY=OFF") == std::string::npos;
+
+  // summary: the exported events are the recorded ones the ring kept, and
+  // every one is counted once by category and once by type.
+  const Outcome sum = run_tool(kTrace, "summary " + trace.string());
+  ASSERT_EQ(sum.exit_code, 0) << sum.err;
+  // The line after the meta line: "<n> exported events, ...".
+  const long long exported =
+      std::atoll(sum.out.c_str() + sum.out.find('\n') + 1);
+  EXPECT_EQ(exported, count_after(sum.out, "recorded=") -
+                          count_after(sum.out, "overwritten="))
+      << sum.out;
+  EXPECT_EQ(block_total(sum.out, "category"), exported) << sum.out;
+  EXPECT_EQ(block_total(sum.out, "type"), exported) << sum.out;
+  const long long gauges = count_after(sum.out, "gauge_sample");
+  EXPECT_EQ(gauges > 0, events_on) << sum.out;
+
+  // slice --type passes exactly the lines of that type, as written.
+  const Outcome slice =
+      run_tool(kTrace, "slice " + trace.string() + " --type gauge_sample");
+  ASSERT_EQ(slice.exit_code, 0) << slice.err;
+  long long lines = 0;
+  for (std::size_t at = 0, end = 0;
+       (end = slice.out.find('\n', at)) != std::string::npos; at = end + 1) {
+    ++lines;
+    const std::string line = slice.out.substr(at, end - at);
+    EXPECT_EQ(line.rfind("{\"t\":", 0), 0u) << line;
+    EXPECT_NE(line.find(",\"type\":\"gauge_sample\","), std::string::npos)
+        << line;
+  }
+  EXPECT_EQ(lines, std::max(gauges, 0LL));
+
+  // percentiles reads every gauge sample.
+  const Outcome pct = run_tool(kTrace, "percentiles " + trace.string());
+  if (events_on) {
+    EXPECT_EQ(pct.exit_code, 0) << pct.err;
+    EXPECT_EQ(pct.out.rfind(std::to_string(gauges) + " samples\n", 0), 0u)
+        << pct.out;
+  } else {
+    EXPECT_EQ(pct.exit_code, 2) << pct.err;
+  }
+  std::error_code ec;
+  fs::remove(trace, ec);
 }
 
 }  // namespace

@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
     if (flag == "--campaigns") {
       cfg.campaigns = args.number<int>(1);
     } else if (flag == "--jobs") {
-      cfg.jobs = args.number<int>();
+      cfg.jobs = args.number<int>(1);
     } else if (flag == "--out") {
       cfg.out = args.text();
     } else if (flag == "--profile") {

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "campaign/experiment_spec.hpp"
+#include "campaign/json.hpp"
 #include "cli_flags.hpp"
 #include "stats/summary.hpp"
 #include "telemetry/export.hpp"
@@ -58,44 +59,51 @@ namespace {
   std::exit(2);
 }
 
-// --- minimal JSONL field extraction -----------------------------------------
-// The reader only consumes traces this repo's exporter wrote ("conga-trace-v1"
-// schema, one flat object per line, machine-generated component names), so
-// plain string scanning is sufficient — no JSON dependency needed.
+// --- reading a trace --------------------------------------------------------
 
-/// The raw text after `"key":` (number or quoted string), or "" if absent.
-std::string field(const std::string& line, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  std::size_t i = at + needle.size();
-  if (line[i] == '"') {
-    const std::size_t end = line.find('"', i + 1);
-    return line.substr(i + 1, end - i - 1);
-  }
-  std::size_t end = i;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(i, end - i);
+/// Member `key` of a trace line as text: a string's contents, any other
+/// value's JSON form, "" when absent.
+std::string text_of(const campaign::Json& obj, const char* key) {
+  const campaign::Json* v = obj.find(key);
+  if (v == nullptr) return "";
+  return v->is_string() ? v->as_string() : v->dump();
 }
 
-bool is_event_line(const std::string& line) {
-  return line.rfind("{\"t\":", 0) == 0;
-}
-
+/// A JSONL trace read one line at a time. next() keeps the line as written
+/// (slice prints it) and parses it once into `doc`; a line that is not a
+/// JSON object is a usage error naming the line.
 struct TraceFile {
   std::FILE* f = nullptr;
-  explicit TraceFile(const char* path) : f(std::fopen(path, "r")) {
-    if (f == nullptr) usage((std::string("cannot open ") + path).c_str());
+  std::string path;
+  std::size_t line_no = 0;
+  std::string line;
+  campaign::Json doc;
+
+  explicit TraceFile(const char* p) : f(std::fopen(p, "r")), path(p) {
+    if (f == nullptr) usage(("cannot open " + path).c_str());
   }
   ~TraceFile() { std::fclose(f); }
-  bool next(std::string& line) {
-    line.clear();
+  bool next() {
     int c = 0;
-    while ((c = std::fgetc(f)) != EOF && c != '\n') {
-      line.push_back(static_cast<char>(c));
+    do {
+      line.clear();
+      while ((c = std::fgetc(f)) != EOF && c != '\n') {
+        line.push_back(static_cast<char>(c));
+      }
+      ++line_no;
+    } while (line.empty() && c != EOF);  // blank lines carry nothing
+    if (line.empty()) return false;
+    std::string err;
+    if (!campaign::Json::parse(line, doc, err) || !doc.is_object()) {
+      usage((path + ":" + std::to_string(line_no) +
+             ": not a trace line: " + (err.empty() ? "not an object" : err))
+                .c_str());
     }
-    return !line.empty() || c != EOF;
+    return true;
   }
+  /// An event line; the other line is the meta header.
+  bool is_event() const { return doc.find("t") != nullptr; }
+  long long t_ns() const { return doc.find("t")->as_int(); }
 };
 
 // --- record -----------------------------------------------------------------
@@ -184,7 +192,6 @@ int cmd_record(int argc, char** argv) {
 
 int cmd_summary(const char* path) {
   TraceFile in(path);
-  std::string line;
   std::uint64_t events = 0;
   long long t_min = 0, t_max = 0;
   bool first = true;
@@ -202,23 +209,23 @@ int cmd_summary(const char* path) {
     v.emplace_back(k, 1);
   };
 
-  while (in.next(line)) {
-    if (!is_event_line(line)) {
-      if (line.rfind("{\"meta\":", 0) == 0) {
+  while (in.next()) {
+    if (!in.is_event()) {
+      if (const campaign::Json* meta = in.doc.find("meta")) {
         std::printf("meta: recorded=%s overwritten=%s mask=%s\n",
-                    field(line, "total_recorded").c_str(),
-                    field(line, "total_overwritten").c_str(),
-                    field(line, "category_mask").c_str());
+                    text_of(*meta, "total_recorded").c_str(),
+                    text_of(*meta, "total_overwritten").c_str(),
+                    text_of(*meta, "category_mask").c_str());
       }
       continue;
     }
     ++events;
-    const long long t = std::atoll(field(line, "t").c_str());
+    const long long t = in.t_ns();
     if (first || t < t_min) t_min = t;
     if (first || t > t_max) t_max = t;
     first = false;
-    bump(by_cat, field(line, "cat"));
-    bump(by_type, field(line, "type"));
+    bump(by_cat, text_of(in.doc, "cat"));
+    bump(by_type, text_of(in.doc, "type"));
   }
   std::printf("%llu exported events, %.3f ms .. %.3f ms\n",
               static_cast<unsigned long long>(events),
@@ -262,20 +269,19 @@ int cmd_slice(int argc, char** argv) {
   });
 
   TraceFile in(path);
-  std::string line;
-  while (in.next(line)) {
-    if (!is_event_line(line)) continue;
-    const long long t = std::atoll(field(line, "t").c_str());
+  while (in.next()) {
+    if (!in.is_event()) continue;
+    const long long t = in.t_ns();
     // In double, so that a huge --from-ms cannot overflow.
     if (from_ms >= 0 && t < from_ms * 1e6) continue;
     if (to_ms >= 0 && t > to_ms * 1e6) continue;
-    if (!cat.empty() && field(line, "cat") != cat) continue;
-    if (!type.empty() && field(line, "type") != type) continue;
+    if (!cat.empty() && text_of(in.doc, "cat") != cat) continue;
+    if (!type.empty() && text_of(in.doc, "type") != type) continue;
     if (!comp.empty() &&
-        field(line, "comp").find(comp) == std::string::npos) {
+        text_of(in.doc, "comp").find(comp) == std::string::npos) {
       continue;
     }
-    std::puts(line.c_str());
+    std::puts(in.line.c_str());
   }
   return 0;
 }
@@ -292,16 +298,16 @@ int cmd_percentiles(int argc, char** argv) {
     return true;
   });
   TraceFile in(path);
-  std::string line;
   stats::Summary values;
-  while (in.next(line)) {
-    if (!is_event_line(line)) continue;
-    if (field(line, "type") != "gauge_sample") continue;
+  while (in.next()) {
+    if (!in.is_event()) continue;
+    if (text_of(in.doc, "type") != "gauge_sample") continue;
     if (!comp.empty() &&
-        field(line, "comp").find(comp) == std::string::npos) {
+        text_of(in.doc, "comp").find(comp) == std::string::npos) {
       continue;
     }
-    values.add(std::atof(field(line, "value").c_str()));
+    const campaign::Json* value = in.doc.find("value");
+    values.add(value != nullptr ? value->as_double() : 0.0);
   }
   if (values.count() == 0) usage("no matching gauge_sample events");
   std::printf("%llu samples%s%s\n",
