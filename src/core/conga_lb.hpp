@@ -35,12 +35,13 @@ struct CongaConfig {
   bool feedback_favor_changed = true;  ///< §3.3 step 4 (ablation knob)
 };
 
-/// CONGA-Flow: one load-balancing decision per flow, by choosing a flowlet
-/// gap larger than any path latency (13 ms in the paper's testbed).
-inline CongaConfig make_conga_flow_config(
-    sim::TimeNs gap = sim::milliseconds(13)) {
+/// CONGA-Flow's flowlet gap: larger than any path latency in the paper's
+/// testbed, so each flow gets one load-balancing decision.
+constexpr sim::TimeNs kCongaFlowGap = sim::milliseconds(13);
+
+inline CongaConfig make_conga_flow_config() {
   CongaConfig cfg;
-  cfg.flowlet.gap = gap;
+  cfg.flowlet.gap = kCongaFlowGap;
   return cfg;
 }
 

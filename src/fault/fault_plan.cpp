@@ -7,6 +7,10 @@
 namespace conga::fault {
 
 namespace {
+/// Upper bounds of a random gray failure's loss and corruption rates.
+constexpr double kMaxGrayDropProb = 0.05;
+constexpr double kMaxGrayCorruptProb = 0.02;
+
 /// A spine in `leaf`'s pod: the only spines it has links to. On a 2-tier
 /// fabric this is one draw over every spine.
 int pod_spine(const net::TopologyConfig& topo, int leaf, sim::Rng& rng) {
@@ -43,7 +47,6 @@ FaultPlan make_random_plan(const net::TopologyConfig& topo, std::uint64_t seed,
         LinkFlapSpec s;
         triple(s.leaf, s.spine, s.parallel);
         window(s.start, s.stop);
-        s.detection_delay = cfg.detection_delay;
         s.mean_down_dwell = static_cast<sim::TimeNs>(
             rng.uniform(static_cast<double>(sim::microseconds(50)),
                         static_cast<double>(sim::microseconds(500))));
@@ -65,8 +68,8 @@ FaultPlan make_random_plan(const net::TopologyConfig& topo, std::uint64_t seed,
         GrayFailureSpec s;
         triple(s.leaf, s.spine, s.parallel);
         window(s.start, s.stop);
-        s.drop_prob = rng.uniform(0.0, cfg.max_gray_drop_prob);
-        s.corrupt_prob = rng.uniform(0.0, cfg.max_gray_corrupt_prob);
+        s.drop_prob = rng.uniform(0.0, kMaxGrayDropProb);
+        s.corrupt_prob = rng.uniform(0.0, kMaxGrayCorruptProb);
         plan.add(s);
         break;
       }
@@ -86,7 +89,6 @@ FaultPlan make_random_plan(const net::TopologyConfig& topo, std::uint64_t seed,
             rng.uniform(0.05 * h, std::min(0.25 * h,
                                            static_cast<double>(cfg.horizon -
                                                                s.at))));
-        s.detection_delay = cfg.detection_delay;
         plan.add(s);
         break;
       }

@@ -112,14 +112,12 @@ struct FaultPlan {
 /// Knobs for make_random_plan(). Fault counts are drawn uniformly in
 /// [min_faults, max_faults]; targets, kinds, and times uniformly over the
 /// topology and [0, horizon), with every fault clearing by `horizon` so a
-/// post-traffic drain can complete.
+/// post-traffic drain can complete. Flaps and reboots keep their specs'
+/// default detection delay.
 struct RandomPlanConfig {
   int min_faults = 1;
   int max_faults = 4;
   sim::TimeNs horizon = sim::milliseconds(5);
-  sim::TimeNs detection_delay = sim::microseconds(100);
-  double max_gray_drop_prob = 0.05;
-  double max_gray_corrupt_prob = 0.02;
 };
 
 /// Generates a randomized fault campaign over `topo`, deterministic in

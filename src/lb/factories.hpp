@@ -55,19 +55,13 @@ inline net::Fabric::LbFactory ecmp() {
 
 inline net::Fabric::LbFactory spray() { return per_leaf<SprayLb>(); }
 
-inline net::Fabric::LbFactory local_aware(
-    core::FlowletTableConfig fcfg = {}) {
-  return per_leaf<LocalAwareLb>(fcfg);
-}
+inline net::Fabric::LbFactory local_aware() { return per_leaf<LocalAwareLb>(); }
 
-inline net::Fabric::LbFactory local_equal(core::FlowletTableConfig fcfg = {}) {
-  return per_leaf<LocalEqualLb>(fcfg);
-}
+inline net::Fabric::LbFactory local_equal() { return per_leaf<LocalEqualLb>(); }
 
 /// `weights` has one entry per uplink (same weights on every leaf).
-inline net::Fabric::LbFactory weighted(std::vector<double> weights,
-                                       core::FlowletTableConfig fcfg = {}) {
-  return per_leaf<WeightedLb>(std::move(weights), fcfg);
+inline net::Fabric::LbFactory weighted(std::vector<double> weights) {
+  return per_leaf<WeightedLb>(std::move(weights));
 }
 
 }  // namespace conga::lb
@@ -81,9 +75,8 @@ inline net::Fabric::LbFactory conga(CongaConfig cfg = {},
 
 /// CONGA-Flow: one congestion-aware decision per flow (§5 "Schemes
 /// compared").
-inline net::Fabric::LbFactory conga_flow(
-    sim::TimeNs gap = sim::milliseconds(13)) {
-  return conga(make_conga_flow_config(gap), "CONGA-Flow");
+inline net::Fabric::LbFactory conga_flow() {
+  return conga(make_conga_flow_config(), "CONGA-Flow");
 }
 
 }  // namespace conga::core

@@ -31,8 +31,7 @@ int first_argmin(const net::LeafSwitch& leaf, net::LeafId dst_leaf,
 
 class LocalAwareLb final : public FlowletLb {
  public:
-  LocalAwareLb(net::LeafSwitch& leaf, const core::FlowletTableConfig& fcfg)
-      : FlowletLb(leaf, fcfg) {}
+  explicit LocalAwareLb(net::LeafSwitch& leaf) : FlowletLb(leaf, {}) {}
 
   std::string name() const override { return "Local"; }
 
@@ -55,8 +54,7 @@ class LocalAwareLb final : public FlowletLb {
 /// splitting then drags the healthy path down to the same rate.
 class LocalEqualLb final : public FlowletLb {
  public:
-  LocalEqualLb(net::LeafSwitch& leaf, const core::FlowletTableConfig& fcfg)
-      : FlowletLb(leaf, fcfg) {}
+  explicit LocalEqualLb(net::LeafSwitch& leaf) : FlowletLb(leaf, {}) {}
 
   std::string name() const override { return "LocalEq"; }
 

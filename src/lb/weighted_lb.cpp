@@ -4,9 +4,8 @@
 
 namespace conga::lb {
 
-WeightedLb::WeightedLb(net::LeafSwitch& leaf, std::vector<double> weights,
-                       const core::FlowletTableConfig& fcfg)
-    : FlowletLb(leaf, fcfg) {
+WeightedLb::WeightedLb(net::LeafSwitch& leaf, std::vector<double> weights)
+    : FlowletLb(leaf, {}) {
   // Weights are stated for a leaf with the full uplink complement; a leaf
   // that lost uplinks (failures) falls back to an equal split — a static
   // scheme has no principled way to redistribute them anyway (§2.4).

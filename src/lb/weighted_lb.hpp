@@ -15,8 +15,7 @@ class WeightedLb final : public FlowletLb {
  public:
   /// `weights` has one non-negative entry per leaf uplink; any other size
   /// (or an all-zero list) is an equal split.
-  WeightedLb(net::LeafSwitch& leaf, std::vector<double> weights,
-             const core::FlowletTableConfig& fcfg);
+  WeightedLb(net::LeafSwitch& leaf, std::vector<double> weights);
 
   std::string name() const override { return "Weighted"; }
 

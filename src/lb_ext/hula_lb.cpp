@@ -2,8 +2,8 @@
 
 namespace conga::lb_ext {
 
-HulaLb::HulaLb(net::LeafSwitch& leaf, int num_leaves, const HulaConfig& cfg)
-    : FlowletLb(leaf, cfg.flowlet), agent_(leaf, num_leaves, cfg.probe) {
+HulaLb::HulaLb(net::LeafSwitch& leaf, int num_leaves)
+    : FlowletLb(leaf, {.gap = kHulaGap}), agent_(leaf, num_leaves) {
   agent_.start();
 }
 

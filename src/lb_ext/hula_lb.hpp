@@ -18,19 +18,14 @@
 
 namespace conga::lb_ext {
 
-struct HulaConfig {
-  probe::ProbeConfig probe;           ///< probe-plane cadence and aging
-  core::FlowletTableConfig flowlet;   ///< HULA keeps its own gap (below)
-
-  /// HULA's evaluation uses a much finer flowlet gap than CONGA (it leans
-  /// on the probe plane to keep short flowlets well-routed); 100us here,
-  /// owned per-policy so CONGA's Tfl never leaks in.
-  HulaConfig() { flowlet.gap = sim::microseconds(100); }
-};
+/// HULA's evaluation uses a much finer flowlet gap than CONGA (it leans on
+/// the probe plane to keep short flowlets well-routed); owned per-policy so
+/// CONGA's Tfl never leaks in.
+constexpr sim::TimeNs kHulaGap = sim::microseconds(100);
 
 class HulaLb final : public lb::FlowletLb {
  public:
-  HulaLb(net::LeafSwitch& leaf, int num_leaves, const HulaConfig& cfg = {});
+  HulaLb(net::LeafSwitch& leaf, int num_leaves);
 
   void on_probe_packet(net::PacketPtr pkt, sim::TimeNs now) override;
   void attach_telemetry(telemetry::TraceSink* sink) override;

@@ -11,19 +11,15 @@
 
 namespace conga::lb_ext {
 
-struct LetFlowConfig {
-  /// LetFlow's own flowlet table. The gap is set explicitly here rather
-  /// than inherited from FlowletTableConfig's default, so retuning CONGA's
-  /// Tfl can never silently retune LetFlow (per-policy gap ownership).
-  core::FlowletTableConfig flowlet;
-
-  LetFlowConfig() { flowlet.gap = sim::microseconds(500); }
-};
+/// LetFlow's flowlet gap. It is stated here rather than inherited from
+/// FlowletTableConfig's default, so retuning CONGA's Tfl can never silently
+/// retune LetFlow (per-policy gap ownership).
+constexpr sim::TimeNs kLetFlowGap = sim::microseconds(500);
 
 class LetFlowLb final : public lb::FlowletLb {
  public:
-  LetFlowLb(net::LeafSwitch& leaf, const LetFlowConfig& cfg = {})
-      : FlowletLb(leaf, cfg.flowlet) {}
+  explicit LetFlowLb(net::LeafSwitch& leaf)
+      : FlowletLb(leaf, {.gap = kLetFlowGap}) {}
 
   std::string name() const override { return "LetFlow"; }
 

@@ -6,9 +6,8 @@
 
 namespace conga::probe {
 
-PathTable::PathTable(int num_leaves, int num_uplinks, sim::TimeNs age_after)
+PathTable::PathTable(int num_leaves, int num_uplinks)
     : num_uplinks_(static_cast<std::size_t>(num_uplinks)),
-      age_after_(age_after),
       entries_(static_cast<std::size_t>(num_leaves) *
                static_cast<std::size_t>(num_uplinks)) {}
 
@@ -23,7 +22,7 @@ void PathTable::update(net::LeafId dst, int uplink, std::uint8_t util,
 std::uint8_t PathTable::metric(net::LeafId dst, int uplink,
                                sim::TimeNs now) const {
   const Entry& e = entries_[index(dst, uplink)];
-  if (e.at < 0 || now - e.at > age_after_) return kUnknown;
+  if (e.at < 0 || now - e.at > kProbeAgeAfter) return kUnknown;
   return e.util;
 }
 
@@ -31,13 +30,10 @@ sim::TimeNs PathTable::updated_at(net::LeafId dst, int uplink) const {
   return entries_[index(dst, uplink)].at;
 }
 
-ProbeAgent::ProbeAgent(net::LeafSwitch& leaf, int num_leaves,
-                       const ProbeConfig& cfg)
+ProbeAgent::ProbeAgent(net::LeafSwitch& leaf, int num_leaves)
     : leaf_(leaf),
       num_leaves_(num_leaves),
-      cfg_(cfg),
-      table_(num_leaves, static_cast<int>(leaf.uplinks().size()),
-             cfg.age_after) {}
+      table_(num_leaves, static_cast<int>(leaf.uplinks().size())) {}
 
 ProbeAgent::~ProbeAgent() {
   // install_lb() can replace the owning policy mid-run; the pending tick
@@ -48,8 +44,8 @@ ProbeAgent::~ProbeAgent() {
 void ProbeAgent::start() {
   if (started_) return;
   started_ = true;
-  pending_ = leaf_.scheduler().schedule_after(cfg_.start + cfg_.period,
-                                              [this] { tick(); });
+  pending_ =
+      leaf_.scheduler().schedule_after(kProbePeriod, [this] { tick(); });
 }
 
 void ProbeAgent::tick() {
@@ -62,9 +58,9 @@ void ProbeAgent::tick() {
     for (int k = 0; k < n; ++k) send_request(dst, viable[k], now);
   }
   ++round_;
-  if (now + cfg_.period <= cfg_.horizon) {
-    pending_ = leaf_.scheduler().schedule_after(cfg_.period,
-                                                [this] { tick(); });
+  if (now + kProbePeriod <= kProbeHorizon) {
+    pending_ =
+        leaf_.scheduler().schedule_after(kProbePeriod, [this] { tick(); });
   }
 }
 

@@ -37,17 +37,16 @@ namespace conga::probe {
 /// Values of net::ProbeHeader::kind. kNone marks every data packet.
 enum class ProbeKind : std::uint8_t { kNone = 0, kRequest = 1, kReply = 2 };
 
-struct ProbeConfig {
-  sim::TimeNs period = sim::microseconds(50);  ///< one round per period
-  sim::TimeNs start = 0;                       ///< offset of the first round
-  /// Rounds stop after this, bounding Scheduler::run() with a probe plane
-  /// installed; every experiment window in the repo ends well before.
-  sim::TimeNs horizon = sim::seconds(10);
-  /// A table entry untouched for this long is stale — treated as unknown,
-  /// so a path whose probes die (gray failure, partition) stops attracting
-  /// flowlets even though no one withdrew it.
-  sim::TimeNs age_after = sim::microseconds(500);
-};
+/// One probe round per period; the first round goes out one period after
+/// ProbeAgent::start().
+constexpr sim::TimeNs kProbePeriod = sim::microseconds(50);
+/// Rounds stop after this, bounding Scheduler::run() with a probe plane
+/// installed; every experiment window in the repo ends well before.
+constexpr sim::TimeNs kProbeHorizon = sim::seconds(10);
+/// A table entry untouched for this long is stale — treated as unknown, so a
+/// path whose probes die (gray failure, partition) stops attracting flowlets
+/// even though no one withdrew it.
+constexpr sim::TimeNs kProbeAgeAfter = sim::microseconds(500);
 
 /// Wire size of a probe request or reply before encapsulation.
 constexpr std::uint32_t kProbeBytes = 64;
@@ -59,7 +58,7 @@ class PathTable {
  public:
   static constexpr std::uint8_t kUnknown = 0xff;
 
-  PathTable(int num_leaves, int num_uplinks, sim::TimeNs age_after);
+  PathTable(int num_leaves, int num_uplinks);
 
   void update(net::LeafId dst, int uplink, std::uint8_t util,
               sim::TimeNs now);
@@ -84,7 +83,6 @@ class PathTable {
   }
 
   std::size_t num_uplinks_;
-  sim::TimeNs age_after_;
   std::vector<Entry> entries_;
   std::uint64_t updates_ = 0;
 };
@@ -95,7 +93,7 @@ class PathTable {
 /// allocate nothing and schedule nothing.
 class ProbeAgent {
  public:
-  ProbeAgent(net::LeafSwitch& leaf, int num_leaves, const ProbeConfig& cfg);
+  ProbeAgent(net::LeafSwitch& leaf, int num_leaves);
   ~ProbeAgent();
 
   ProbeAgent(const ProbeAgent&) = delete;
@@ -109,7 +107,6 @@ class ProbeAgent {
   void on_probe_packet(net::PacketPtr pkt, sim::TimeNs now);
 
   const PathTable& table() const { return table_; }
-  const ProbeConfig& config() const { return cfg_; }
 
   std::uint64_t requests_sent() const { return requests_sent_; }
   std::uint64_t replies_sent() const { return replies_sent_; }
@@ -125,7 +122,6 @@ class ProbeAgent {
 
   net::LeafSwitch& leaf_;
   int num_leaves_;
-  ProbeConfig cfg_;
   PathTable table_;
   sim::EventId pending_ = sim::kInvalidEventId;
   std::uint32_t round_ = 0;     ///< varies the request wire identity

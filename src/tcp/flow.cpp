@@ -11,7 +11,7 @@ TcpFlow::TcpFlow(sim::Scheduler& sched, net::Host& src, net::Host& dst,
       sched_(sched),
       source_(size),
       sender_(sched, src, key, source_, cfg),
-      sink_(sched, dst, key, cfg,
+      sink_(dst, key,
             [this](std::uint64_t /*delta*/) {
               if (!complete() && sink_.delivered() >= this->size()) {
                 mark_complete(sched_.now());

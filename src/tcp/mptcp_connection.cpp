@@ -33,8 +33,7 @@ MptcpFlow::MptcpFlow(sim::Scheduler& sched, net::Host& src, net::Host& dst,
     subflows_.push_back(
         std::make_unique<Subflow>(*this, sched, src, key, source_, cfg.tcp));
     sinks_.push_back(std::make_unique<TcpSink>(
-        sched, dst, key, cfg.tcp,
-        [this](std::uint64_t delta) { on_subflow_data(delta); }));
+        dst, key, [this](std::uint64_t delta) { on_subflow_data(delta); }));
   }
 }
 

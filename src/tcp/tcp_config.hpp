@@ -1,4 +1,6 @@
-// TCP parameters shared by senders, sinks and MPTCP subflows.
+// TCP sender parameters, shared by plain flows and MPTCP subflows. The
+// stack itself is fixed: Linux TCP of the paper's era, with SACK/FACK loss
+// recovery and Tail Loss Probe, and a receiver that ACKs every segment.
 #pragma once
 
 #include <algorithm>
@@ -21,25 +23,11 @@ struct TcpConfig {
   /// default) and 1 ms (Vasudevan et al.'s Incast remedy) in Fig 13.
   sim::TimeNs min_rto = sim::milliseconds(200);
 
-  /// ACK every n-th in-order segment (1 = every segment; 2 = delayed ACKs).
-  int ack_every = 1;
-
-  /// Selective acknowledgments (RFC 2018) with FACK-style loss recovery —
-  /// what Linux TCP (the paper's testbed stack) does. Disable for the
-  /// plain-NewReno ablation.
-  bool sack = true;
-
   /// Loss-inference threshold in segments (the classic dupack threshold /
   /// FACK gap). Raising it makes TCP reordering-resilient at the cost of
   /// slower loss detection — what Fig 1's "per packet ... optimal, needs
   /// reordering-resilient TCP" branch assumes.
   int dupack_segments = 3;
-
-  /// Tail Loss Probe: if the last packets of a flight die, probe after
-  /// ~2 SRTT instead of waiting a full (min)RTO — present in the Linux
-  /// kernels of the paper's era and essential for request/response traffic
-  /// with the default 200 ms minRTO (Incast rounds, small flows).
-  bool tlp = true;
 
   /// DCTCP congestion control (Alizadeh et al., SIGCOMM 2010): scale cwnd by
   /// the fraction of ECN-marked bytes once per window. Needs ECN marking in

@@ -219,14 +219,15 @@ void TcpSender::enter_sack_recovery() {
 }
 
 void TcpSender::arm_rto() {
-  const sim::TimeNs timeout = rto_ << std::min(backoff_, 12);
+  // Exponential backoff, capped at kMaxRto (RFC 6298 §5.5).
+  const sim::TimeNs timeout =
+      std::min(rto_ << std::min(backoff_, 12), kMaxRto);
   // Tail Loss Probe: before the first (non-backed-off) RTO of a flight,
   // schedule a probe at ~2 SRTT instead. A tail drop then triggers SACK
   // recovery in round-trip time rather than stalling a full minRTO.
   sim::TimeNs when = timeout;
   timer_is_tlp_ = false;
-  if (cfg_.tlp && !tlp_done_ && backoff_ == 0 && srtt_ > 0 &&
-      !sack_recovery_ && !in_recovery_) {
+  if (!tlp_done_ && backoff_ == 0 && srtt_ > 0 && !sack_recovery_) {
     const sim::TimeNs pto = 2 * srtt_ + cfg_.rto_granularity();
     if (pto < timeout) {
       when = pto;
@@ -305,24 +306,6 @@ void TcpSender::ca_increase(std::uint64_t bytes_acked) {
            std::max(cwnd_, 1.0);
 }
 
-void TcpSender::enter_recovery() {
-  in_recovery_ = true;
-  recover_ = snd_nxt_;
-  ssthresh_ = std::max(static_cast<double>(flight()) / 2.0,
-                       2.0 * static_cast<double>(mss()));
-  cwnd_ = ssthresh_ + 3.0 * mss();
-  // Fast retransmit of the missing segment.
-  if (snd_una_ < snd_max_) {
-    const auto len = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(mss(), snd_max_ - snd_una_));
-    emit_segment(snd_una_, len);
-    ++retransmits_;
-    tele(telemetry::EventType::kTcpRetransmit, retransmits_);
-  }
-  tele(telemetry::EventType::kTcpCwnd, std::bit_cast<std::uint64_t>(cwnd_));
-  on_loss_event();
-}
-
 void TcpSender::dctcp_on_ack(std::uint64_t bytes_acked, bool ece) {
   dctcp_acked_ += bytes_acked;
   if (ece) dctcp_marked_ += bytes_acked;
@@ -333,7 +316,7 @@ void TcpSender::dctcp_on_ack(std::uint64_t bytes_acked, bool ece) {
     const double frac = static_cast<double>(dctcp_marked_) /
                         static_cast<double>(dctcp_acked_);
     dctcp_alpha_ = (1 - kDctcpG) * dctcp_alpha_ + kDctcpG * frac;
-    if (dctcp_marked_ > 0 && !in_recovery_ && !sack_recovery_) {
+    if (dctcp_marked_ > 0 && !sack_recovery_) {
       cwnd_ = std::max(cwnd_ * (1.0 - dctcp_alpha_ / 2.0),
                        2.0 * static_cast<double>(mss()));
       ssthresh_ = std::min(ssthresh_, cwnd_);
@@ -348,7 +331,7 @@ void TcpSender::handle_ack(const net::TcpHeader& hdr, bool ecn_echo) {
   std::uint64_t ack = hdr.ack;
   const std::uint64_t echo_ts = hdr.echo_ts;
   if (ack > snd_max_) ack = snd_max_;
-  if (cfg_.sack) apply_sack(hdr);
+  apply_sack(hdr);
 
   if (ack > snd_una_) {
     const std::uint64_t bytes_acked = ack - snd_una_;
@@ -362,7 +345,6 @@ void TcpSender::handle_ack(const net::TcpHeader& hdr, bool ecn_echo) {
     while (!sacked_.empty() && sacked_.begin()->second <= snd_una_) {
       sacked_.erase(sacked_.begin());
     }
-    dup_acks_ = 0;
     backoff_ = 0;
     tlp_done_ = false;  // new flight, new probe budget
     if (echo_ts != 0) {
@@ -375,25 +357,6 @@ void TcpSender::handle_ack(const net::TcpHeader& hdr, bool ecn_echo) {
         cwnd_ = ssthresh_;
       } else {
         arm_rto();  // progress: keep the timer fresh, stay in recovery
-      }
-    } else if (in_recovery_) {
-      if (ack >= recover_) {
-        // Full ACK: leave recovery, deflate to ssthresh.
-        in_recovery_ = false;
-        cwnd_ = ssthresh_;
-      } else {
-        // Partial ACK (NewReno): retransmit the next hole, deflate.
-        const auto len = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(mss(), snd_max_ - snd_una_));
-        if (len > 0) {
-          emit_segment(snd_una_, len);
-          ++retransmits_;
-          tele(telemetry::EventType::kTcpRetransmit, retransmits_);
-        }
-        cwnd_ = std::max(cwnd_ - static_cast<double>(bytes_acked) +
-                             static_cast<double>(mss()),
-                         static_cast<double>(mss()));
-        arm_rto();  // restart the timer on a partial ACK
       }
     } else if (cwnd_ < ssthresh_) {
       cwnd_ += static_cast<double>(bytes_acked);  // slow start
@@ -409,14 +372,6 @@ void TcpSender::handle_ack(const net::TcpHeader& hdr, bool ecn_echo) {
     } else {
       disarm_rto();
     }
-  } else if (flight() > 0 && !cfg_.sack) {
-    // Duplicate ACK (classic NewReno path).
-    ++dup_acks_;
-    if (in_recovery_) {
-      cwnd_ += static_cast<double>(mss());  // window inflation
-    } else if (dup_acks_ == cfg_.dupack_segments) {
-      enter_recovery();
-    }
   }
 
   // FACK loss detection: data SACKed more than 3 segments past the
@@ -425,7 +380,7 @@ void TcpSender::handle_ack(const net::TcpHeader& hdr, bool ecn_echo) {
   // outstanding above the hole being SACKed is already conclusive.
   const auto dup_bytes =
       static_cast<std::uint64_t>(cfg_.dupack_segments) * mss();
-  if (cfg_.sack && !sack_recovery_ && flight() > 0 && fack_ > snd_una_ &&
+  if (!sack_recovery_ && flight() > 0 && fack_ > snd_una_ &&
       (fack_ - snd_una_ > dup_bytes ||
        (fack_ == snd_nxt_ && sacked_bytes_in(snd_una_, snd_nxt_) > 0))) {
     enter_sack_recovery();
@@ -446,12 +401,10 @@ void TcpSender::on_rto() {
   tele(telemetry::EventType::kTcpRto, timeouts_);
   tele(telemetry::EventType::kTcpCwnd, std::bit_cast<std::uint64_t>(cwnd_));
   snd_nxt_ = snd_una_;  // go-back-N
-  in_recovery_ = false;
   sack_recovery_ = false;
   sacked_.clear();  // conservative: rebuild the scoreboard from fresh ACKs
   fack_ = snd_una_;
   rtx_next_ = snd_una_;
-  dup_acks_ = 0;
   ++backoff_;
   on_loss_event();
   send_available();

@@ -1,11 +1,13 @@
-// TCP sender: NewReno congestion control over the simulated fabric.
+// TCP sender: Linux-style SACK/FACK loss recovery over the simulated fabric.
 //
 // Implements the loss-recovery machinery the paper's results depend on:
 //  * slow start and AIMD congestion avoidance (byte-counting),
-//  * fast retransmit on 3 duplicate ACKs, NewReno fast recovery with
-//    partial-ACK retransmission and window inflation/deflation,
+//  * a SACK scoreboard with FACK loss detection (`dupack_segments` past the
+//    cumulative ACK) and early retransmit for short tails, then RFC 6675
+//    style pipe-based recovery that repairs every hole in about one RTT,
+//  * Tail Loss Probe: a probe at ~2 SRTT before the first RTO of a flight,
 //  * RFC 6298 RTO estimation (SRTT/RTTVAR from timestamp echoes) with
-//    exponential backoff and a configurable minRTO,
+//    exponential backoff capped at kMaxRto and a configurable minRTO,
 //  * go-back-N after a timeout.
 //
 // There is no SYN handshake: flows start sending data immediately, the usual
@@ -110,8 +112,7 @@ class TcpSender {
   void send_available();
   void emit_segment(std::uint64_t seq, std::uint32_t len);
   void handle_ack(const net::TcpHeader& hdr, bool ecn_echo);
-  void enter_recovery();
-  // SACK/FACK machinery (cfg.sack == true).
+  // SACK/FACK machinery.
   void apply_sack(const net::TcpHeader& hdr);
   void enter_sack_recovery();
   std::uint64_t sacked_bytes_in(std::uint64_t from, std::uint64_t to) const;
@@ -145,9 +146,7 @@ class TcpSender {
   std::uint64_t snd_nxt_ = 0;  ///< next byte to send
   std::uint64_t snd_max_ = 0;  ///< highest byte ever sent (== allocated)
   double ssthresh_;
-  int dup_acks_ = 0;
-  bool in_recovery_ = false;   ///< NewReno recovery (cfg.sack == false)
-  std::uint64_t recover_ = 0;  ///< recovery point (both modes)
+  std::uint64_t recover_ = 0;  ///< recovery point
 
   // DCTCP state (cfg.dctcp == true).
   void dctcp_on_ack(std::uint64_t bytes_acked, bool ece);

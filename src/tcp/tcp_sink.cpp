@@ -4,14 +4,9 @@
 
 namespace conga::tcp {
 
-TcpSink::TcpSink(sim::Scheduler& sched, net::Host& local,
-                 const net::FlowKey& flow, const TcpConfig& cfg,
+TcpSink::TcpSink(net::Host& local, const net::FlowKey& flow,
                  std::function<void(std::uint64_t)> on_data)
-    : sched_(sched),
-      local_(local),
-      flow_(flow),
-      cfg_(cfg),
-      on_data_(std::move(on_data)) {}
+    : local_(local), flow_(flow), on_data_(std::move(on_data)) {}
 
 TcpSink::~TcpSink() {
   if (started_) local_.unregister_flow(flow_);
@@ -33,7 +28,7 @@ void TcpSink::send_ack(std::uint64_t echo_ts, std::uint64_t trigger_seq,
   ack->tcp.ack = rcv_nxt_;
   ack->tcp.echo_ts = echo_ts;
   ack->ecn_echo = ecn_ce;  // per-packet echo, as DCTCP requires
-  if (cfg_.sack && !ooo_.empty()) {
+  if (!ooo_.empty()) {
     // RFC 2018: the first block MUST contain the most recently received
     // segment — that is how the sender learns every block across a dupack
     // stream. Follow with the next blocks in sequence order (wrapping).
@@ -83,20 +78,8 @@ void TcpSink::on_packet(net::PacketPtr pkt) {
     if (dist > max_reorder_bytes_) max_reorder_bytes_ = dist;
   }
 
-  const bool advanced = rcv_nxt_ > old_nxt;
-  bool ack_now = !advanced;  // out-of-order data => immediate (dup) ACK
-  if (advanced) {
-    ++unacked_segments_;
-    if (unacked_segments_ >= cfg_.ack_every || pkt->tcp.fin ||
-        !ooo_.empty()) {
-      ack_now = true;
-    }
-  }
-  if (ack_now) {
-    unacked_segments_ = 0;
-    send_ack(pkt->tcp.echo_ts, seq, pkt->ecn_ce);
-  }
-  if (advanced && on_data_) on_data_(rcv_nxt_ - old_nxt);
+  send_ack(pkt->tcp.echo_ts, seq, pkt->ecn_ce);
+  if (rcv_nxt_ > old_nxt && on_data_) on_data_(rcv_nxt_ - old_nxt);
 }
 
 }  // namespace conga::tcp

@@ -3,7 +3,8 @@
 // Every arriving data segment triggers an ACK carrying the current rcv_nxt
 // (so out-of-order arrivals — e.g. from flowlet moves or packet spraying —
 // produce duplicate ACKs, which is exactly the reordering sensitivity the
-// paper's flowlet gap protects against). Optional delayed ACKs (`ack_every`).
+// paper's flowlet gap protects against). ACKs carry up to three SACK blocks
+// (RFC 2018).
 #pragma once
 
 #include <cstdint>
@@ -12,8 +13,6 @@
 
 #include "net/host.hpp"
 #include "net/packet.hpp"
-#include "sim/scheduler.hpp"
-#include "tcp/tcp_config.hpp"
 
 namespace conga::tcp {
 
@@ -21,8 +20,7 @@ class TcpSink {
  public:
   /// `on_data(delta)` fires whenever `delta` new in-order bytes become
   /// deliverable (the application-progress signal used for FCT accounting).
-  TcpSink(sim::Scheduler& sched, net::Host& local, const net::FlowKey& flow,
-          const TcpConfig& cfg,
+  TcpSink(net::Host& local, const net::FlowKey& flow,
           std::function<void(std::uint64_t)> on_data = {});
   ~TcpSink();
 
@@ -48,17 +46,14 @@ class TcpSink {
   void send_ack(std::uint64_t echo_ts, std::uint64_t trigger_seq,
                 bool ecn_ce);
 
-  sim::Scheduler& sched_;
   net::Host& local_;
   net::FlowKey flow_;
-  TcpConfig cfg_;
   std::function<void(std::uint64_t)> on_data_;
 
   std::uint64_t rcv_nxt_ = 0;
   std::map<std::uint64_t, std::uint64_t> ooo_;  ///< seq -> end, disjoint
   std::uint64_t ooo_segments_ = 0;
   std::uint64_t max_reorder_bytes_ = 0;
-  int unacked_segments_ = 0;
   bool started_ = false;
 };
 

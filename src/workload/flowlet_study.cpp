@@ -7,6 +7,14 @@
 
 namespace conga::workload {
 
+namespace {
+constexpr double kLineRateBps = 10e9;
+constexpr std::uint32_t kBurstBytes = 64 * 1024;
+constexpr double kMinAppRateBps = 50e6;
+constexpr double kMaxAppRateBps = 2e9;
+constexpr std::uint32_t kMtu = 1500;
+}  // namespace
+
 std::vector<TracePacket> generate_bursty_trace(const FlowSizeDist& dist,
                                                const BurstyTraceConfig& cfg) {
   sim::Rng rng(cfg.seed);
@@ -22,23 +30,23 @@ std::vector<TracePacket> generate_bursty_trace(const FlowSizeDist& dist,
     std::uint64_t size = dist.sample(rng);
     // Per-flow application rate (log-uniform over the configured range):
     // sets the pause between NIC bursts.
-    const double log_lo = std::log(cfg.min_app_rate_bps);
-    const double log_hi = std::log(cfg.max_app_rate_bps);
+    const double log_lo = std::log(kMinAppRateBps);
+    const double log_hi = std::log(kMaxAppRateBps);
     const double app_rate = std::exp(rng.uniform(log_lo, log_hi));
 
     sim::TimeNs t = start;
     const std::uint64_t id = flow_id++;
     while (size > 0) {
       const std::uint32_t burst = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(cfg.burst_bytes, size));
+          std::min<std::uint64_t>(kBurstBytes, size));
       // Emit the burst as MTU packets at line rate.
       std::uint32_t remaining = burst;
       sim::TimeNs tp = t;
       while (remaining > 0) {
-        const std::uint32_t pkt = std::min(cfg.mtu, remaining);
+        const std::uint32_t pkt = std::min(kMtu, remaining);
         trace.push_back(TracePacket{tp, id, pkt});
         tp += static_cast<sim::TimeNs>(static_cast<double>(pkt) * 8.0 /
-                                       cfg.line_rate_bps * 1e9);
+                                       kLineRateBps * 1e9);
         remaining -= pkt;
       }
       size -= burst;

@@ -28,13 +28,12 @@ struct TracePacket {
   std::uint32_t bytes;
 };
 
+/// Flows emit 64 KB bursts (a typical TSO burst) as 1500-byte
+/// packets at a 10 Gbps line rate; each flow's average application rate is
+/// drawn log-uniformly from [50 Mbps, 2 Gbps], which sets the pause between
+/// its bursts (burst/app_rate - burst/line_rate).
 struct BurstyTraceConfig {
   double flow_arrival_per_sec = 2000;
-  double line_rate_bps = 10e9;       ///< NIC burst emission rate
-  std::uint32_t burst_bytes = 64 * 1024;  ///< typical TSO burst
-  double min_app_rate_bps = 50e6;    ///< per-flow average rate range:
-  double max_app_rate_bps = 2e9;     ///< gaps = burst/app_rate - burst/line
-  std::uint32_t mtu = 1500;
   sim::TimeNs duration = sim::seconds(2.0);
   std::uint64_t seed = 3;
 };

@@ -6,6 +6,11 @@
 
 namespace conga::workload {
 
+namespace {
+/// Port space of HDFS pipeline flows, disjoint from the other generators'.
+constexpr std::uint16_t kBasePort = 40000;
+}  // namespace
+
 HdfsJob::HdfsJob(net::Fabric& fabric, tcp::FlowFactory factory,
                  const HdfsConfig& cfg)
     : fabric_(fabric),
@@ -66,9 +71,9 @@ void HdfsJob::start_next_block(std::size_t w) {
     key.src_host = src;
     key.dst_host = dst;
     key.src_port = static_cast<std::uint16_t>(
-        cfg_.base_port + (flow_seq_ % 1024) * 16);
+        kBasePort + (flow_seq_ % 1024) * 16);
     key.dst_port = static_cast<std::uint16_t>(
-        cfg_.base_port + 1 + flow_seq_ / 1024);
+        kBasePort + 1 + flow_seq_ / 1024);
     ++flow_seq_;
     wr.stage_flows.push_back(
         factory_(fabric_.scheduler(), fabric_.host(src), fabric_.host(dst),

@@ -31,7 +31,6 @@ struct HdfsConfig {
   std::uint64_t block_bytes = 8 * 1024 * 1024;
   int replicas = 3;  ///< 3-way replication: writer + 2 pipeline copies
   std::uint64_t seed = 11;
-  std::uint16_t base_port = 40000;
 };
 
 class HdfsJob {

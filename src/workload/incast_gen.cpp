@@ -5,6 +5,15 @@
 
 namespace conga::workload {
 
+namespace {
+/// Port space of Incast flows, disjoint from the other generators'.
+constexpr std::uint16_t kBasePort = 2000;
+/// Per-server response jitter (uniform in [0, this]): real servers never
+/// reply in perfect lockstep, and without jitter the deterministic simulator
+/// repeats the exact same collision pattern every round.
+constexpr sim::TimeNs kStartJitter = sim::microseconds(20);
+}  // namespace
+
 IncastGenerator::IncastGenerator(net::Fabric& fabric,
                                  tcp::FlowFactory factory,
                                  const IncastConfig& cfg)
@@ -37,9 +46,9 @@ void IncastGenerator::start_round() {
       key.src_host = server;
       key.dst_host = cfg_.client;
       key.src_port = static_cast<std::uint16_t>(
-          cfg_.base_port + (flow_seq_ % 2048) * 16);
+          kBasePort + (flow_seq_ % 2048) * 16);
       key.dst_port = static_cast<std::uint16_t>(
-          cfg_.base_port + 1 + flow_seq_ / 2048);
+          kBasePort + 1 + flow_seq_ / 2048);
       ++flow_seq_;
       auto flow = factory_(fabric_.scheduler(), fabric_.host(server),
                            fabric_.host(cfg_.client), key, per_server,
@@ -50,10 +59,8 @@ void IncastGenerator::start_round() {
     // loop still touches), each server with its own small response jitter.
     for (auto& f : round_flows_) {
       tcp::FlowHandle* raw = f.get();
-      const sim::TimeNs jitter =
-          cfg_.start_jitter > 0
-              ? static_cast<sim::TimeNs>(rng_.uniform_int(0, cfg_.start_jitter))
-              : 0;
+      const auto jitter =
+          static_cast<sim::TimeNs>(rng_.uniform_int(0, kStartJitter));
       fabric_.scheduler().schedule_after(jitter, [raw] { raw->start(); });
     }
   });

@@ -23,11 +23,6 @@ struct IncastConfig {
   std::vector<net::HostId> servers;
   std::uint64_t total_bytes = 10'000'000;  ///< 10 MB striped response
   int rounds = 10;
-  std::uint16_t base_port = 2000;  ///< port space (disjoint per generator)
-  /// Per-server response jitter (uniform in [0, this]): real servers never
-  /// reply in perfect lockstep, and without jitter the deterministic
-  /// simulator repeats the exact same collision pattern every round.
-  sim::TimeNs start_jitter = sim::microseconds(20);
   std::uint64_t seed = 77;
 };
 

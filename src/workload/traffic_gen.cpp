@@ -7,6 +7,12 @@
 
 namespace conga::workload {
 
+namespace {
+/// The optimal FCT assumes standard 1500-byte frames, whatever MTU the
+/// transport under test uses.
+constexpr std::uint32_t kMss = 1500 - net::kIpTcpHeaderBytes;
+}  // namespace
+
 TrafficGenerator::TrafficGenerator(net::Fabric& fabric,
                                    tcp::FlowFactory factory,
                                    const FlowSizeDist& dist,
@@ -27,8 +33,7 @@ TrafficGenerator::TrafficGenerator(net::Fabric& fabric,
 }
 
 void TrafficGenerator::start() {
-  fabric_.scheduler().schedule_at(cfg_.start,
-                                  [this] { schedule_next_arrival(); });
+  fabric_.scheduler().schedule_at(0, [this] { schedule_next_arrival(); });
 }
 
 void TrafficGenerator::schedule_next_arrival() {
@@ -42,8 +47,8 @@ void TrafficGenerator::schedule_next_arrival() {
 }
 
 sim::TimeNs TrafficGenerator::optimal_fct(std::uint64_t size) const {
-  const std::uint32_t mss = cfg_.mtu - net::kIpTcpHeaderBytes;
-  const std::uint64_t pkts = std::max<std::uint64_t>(1, (size + mss - 1) / mss);
+  const std::uint64_t pkts = std::max<std::uint64_t>(
+      1, (size + kMss - 1) / kMss);
   const double wire_bytes =
       static_cast<double>(size) +
       static_cast<double>(pkts) * net::kIpTcpHeaderBytes;
@@ -52,7 +57,7 @@ sim::TimeNs TrafficGenerator::optimal_fct(std::uint64_t size) const {
   // forward through the fabric; the remaining bytes then stream at the
   // access-link rate behind it.
   const auto first_pkt = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(size, mss) + net::kIpTcpHeaderBytes);
+      std::min<std::uint64_t>(size, kMss) + net::kIpTcpHeaderBytes);
   const auto rest = static_cast<sim::TimeNs>(
       (wire_bytes - first_pkt) * 8.0 / rate * 1e9);
   return fabric_.one_way_latency(first_pkt) + std::max<sim::TimeNs>(rest, 0);

@@ -29,12 +29,10 @@ namespace conga::workload {
 
 struct TrafficGenConfig {
   double load = 0.6;  ///< fraction of per-leaf nominal uplink capacity
-  sim::TimeNs start = 0;
   sim::TimeNs stop = sim::milliseconds(100);  ///< arrivals stop here
   sim::TimeNs measure_start = sim::milliseconds(10);
   sim::TimeNs measure_stop = sim::milliseconds(90);
   std::uint64_t seed = 7;
-  std::uint32_t mtu = 1500;  ///< for optimal-FCT accounting
 
   /// Optional custom (src, dst) picker (e.g. "only leaf 1 to leaf 2" for the
   /// Fig 3 scenarios). Defaults to uniform source, uniform inter-leaf

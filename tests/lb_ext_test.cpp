@@ -36,11 +36,23 @@ net::Packet packet_for_flow(int i, std::uint32_t size = 1500) {
 
 // --- LetFlow ----------------------------------------------------------------
 
+/// The flowlet gap of the balancer `policy` builds on leaf 0.
+sim::TimeNs built_gap(const char* policy) {
+  sim::Scheduler sched;
+  net::Fabric fabric(sched, topo(4), 5);
+  fabric.install_lb(make_policy(policy));
+  auto* lb = dynamic_cast<lb::FlowletLb*>(fabric.leaf(0).load_balancer());
+  return lb == nullptr ? -1 : lb->flowlets().config().gap;
+}
+
 TEST(LetFlowLb, OwnsIndependentDefaultGap) {
-  // The 500us default belongs to LetFlowConfig itself, not to whatever
+  // The 500us gap belongs to LetFlow itself, not to whatever
   // FlowletTableConfig's default happens to be for CONGA.
-  LetFlowConfig cfg;
-  EXPECT_EQ(cfg.flowlet.gap, sim::microseconds(500));
+  EXPECT_EQ(built_gap("letflow"), sim::microseconds(500));
+}
+
+TEST(HulaLb, OwnsIndependentDefaultGap) {
+  EXPECT_EQ(built_gap("hula"), sim::microseconds(100));
 }
 
 TEST(LetFlowLb, FlowletsStickWithinGap) {

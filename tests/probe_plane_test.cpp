@@ -29,7 +29,7 @@ lb_ext::HulaLb* hula_at(net::Fabric& fabric, int leaf) {
 // --- PathTable --------------------------------------------------------------
 
 TEST(PathTable, StartsUnknownThenAges) {
-  PathTable table(2, 2, sim::microseconds(500));
+  PathTable table(2, 2);  // entries age out after kProbeAgeAfter (500 us)
   EXPECT_EQ(table.metric(1, 0, 0), PathTable::kUnknown);
   EXPECT_EQ(table.updated_at(1, 0), -1);
 
