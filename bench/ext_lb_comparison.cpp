@@ -15,7 +15,7 @@
 // re-simulates only that policy's cells. Without --store it computes
 // everything, exactly as before.
 //
-// --out writes the campaign's conga-campaign-v1 report, which
+// --out writes the campaign's conga-campaign-v2 report, which
 // `conga_serve verdict` compares cell by cell against a baseline report. It
 // is byte-identical across reruns, --jobs values, and cold/warm caches:
 // cells are independent simulations committed in canonical grid order, and

@@ -17,8 +17,8 @@ namespace conga::campaign {
 namespace {
 
 constexpr const char* kRequestSchema = "conga-campaign-request-v1";
-constexpr const char* kReportSchema = "conga-campaign-v1";
-constexpr const char* kStatsSchema = "conga-campaign-stats-v1";
+constexpr const char* kReportSchema = "conga-campaign-v2";
+constexpr const char* kStatsSchema = "conga-campaign-stats-v2";
 constexpr const char* kVerdictSchema = "conga-campaign-verdict-v1";
 
 constexpr std::uint64_t kRecomputedFlag = 1ULL << 63;
@@ -87,25 +87,12 @@ void fields(V& v, ReportCell& c) {
   v.field("result", c.result, kRequired);
 }
 
-template <class V>
-void fields(V& v, FailedCell& f) {
-  v.kind("failed cell");
-  v.field("coordinate", f.coordinate);
-  v.field("key", f.key);
-  v.field("attempts", f.attempts);
-  v.field("outcome", f.outcome);
-  v.field("exit_code", f.exit_code);
-  v.field("signal", f.term_signal);
-  v.field("quarantine", f.quarantine_path);
-}
-
-/// The conga-campaign-v1 report document.
+/// The conga-campaign-v2 report document.
 struct Report {
   std::string name;
   std::string fingerprint;
   Json request;
   std::vector<ReportCell> cells;
-  std::vector<FailedCell> failed_cells;
 };
 
 template <class V>
@@ -116,7 +103,6 @@ void fields(V& v, Report& r) {
   v.field("fingerprint", r.fingerprint);
   v.field("request", r.request);
   v.field("cells", r.cells, kRequired);
-  v.field("failed_cells", r.failed_cells);
 }
 
 template <class V>
@@ -127,9 +113,6 @@ void fields(V& v, RunStats& s) {
   v.field("hits", s.hits);
   v.field("misses", s.misses);
   v.field("corrupt", s.corrupt);
-  v.field("failed", s.failed);
-  v.field("retries", s.retries);
-  v.field("timeouts", s.timeouts);
   v.field("store_writes", s.store_writes);
   std::string store = store_health_name(s.store);
   v.field("store", store);
@@ -377,54 +360,45 @@ std::vector<std::size_t> look_up_cells(CampaignRun& run, ResultStore* store,
   return misses;
 }
 
-/// The kSupervisor* events of cell `i`, replayed from its attempt log.
-/// b encodings as in telemetry.hpp.
-void emit_attempts(telemetry::TraceSink* sink, telemetry::ComponentId comp,
-                   std::size_t i, const CellOutcome& o) {
-  using telemetry::EventType;
-  for (const AttemptRecord& a : o.attempts) {
-    const auto n = static_cast<std::uint64_t>(a.attempt);
-    telemetry::emit(sink, EventType::kSupervisorSpawn, comp, 0, i, n);
-    if (a.outcome == "timeout") {
-      telemetry::emit(sink, EventType::kSupervisorTimeout, comp, 0, i, n);
-    }
-    const std::uint64_t status =
-        a.outcome == "exit"
-            ? static_cast<std::uint64_t>(a.exit_code)
-            : (0x100ULL | static_cast<std::uint64_t>(a.term_signal));
-    telemetry::emit(sink, EventType::kSupervisorExit, comp, 0, i,
-                    (n << 32) | status);
-    if (&a != &o.attempts.back()) {
-      telemetry::emit(sink, EventType::kSupervisorRetry, comp, 0, i,
-                      (n << 32) | static_cast<std::uint64_t>(a.backoff_ms));
-    }
+/// What the parallel section made of one cache miss.
+struct CellOutcome {
+  workload::ExperimentResult result;
+  /// The store write landed; when a store was given and it did not,
+  /// `store_error` says why.
+  bool stored = false;
+  std::string store_error;
+};
+
+/// Cache miss `run.cells[index]`, on the worker thread that claimed it:
+/// run_spec, then put() to `opts.store`. Reads `run` only; an unresolvable
+/// spec throws, failing the whole run with its message.
+CellOutcome compute_cell(const CampaignRun& run, std::size_t index,
+                         const RunOptions& opts) {
+  const Cell& cell = run.cells[index];
+  CellOutcome out;
+  out.result = simulate(cell);
+  if (opts.store != nullptr) {
+    out.stored = opts.store->put(cell.key, run.fingerprint,
+                                 canonical_json(cell.spec), out.result,
+                                 out.store_error);
   }
-  if (o.status == CellOutcome::Status::kFailed) {
-    telemetry::emit(sink, EventType::kSupervisorQuarantine, comp, 0, i,
-                    o.attempts.size());
+  if (opts.verbose) {
+    std::fprintf(stderr, "  [%s: %zu flows, %.0f%% completed]\n",
+                 cell_coordinate(cell).c_str(), out.result.flows,
+                 out.result.completed_fraction * 100);
   }
+  return out;
 }
 
-/// Every cell's events in cell order: the supervised attempts first, then
-/// one kCampaignCellHit/kCampaignCellMiss per resolved cell and a
-/// kCampaignStoreWrite for each write that landed. Main thread only (the
-/// sink is thread-confined).
+/// Every cell's events in cell order: one kCampaignCellHit/kCampaignCellMiss
+/// per cell and a kCampaignStoreWrite for each write that landed. Main
+/// thread only (the sink is thread-confined).
 // kCampaign* a: cell index in canonical order, b: FNV-1a of the cell key.
 void emit_events(const CampaignRun& run,
                  const std::vector<std::size_t>& misses,
                  const std::vector<CellOutcome>& outcomes,
                  telemetry::TraceSink* sink) {
   if (sink == nullptr) return;
-  const bool supervised =
-      std::any_of(outcomes.begin(), outcomes.end(),
-                  [](const CellOutcome& o) { return !o.attempts.empty(); });
-  if (supervised) {
-    const telemetry::ComponentId sup =
-        sink->intern_component("supervisor/" + run.spec.name);
-    for (std::size_t mi = 0; mi < misses.size(); ++mi) {
-      emit_attempts(sink, sup, misses[mi], outcomes[mi]);
-    }
-  }
   const telemetry::ComponentId comp =
       sink->intern_component("campaign/" + run.spec.name);
   std::size_t mi = 0;
@@ -445,8 +419,6 @@ void emit_events(const CampaignRun& run,
         telemetry::emit(sink, telemetry::EventType::kCampaignCellMiss, comp,
                         0, i, key_hash | kRecomputedFlag);
         break;
-      case CellOrigin::kFailed:
-        break;  // reported as kSupervisorQuarantine
     }
     if (stored) {
       telemetry::emit(sink, telemetry::EventType::kCampaignStoreWrite, comp,
@@ -457,39 +429,20 @@ void emit_events(const CampaignRun& run,
 
 }  // namespace
 
-CellOutcome simulate_cell(const CampaignRun& run, std::size_t index,
-                          const RunOptions& opts) {
-  const Cell& cell = run.cells[index];
-  CellOutcome out;
-  out.result = simulate(cell);
-  if (opts.store != nullptr) {
-    out.stored = opts.store->put(cell.key, run.fingerprint,
-                                 canonical_json(cell.spec), out.result,
-                                 out.store_error);
-  }
-  if (opts.verbose) {
-    std::fprintf(stderr, "  [%s: %zu flows, %.0f%% completed]\n",
-                 cell_coordinate(cell).c_str(), out.result.flows,
-                 out.result.completed_fraction * 100);
-  }
-  return out;
-}
-
 bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
-                  CampaignRun& out, std::string& err,
-                  const CellExecutor& execute) {
+                  CampaignRun& out, std::string& err) {
   CampaignRun run;
   if (!start_run(spec, run, err)) return false;
   const std::vector<std::size_t> misses =
       look_up_cells(run, opts.store, opts.verbose);
 
-  // Phase 2 — the misses on the parallel runner. An executor reads `run`
+  // Phase 2 — the misses on the parallel runner. Each worker reads `run`
   // and fills only its own outcome slot.
   std::vector<CellOutcome> outcomes;
   try {
     outcomes = runtime::parallel_map<CellOutcome>(
         misses.size(), opts.jobs,
-        [&](std::size_t mi) { return execute(run, misses[mi], opts); });
+        [&](std::size_t mi) { return compute_cell(run, misses[mi], opts); });
   } catch (const std::exception& e) {
     err = e.what();
     return false;
@@ -504,29 +457,6 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
   for (std::size_t mi = 0; mi < misses.size(); ++mi) {
     const std::size_t i = misses[mi];
     CellOutcome& o = outcomes[mi];
-    if (o.status == CellOutcome::Status::kPending) {
-      run.drained = true;
-      continue;
-    }
-    if (!o.attempts.empty()) st.retries += o.attempts.size() - 1;
-    for (const AttemptRecord& a : o.attempts) {
-      if (a.outcome == "timeout") ++st.timeouts;
-    }
-    if (o.status == CellOutcome::Status::kFailed) {
-      const Cell& cell = run.cells[i];
-      const AttemptRecord& last = o.attempts.back();
-      run.origins[i] = CellOrigin::kFailed;
-      run.failed.push_back({i, cell_coordinate(cell), cell.key,
-                            static_cast<int>(o.attempts.size()), last.outcome,
-                            last.exit_code, last.term_signal,
-                            o.quarantine_path});
-      std::fprintf(stderr,
-                   "supervisor: QUARANTINE cell %zu (%s) after %zu "
-                   "attempt(s): %s\n",
-                   i, run.failed.back().coordinate.c_str(),
-                   o.attempts.size(), last.outcome.c_str());
-      continue;
-    }
     run.results[i] = std::move(o.result);
     if (o.stored) ++st.store_writes;
     if (opts.store != nullptr && !o.stored &&
@@ -538,8 +468,7 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
                    o.store_error.c_str());
     }
   }
-  st.failed = run.failed.size();
-  if (!run.drained) emit_events(run, misses, outcomes, opts.sink);
+  emit_events(run, misses, outcomes, opts.sink);
 
   out = std::move(run);
   return true;
@@ -547,11 +476,8 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
 
 std::string report_json(const CampaignRun& run) {
   detail::Report report{run.spec.name, run.fingerprint,
-                        json_of_campaign(run.spec), {}, run.failed};
+                        json_of_campaign(run.spec), {}};
   for (std::size_t i = 0; i < run.cells.size(); ++i) {
-    if (i < run.origins.size() && run.origins[i] == CellOrigin::kFailed) {
-      continue;  // quarantined cells live in failed_cells, not cells
-    }
     report.cells.push_back(report_cell(run.cells[i]));
     report.cells.back().result = run.results[i];
   }

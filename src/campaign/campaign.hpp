@@ -6,12 +6,12 @@
 // cell_key() (canonical spec bytes + build fingerprint) and looked up in a
 // content-addressed ResultStore. run_campaign is the one pipeline: store
 // lookups on the calling thread, then the misses on the parallel
-// experiment runner, each through a CellExecutor (in process by default,
-// or in supervised child processes — supervisor.hpp), then one tally in
-// cell order that fills the results, stats and cache telemetry. The
-// assembled report (conga-campaign-v1) is a pure function of (request,
-// code): byte-identical between a cold run and a 100%-cached warm run,
-// across --jobs counts, and across executors.
+// experiment runner (run_spec, then put, on the worker that claimed the
+// cell), then one tally in cell order that fills the results, stats and
+// cache telemetry. The assembled report (conga-campaign-v2) is a pure
+// function of (request, code): byte-identical between a cold run and a
+// 100%-cached warm run, across --jobs counts, and between an interrupted
+// run's rerun and an undisturbed run.
 //
 // On top of the report sit two audit primitives:
 //  * verdicts — per-cell FCT / digest / reorder deltas against a named
@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -93,7 +92,6 @@ enum class CellOrigin : std::uint8_t {
   kComputed = 0,  ///< cache miss, simulated this run
   kCached,        ///< verified store hit
   kRecomputed,    ///< store entry was corrupt; recomputed and overwritten
-  kFailed,        ///< supervised cell exhausted its retries; no result
 };
 
 /// Health of the backing store over one run. A campaign never dies because
@@ -112,32 +110,14 @@ struct RunStats {
   std::size_t hits = 0;
   std::size_t misses = 0;    ///< includes corrupt recomputations
   std::size_t corrupt = 0;   ///< corrupt entries detected (and healed)
-  std::size_t failed = 0;    ///< quarantined cells (supervised runs)
-  std::uint64_t retries = 0;   ///< child re-spawns after a failed attempt
-  std::uint64_t timeouts = 0;  ///< children killed at the per-cell deadline
   std::uint64_t store_writes = 0;
   StoreHealth store = StoreHealth::kNone;
-};
-
-/// One cell that exhausted its retry budget under supervision. Everything
-/// here is deterministic given the failure mode — no wall-clock timestamps —
-/// so reports stay comparable across runs.
-struct FailedCell {
-  std::size_t index = 0;      ///< canonical expansion index
-  std::string coordinate;
-  std::string key;
-  int attempts = 0;           ///< attempts consumed (== max_attempts unless
-                              ///< the failure was permanent)
-  std::string outcome;        ///< "exit" | "signal" | "timeout"
-  int exit_code = 0;          ///< valid when outcome == "exit"
-  int term_signal = 0;        ///< valid when outcome == "signal"
-  std::string quarantine_path;  ///< poison record, "" when no store
 };
 
 struct RunOptions {
   int jobs = 1;
   ResultStore* store = nullptr;  ///< null: compute everything, cache nothing
-  telemetry::TraceSink* sink = nullptr;  ///< kCampaign*/kSupervisor* events
+  telemetry::TraceSink* sink = nullptr;  ///< kCampaign* events
   bool verbose = false;                  ///< per-cell stderr progress
 };
 
@@ -147,60 +127,23 @@ struct CampaignRun {
   std::vector<Cell> cells;
   std::vector<workload::ExperimentResult> results;  ///< cell order
   std::vector<CellOrigin> origins;                  ///< cell order
-  std::vector<FailedCell> failed;                   ///< quarantined cells
   RunStats stats;
-  /// A supervised run stopped at shutdown with cells still pending: the
-  /// results are incomplete, so no report may be written. A rerun on the
-  /// same store resumes from the cells that were stored.
-  bool drained = false;
 };
 
-/// What an executor made of one cache miss.
-struct CellOutcome {
-  enum class Status : std::uint8_t {
-    kDone = 0,  ///< `result` holds the cell's result
-    kFailed,    ///< quarantined after `attempts`
-    kPending,   ///< shutdown came first; the cell was not resolved
-  };
-  Status status = Status::kDone;
-  workload::ExperimentResult result;
-  /// The store write landed; when a store was given and it did not,
-  /// `store_error` says why.
-  bool stored = false;
-  std::string store_error;
-  /// Supervised attempts, in order.
-  std::vector<AttemptRecord> attempts;
-  /// The poison record's path; "" when none was written.
-  std::string quarantine_path;
-};
-
-/// Computes cache miss `run.cells[index]` on the worker thread that claimed
-/// it and writes it to `opts.store`. Called concurrently for distinct
-/// cells; reads `run` only. A throw fails the whole run with its message.
-using CellExecutor = std::function<CellOutcome(
-    const CampaignRun& run, std::size_t index, const RunOptions& opts)>;
-
-/// The in-process executor: run_spec on the worker thread, then put().
-CellOutcome simulate_cell(const CampaignRun& run, std::size_t index,
-                          const RunOptions& opts);
-
-/// Expands, looks up, computes the misses with `execute` on the parallel
-/// runner, and tallies into `out` in cell order. Returns false and sets
-/// `err` on invalid requests or unresolvable specs (the in-process
-/// executor throws for those). A supervised run that drained returns true
-/// with `out.drained` set.
+/// Expands, looks up, computes the misses on the parallel runner (each
+/// stored as soon as it finishes, so a killed run loses only the cells in
+/// flight), and tallies into `out` in cell order. Returns false and sets
+/// `err` on invalid requests or unresolvable specs.
 bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
-                  CampaignRun& out, std::string& err,
-                  const CellExecutor& execute = simulate_cell);
+                  CampaignRun& out, std::string& err);
 
-/// The conga-campaign-v1 report: request axes + per-cell results, plus a
-/// `failed_cells` block (empty on clean runs) naming any quarantined cells.
-/// A pure function of (request, fingerprint, results, failures) — no cache
-/// state and no timestamps, so cold and warm runs serialize byte-identically
-/// and a resumed run reproduces an undisturbed run's bytes.
+/// The conga-campaign-v2 report: request axes + per-cell results. A pure
+/// function of (request, fingerprint, results) — no cache state and no
+/// timestamps, so cold and warm runs serialize byte-identically and a
+/// resumed run reproduces an undisturbed run's bytes.
 std::string report_json(const CampaignRun& run);
 
-/// Cache statistics document (conga-campaign-stats-v1). Run-dependent by
+/// Cache statistics document (conga-campaign-stats-v2). Run-dependent by
 /// design — kept out of the report so caching stays invisible there.
 Json stats_json(const RunStats& stats);
 
@@ -209,7 +152,7 @@ struct VerdictOptions {
   double rel_fct_tolerance = 0.01;
 };
 
-/// Compares two conga-campaign-v1 reports cell-by-cell (coordinate-matched)
+/// Compares two conga-campaign-v2 reports cell-by-cell (coordinate-matched)
 /// into a conga-campaign-verdict-v1 document. Returns false and sets `err`
 /// if either document is not a campaign report.
 bool make_verdict(const Json& report, const Json& baseline,

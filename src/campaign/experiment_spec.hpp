@@ -94,7 +94,7 @@ bool to_experiment_config(const ExperimentSpec& spec,
                           workload::ExperimentConfig& out, std::string& err);
 
 /// to_experiment_config + run_fct_experiment: the one path from a spec to a
-/// result (campaign cells, verify-sample recomputes, supervised children).
+/// result (campaign cells and verify-sample recomputes).
 /// Returns false and sets `err` when the spec does not resolve.
 bool run_spec(const ExperimentSpec& spec, workload::ExperimentResult& out,
               std::string& err);

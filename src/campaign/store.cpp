@@ -3,10 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <system_error>
@@ -20,9 +18,10 @@ namespace conga::campaign {
 
 namespace {
 
+namespace fs = std::filesystem;
+
 constexpr const char* kEntrySchema = "conga-cell-v1";
-constexpr const char* kQuarantineSchema = "conga-quarantine-v1";
-constexpr const char* kStoreStatSchema = "conga-store-stat-v1";
+constexpr const char* kStoreStatSchema = "conga-store-stat-v2";
 
 /// A conga-cell-v1 entry. The result stays a raw document: the payload
 /// digest covers its bytes as stored.
@@ -46,46 +45,9 @@ void fields(V& v, Entry& e) {
   v.field("payload_digest", e.payload_digest, kRequired);
 }
 
-/// `bytes` to `path`, flushed to the disk before the file is closed.
-bool write_file_synced(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  const bool flushed = std::fflush(f) == 0;
-  const bool synced = ::fsync(::fileno(f)) == 0;
-  return (std::fclose(f) == 0) && wrote && flushed && synced;
-}
-
-/// Armed by set_tear_after_tmp_write_for_tests(): the next put() dies in the
-/// write-then-rename window, leaving an orphaned tmp file behind.
-std::atomic<bool> g_tear_after_tmp_write{false};
-
 }  // namespace
 
 namespace detail {
-
-template <class V>
-void fields(V& v, AttemptRecord& a) {
-  v.kind("attempt");
-  v.field("attempt", a.attempt);
-  v.field("outcome", a.outcome);
-  v.field("exit_code", a.exit_code);
-  v.field("signal", a.term_signal);
-  v.field("backoff_ms", a.backoff_ms);
-}
-
-template <class V>
-void fields(V& v, QuarantineRecord& q) {
-  v.kind("quarantine");
-  v.schema(kQuarantineSchema, kRequired);
-  v.field("key", q.key, kRequired);
-  v.field("coordinate", q.coordinate);
-  v.field("cell_index", q.cell_index);
-  v.field("max_attempts", q.max_attempts);
-  v.field("attempts", q.attempts);
-  v.field("spec", q.spec);
-}
 
 template <class V>
 void fields(V& v, ResultStore::StatBucket& b) {
@@ -103,7 +65,6 @@ void fields(V& v, ResultStore::StoreStat& s) {
   v.field("bytes", s.bytes);
   v.field("tmp_files", s.tmp_files);
   v.field("tmp_bytes", s.tmp_bytes);
-  v.field("quarantined", s.quarantined);
   v.field("by_fingerprint", s.by_fingerprint);
 }
 
@@ -173,8 +134,6 @@ bool ResultStore::put(const std::string& key, const std::string& fingerprint,
                       const std::string& spec_canonical,
                       const workload::ExperimentResult& result,
                       std::string& err) {
-  namespace fs = std::filesystem;
-
   Json spec_doc;
   if (!Json::parse(spec_canonical, spec_doc, err)) {
     err = "put: spec is not valid JSON: " + err;
@@ -206,14 +165,6 @@ bool ResultStore::put(const std::string& key, const std::string& fingerprint,
     err = "put: cannot write " + tmp_path;
     return false;
   }
-  if (g_tear_after_tmp_write.load(std::memory_order_relaxed)) {
-    // Simulated crash between write and rename: exactly the window that
-    // leaks a tmp orphan for `store gc` to reap. _exit, not abort — the
-    // point is the torn store state, not a corefile.
-    std::fprintf(stderr, "store: injected tear after tmp write (%s)\n",
-                 tmp_path.c_str());
-    std::_Exit(42);
-  }
   fs::rename(tmp_path, final_path, ec);
   if (ec) {
     err = "put: rename to " + final_path + " failed: " + ec.message();
@@ -221,30 +172,6 @@ bool ResultStore::put(const std::string& key, const std::string& fingerprint,
     return false;
   }
   return true;
-}
-
-std::string ResultStore::quarantine(const QuarantineRecord& rec) const {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::path(root_) / "quarantine";
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) return "";
-  const std::string path = (dir / (rec.key + ".json")).string();
-  const std::string tmp = path + "." + std::to_string(::getpid()) + ".tmp";
-  if (!write_file_synced(tmp, detail::encode(rec).dump_pretty() + "\n")) {
-    fs::remove(tmp, ec);
-    return "";
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return "";
-  }
-  return path;
-}
-
-void ResultStore::set_tear_after_tmp_write_for_tests(bool armed) {
-  g_tear_after_tmp_write.store(armed, std::memory_order_relaxed);
 }
 
 namespace {
@@ -260,75 +187,90 @@ std::string entry_fingerprint(const std::string& path) {
   return e.fingerprint;
 }
 
-std::uint64_t file_bytes(const std::filesystem::path& p) {
+std::uint64_t file_bytes(const fs::path& p) {
   std::error_code ec;
-  const auto n = std::filesystem::file_size(p, ec);
+  const auto n = fs::file_size(p, ec);
   return ec ? 0 : static_cast<std::uint64_t>(n);
+}
+
+/// The entries of directory `dir`, in the order the filesystem lists them.
+/// False with `err` set when `dir` cannot be read: a store whose root is a
+/// regular file must not pass for an empty one.
+bool list_dir(const fs::path& dir, std::vector<fs::directory_entry>& out,
+              std::string& err) {
+  out.clear();
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    out.push_back(*it);
+  }
+  if (ec) {
+    err = "cannot read store directory " + dir.string() + ": " +
+          ec.message();
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
 
 bool ResultStore::gc(const GcOptions& opts, GcStats& out,
                      std::string& err) const {
-  namespace fs = std::filesystem;
   out = GcStats{};
   std::error_code ec;
   if (!fs::exists(root_, ec)) return true;  // empty store: nothing to do
+  std::vector<fs::directory_entry> shards;
+  if (!list_dir(root_, shards, err)) return false;
+
+  const auto reclaim = [&](const fs::path& p) {
+    const std::uint64_t sz = file_bytes(p);
+    if (!fs::remove(p, ec)) {
+      err = "gc: cannot remove " + p.string() + ": " + ec.message();
+      return false;
+    }
+    out.bytes_reclaimed += sz;
+    return true;
+  };
 
   // Orphaned in-flight writes. Age is judged against the filesystem's own
   // clock so a crashed writer's leftovers qualify as soon as they are old
   // enough, regardless of who runs the gc.
   const auto now = fs::file_time_type::clock::now();
-  const fs::path tmp_dir = fs::path(root_) / "tmp";
-  if (fs::exists(tmp_dir, ec)) {
-    for (const fs::directory_entry& e : fs::directory_iterator(tmp_dir, ec)) {
-      if (!e.is_regular_file(ec)) continue;
-      const auto mtime = fs::last_write_time(e.path(), ec);
-      if (ec) continue;
-      const auto age =
-          std::chrono::duration_cast<std::chrono::seconds>(now - mtime)
-              .count();
-      if (age >= opts.tmp_age_seconds) {
-        const std::uint64_t sz = file_bytes(e.path());
-        if (fs::remove(e.path(), ec)) {
+  std::vector<fs::directory_entry> files;
+  for (const fs::directory_entry& shard : shards) {
+    if (!shard.is_directory(ec)) continue;
+    const bool tmp = shard.path().filename() == "tmp";
+    if (!list_dir(shard.path(), files, err)) return false;
+    for (const fs::directory_entry& e : files) {
+      if (tmp) {
+        if (!e.is_regular_file(ec)) continue;
+        const auto mtime = fs::last_write_time(e.path(), ec);
+        if (ec) continue;
+        const auto age =
+            std::chrono::duration_cast<std::chrono::seconds>(now - mtime)
+                .count();
+        if (age < opts.tmp_age_seconds) {
+          ++out.tmp_kept;
+        } else if (reclaim(e.path())) {
           ++out.tmp_removed;
-          out.bytes_reclaimed += sz;
         } else {
-          err = "gc: cannot remove " + e.path().string() + ": " + ec.message();
           return false;
         }
-      } else {
-        ++out.tmp_kept;
-      }
-    }
-  }
-
-  // Dead-fingerprint entries (only when a keep list was given).
-  for (const fs::directory_entry& shard : fs::directory_iterator(root_, ec)) {
-    if (!shard.is_directory(ec)) continue;
-    const std::string shard_name = shard.path().filename().string();
-    if (shard_name == "tmp" || shard_name == "quarantine") continue;
-    for (const fs::directory_entry& e :
-         fs::directory_iterator(shard.path(), ec)) {
-      if (!e.is_regular_file(ec) || e.path().extension() != ".json") continue;
-      if (opts.keep_fingerprints.empty()) {
-        ++out.entries_kept;
         continue;
       }
-      const std::string fp = entry_fingerprint(e.path().string());
-      const bool keep = std::find(opts.keep_fingerprints.begin(),
-                                  opts.keep_fingerprints.end(),
-                                  fp) != opts.keep_fingerprints.end();
+      // Dead-fingerprint entries (only when a keep list was given).
+      if (!e.is_regular_file(ec) || e.path().extension() != ".json") continue;
+      const bool keep =
+          opts.keep_fingerprints.empty() ||
+          std::find(opts.keep_fingerprints.begin(),
+                    opts.keep_fingerprints.end(),
+                    entry_fingerprint(e.path().string())) !=
+              opts.keep_fingerprints.end();
       if (keep) {
         ++out.entries_kept;
-        continue;
-      }
-      const std::uint64_t sz = file_bytes(e.path());
-      if (fs::remove(e.path(), ec)) {
+      } else if (reclaim(e.path())) {
         ++out.entries_removed;
-        out.bytes_reclaimed += sz;
       } else {
-        err = "gc: cannot remove " + e.path().string() + ": " + ec.message();
         return false;
       }
     }
@@ -337,38 +279,27 @@ bool ResultStore::gc(const GcOptions& opts, GcStats& out,
 }
 
 bool ResultStore::stat(StoreStat& out, std::string& err) const {
-  namespace fs = std::filesystem;
-  (void)err;
   out = StoreStat{};
   std::error_code ec;
   if (!fs::exists(root_, ec)) return true;
+  std::vector<fs::directory_entry> shards;
+  if (!list_dir(root_, shards, err)) return false;
 
   // std::map: stat output is user-facing and must be deterministically
   // ordered (and the conga-lint unordered-iteration rule agrees).
   std::map<std::string, StatBucket> buckets;
-  for (const fs::directory_entry& shard : fs::directory_iterator(root_, ec)) {
+  std::vector<fs::directory_entry> files;
+  for (const fs::directory_entry& shard : shards) {
     if (!shard.is_directory(ec)) continue;
-    const std::string shard_name = shard.path().filename().string();
-    if (shard_name == "tmp") {
-      for (const fs::directory_entry& e :
-           fs::directory_iterator(shard.path(), ec)) {
+    const bool tmp = shard.path().filename() == "tmp";
+    if (!list_dir(shard.path(), files, err)) return false;
+    for (const fs::directory_entry& e : files) {
+      if (tmp) {
         if (!e.is_regular_file(ec)) continue;
         ++out.tmp_files;
         out.tmp_bytes += file_bytes(e.path());
+        continue;
       }
-      continue;
-    }
-    if (shard_name == "quarantine") {
-      for (const fs::directory_entry& e :
-           fs::directory_iterator(shard.path(), ec)) {
-        if (e.is_regular_file(ec) && e.path().extension() == ".json") {
-          ++out.quarantined;
-        }
-      }
-      continue;
-    }
-    for (const fs::directory_entry& e :
-         fs::directory_iterator(shard.path(), ec)) {
       if (!e.is_regular_file(ec) || e.path().extension() != ".json") continue;
       const std::uint64_t sz = file_bytes(e.path());
       StatBucket& b = buckets[entry_fingerprint(e.path().string())];

@@ -8,15 +8,14 @@
 // Layout under the root (created lazily):
 //   <root>/<key[0:2]>/<key>.json   one entry (conga-cell-v1)
 //   <root>/tmp/                    in-flight writes
-//   <root>/quarantine/<key>.json   a supervised cell's poison record
-//                                  (conga-quarantine-v1)
 //
 // Entries are written atomically: the payload goes to a uniquely named file
 // under tmp/ and is rename()d into place, so a reader (or a concurrent
 // writer under --jobs N) can never observe a torn entry — it sees the old
 // bytes, the new bytes, or a miss. Concurrent writers of the same key are
 // benign: both rename identical bytes (results are deterministic), last one
-// wins.
+// wins. A writer killed between the tmp write and the rename leaves an
+// orphaned tmp file and no entry; `store gc` reaps the orphan.
 //
 // Every load re-verifies the stored payload digest (FNV-1a over the
 // canonical result bytes recorded at write time); a corrupted or truncated
@@ -29,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/experiment_spec.hpp"
 #include "campaign/json.hpp"
 #include "workload/experiment.hpp"
 
@@ -39,26 +37,6 @@ namespace conga::campaign {
 bool read_file(const std::string& path, std::string& out);
 /// Writes `bytes` to `path` (truncating); false on any I/O failure.
 bool write_file(const std::string& path, const std::string& bytes);
-
-/// One attempt of a supervised cell.
-struct AttemptRecord {
-  int attempt = 0;              ///< 1-based
-  std::string outcome;          ///< "exit" | "signal" | "timeout"
-  int exit_code = 0;            ///< valid when outcome == "exit"
-  int term_signal = 0;          ///< "signal" and "timeout"
-  std::int64_t backoff_ms = 0;  ///< delay scheduled after this attempt
-};
-
-/// A cell that exhausted its attempts under supervision (conga-quarantine-v1),
-/// with the full attempt log.
-struct QuarantineRecord {
-  std::string key;
-  std::string coordinate;
-  std::size_t cell_index = 0;
-  int max_attempts = 0;
-  std::vector<AttemptRecord> attempts;
-  ExperimentSpec spec;
-};
 
 class ResultStore {
  public:
@@ -85,11 +63,6 @@ class ResultStore {
            const std::string& spec_canonical,
            const workload::ExperimentResult& result, std::string& err);
 
-  /// Writes `rec` to <root>/quarantine/<key>.json (tmp write, fsync,
-  /// rename). Returns the record's path, or "" when the store cannot take
-  /// it: a failing store must not fail the campaign a second time.
-  std::string quarantine(const QuarantineRecord& rec) const;
-
   /// Entry path for `key` (exists or not).
   std::string entry_path(const std::string& key) const;
 
@@ -114,7 +87,8 @@ class ResultStore {
 
   /// Removes orphaned tmp files and (optionally) dead-fingerprint entries.
   /// A missing store root is an empty store, not an error. Returns false and
-  /// sets `err` only on I/O failure mid-walk.
+  /// sets `err` when a directory of the store cannot be read (a root that
+  /// names a regular file, say) or a file cannot be removed.
   bool gc(const GcOptions& opts, GcStats& out, std::string& err) const;
 
   struct StatBucket {
@@ -128,25 +102,20 @@ class ResultStore {
     std::uint64_t bytes = 0;
     std::uint64_t tmp_files = 0;
     std::uint64_t tmp_bytes = 0;
-    std::uint64_t quarantined = 0;  ///< poison records under quarantine/
     std::vector<StatBucket> by_fingerprint;  ///< sorted by fingerprint
   };
 
   /// Walks the store and summarizes it (entry count/bytes per fingerprint,
-  /// tmp backlog, quarantine records). Missing root = empty store.
+  /// tmp backlog). Missing root = empty store; a directory of the store
+  /// that cannot be read returns false and sets `err`.
   bool stat(StoreStat& out, std::string& err) const;
-
-  /// Test hook: when armed, the next put() aborts the process after writing
-  /// its tmp file but before the rename — the crash window that orphans a
-  /// tmp file. Used by the CONGA_CELL_FAULT=tear:N injection mode.
-  static void set_tear_after_tmp_write_for_tests(bool armed);
 
  private:
   std::string root_;
   std::atomic<std::uint64_t> tmp_seq_{0};
 };
 
-/// The conga-store-stat-v1 document of `st`.
+/// The conga-store-stat-v2 document of `st`.
 Json store_stat_json(const ResultStore::StoreStat& st);
 
 }  // namespace conga::campaign

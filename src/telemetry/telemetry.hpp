@@ -47,7 +47,7 @@ enum class Category : std::uint8_t {
   kProbe,       ///< periodic counter / gauge samples
   kFault,       ///< injected fault transitions (src/fault/)
   kCampaign,    ///< campaign cache decisions (src/campaign/)
-  kSupervisor,  ///< campaign supervisor child-process lifecycle
+  kSupervisor,  ///< retired, nothing emits it; kept: the enum is append-only
   kCount,
 };
 
@@ -124,13 +124,8 @@ enum class EventType : std::uint8_t {
   kCampaignCellMiss,
   kCampaignStoreWrite,
   kCampaignVerifyRecompute,
-  // kSupervisor — child-process supervision decisions, replayed on the main
-  // thread from each cell's attempt log after the parallel section, in cell
-  // order (attempts in order within a cell). a: cell index in
-  // canonical expansion order. b: spawn: attempt number (1-based);
-  // exit: (attempt << 32) | wait status encoding (exit code, or 0x100|signal
-  // for signal deaths); timeout: attempt; retry: (attempt << 32) | backoff
-  // delay in ms; quarantine: total attempts consumed.
+  // kSupervisor — retired with the campaign supervisor; nothing emits these.
+  // Kept because EventType is append-only (conga_lint telemetry-enum-drift).
   kSupervisorSpawn,
   kSupervisorExit,
   kSupervisorTimeout,

@@ -3,17 +3,17 @@
 // A campaign is a declarative sweep request (scenario family x policy x load
 // x seed x fault grid). conga_serve expands it into content-addressed cells,
 // reuses every cell the store already has for this exact code, simulates
-// only the misses, and writes a conga-campaign-v1 report that is
-// byte-identical whether it came from a cold run, a warm run, a supervised
-// run, or an interrupted-and-rerun one. Cache statistics go to --stats-out /
+// only the misses, and writes a conga-campaign-v2 report that is
+// byte-identical whether it came from a cold run, a warm run, or a killed
+// run and its rerun: each cell is stored as soon as it finishes, so a kill
+// loses only the cells in flight. Cache statistics go to --stats-out /
 // stderr, never into the report.
 //
 // Subcommands:
 //   run     execute a campaign incrementally
 //           --campaign FILE | --builtin NAME   the request (JSON / built-in)
 //           --store DIR                        content-addressed result store
-//           --jobs N                           workers (threads, or children
-//                                              under --supervise; default 1)
+//           --jobs N                           worker threads (default 1)
 //           --out FILE                         report (default stdout)
 //           --stats-out FILE                   cache statistics JSON
 //           --baseline FILE                    prior report to compare with
@@ -22,19 +22,6 @@
 //           --verify-sample PCT                recompute PCT% of cache hits;
 //                                              any divergence is a poisoned
 //                                              store and exits nonzero
-//           --supervise                        run each miss in an isolated
-//                                              child process: crashes/hangs
-//                                              are retried then quarantined,
-//                                              never fatal to the sweep
-//           --deadline-ms N                    per-cell wall-clock budget
-//           --max-attempts N                   attempts before quarantine
-//           --backoff-base-ms N / --backoff-cap-ms N   retry schedule
-//           --drain-grace-ms N                 SIGTERM/SIGINT under
-//                                              --supervise: budget for
-//                                              in-flight children; the run
-//                                              then exits 2 without a report
-//                                              and a rerun on the same store
-//                                              resumes from its hits
 //           --verbose                          per-cell progress on stderr
 //   store   maintain a result store
 //           gc    --store DIR [--tmp-age-seconds N] [--keep-fingerprints CSV]
@@ -48,18 +35,13 @@
 //   verdict compare two reports offline
 //           --report FILE --baseline FILE [--out FILE] [--tolerance X]
 //
-// The CONGA_CELL_FAULT env knob ("crash:0,hang:2@1,tear:3") injects
-// deterministic child failures under --supervise — test-only.
-//
 // Each subcommand takes only the flags listed for it above (verdict also
 // takes --verdict-out as a synonym of --out); any other flag is a usage
 // error.
 //
-// Exit status: 0 success; 1 regression verdict, store poisoning, or
-// quarantined cells; 2 usage or I/O error, or a supervised run interrupted
-// by SIGTERM/SIGINT.
-#include <atomic>
-#include <csignal>
+// Exit status: 0 success; 1 regression verdict or store poisoning; 2 usage
+// or I/O error, including a store that `store gc` / `store stat` cannot
+// read.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -68,17 +50,11 @@
 #include "campaign/campaign.hpp"
 #include "campaign/fingerprint.hpp"
 #include "campaign/store.hpp"
-#include "campaign/supervisor.hpp"
 #include "cli_flags.hpp"
 
 using namespace conga;
 
 namespace {
-
-std::atomic<bool> g_shutdown{false};
-static_assert(std::atomic<bool>::is_always_lock_free);  // signal-safe store
-
-void on_shutdown_signal(int) { g_shutdown.store(true); }
 
 /// Prints `msg` (when given) and the usage text, then exits 2.
 [[noreturn]] void usage(const char* msg = nullptr) {
@@ -89,12 +65,8 @@ void on_shutdown_signal(int) { g_shutdown.store(true); }
       "[--store DIR]\n"
       "                          [--jobs N] [--out FILE] [--stats-out FILE]\n"
       "                          [--baseline FILE --verdict-out FILE]\n"
-      "                          [--tolerance X] [--verify-sample PCT]\n"
-      "                          [--supervise] [--deadline-ms N] "
-      "[--max-attempts N]\n"
-      "                          [--backoff-base-ms N] [--backoff-cap-ms N] "
-      "[--drain-grace-ms N]\n"
-      "                          [--verbose]\n"
+      "                          [--tolerance X] [--verify-sample PCT] "
+      "[--verbose]\n"
       "       conga_serve store  gc   --store DIR [--tmp-age-seconds N]\n"
       "                               [--keep-fingerprints CSV]\n"
       "       conga_serve store  stat --store DIR\n"
@@ -131,7 +103,6 @@ bool load_campaign(const std::string& campaign_path,
 }
 
 struct Args {
-  campaign::SupervisorOptions sup;  ///< the --supervise policy
   std::string campaign_path;
   std::string builtin;
   std::string store_dir;
@@ -145,7 +116,6 @@ struct Args {
   double verify_sample = 0.0;  ///< fraction, from --verify-sample percent
   int jobs = 1;
   std::int64_t tmp_age_seconds = 3600;
-  bool supervise = false;
   bool verbose = false;
 };
 
@@ -218,27 +188,9 @@ Args parse_args(int argc, char** argv, Command cmd, const std::string& name) {
     } else if (flag == "--jobs") {
       read_by(kRun);
       a.jobs = args.number<int>(1);
-    } else if (flag == "--max-attempts") {
-      read_by(kRun);
-      a.sup.max_attempts = args.number<int>(1);
-    } else if (flag == "--deadline-ms") {
-      read_by(kRun);
-      a.sup.deadline_ms = args.number<std::int64_t>(1);
-    } else if (flag == "--backoff-base-ms") {
-      read_by(kRun);
-      a.sup.backoff_base_ms = args.number<std::int64_t>(1);
-    } else if (flag == "--backoff-cap-ms") {
-      read_by(kRun);
-      a.sup.backoff_cap_ms = args.number<std::int64_t>(1);
-    } else if (flag == "--drain-grace-ms") {
-      read_by(kRun);
-      a.sup.drain_grace_ms = args.number<std::int64_t>(0);
     } else if (flag == "--tmp-age-seconds") {
       read_by(kStoreGc);
       a.tmp_age_seconds = args.number<std::int64_t>(0);
-    } else if (flag == "--supervise") {
-      read_by(kRun);
-      a.supervise = true;
     } else if (flag == "--verbose") {
       read_by(kRun);
       a.verbose = true;
@@ -333,24 +285,9 @@ int cmd_run(const Args& a) {
   opts.store = a.store_dir.empty() ? nullptr : &store;
   opts.verbose = a.verbose;
 
-  campaign::CellExecutor execute = campaign::simulate_cell;
-  if (a.supervise) {
-    if (!campaign::supervised_executor(a.sup, &g_shutdown, execute, err)) {
-      std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
-      return 2;
-    }
-    std::signal(SIGTERM, on_shutdown_signal);
-    std::signal(SIGINT, on_shutdown_signal);
-  }
   campaign::CampaignRun run;
-  if (!campaign::run_campaign(spec, opts, run, err, execute)) {
+  if (!campaign::run_campaign(spec, opts, run, err)) {
     std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
-    return 2;
-  }
-  if (run.drained) {
-    std::fprintf(stderr,
-                 "conga_serve: interrupted; completed cells are in the "
-                 "store, no report written\n");
     return 2;
   }
 
@@ -378,11 +315,6 @@ int cmd_run(const Args& a) {
   }
 
   int status = 0;
-  if (run.stats.failed > 0) {
-    std::fprintf(stderr, "conga_serve: %zu cell(s) quarantined\n",
-                 run.stats.failed);
-    status = 1;
-  }
   if (a.verify_sample > 0.0) {
     campaign::VerifyOutcome outcome;
     if (!campaign::verify_sample(run, a.verify_sample, a.jobs, nullptr,
@@ -439,23 +371,6 @@ int cmd_verdict(const Args& a) {
       a.verdict_path.empty() ? a.out_path : a.verdict_path, a.tolerance);
 }
 
-/// Hidden child entry point: one cell, request on stdin, response on stdout.
-int cmd_cell() {
-  std::string request;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), stdin)) > 0) {
-    request.append(buf, n);
-  }
-  std::string response;
-  std::string diag;
-  const int code = campaign::cell_main(request, response, diag);
-  if (!diag.empty()) std::fprintf(stderr, "conga_serve: %s\n", diag.c_str());
-  std::fwrite(response.data(), 1, response.size(), stdout);
-  std::fflush(stdout);
-  return code;
-}
-
 int cmd_store_gc(const Args& a) {
   if (a.store_dir.empty()) {
     std::fprintf(stderr, "conga_serve: store gc needs --store DIR\n");
@@ -473,7 +388,7 @@ int cmd_store_gc(const Args& a) {
   }
   std::fprintf(stderr,
                "conga_serve: gc removed %llu tmp file(s) and %llu "
-               "entrie(s), reclaimed %llu bytes (kept %llu tmp, %llu "
+               "entries, reclaimed %llu bytes (kept %llu tmp, %llu "
                "entries)\n",
                static_cast<unsigned long long>(stats.tmp_removed),
                static_cast<unsigned long long>(stats.entries_removed),
@@ -505,8 +420,6 @@ int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
 
-  if (cmd == "cell") return cmd_cell();
-
   if (cmd == "store") {
     if (argc < 3) usage("store needs a subcommand (gc, stat)");
     const std::string sub = argv[2];
@@ -521,12 +434,7 @@ int main(int argc, char** argv) {
   }
 
   if (cmd == "run") {
-    Args a = parse_args(argc - 1, argv + 1, kRun, cmd);
-    a.sup.exe = campaign::self_exe_path(argv[0]);
-    if (const char* fault = std::getenv("CONGA_CELL_FAULT")) {
-      a.sup.fault_spec = fault;
-    }
-    return cmd_run(a);
+    return cmd_run(parse_args(argc - 1, argv + 1, kRun, cmd));
   }
   if (cmd == "expand") {
     return cmd_expand(parse_args(argc - 1, argv + 1, kExpand, cmd));
