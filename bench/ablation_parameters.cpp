@@ -51,7 +51,7 @@ void row(const std::string& label, double v, double baseline) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::read_flags(argc, argv).full;
   bench::print_header(
       "Ablations — CONGA parameters on the link-failure scenario @60% load",
       full);

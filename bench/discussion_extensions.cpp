@@ -105,7 +105,7 @@ void conga_with_dctcp(bool full) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::read_flags(argc, argv).full;
   bench::print_header("§7 discussion — incremental deployment & transports",
                       full);
   incremental_deployment(full);

@@ -67,7 +67,7 @@ std::vector<double> run(const net::Fabric::LbFactory& lb, bool full) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::read_flags(argc, argv).full;
   bench::print_header(
       "Extension — throughput timeline across a runtime link failure", full);
 

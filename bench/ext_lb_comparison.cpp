@@ -26,7 +26,6 @@
 //        --store DIR (incremental reruns via the campaign cache).
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -46,24 +45,26 @@ constexpr std::size_t kNumPolicies = sizeof(kPolicies) / sizeof(kPolicies[0]);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
-  const int jobs = bench::jobs_mode(argc, argv);
   std::string out_path;
   std::string store_dir;
   int only_load = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
-      store_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--load") == 0 && i + 1 < argc) {
-      if (!tools::parse_int_flag(argv[++i], 1, only_load) ||
-          only_load > 100) {
-        std::fprintf(stderr, "ext_lb_comparison: bad --load %s\n", argv[i]);
-        return 2;
-      }
-    }
-  }
+  const auto [full, jobs] = bench::read_flags(
+      argc, argv, /*takes_jobs=*/true,
+      [&](tools::FlagReader& args, const std::string& flag) {
+        if (flag == "--out") {
+          out_path = args.text();
+        } else if (flag == "--store") {
+          store_dir = args.text();
+        } else if (flag == "--load") {
+          const std::string load = args.text();
+          if (!tools::parse_int_flag(load, 1, only_load) || only_load > 100) {
+            bench::usage(("bad --load " + load).c_str());
+          }
+        } else {
+          return false;
+        }
+        return true;
+      });
   bench::print_header(
       "Extension — competitor LB suite (LetFlow/DRILL/Presto/HULA vs CONGA)",
       full, jobs);

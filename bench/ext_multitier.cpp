@@ -95,7 +95,7 @@ Result run(const net::Fabric::LbFactory& lb, bool full) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::read_flags(argc, argv).full;
   bench::print_header(
       "§7 extension — 3-tier pod fabric with a degraded core path", full);
 

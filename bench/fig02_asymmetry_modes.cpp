@@ -117,7 +117,7 @@ Outcome run_scheme(const net::Fabric::LbFactory& lb, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::read_flags(argc, argv).full;
   bench::print_header(
       "Fig 2 — asymmetry: static (ECMP) vs local-aware vs global (CONGA)",
       full);

@@ -102,7 +102,7 @@ double simulated_s1_share(bool with_l0, const net::Fabric::LbFactory& lb,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::read_flags(argc, argv).full;
   bench::print_header(
       "Fig 3 — the right split depends on the traffic matrix", full);
 

@@ -16,7 +16,7 @@ using namespace conga;
 using namespace conga::workload;
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::read_flags(argc, argv).full;
   bench::print_header("Fig 5 — bytes vs transfer size per flowlet gap", full);
 
   BurstyTraceConfig cfg;

@@ -10,7 +10,7 @@
 using namespace conga::workload;
 
 int main(int argc, char** argv) {
-  const bool full = conga::bench::full_mode(argc, argv);
+  const bool full = conga::bench::read_flags(argc, argv).full;
   conga::bench::print_header("Fig 8 — empirical flow-size distributions", full);
 
   std::vector<double> sizes;

@@ -10,8 +10,8 @@
 using namespace conga;
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
-  const int jobs = bench::jobs_mode(argc, argv);
+  const auto [full, jobs] =
+      bench::read_flags(argc, argv, /*takes_jobs=*/true);
   bench::print_header("Fig 10 — data-mining workload FCT (baseline topology)",
                       full, jobs);
 

@@ -59,8 +59,8 @@ void hotspot_queue_cdf(bool full) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
-  const int jobs = bench::jobs_mode(argc, argv);
+  const auto [full, jobs] =
+      bench::read_flags(argc, argv, /*takes_jobs=*/true);
   bench::print_header("Fig 11 — impact of link failure (asymmetric testbed)",
                       full, jobs);
 

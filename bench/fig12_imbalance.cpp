@@ -55,7 +55,7 @@ stats::Summary run_one(const net::Fabric::LbFactory& lb,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::read_flags(argc, argv).full;
   bench::print_header(
       "Fig 12 — throughput imbalance across Leaf0 uplinks @60% load", full);
 

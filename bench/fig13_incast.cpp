@@ -48,7 +48,7 @@ double run_incast(int fanin, const tcp::FlowFactory& transport, bool full) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::read_flags(argc, argv).full;
   bench::print_header("Fig 13 — Incast throughput vs fan-in", full);
 
   const std::vector<int> fanins =

@@ -62,7 +62,7 @@ double run_trial(const net::TopologyConfig& topo,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::read_flags(argc, argv).full;
   bench::print_header("Fig 14 — HDFS write benchmark (TestDFSIO model)", full);
 
   const int trials = full ? 10 : 3;

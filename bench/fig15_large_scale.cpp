@@ -37,8 +37,8 @@ Variant variant(const char* title, const char* name, double host_bps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
-  const int jobs = bench::jobs_mode(argc, argv);
+  const auto [full, jobs] =
+      bench::read_flags(argc, argv, /*takes_jobs=*/true);
   bench::print_header(
       "Fig 15 — large-scale web-search workload, 3:1 oversubscription", full,
       jobs);

@@ -116,8 +116,8 @@ void summarize(const char* what, std::vector<double> ecmp,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
-  const int jobs = bench::jobs_mode(argc, argv);
+  const auto [full, jobs] =
+      bench::read_flags(argc, argv, /*takes_jobs=*/true);
   bench::print_header(
       "Fig 16 — multi-failure fabric (6 leaves x 4 spines x 3 links, 9 down)",
       full, jobs);

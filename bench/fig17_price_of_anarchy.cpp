@@ -39,7 +39,7 @@ void named_instance(const char* name, const LeafSpineGame& g) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::read_flags(argc, argv).full;
   bench::print_header("Fig 17 / Theorem 1 — Price of Anarchy of the CONGA game",
                       full);
 

@@ -16,7 +16,7 @@ using namespace conga::analysis;
 using namespace conga::workload;
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::read_flags(argc, argv).full;
   bench::print_header("Theorem 2 — E[chi(t)] vs time and flow-size variance",
                       full);
 

@@ -21,8 +21,6 @@ constexpr const char* kReportSchema = "conga-campaign-v2";
 constexpr const char* kStatsSchema = "conga-campaign-stats-v2";
 constexpr const char* kVerdictSchema = "conga-campaign-verdict-v1";
 
-constexpr std::uint64_t kRecomputedFlag = 1ULL << 63;
-
 }  // namespace
 
 namespace detail {
@@ -390,43 +388,6 @@ CellOutcome compute_cell(const CampaignRun& run, std::size_t index,
   return out;
 }
 
-/// Every cell's events in cell order: one kCampaignCellHit/kCampaignCellMiss
-/// per cell and a kCampaignStoreWrite for each write that landed. Main
-/// thread only (the sink is thread-confined).
-// kCampaign* a: cell index in canonical order, b: FNV-1a of the cell key.
-void emit_events(const CampaignRun& run,
-                 const std::vector<std::size_t>& misses,
-                 const std::vector<CellOutcome>& outcomes,
-                 telemetry::TraceSink* sink) {
-  if (sink == nullptr) return;
-  const telemetry::ComponentId comp =
-      sink->intern_component("campaign/" + run.spec.name);
-  std::size_t mi = 0;
-  for (std::size_t i = 0; i < run.cells.size(); ++i) {
-    const bool missed = mi < misses.size() && misses[mi] == i;
-    const bool stored = missed && outcomes[mi++].stored;
-    const std::uint64_t key_hash = fnv1a64(run.cells[i].key);
-    switch (run.origins[i]) {
-      case CellOrigin::kCached:
-        telemetry::emit(sink, telemetry::EventType::kCampaignCellHit, comp, 0,
-                        i, key_hash);
-        break;
-      case CellOrigin::kComputed:
-        telemetry::emit(sink, telemetry::EventType::kCampaignCellMiss, comp,
-                        0, i, key_hash);
-        break;
-      case CellOrigin::kRecomputed:
-        telemetry::emit(sink, telemetry::EventType::kCampaignCellMiss, comp,
-                        0, i, key_hash | kRecomputedFlag);
-        break;
-    }
-    if (stored) {
-      telemetry::emit(sink, telemetry::EventType::kCampaignStoreWrite, comp,
-                      0, i, key_hash);
-    }
-  }
-}
-
 }  // namespace
 
 bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
@@ -468,7 +429,6 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
                    o.store_error.c_str());
     }
   }
-  emit_events(run, misses, outcomes, opts.sink);
 
   out = std::move(run);
   return true;
@@ -549,8 +509,7 @@ bool verdict_pass(const Json& verdict) {
 }
 
 bool verify_sample(const CampaignRun& run, double fraction, int jobs,
-                   telemetry::TraceSink* sink, VerifyOutcome& out,
-                   std::string& err) {
+                   VerifyOutcome& out, std::string& err) {
   out = VerifyOutcome{};
   if (!(fraction > 0.0)) return true;
   if (fraction > 1.0) fraction = 1.0;
@@ -587,20 +546,11 @@ bool verify_sample(const CampaignRun& run, double fraction, int jobs,
     return false;
   }
 
-  const telemetry::ComponentId comp =
-      sink != nullptr ? sink->intern_component("campaign/" + run.spec.name)
-                      : telemetry::kInvalidComponent;
+  out.sampled = hits.size();
   for (std::size_t si = 0; si < hits.size(); ++si) {
-    const std::size_t i = hits[si];
-    const std::uint64_t key_hash = fnv1a64(run.cells[i].key);
-    telemetry::emit(sink, telemetry::EventType::kCampaignVerifyRecompute,
-                    comp, 0, i,
-                    mismatched[si] != 0 ? (key_hash | kRecomputedFlag)
-                                        : key_hash);
-    ++out.sampled;
     if (mismatched[si] != 0) {
       ++out.mismatched;
-      out.poisoned_keys.push_back(run.cells[i].key);
+      out.poisoned_keys.push_back(run.cells[hits[si]].key);
     }
   }
   return true;

@@ -1,4 +1,4 @@
-// Campaign service: declarative sweep requests, incremental execution.
+// Campaigns: declarative sweep requests, incremental execution.
 //
 // A campaign is a declarative request — scenario family (named topology
 // cases), a seed set, and a policy x load x fault grid — expanded into
@@ -7,11 +7,11 @@
 // content-addressed ResultStore. run_campaign is the one pipeline: store
 // lookups on the calling thread, then the misses on the parallel
 // experiment runner (run_spec, then put, on the worker that claimed the
-// cell), then one tally in cell order that fills the results, stats and
-// cache telemetry. The assembled report (conga-campaign-v2) is a pure
-// function of (request, code): byte-identical between a cold run and a
-// 100%-cached warm run, across --jobs counts, and between an interrupted
-// run's rerun and an undisturbed run.
+// cell), then one tally in cell order that fills the results and stats.
+// The assembled report (conga-campaign-v2) is a pure function of
+// (request, code): byte-identical between a cold run and a 100%-cached warm
+// run, across --jobs counts, and between an interrupted run's rerun and an
+// undisturbed run.
 //
 // On top of the report sit two audit primitives:
 //  * verdicts — per-cell FCT / digest / reorder deltas against a named
@@ -29,7 +29,6 @@
 #include "campaign/json.hpp"
 #include "campaign/store.hpp"
 #include "net/topology.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace conga::campaign {
 
@@ -117,8 +116,7 @@ struct RunStats {
 struct RunOptions {
   int jobs = 1;
   ResultStore* store = nullptr;  ///< null: compute everything, cache nothing
-  telemetry::TraceSink* sink = nullptr;  ///< kCampaign* events
-  bool verbose = false;                  ///< per-cell stderr progress
+  bool verbose = false;          ///< per-cell stderr progress
 };
 
 struct CampaignRun {
@@ -174,7 +172,6 @@ struct VerifyOutcome {
 /// Returns false and sets `err` only on expansion/run failures; divergence
 /// is reported through `out`.
 bool verify_sample(const CampaignRun& run, double fraction, int jobs,
-                   telemetry::TraceSink* sink, VerifyOutcome& out,
-                   std::string& err);
+                   VerifyOutcome& out, std::string& err);
 
 }  // namespace conga::campaign

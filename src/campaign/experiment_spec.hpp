@@ -1,5 +1,5 @@
-// Declarative experiment cell specification — the campaign service's unit of
-// caching.
+// Declarative experiment cell specification — the unit the campaign cache
+// stores.
 //
 // workload::ExperimentConfig holds function-valued members (the transport
 // factory, the LB factory, the fabric hook), so it cannot be hashed or

@@ -1,4 +1,4 @@
-// Minimal JSON document model for the campaign service.
+// Minimal JSON document model for the campaign documents.
 //
 // The cache keys of the content-addressed result store are hashes of
 // *canonical* JSON bytes, so the campaign layer needs its own JSON that can

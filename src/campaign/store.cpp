@@ -2,11 +2,8 @@
 
 #include <unistd.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <system_error>
 #include <utility>
 
@@ -21,7 +18,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr const char* kEntrySchema = "conga-cell-v1";
-constexpr const char* kStoreStatSchema = "conga-store-stat-v2";
 
 /// A conga-cell-v1 entry. The result stays a raw document: the payload
 /// digest covers its bytes as stored.
@@ -46,33 +42,6 @@ void fields(V& v, Entry& e) {
 }
 
 }  // namespace
-
-namespace detail {
-
-template <class V>
-void fields(V& v, ResultStore::StatBucket& b) {
-  v.kind("fingerprint bucket");
-  v.field("fingerprint", b.fingerprint);
-  v.field("entries", b.entries);
-  v.field("bytes", b.bytes);
-}
-
-template <class V>
-void fields(V& v, ResultStore::StoreStat& s) {
-  v.kind("store stat");
-  v.schema(kStoreStatSchema, kRequired);
-  v.field("entries", s.entries);
-  v.field("bytes", s.bytes);
-  v.field("tmp_files", s.tmp_files);
-  v.field("tmp_bytes", s.tmp_bytes);
-  v.field("by_fingerprint", s.by_fingerprint);
-}
-
-}  // namespace detail
-
-Json store_stat_json(const ResultStore::StoreStat& st) {
-  return detail::encode(st);
-}
 
 bool read_file(const std::string& path, std::string& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -170,149 +139,6 @@ bool ResultStore::put(const std::string& key, const std::string& fingerprint,
     err = "put: rename to " + final_path + " failed: " + ec.message();
     fs::remove(tmp_path, ec);
     return false;
-  }
-  return true;
-}
-
-namespace {
-
-/// Fingerprint field of an entry file, or "(unreadable)" when the file is
-/// not a parseable conga-cell-v1 document.
-std::string entry_fingerprint(const std::string& path) {
-  std::string bytes;
-  if (!read_file(path, bytes)) return "(unreadable)";
-  Entry e;
-  std::string err;
-  if (!detail::parse_as(bytes, e, err)) return "(unreadable)";
-  return e.fingerprint;
-}
-
-std::uint64_t file_bytes(const fs::path& p) {
-  std::error_code ec;
-  const auto n = fs::file_size(p, ec);
-  return ec ? 0 : static_cast<std::uint64_t>(n);
-}
-
-/// The entries of directory `dir`, in the order the filesystem lists them.
-/// False with `err` set when `dir` cannot be read: a store whose root is a
-/// regular file must not pass for an empty one.
-bool list_dir(const fs::path& dir, std::vector<fs::directory_entry>& out,
-              std::string& err) {
-  out.clear();
-  std::error_code ec;
-  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    out.push_back(*it);
-  }
-  if (ec) {
-    err = "cannot read store directory " + dir.string() + ": " +
-          ec.message();
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-bool ResultStore::gc(const GcOptions& opts, GcStats& out,
-                     std::string& err) const {
-  out = GcStats{};
-  std::error_code ec;
-  if (!fs::exists(root_, ec)) return true;  // empty store: nothing to do
-  std::vector<fs::directory_entry> shards;
-  if (!list_dir(root_, shards, err)) return false;
-
-  const auto reclaim = [&](const fs::path& p) {
-    const std::uint64_t sz = file_bytes(p);
-    if (!fs::remove(p, ec)) {
-      err = "gc: cannot remove " + p.string() + ": " + ec.message();
-      return false;
-    }
-    out.bytes_reclaimed += sz;
-    return true;
-  };
-
-  // Orphaned in-flight writes. Age is judged against the filesystem's own
-  // clock so a crashed writer's leftovers qualify as soon as they are old
-  // enough, regardless of who runs the gc.
-  const auto now = fs::file_time_type::clock::now();
-  std::vector<fs::directory_entry> files;
-  for (const fs::directory_entry& shard : shards) {
-    if (!shard.is_directory(ec)) continue;
-    const bool tmp = shard.path().filename() == "tmp";
-    if (!list_dir(shard.path(), files, err)) return false;
-    for (const fs::directory_entry& e : files) {
-      if (tmp) {
-        if (!e.is_regular_file(ec)) continue;
-        const auto mtime = fs::last_write_time(e.path(), ec);
-        if (ec) continue;
-        const auto age =
-            std::chrono::duration_cast<std::chrono::seconds>(now - mtime)
-                .count();
-        if (age < opts.tmp_age_seconds) {
-          ++out.tmp_kept;
-        } else if (reclaim(e.path())) {
-          ++out.tmp_removed;
-        } else {
-          return false;
-        }
-        continue;
-      }
-      // Dead-fingerprint entries (only when a keep list was given).
-      if (!e.is_regular_file(ec) || e.path().extension() != ".json") continue;
-      const bool keep =
-          opts.keep_fingerprints.empty() ||
-          std::find(opts.keep_fingerprints.begin(),
-                    opts.keep_fingerprints.end(),
-                    entry_fingerprint(e.path().string())) !=
-              opts.keep_fingerprints.end();
-      if (keep) {
-        ++out.entries_kept;
-      } else if (reclaim(e.path())) {
-        ++out.entries_removed;
-      } else {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool ResultStore::stat(StoreStat& out, std::string& err) const {
-  out = StoreStat{};
-  std::error_code ec;
-  if (!fs::exists(root_, ec)) return true;
-  std::vector<fs::directory_entry> shards;
-  if (!list_dir(root_, shards, err)) return false;
-
-  // std::map: stat output is user-facing and must be deterministically
-  // ordered (and the conga-lint unordered-iteration rule agrees).
-  std::map<std::string, StatBucket> buckets;
-  std::vector<fs::directory_entry> files;
-  for (const fs::directory_entry& shard : shards) {
-    if (!shard.is_directory(ec)) continue;
-    const bool tmp = shard.path().filename() == "tmp";
-    if (!list_dir(shard.path(), files, err)) return false;
-    for (const fs::directory_entry& e : files) {
-      if (tmp) {
-        if (!e.is_regular_file(ec)) continue;
-        ++out.tmp_files;
-        out.tmp_bytes += file_bytes(e.path());
-        continue;
-      }
-      if (!e.is_regular_file(ec) || e.path().extension() != ".json") continue;
-      const std::uint64_t sz = file_bytes(e.path());
-      StatBucket& b = buckets[entry_fingerprint(e.path().string())];
-      ++b.entries;
-      b.bytes += sz;
-      ++out.entries;
-      out.bytes += sz;
-    }
-  }
-  out.by_fingerprint.reserve(buckets.size());
-  for (auto& [fp, bucket] : buckets) {
-    bucket.fingerprint = fp;
-    out.by_fingerprint.push_back(std::move(bucket));
   }
   return true;
 }

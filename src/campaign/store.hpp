@@ -15,7 +15,10 @@
 // bytes, the new bytes, or a miss. Concurrent writers of the same key are
 // benign: both rename identical bytes (results are deterministic), last one
 // wins. A writer killed between the tmp write and the rename leaves an
-// orphaned tmp file and no entry; `store gc` reaps the orphan.
+// orphaned tmp file and no entry.
+//
+// The store is a cache and nothing else: deleting the whole root, or its
+// tmp/ while no run is active, only costs recomputation.
 //
 // Every load re-verifies the stored payload digest (FNV-1a over the
 // canonical result bytes recorded at write time); a corrupted or truncated
@@ -26,9 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "campaign/json.hpp"
 #include "workload/experiment.hpp"
 
 namespace conga::campaign {
@@ -48,8 +49,6 @@ class ResultStore {
 
   explicit ResultStore(std::string root);
 
-  const std::string& root() const { return root_; }
-
   /// Verified lookup. `err` describes kCorrupt outcomes.
   LoadStatus load(const std::string& key, workload::ExperimentResult& out,
                   std::string& err) const;
@@ -66,56 +65,9 @@ class ResultStore {
   /// Entry path for `key` (exists or not).
   std::string entry_path(const std::string& key) const;
 
-  // --- maintenance (conga_serve store gc / store stat) ---------------------
-
-  struct GcOptions {
-    /// Remove tmp/*.tmp files older than this many seconds (orphans left by
-    /// a crash between write and rename). 0 removes every tmp file.
-    std::int64_t tmp_age_seconds = 3600;
-    /// When non-empty, remove entries whose fingerprint is not in the list
-    /// (dead keys from builds that no longer exist). Empty keeps everything.
-    std::vector<std::string> keep_fingerprints;
-  };
-
-  struct GcStats {
-    std::uint64_t tmp_removed = 0;
-    std::uint64_t tmp_kept = 0;
-    std::uint64_t entries_removed = 0;
-    std::uint64_t entries_kept = 0;
-    std::uint64_t bytes_reclaimed = 0;
-  };
-
-  /// Removes orphaned tmp files and (optionally) dead-fingerprint entries.
-  /// A missing store root is an empty store, not an error. Returns false and
-  /// sets `err` when a directory of the store cannot be read (a root that
-  /// names a regular file, say) or a file cannot be removed.
-  bool gc(const GcOptions& opts, GcStats& out, std::string& err) const;
-
-  struct StatBucket {
-    std::string fingerprint;  ///< "(unreadable)" for unparseable entries
-    std::uint64_t entries = 0;
-    std::uint64_t bytes = 0;
-  };
-
-  struct StoreStat {
-    std::uint64_t entries = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t tmp_files = 0;
-    std::uint64_t tmp_bytes = 0;
-    std::vector<StatBucket> by_fingerprint;  ///< sorted by fingerprint
-  };
-
-  /// Walks the store and summarizes it (entry count/bytes per fingerprint,
-  /// tmp backlog). Missing root = empty store; a directory of the store
-  /// that cannot be read returns false and sets `err`.
-  bool stat(StoreStat& out, std::string& err) const;
-
  private:
   std::string root_;
   std::atomic<std::uint64_t> tmp_seq_{0};
 };
-
-/// The conga-store-stat-v2 document of `st`.
-Json store_stat_json(const ResultStore::StoreStat& st);
 
 }  // namespace conga::campaign

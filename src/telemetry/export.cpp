@@ -74,30 +74,10 @@ void write_jsonl(const TraceSink& sink, std::FILE* out) {
   }
 }
 
-void write_csv(const TraceSink& sink, std::FILE* out) {
-  std::fputs("t,seq,comp,cat,type,a,b\n", out);
-  for (const Event& e : sink.all_events()) {
-    std::fprintf(out, "%" PRId64 ",%" PRIu64 ",%s,%s,%s,%" PRIu64
-                      ",%" PRIu64 "\n",
-                 static_cast<std::int64_t>(e.t), e.seq,
-                 sink.component_name(e.comp).c_str(),
-                 category_name(category_of(e.type)), event_type_name(e.type),
-                 e.a, e.b);
-  }
-}
-
 bool write_jsonl_file(const TraceSink& sink, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   write_jsonl(sink, f);
-  std::fclose(f);
-  return true;
-}
-
-bool write_csv_file(const TraceSink& sink, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  write_csv(sink, f);
   std::fclose(f);
   return true;
 }

@@ -1,4 +1,4 @@
-// Trace exporters: JSONL (one JSON object per line) and CSV.
+// Trace exporter: JSONL (one JSON object per line).
 //
 // JSONL layout (schema "conga-trace-v1"):
 //   line 1:  {"meta":{"schema":"conga-trace-v1","ring_capacity":...,
@@ -22,10 +22,8 @@
 namespace conga::telemetry {
 
 void write_jsonl(const TraceSink& sink, std::FILE* out);
-void write_csv(const TraceSink& sink, std::FILE* out);
 
-/// Convenience wrappers; return false if the file cannot be opened.
+/// write_jsonl to `path`; false if the file cannot be opened.
 bool write_jsonl_file(const TraceSink& sink, const std::string& path);
-bool write_csv_file(const TraceSink& sink, const std::string& path);
 
 }  // namespace conga::telemetry

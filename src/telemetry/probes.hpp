@@ -9,7 +9,7 @@
 // stores a closure. The sampler keeps in-memory series (what the benches
 // consume) and additionally records kCounterSample / kGaugeSample events
 // into the TraceSink when the kProbe category is enabled, which is what the
-// JSONL exporters and conga_trace slice.
+// JSONL exporter and conga_trace slice.
 //
 // Sampling schedule: the first sample fires at `start` (counters use it as
 // the delta baseline and contribute no delta), then every `interval` while

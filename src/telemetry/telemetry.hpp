@@ -46,7 +46,7 @@ enum class Category : std::uint8_t {
   kFlow,        ///< flow start / finish / stall reports
   kProbe,       ///< periodic counter / gauge samples
   kFault,       ///< injected fault transitions (src/fault/)
-  kCampaign,    ///< campaign cache decisions (src/campaign/)
+  kCampaign,    ///< retired, nothing emits it; kept: the enum is append-only
   kSupervisor,  ///< retired, nothing emits it; kept: the enum is append-only
   kCount,
 };
@@ -116,16 +116,15 @@ enum class EventType : std::uint8_t {
   kProbeTableUpdate,
   // kFlowlet — Presto flowcell boundary: a flow hash, b the next port.
   kFlowcellRotate,
-  // kCampaign — cache decisions, emitted by the campaign runner on the main
-  // thread after the parallel section (the sink is thread-confined).
-  // a: cell index in canonical expansion order, b: FNV-1a of the cell key
-  // (miss after a corrupt entry: b's top bit set — a healed recomputation).
+  // kCampaign — retired with the campaign runner's cache-decision trace;
+  // nothing emits these. Kept because EventType is append-only (conga_lint
+  // telemetry-enum-drift).
   kCampaignCellHit,
   kCampaignCellMiss,
   kCampaignStoreWrite,
   kCampaignVerifyRecompute,
   // kSupervisor — retired with the campaign supervisor; nothing emits these.
-  // Kept because EventType is append-only (conga_lint telemetry-enum-drift).
+  // Kept for the same reason.
   kSupervisorSpawn,
   kSupervisorExit,
   kSupervisorTimeout,
@@ -190,7 +189,7 @@ constexpr Category category_of(EventType t) {
   }
 }
 
-/// Stable wire names, used by the exporters and the conga_trace CLI.
+/// Stable wire names, used by the exporter and the conga_trace CLI.
 const char* event_type_name(EventType t);
 const char* category_name(Category c);
 /// Inverse lookups for CLI filters; return false on unknown names.

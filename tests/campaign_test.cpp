@@ -1,8 +1,8 @@
-// Campaign service tests: canonical JSON round-trips (including a fuzz
+// Campaign tests: canonical JSON round-trips (including a fuzz
 // sweep), pinned plain-TCP spec bytes, the mptcp_subflows axis,
 // cache-key sensitivity, expansion order, the cold-vs-warm byte-identity
-// promise, verdicts, verify-sample poisoning detection, the kCampaign
-// telemetry events, and workload::Experiment as the one cell runner.
+// promise, verdicts, verify-sample poisoning detection, and
+// workload::Experiment as the one cell runner.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -24,7 +24,6 @@
 #include "sim/random.hpp"
 #include "tcp/mptcp_connection.hpp"
 #include "tcp/tcp_config.hpp"
-#include "telemetry/telemetry.hpp"
 #include "workload/experiment.hpp"
 #include "workload/flow_size_dist.hpp"
 
@@ -673,7 +672,7 @@ TEST(CampaignVerify, SampleDetectsPoisonedStore) {
   ASSERT_EQ(warm.stats.hits, 1U);  // the poison loads cleanly...
 
   VerifyOutcome outcome;
-  ASSERT_TRUE(verify_sample(warm, 1.0, 1, nullptr, outcome, err)) << err;
+  ASSERT_TRUE(verify_sample(warm, 1.0, 1, outcome, err)) << err;
   EXPECT_EQ(outcome.sampled, 1U);
   EXPECT_EQ(outcome.mismatched, 1U);  // ...but recomputation exposes it
   ASSERT_EQ(outcome.poisoned_keys.size(), 1U);
@@ -686,57 +685,9 @@ TEST(CampaignVerify, SampleDetectsPoisonedStore) {
       << err;
   CampaignRun honest;
   ASSERT_TRUE(run_campaign(spec, opts, honest, err)) << err;
-  ASSERT_TRUE(verify_sample(honest, 1.0, 1, nullptr, outcome, err)) << err;
+  ASSERT_TRUE(verify_sample(honest, 1.0, 1, outcome, err)) << err;
   EXPECT_EQ(outcome.mismatched, 0U);
 }
-
-#ifdef CONGA_TELEMETRY
-TEST(CampaignTelemetry, CacheDecisionsAreTraced) {
-  const TempDir dir("telemetry");
-  ResultStore store(dir.path.string());
-  const CampaignSpec spec = tiny_campaign();
-  telemetry::TraceSink sink;
-  RunOptions opts;
-  opts.store = &store;
-  opts.sink = &sink;
-
-  CampaignRun cold;
-  std::string err;
-  ASSERT_TRUE(run_campaign(spec, opts, cold, err)) << err;
-  CampaignRun warm;
-  ASSERT_TRUE(run_campaign(spec, opts, warm, err)) << err;
-  VerifyOutcome outcome;
-  ASSERT_TRUE(verify_sample(warm, 1.0, 1, &sink, outcome, err)) << err;
-
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t writes = 0;
-  std::size_t recomputes = 0;
-  for (const telemetry::Event& e : sink.all_events()) {
-    switch (e.type) {
-      case telemetry::EventType::kCampaignCellHit: ++hits; break;
-      case telemetry::EventType::kCampaignCellMiss: ++misses; break;
-      case telemetry::EventType::kCampaignStoreWrite: ++writes; break;
-      case telemetry::EventType::kCampaignVerifyRecompute: ++recomputes; break;
-      default: break;
-    }
-  }
-  EXPECT_EQ(misses, 1U);       // cold pass
-  EXPECT_EQ(writes, 1U);       // cold pass wrote the entry
-  EXPECT_EQ(hits, 1U);         // warm pass
-  EXPECT_EQ(recomputes, 1U);   // verify-sample audit
-  EXPECT_EQ(telemetry::category_of(telemetry::EventType::kCampaignCellHit),
-            telemetry::Category::kCampaign);
-
-  // Wire names round-trip through the CLI-facing parsers.
-  telemetry::EventType parsed;
-  ASSERT_TRUE(telemetry::parse_event_type("campaign_cell_miss", parsed));
-  EXPECT_EQ(parsed, telemetry::EventType::kCampaignCellMiss);
-  telemetry::Category cat;
-  ASSERT_TRUE(telemetry::parse_category("campaign", cat));
-  EXPECT_EQ(cat, telemetry::Category::kCampaign);
-}
-#endif  // CONGA_TELEMETRY
 
 /// Small cells of the three kinds a workload::Experiment must run exactly as
 /// run_spec does: plain CONGA, DRILL (its fabric hook flips the spines), and

@@ -1,8 +1,8 @@
 // End-to-end CLI tests for conga_serve, driving the real binary
 // (CONGA_SERVE_BIN): a run killed by SIGTERM or SIGKILL followed by a
-// resuming rerun, store gc/stat maintenance and an unreadable store,
-// graceful store degradation, the documented 0/2 exit codes, and the
-// pinned request in tests/data expanding to its pinned cell keys.
+// resuming rerun, graceful store degradation, the documented 0/2 exit
+// codes, and the pinned request in tests/data expanding to its pinned cell
+// keys.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -17,7 +17,6 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/json.hpp"
-#include "campaign/store.hpp"
 #include "net/topology.hpp"
 
 namespace conga::campaign {
@@ -168,40 +167,27 @@ TEST(ServeCli, ExitCodesAndErrorReporting) {
   ASSERT_TRUE(read_file(err_path, err_text));
   EXPECT_NE(err_text.find("expand does not take --jobs"), std::string::npos)
       << err_text;
-  EXPECT_EQ(run_cmd(std::string(kBin) + " store stat --store " +
-                    tmp.sub("store") + " --verify-sample 50 >/dev/null 2>" +
-                    err_path),
-            2);
-  ASSERT_TRUE(read_file(err_path, err_text));
-  EXPECT_NE(err_text.find("store stat does not take --verify-sample"),
-            std::string::npos)
-      << err_text;
 
   // 2: a bound on a real-valued flag reads as typed, not "0.000000".
-  EXPECT_EQ(run_cmd(std::string(kBin) + " run --tolerance -1 >/dev/null 2>" +
-                    err_path),
+  EXPECT_EQ(run_cmd(std::string(kBin) +
+                    " verdict --tolerance -1 >/dev/null 2>" + err_path),
             2);
   ASSERT_TRUE(read_file(err_path, err_text));
   EXPECT_NE(err_text.find("--tolerance must be >= 0\n"), std::string::npos)
       << err_text;
 
-  // 2: missing required value / bad subcommand of store.
-  EXPECT_EQ(run_cmd(std::string(kBin) +
-                    " store frobnicate >/dev/null 2>" + err_path),
-            2);
-  ASSERT_TRUE(read_file(err_path, err_text));
-  EXPECT_NE(err_text.find("unknown store subcommand 'frobnicate'"),
-            std::string::npos)
-      << err_text;
-  EXPECT_EQ(run_cmd(std::string(kBin) + " store gc 2>/dev/null"), 2);
-
-  // 2: flags and a subcommand that were retired fail loudly rather than
-  // being ignored.
+  // 2: flags and subcommands that were retired fail loudly rather than
+  // being ignored. A verdict comes from the verdict subcommand only, and
+  // the store has no maintenance subcommands (it is a cache).
   for (const auto& [args, want] :
        std::vector<std::pair<std::string, std::string>>{
            {" run --supervise", "unknown flag: --supervise"},
            {" run --deadline-ms 5", "unknown flag: --deadline-ms"},
            {" cell", "unknown subcommand 'cell'"},
+           {" run --baseline X", "run does not take --baseline"},
+           {" run --verdict-out X", "run does not take --verdict-out"},
+           {" verdict --verdict-out X", "verdict does not take --verdict-out"},
+           {" store gc --store D", "unknown subcommand 'store'"},
        }) {
     EXPECT_EQ(run_cmd(std::string(kBin) + args + " </dev/null >/dev/null 2>" +
                       err_path),
@@ -231,11 +217,19 @@ TEST(ServeCli, PinnedRequestExpandsToPinnedKeys) {
   EXPECT_EQ(got, want);
 }
 
+/// The entry files under `store`; in-flight writes under tmp/ do not count.
 std::size_t store_entries(const std::string& store) {
-  ResultStore rs(store);
-  ResultStore::StoreStat st;
-  std::string err;
-  return rs.stat(st, err) ? st.entries : 0;
+  std::size_t n = 0;
+  std::error_code ec;
+  for (fs::recursive_directory_iterator it(store, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (it->path().filename() == "tmp") {
+      it.disable_recursion_pending();
+    } else if (it->is_regular_file(ec) && it->path().extension() == ".json") {
+      ++n;
+    }
+  }
+  return n;
 }
 
 // A killed run never costs finished work: each cell is stored (tmp write,
@@ -295,86 +289,6 @@ TEST(ServeCli, SigtermedRunResumesByteIdentical) {
 
 TEST(ServeCli, SigkillLeavesNoTornStateAndResumes) {
   expect_killed_run_resumes("sigkill", SIGKILL);
-}
-
-TEST(ServeCli, StoreGcAndStat) {
-  TempDir tmp("gc");
-  const std::string req = tmp.sub("req.json");
-  const std::string store = tmp.sub("store");
-  write_tiny_request(req, {"ecmp", "conga"});
-  ASSERT_EQ(run_cmd(std::string(kBin) + " run --campaign " + req +
-                    " --store " + store + " >/dev/null 2>/dev/null"),
-            0);
-  // What a writer killed between its tmp write and its rename leaves.
-  write_file(store + "/tmp/orphan.0.tmp", "{\"torn\n");
-
-  ResultStore rs(store);
-  ResultStore::StoreStat st;
-  std::string err;
-  ASSERT_TRUE(rs.stat(st, err)) << err;
-  EXPECT_EQ(st.entries, 2u);
-  EXPECT_EQ(st.tmp_files, 1u);
-
-  // stat (CLI): deterministic JSON with per-fingerprint buckets.
-  const std::string stat_out = tmp.sub("stat.json");
-  ASSERT_EQ(run_cmd(std::string(kBin) + " store stat --store " + store +
-                    " >" + stat_out + " 2>/dev/null"),
-            0);
-  const Json doc = parse_or_die(stat_out);
-  EXPECT_EQ(doc.find("schema")->as_string(), "conga-store-stat-v2");
-  EXPECT_EQ(doc.find("entries")->as_uint(), 2u);
-  EXPECT_EQ(doc.find("tmp_files")->as_uint(), 1u);
-  ASSERT_EQ(doc.find("by_fingerprint")->items().size(), 1u);
-  EXPECT_GT(doc.find("by_fingerprint")->items()[0].find("entries")->as_uint(),
-            0u);
-
-  // A young orphan survives the default age threshold...
-  ASSERT_EQ(run_cmd(std::string(kBin) + " store gc --store " + store +
-                    " >/dev/null 2>/dev/null"),
-            0);
-  ASSERT_TRUE(rs.stat(st, err));
-  EXPECT_EQ(st.tmp_files, 1u);
-
-  // ...and --tmp-age-seconds 0 reaps it without touching live entries.
-  ASSERT_EQ(run_cmd(std::string(kBin) + " store gc --store " + store +
-                    " --tmp-age-seconds 0 >/dev/null 2>/dev/null"),
-            0);
-  ASSERT_TRUE(rs.stat(st, err));
-  EXPECT_EQ(st.tmp_files, 0u);
-  EXPECT_EQ(st.entries, 2u);
-
-  // --keep-fingerprints current keeps this build's entries...
-  ASSERT_EQ(run_cmd(std::string(kBin) + " store gc --store " + store +
-                    " --keep-fingerprints current >/dev/null 2>/dev/null"),
-            0);
-  ASSERT_TRUE(rs.stat(st, err));
-  EXPECT_EQ(st.entries, 2u);
-
-  // ...while an unrelated keep list removes them.
-  ASSERT_EQ(run_cmd(std::string(kBin) + " store gc --store " + store +
-                    " --keep-fingerprints deadbeef >/dev/null 2>/dev/null"),
-            0);
-  ASSERT_TRUE(rs.stat(st, err));
-  EXPECT_EQ(st.entries, 0u);
-}
-
-// A --store that names a regular file cannot be walked: stat and gc say so
-// and exit 2 instead of reporting an empty store.
-TEST(ServeCli, StoreMaintenanceRejectsAnUnreadableStore) {
-  TempDir tmp("unreadable");
-  const std::string file = tmp.sub("not_a_store");
-  write_file(file, "not a directory\n");
-  const std::string err_path = tmp.sub("err.txt");
-  for (const std::string sub : {"stat", "gc"}) {
-    EXPECT_EQ(run_cmd(std::string(kBin) + " store " + sub + " --store " +
-                      file + " >/dev/null 2>" + err_path),
-              2)
-        << sub;
-    std::string err_text;
-    ASSERT_TRUE(read_file(err_path, err_text));
-    EXPECT_NE(err_text.find("cannot read store directory"), std::string::npos)
-        << sub << ": " << err_text;
-  }
 }
 
 TEST(ServeCli, UnwritableStoreDegradesGracefully) {

@@ -1,6 +1,7 @@
 // End-to-end CLI tests for the spec-driven tools, driving the real binaries
 // (CONGA_SIM_BIN, CHAOS_AUDIT_BIN, CONGA_TRACE_BIN, DETERMINISM_AUDIT_BIN,
-// and EXT_LB_COMPARISON_BIN for the bench flags):
+// and EXT_LB_COMPARISON_BIN and FIG08_WORKLOAD_CDFS_BIN for the bench
+// flags):
 // flags that a campaign spec would reject — a load outside (0, 1], an
 // unparseable fixed size, an unknown distribution or policy, an empty window
 // or host count — and numeric flags that are not one whole number exit 2
@@ -26,6 +27,7 @@ constexpr const char* kChaos = CHAOS_AUDIT_BIN;
 constexpr const char* kTrace = CONGA_TRACE_BIN;
 constexpr const char* kAudit = DETERMINISM_AUDIT_BIN;
 constexpr const char* kLbComparison = EXT_LB_COMPARISON_BIN;
+constexpr const char* kFig08 = FIG08_WORKLOAD_CDFS_BIN;
 
 struct Outcome {
   int exit_code = -1;  ///< 124 when `timeout` had to kill the run
@@ -127,10 +129,22 @@ TEST(DeterminismAuditCli, RejectsMalformedNumbers) {
 }
 
 TEST(BenchCli, RejectsMalformedNumbers) {
-  // --jobs is every bench's flag (bench_util.hpp): "abc" used to fall back
-  // to the default worker count, and "--load 10x" ran the 10% point.
+  // --jobs is the flag of every bench that runs cells in parallel
+  // (bench_util.hpp): "abc" used to fall back to the default worker count,
+  // and "--load 10x" ran the 10% point.
   expect_tool_rejected(kLbComparison, "--jobs abc", "--jobs wants a number");
   expect_tool_rejected(kLbComparison, "--load 10x", "bad --load 10x");
+}
+
+TEST(ToolCli, RejectsFlagsItDoesNotTake) {
+  // Each bench case used to be ignored: the bench ran its default table and
+  // exited 0. fig08 runs no cells in parallel, so --jobs is not its flag.
+  expect_tool_rejected(kFig08, "--bogus", "unknown flag: --bogus");
+  expect_tool_rejected(kFig08, "--jobs abc", "unknown flag: --jobs");
+  expect_tool_rejected(kLbComparison, "--bogus", "unknown flag: --bogus");
+  // JSONL is the one trace format; the CSV export is gone.
+  expect_tool_rejected(kTrace, "record --csv X --out /dev/null",
+                       "unknown record flag: --csv");
 }
 
 TEST(SimCli, DocumentedSpellingsStillRun) {
@@ -187,6 +201,8 @@ TEST(SimCli, ValueFlagGivenLastNeedsAValue) {
   expect_tool_rejected(kSim, "--load", "flag needs a value");
   expect_tool_rejected(kAudit, "--lb", "flag needs a value");
   expect_tool_rejected(kChaos, "--out", "flag needs a value");
+  // Used to be dropped silently, running the sweep without a report.
+  expect_tool_rejected(kLbComparison, "--load 10 --out", "flag needs a value");
   expect_tool_rejected(kTrace, "record --cats", "flag needs a value");
   expect_tool_rejected(kTrace, "slice /dev/null --cat", "flag needs a value");
   // Used to be reported as an unknown percentiles flag.

@@ -4,7 +4,8 @@
 // telemetry). Generic linters cannot see the rules that protect those
 // digests, so this standalone checker encodes them:
 //
-//   wall-clock        — no std::chrono::{system,steady,high_resolution}_clock,
+//   wall-clock        — no std::chrono::{system,steady,high_resolution,file,
+//                       utc,tai,gps}_clock, fs::file_time_type::clock,
 //                       time(), clock(), gettimeofday, ... in simulation code
 //                       (bench timing harnesses are allowlisted by config).
 //   ambient-rng       — no rand()/srand()/random()/std::random_device: all
@@ -244,7 +245,7 @@ struct SourceFile {
 };
 
 const std::regex kWallClockRe(
-    R"((system_clock|steady_clock|high_resolution_clock|gettimeofday|clock_gettime|timespec_get|\blocaltime\b|\bgmtime\b|\bmktime\b)|\btime\s*\(|\bclock\s*\(\s*\))");
+    R"((system_clock|steady_clock|high_resolution_clock|file_clock|utc_clock|tai_clock|gps_clock|file_time_type\s*::\s*clock\b|gettimeofday|clock_gettime|timespec_get|\blocaltime\b|\bgmtime\b|\bmktime\b)|\btime\s*\(|\bclock\s*\(\s*\))");
 const std::regex kAmbientRngRe(
     R"(\b(rand|srand|rand_r|drand48|lrand48|mrand48|random)\s*\(|random_device|\barc4random)");
 const std::regex kRawEngineRe(

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <map>
 #include <random>
 #include <set>
@@ -26,6 +27,19 @@ inline double now_seconds() {
   (void)mono;
   (void)wall;
   return 0.0;
+}
+
+inline void other_clocks() {
+  auto file = std::chrono::file_clock::now();               // expect(wall-clock)
+  auto fs_now = std::filesystem::file_time_type::clock::now();  // expect(wall-clock)
+  auto utc = std::chrono::utc_clock::now();                 // expect(wall-clock)
+  auto tai = std::chrono::tai_clock::now();                 // expect(wall-clock)
+  auto gps = std::chrono::gps_clock::now();                 // expect(wall-clock)
+  (void)file;
+  (void)fs_now;
+  (void)utc;
+  (void)tai;
+  (void)gps;
 }
 
 inline long posix_time() {

@@ -8,7 +8,6 @@
 //                       sampler. The same percentiles can then be rebuilt
 //                       offline from the exported file (see `percentiles`).
 //     --out PATH        JSONL output                 [default trace.jsonl]
-//     --csv PATH        also export CSV
 //     --lb NAME         any registered policy        [default conga]
 //     --stop-ms N       run length                   [default 80]
 //     --ring N          per-component ring capacity  [default 8192]
@@ -113,7 +112,6 @@ struct TraceFile {
 
 int cmd_record(int argc, char** argv) {
   std::string out = "trace.jsonl";
-  std::string csv;
   std::string lb_name = "conga";
   int stop_ms = 80;
   std::uint64_t fault_seed = 0;
@@ -123,8 +121,6 @@ int cmd_record(int argc, char** argv) {
   args.each([&](const std::string& flag) {
     if (flag == "--out") {
       out = args.text();
-    } else if (flag == "--csv") {
-      csv = args.text();
     } else if (flag == "--lb") {
       lb_name = args.text();
     } else if (flag == "--stop-ms") {
@@ -160,9 +156,6 @@ int cmd_record(int argc, char** argv) {
 
   if (!telemetry::write_jsonl_file(sink, out)) {
     usage(("cannot write " + out).c_str());
-  }
-  if (!csv.empty() && !telemetry::write_csv_file(sink, csv)) {
-    usage(("cannot write " + csv).c_str());
   }
 
   std::printf("recorded %llu events (%llu overwritten by ring wrap) across "
